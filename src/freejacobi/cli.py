@@ -1,30 +1,34 @@
 """Command-line surface.
 
-Subcommands: moments, density, stationary-density, series, words, oracle,
-verify.  Every run writes CSV/JSON artifacts plus a run manifest carrying
-the command line, parameters, seeds and output digests; re-running with
-the same flags reproduces the outputs byte-for-byte.
+Subcommands: moments, density, stationary-density, series, s-system, words,
+oracle, verify.  Every run writes CSV/JSON artifacts plus a run manifest
+carrying the command line, parameters, seeds and the SHA-256 digest of
+every file the run wrote; re-running with the same flags reproduces the
+outputs byte-for-byte.  ``series`` runs the checks of ``verification``
+under the names and tolerances ``verify`` reports them with.  ``--step``
+(the RK4 step of ``moments`` and ``s-system``) must be positive.
 
 Exit codes: 0 all checks pass / command succeeded, 1 check failure,
-2 usage error.
+2 usage error, including inputs outside a route's validity range.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import combinatorics as comb
-from . import decomposition as dec
 from . import oracle as orc
 from . import spectral
-from . import transforms
+from . import verification as ver
 from .manifest import RunManifest
 from .moments import (
     ProcessParams,
@@ -32,7 +36,7 @@ from .moments import (
     expansion_moments,
     integrate_moments,
 )
-from .verification import run_suite, suite_names
+from .special_functions import s_closed_theta_half, s_trajectory
 
 INIT_FLAGS = {
     "p-le-q": "nested_P_le_Q",
@@ -43,439 +47,244 @@ INIT_FLAGS = {
 OUTDIR_ENV = "FREEJACOBI_OUTDIR"
 
 
-def _outdir(args) -> Path:
-    path = Path(args.outdir or os.environ.get(OUTDIR_ENV, "."))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _fmt(x: float, pattern: str = "%.12g") -> str:
     return pattern % x
 
 
+def _params(args, *names: str) -> dict:
+    """Manifest parameters from the parsed flags (``lam`` is recorded as
+    ``lambda``)."""
+    return {("lambda" if name == "lam" else name): getattr(args, name) for name in names}
+
+
+def _write_run(args, stem: str, outputs: dict, parameters: dict, seeds=()) -> None:
+    """Write a command's outputs, then ``<stem>_manifest.json`` with the
+    digest of every one of them.
+
+    ``outputs`` maps each path to (header, rows) for a CSV, to a dict for
+    a JSON payload, or to None for a file the command has already written.
+    """
+    manifest = RunManifest(command_line=args.argv, parameters=parameters,
+                           seeds=list(seeds), started_at=args.started_at)
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    for path, content in outputs.items():
+        if isinstance(content, dict):
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(content, handle, indent=2)
+                handle.write("\n")
+        elif content is not None:
+            with open(path, "w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(content[0])
+                writer.writerows(content[1])
+        manifest.add_output(path)
+    manifest.write(args.outdir / f"{stem}_manifest.json")
+    print("wrote " + " and ".join(str(path) for path in outputs))
+
+
 # ---------------------------------------------------------------------------
-# moments
+# commands: each returns its exit code; a ValueError is a usage error
 # ---------------------------------------------------------------------------
 
-def _cmd_moments(args, parser) -> int:
-    init_mode = INIT_FLAGS[args.init]
+def _cmd_moments(args) -> int:
     if args.method == "closed-form" and (args.lam != 1.0 or args.theta != 0.5):
-        parser.error("--method closed-form requires --lambda 1 --theta 0.5")
+        raise ValueError("--method closed-form requires --lambda 1 --theta 0.5")
     if args.method == "expansion" and args.lam != 1.0:
-        parser.error("--method expansion requires --lambda 1")
-    try:
-        params = ProcessParams(lam=args.lam, theta=args.theta, init_mode=init_mode)
-    except ValueError as exc:
-        parser.error(str(exc))
-
+        raise ValueError("--method expansion requires --lambda 1")
+    params = ProcessParams(lam=args.lam, theta=args.theta, init_mode=INIT_FLAGS[args.init])
     if args.method == "recurrence":
-        traj = integrate_moments(params, args.t, order=args.order, h=args.step)
-        values = traj.at(args.t)
+        values = integrate_moments(params, args.t, order=args.order, h=args.step).at(args.t)
     elif args.method == "closed-form":
         values = closed_form_moments(args.t, args.order)
     else:
         values = expansion_moments(args.theta, args.t, args.order, h=args.step)
 
-    outdir = _outdir(args)
-    out_path = Path(args.out) if args.out else outdir / "moments.csv"
+    out_path = Path(args.out) if args.out else args.outdir / "moments.csv"
     rows = [
         ("%g" % args.t, str(n), "%.7g" % values[n], args.method)
         for n in range(args.order + 1)
     ]
-    _write_csv(out_path, ["t", "n", "m_n", "method"], rows)
-
-    manifest = RunManifest(
-        command_line=sys.argv[1:],
-        parameters={
-            "lambda": args.lam,
-            "theta": args.theta,
-            "t": args.t,
-            "order": args.order,
-            "step": args.step,
-            "init": args.init,
-            "method": args.method,
-        },
-    )
-    manifest.add_output(out_path)
-    manifest.write(outdir / "moments_manifest.json")
-    print(f"wrote {out_path}")
+    _write_run(args, "moments", {out_path: (["t", "n", "m_n", "method"], rows)},
+               _params(args, "lam", "theta", "t", "order", "step", "init", "method"))
     return 0
 
 
-# ---------------------------------------------------------------------------
-# densities
-# ---------------------------------------------------------------------------
-
-def _write_density(grid, outdir: Path, stem: str, argv_params: dict) -> None:
+def _write_density(args, grid, stem: str, parameters: dict) -> None:
     t_val = grid.params.get("t")
-    rows = []
-    for x, f, raw in zip(grid.xs, grid.values, grid.signed_values()):
-        rows.append(
-            (
-                _fmt(x),
-                _fmt(f),
-                _fmt(t_val) if np.isfinite(t_val) else "inf",
-                _fmt(grid.params["lambda"]),
-                _fmt(grid.params["theta"]),
-                str(int(raw < 0.0)),
-            )
-        )
-    density_path = outdir / f"{stem}.csv"
-    _write_csv(density_path, ["x", "f", "t", "lambda", "theta", "clipped_flag"], rows)
-    atoms_path = outdir / f"{stem}_atoms.csv"
-    _write_csv(
-        atoms_path,
-        ["location", "mass"],
-        [(_fmt(loc), _fmt(mass)) for loc, mass in grid.atoms],
+    fixed = (
+        _fmt(t_val) if np.isfinite(t_val) else "inf",
+        _fmt(grid.params["lambda"]),
+        _fmt(grid.params["theta"]),
     )
-    manifest = RunManifest(command_line=sys.argv[1:], parameters=argv_params)
-    manifest.parameters["preclip_min"] = grid.preclip_min
-    manifest.parameters["quadrature_rule"] = grid.rule
-    manifest.add_output(density_path)
-    manifest.add_output(atoms_path)
-    manifest.write(outdir / f"{stem}_manifest.json")
-    print(f"wrote {density_path} and {atoms_path}")
+    rows = [
+        (_fmt(x), _fmt(f), *fixed, str(int(raw < 0.0)))
+        for x, f, raw in zip(grid.xs, grid.values, grid.signed_values())
+    ]
+    atoms = [(_fmt(loc), _fmt(mass)) for loc, mass in grid.atoms]
+    outputs = {
+        args.outdir / f"{stem}.csv": (["x", "f", "t", "lambda", "theta", "clipped_flag"], rows),
+        args.outdir / f"{stem}_atoms.csv": (["location", "mass"], atoms),
+    }
+    parameters.update(preclip_min=grid.preclip_min, quadrature_rule=grid.rule)
+    _write_run(args, stem, outputs, parameters)
 
 
-def _cmd_density(args, parser) -> int:
-    try:
-        grid = spectral.density_lambda1(
-            args.t,
-            num_points=args.grid_points,
-            fourier_terms=args.terms,
-            fejer=args.fejer,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    _write_density(
-        grid,
-        _outdir(args),
-        "density",
-        {"t": args.t, "grid_points": args.grid_points, "terms": args.terms,
-         "fejer": args.fejer},
+def _cmd_density(args) -> int:
+    grid = spectral.density_lambda1(
+        args.t,
+        num_points=args.grid_points,
+        fourier_terms=args.terms,
+        fejer=args.fejer,
     )
+    _write_density(args, grid, "density", _params(args, "t", "grid_points", "terms", "fejer"))
     return 0
 
 
-def _cmd_stationary_density(args, parser) -> int:
-    try:
-        grid = spectral.stationary_density(args.lam, num_points=args.grid_points)
-    except ValueError as exc:
-        parser.error(str(exc))
-    _write_density(
-        grid,
-        _outdir(args),
-        "stationary_density",
-        {"lambda": args.lam, "grid_points": args.grid_points},
-    )
+def _cmd_stationary_density(args) -> int:
+    grid = spectral.stationary_density(args.lam, num_points=args.grid_points)
+    _write_density(args, grid, "stationary_density", _params(args, "lam", "grid_points"))
     return 0
 
 
-# ---------------------------------------------------------------------------
-# series checks
-# ---------------------------------------------------------------------------
+SERIES_CHECKS = {
+    "alpha": lambda args: ver.check_alpha(args.order),
+    "rho": lambda args: ver.check_rho(args.t, args.order),
+    "mgf": lambda args: ver.check_mgf(args.t, args.order),
+    "pde": lambda args: ver.check_s_pde(args.lam, args.t, args.order),
+    "decomposition": lambda args: ver.check_decomposition(args.lam, args.t, args.order),
+}
 
-def _cmd_series(args, parser) -> int:
-    outdir = _outdir(args)
-    order = args.order
+
+def _cmd_series(args) -> int:
+    if args.check == "mgf" and args.lam != 1.0:
+        raise ValueError("--check mgf is specialized to --lambda 1")
+    results, exports = SERIES_CHECKS[args.check](args)
+    for result in results:
+        print(result.line())
+
     lam, t = args.lam, args.t
-    rows = []
-    failures = []
-
-    def add_series(name, coeffs):
-        rows.extend(
-            (str(n), _fmt(c), name, _fmt(lam), _fmt(t))
-            for n, c in enumerate(np.asarray(coeffs))
-        )
-
-    def check(name, value, tol):
-        ok = value < tol
-        print(f"{'PASS' if ok else 'FAIL'}  series/{name}  value={value:.3g} tol={tol:.3g}")
-        if not ok:
-            failures.append((name, value, tol))
-
-    if args.check == "alpha":
-        a = transforms.alpha_series(order)
-        ai = transforms.alpha_inv_series(order)
-        add_series("alpha", a.coeffs)
-        add_series("alpha_inverse", ai.coeffs)
-        ident = np.zeros(order + 1)
-        if order >= 1:
-            ident[1] = 1.0
-        check("inverse-pair", float(np.max(np.abs(ai.compose(a).coeffs - ident))), 1e-13)
-        from .series import one_minus_z
-
-        deriv = (one_minus_z(order).sqrt() * a.differentiate()).shift(1)
-        check(
-            "derivative-identity",
-            float(np.max(np.abs(deriv.coeffs[:order] - a.coeffs[:order]))),
-            1e-13,
-        )
-    elif args.check == "rho":
-        add_series("rho", transforms.rho_series(t, order).coeffs)
-        check("rho-pde-residual", transforms.pde_residual_rho(t, order), 1e-6)
-    elif args.check == "mgf":
-        if lam != 1.0:
-            parser.error("--check mgf is specialized to --lambda 1")
-        m = transforms.mgf_closed_lambda1(t, order)
-        add_series("mgf", m.coeffs)
-        ref = closed_form_moments(t, order)
-        check("mgf-vs-closed-form", float(np.max(np.abs(m.coeffs - ref))), 1e-10)
-    elif args.check == "pde":
-        if not 0.0 < lam <= 1.0:
-            parser.error("--check pde requires lambda in (0, 1]")
-        params = ProcessParams(lam=lam, theta=0.5)
-        traj = integrate_moments(params, t + 4e-4, order=order, h=1e-4)
-        res = dec.pde_residual_S(traj, t, order)
-        s_coeffs = traj.at(t)[: order + 1] - transforms.stationary_mgf(lam, order).coeffs
-        add_series("S", s_coeffs)
-        check("s-pde-residual", res, 1e-6)
-    else:  # decomposition
-        if not 0.0 < lam <= 1.0:
-            parser.error("--check decomposition requires lambda in (0, 1]")
-        params = ProcessParams(lam=lam, theta=0.5)
-        traj = integrate_moments(params, t, order=order)
-        result = dec.decomposition_u(lam, t, order, traj)
-        add_series("gamma", result.gamma)
-        add_series("psi", result.psi)
-        add_series("c", result.c)
-        add_series("d", result.d)
-        check("c1-vanishes", abs(result.c[1]), 1e-7)
-        if order >= 2:
-            check("c2-vanishes", abs(result.c[2]), 1e-7)
-        import json
-
-        json_path = outdir / "decomposition.json"
-        payload = {
-            "lambda": result.lam,
-            "t": result.t,
-            "gamma": result.gamma.tolist(),
-            "psi": result.psi.tolist(),
-            "c": result.c.tolist(),
-            "d": result.d.tolist(),
-            "residuals": {"c1": abs(result.c[1])},
+    rows = [
+        (str(n), _fmt(c), name, _fmt(lam), _fmt(t))
+        for name, coeffs in exports.items()
+        for n, c in enumerate(np.asarray(coeffs))
+    ]
+    header = ["n", "value", "series_name", "lambda", "t"]
+    outputs = {args.outdir / f"series_{args.check}.csv": (header, rows)}
+    if args.check == "decomposition":
+        outputs[args.outdir / "decomposition.json"] = {
+            "lambda": lam,
+            "t": t,
+            **{name: coeffs.tolist() for name, coeffs in exports.items()},
+            # c1-vanishes -> c1, c2-vanishes -> c2
+            "residuals": {r.name.split("-")[0]: r.value for r in results},
         }
-        if order >= 2:
-            payload["residuals"]["c2"] = abs(result.c[2])
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {json_path}")
-
-    out_path = outdir / f"series_{args.check}.csv"
-    _write_csv(out_path, ["n", "value", "series_name", "lambda", "t"], rows)
-    manifest = RunManifest(
-        command_line=sys.argv[1:],
-        parameters={"check": args.check, "lambda": lam, "t": t, "order": order},
-    )
-    manifest.add_output(out_path)
-    manifest.write(outdir / f"series_{args.check}_manifest.json")
-    print(f"wrote {out_path}")
+    failures = [r for r in results if not r.passed]
     if failures:
-        fail_path = outdir / "series_failures.csv"
-        _write_csv(fail_path, ["check", "value", "tolerance"], failures)
-        return 1
-    return 0
+        outputs[args.outdir / "series_failures.csv"] = (
+            ["check", "value", "tolerance"],
+            [(r.name, r.value, r.tolerance) for r in failures],
+        )
+    _write_run(args, f"series_{args.check}", outputs, _params(args, "check", "lam", "t", "order"))
+    return 1 if failures else 0
 
 
-# ---------------------------------------------------------------------------
-# s-system
-# ---------------------------------------------------------------------------
-
-def _cmd_s_system(args, parser) -> int:
-    from .special_functions import s_closed_theta_half, s_trajectory
-
-    if not 0.0 < args.theta < 1.0:
-        parser.error("--theta must lie in (0, 1)")
+def _cmd_s_system(args) -> int:
     times, states = s_trajectory(args.theta, args.t, args.order, h=args.step)
     stride = max(1, len(times) // max(1, args.samples))
+    closed = s_closed_theta_half if args.theta == 0.5 else None
     rows = []
     for j in range(0, len(times), stride):
         for n in range(1, args.order + 1):
-            closed = (
-                _fmt(s_closed_theta_half(n, times[j])) if args.theta == 0.5 else ""
-            )
-            rows.append((n, _fmt(times[j]), _fmt(states[j][n - 1]), closed))
-    outdir = _outdir(args)
-    out_path = outdir / "s_system.csv"
-    _write_csv(out_path, ["n", "t", "s_n", "closed_form_if_any"], rows)
-    manifest = RunManifest(
-        command_line=sys.argv[1:],
-        parameters={"theta": args.theta, "t": args.t, "order": args.order,
-                    "step": args.step, "samples": args.samples},
-    )
-    manifest.add_output(out_path)
-    manifest.write(outdir / "s_system_manifest.json")
-    print(f"wrote {out_path}")
+            closed_col = _fmt(closed(n, times[j])) if closed else ""
+            rows.append((n, _fmt(times[j]), _fmt(states[j][n - 1]), closed_col))
+    _write_run(args, "s_system",
+               {args.outdir / "s_system.csv": (["n", "t", "s_n", "closed_form_if_any"], rows)},
+               _params(args, "theta", "t", "order", "step", "samples"))
     return 0
 
 
-# ---------------------------------------------------------------------------
-# words
-# ---------------------------------------------------------------------------
-
-def _cmd_words(args, parser) -> int:
+def _cmd_words(args) -> int:
     if args.n < 1:
-        parser.error("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     if args.n > comb.BRUTEFORCE_MAX_ORDER:
-        parser.error(f"--n capped at {comb.BRUTEFORCE_MAX_ORDER} (4^n enumeration)")
-    outdir = _outdir(args)
+        raise ValueError(f"--n capped at {comb.BRUTEFORCE_MAX_ORDER} (4^n enumeration)")
     rows = []
     mismatch = False
     for n in range(1, args.n + 1):
         brute = comb.word_counts_bruteforce(n) if n <= args.brute_max else None
         for k in range(0, n + 1):
-            c_cl, d_cl, e_cl = comb.word_counts_closed(n, k)
+            closed = comb.word_counts_closed(n, k)
+            counts = ("", "", "")
             if brute is not None:
-                bc = brute.c(k)
-                bd = brute.d(k)
                 # at k = 0 the e-column refers to the empty word
-                be = brute.e(k) if k >= 1 else brute.c(0)
-                mismatch = mismatch or (bc, bd, be) != (c_cl, d_cl, e_cl)
-                rows.append((n, k, c_cl, d_cl, e_cl, bc, bd, be))
-            else:
-                rows.append((n, k, c_cl, d_cl, e_cl, "", "", ""))
-    out_path = outdir / "word_counts.csv"
-    _write_csv(
-        out_path,
-        ["n", "k", "c", "d", "e", "bruteforce_c", "bruteforce_d", "bruteforce_e"],
-        rows,
-    )
-    manifest = RunManifest(
-        command_line=sys.argv[1:],
-        parameters={"n": args.n, "brute_max": args.brute_max},
-    )
-    manifest.add_output(out_path)
-    manifest.write(outdir / "words_manifest.json")
-    print(f"wrote {out_path}")
+                counts = (brute.c(k), brute.d(k), brute.e(k) if k >= 1 else brute.c(0))
+                mismatch = mismatch or counts != closed
+            rows.append((n, k, *closed, *counts))
+    header = ["n", "k", "c", "d", "e", "bruteforce_c", "bruteforce_d", "bruteforce_e"]
+    _write_run(args, "words", {args.outdir / "word_counts.csv": (header, rows)},
+               _params(args, "n", "brute_max"))
     return 1 if mismatch else 0
 
 
-# ---------------------------------------------------------------------------
-# oracle
-# ---------------------------------------------------------------------------
-
-def _cmd_oracle(args, parser) -> int:
+def _cmd_oracle(args) -> int:
     orders = tuple(int(x) for x in args.orders.split(","))
-    try:
-        config = orc.OracleConfig(
-            dim=args.dim,
-            t_end=args.t,
-            steps=args.steps,
-            trials=args.trials,
-            seed=args.seed,
-            lam=args.lam,
-            theta=args.theta,
-            mode=args.mode,
-            orders=orders,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    knobs = ("dim", "steps", "trials", "seed", "lam", "theta", "mode")
+    config = orc.OracleConfig(t_end=args.t, orders=orders,
+                              **{name: getattr(args, name) for name in knobs})
     run = orc.empirical_jacobi_moments(config)
-    outdir = _outdir(args)
-    out_path = outdir / "oracle.csv"
-    rows = [
-        (
-            n,
-            _fmt(args.t),
-            _fmt(run.estimates[n]),
-            _fmt(run.stderrs[n]),
-            args.dim,
-            args.steps,
-            args.trials,
-            args.mode,
-        )
-        for n in orders
-    ]
-    _write_csv(
-        out_path,
-        ["n", "t", "estimate", "stderr", "N", "steps", "trials", "mode"],
-        rows,
-    )
-    manifest = RunManifest(
-        command_line=sys.argv[1:],
-        parameters={
-            "dim": args.dim, "steps": args.steps, "trials": args.trials,
-            "t": args.t, "mode": args.mode, "lambda": args.lam,
-            "theta": args.theta, "orders": list(orders),
-            "unitarity_drift": run.unitarity_drift,
-            "rank_info": run.rank_info,
-            "wall_time": run.wall_time,
-        },
-        seeds=[args.seed] + [key[1] for key in run.trial_keys],
-    )
-    manifest.add_output(out_path)
-    manifest.write(outdir / "oracle_manifest.json")
     for n in orders:
         print(f"n={n}: {run.estimates[n]:.6f} +/- {run.stderrs[n]:.6f}")
-    print(f"unitarity drift {run.unitarity_drift:.2e}; wrote {out_path}")
+    print(f"unitarity drift {run.unitarity_drift:.2e}")
     if run.rank_info.get("rank_rounded"):
         print(
             "note: projection ranks rounded to "
             f"{run.rank_info['rank_p']}/{run.rank_info['rank_q']}"
         )
+    rows = [
+        (n, _fmt(args.t), _fmt(run.estimates[n]), _fmt(run.stderrs[n]),
+         args.dim, args.steps, args.trials, args.mode)
+        for n in orders
+    ]
+    header = ["n", "t", "estimate", "stderr", "N", "steps", "trials", "mode"]
+    parameters = {
+        **_params(args, "dim", "steps", "trials", "t", "mode", "lam", "theta"),
+        "orders": list(orders),
+        "unitarity_drift": run.unitarity_drift,
+        "rank_info": run.rank_info,
+        "wall_time": run.wall_time,
+    }
+    _write_run(args, "oracle", {args.outdir / "oracle.csv": (header, rows)}, parameters,
+               seeds=[args.seed] + [key[1] for key in run.trial_keys])
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-def _cmd_verify(args, parser) -> int:
-    outdir = _outdir(args)
+def _cmd_verify(args) -> int:
     kwargs = {}
     if args.suite in ("oracle", "all"):
         kwargs.update(dim=args.dim, steps=args.steps, trials=args.trials)
-    try:
-        results = run_suite(args.suite, outdir=outdir, **kwargs)
-    except KeyError as exc:
-        parser.error(str(exc))
+    results = ver.run_suite(args.suite, outdir=args.outdir, **kwargs)
     for result in results:
         print(result.line())
-    n_fail = sum(not r.passed for r in results)
-    print(f"{len(results) - n_fail}/{len(results)} checks passed")
+    failed = [r for r in results if not r.passed]
+    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
 
-    report_path = outdir / "verify_report.csv"
-    _write_csv(
-        report_path,
-        ["suite", "check", "passed", "value", "tolerance", "detail"],
-        [
-            (r.suite, r.name, int(r.passed),
-             "" if r.value is None else _fmt(r.value),
-             "" if r.tolerance is None else _fmt(r.tolerance),
-             r.detail)
-            for r in results
-        ],
-    )
-    manifest = RunManifest(
-        command_line=sys.argv[1:],
-        parameters={"suite": args.suite, **kwargs},
-    )
-    manifest.add_output(report_path)
-    if n_fail:
-        fail_path = outdir / "verify_failures.csv"
-        _write_csv(
-            fail_path,
-            ["suite", "check", "value", "tolerance", "detail"],
-            [
-                (r.suite, r.name,
-                 "" if r.value is None else _fmt(r.value),
-                 "" if r.tolerance is None else _fmt(r.tolerance),
-                 r.detail)
-                for r in results
-                if not r.passed
-            ],
+    header = ["suite", "check", "passed", "value", "tolerance", "detail"]
+    report = [
+        (r.suite, r.name, int(r.passed),
+         "" if r.value is None else _fmt(r.value),
+         "" if r.tolerance is None else _fmt(r.tolerance),
+         r.detail)
+        for r in results
+    ]
+    outputs = {args.outdir / "verify_report.csv": (header, report)}
+    if failed:  # the failed rows of the report, without the passed column
+        outputs[args.outdir / "verify_failures.csv"] = (
+            header[:2] + header[3:], [row[:2] + row[3:] for row in report if not row[2]],
         )
-        manifest.add_output(fail_path)
-    manifest.write(outdir / "verify_manifest.json")
-    return 1 if n_fail else 0
+    if args.suite in ("general-theta", "all"):
+        outputs[args.outdir / "general_theta_report.csv"] = None  # written by the suite
+    _write_run(args, "verify", outputs, {"suite": args.suite, **kwargs})
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
         "--outdir",
-        default=None,
         help=f"output directory (default: ${OUTDIR_ENV} or current directory)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -566,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=sorted(suite_names()), required=True)
+    p.add_argument("--suite", choices=sorted(ver.suite_names()), required=True)
     p.add_argument("--dim", type=int, default=256, help="oracle suite matrix size")
     p.add_argument("--steps", type=int, default=200, help="oracle suite steps")
     p.add_argument("--trials", type=int, default=8, help="oracle suite trials")
@@ -576,9 +384,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    started_at = time.time()
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    args.started_at = started_at
+    args.argv = list(sys.argv[1:] if argv is None else argv)
+    args.outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV, "."))
+    try:
+        return args.func(args)
+    except ValueError as exc:  # inputs outside a route's stated validity range
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

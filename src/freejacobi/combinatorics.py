@@ -90,15 +90,13 @@ def reduce_word(letters) -> str:
 
 
 def word_class(k: int, kind: str) -> str:
-    """Reduced-word key for a named class: (ab)^k, (ab)^k a, (ba)^k, b(ab)^k."""
+    """Reduced-word key for a named class: (ab)^k, (ab)^k a, (ba)^k."""
     if kind == "ab":
         return "ab" * k
     if kind == "aba":
         return "ab" * k + "a"
     if kind == "ba":
         return "ba" * k
-    if kind == "bab":
-        return "b" + "ab" * k
     raise ValueError(f"unknown word class kind {kind!r}")
 
 
@@ -128,10 +126,6 @@ class WordCountTable:
     def e(self, k: int) -> int:
         """Number of terms reducing to (ba)^k; k = 0 is the empty word."""
         return self.count(word_class(k, "ba"))
-
-    def b_leading(self, k: int) -> int:
-        """Number of terms reducing to b(ab)^k (odd words starting with b)."""
-        return self.count(word_class(k, "bab"))
 
     def total(self) -> int:
         return sum(self.counts.values())

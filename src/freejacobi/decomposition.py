@@ -114,11 +114,6 @@ def psi_closed(lam: float, t: float, order: int) -> np.ndarray:
     return out
 
 
-def gamma_psi_series(lam: float, t: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(gamma_0..gamma_N, psi_0..psi_N with psi_0 = 0)."""
-    return gamma_coefficients(lam, order), psi_series(lam, t, order)
-
-
 def r_series(lam: float, order: int) -> TruncatedSeries:
     """sqrt(4 + (1 - lambda)^2 z^2/(1 - z)); independent of time."""
     inner = geometric(order).shift(2) * (1.0 - lam) ** 2

@@ -38,9 +38,6 @@ class RunManifest:
         p = Path(path)
         self.outputs.append({"path": p.name, "sha256": file_digest(p)})
 
-    def finalize(self) -> None:
-        self.finished_at = time.time()
-
     def to_dict(self) -> dict:
         return {
             "command_line": self.command_line,
@@ -54,7 +51,7 @@ class RunManifest:
 
     def write(self, path: str | Path) -> None:
         if self.finished_at is None:
-            self.finalize()
+            self.finished_at = time.time()
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")

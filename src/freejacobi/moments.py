@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combinatorics import binomial
-from .special_functions import laguerre1, s_moments, ubm_moment
+from .special_functions import DEFAULT_STEP, laguerre1, rk4, s_moments, ubm_moment
 
 DEFAULT_ORDER = 32
-DEFAULT_STEP = 1e-3
 
 INIT_MODES = ("nested_P_le_Q", "nested_P_ge_Q", "orthogonal", "custom")
 
@@ -141,32 +140,6 @@ class MomentTrajectory:
         return float(self.times[-1])
 
 
-def _rk4(rhs, y0: np.ndarray, t_end: float, h: float):
-    times = [0.0]
-    states = [y0.copy()]
-    n_steps = int(round(t_end / h))
-    t, y = 0.0, y0.copy()
-    for _ in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + (h / 2) * k1)
-        k3 = rhs(y + (h / 2) * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        times.append(t)
-        states.append(y.copy())
-    rem = t_end - t
-    if rem > 1e-12 * max(1.0, t_end):
-        k1 = rhs(y)
-        k2 = rhs(y + (rem / 2) * k1)
-        k3 = rhs(y + (rem / 2) * k2)
-        k4 = rhs(y + rem * k3)
-        y = y + (rem / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        times.append(t_end)
-        states.append(y.copy())
-    return np.array(times), np.array(states)
-
-
 def integrate_moments(
     params: ProcessParams,
     t_end: float,
@@ -179,12 +152,10 @@ def integrate_moments(
     ``h`` can be read back exactly.  Deterministic for fixed
     (params, order, h).
     """
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
     if order < 1:
         raise ValueError("order must be >= 1")
-    rhs = lambda m: recurrence_rhs(m, params.lam, params.theta)
-    times, states = _rk4(rhs, params.initial_vector(order), t_end, h)
+    rhs = lambda t, m: recurrence_rhs(m, params.lam, params.theta)
+    times, states = rk4(rhs, params.initial_vector(order), t_end, h)
     return MomentTrajectory(
         params=params, order=order, times=times, values=states, step=h
     )
@@ -331,7 +302,7 @@ def lambda_scaling_residual(
     traj = integrate_moments(params, t_end, order, h)
 
     v0 = params.initial_vector(order) * lam  # v_0 = lam, v_n(0) = lam m_n(0)
-    rhs = lambda v: recurrence_rhs(v, 1.0, theta)
-    _, v_states = _rk4(rhs, v0, t_end, h)
+    rhs = lambda t, v: recurrence_rhs(v, 1.0, theta)
+    _, v_states = rk4(rhs, v0, t_end, h)
 
     return float(np.max(np.abs(lam * traj.values - v_states)))

@@ -62,11 +62,6 @@ class TruncatedSeries:
     def copy(self) -> "TruncatedSeries":
         return TruncatedSeries(self.coeffs.copy())
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1].copy())
-
     def _check_same_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
             raise ValueError(

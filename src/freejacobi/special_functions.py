@@ -13,40 +13,70 @@ suite.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 DEFAULT_STEP = 1e-3
+_LN2 = math.log(2.0)
+_RESCALE_ABOVE = 2.0**500
 
 
-def laguerre1(n: int, x: float) -> float:
-    """L_n^1(x) by the forward three-term recurrence.
+def laguerre1_scaled(n: int, x: float) -> tuple[float, int]:
+    """L_n^1(x) as (mantissa, exponent), L_n^1(x) = mantissa * 2**exponent.
 
-    (k+1) L_{k+1}^1 = (2k + 2 - x) L_k^1 - (k+1) L_{k-1}^1, seeded with
-    L_0^1 = 1 and L_1^1 = 2 - x.  Forward recurrence is numerically
-    adequate in double precision for the degree/argument ranges arising
-    here (x up to a few hundred, n up to a few dozen).
+    Forward recurrence (k+1) L_{k+1}^1 = (2k + 2 - x) L_k^1 - (k+1) L_{k-1}^1
+    from L_0^1 = 1, L_1^1 = 2 - x.  Once a value passes 2**500 both carried
+    values are divided by the same power of two, which is exact: wherever
+    the unscaled recurrence stays finite, mantissa * 2**exponent is its
+    value bit for bit, and no intermediate overflows at any degree.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if n == 0:
-        return 1.0
+        return 1.0, 0
+    exponent = 0
     prev = 1.0
     cur = 2.0 - x
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 2 - x) * cur - (k + 1) * prev) / (k + 1)
-    return cur
+        if abs(cur) > _RESCALE_ABOVE:
+            shift = math.frexp(cur)[1]
+            prev, cur = math.ldexp(prev, -shift), math.ldexp(cur, -shift)
+            exponent += shift
+    return cur, exponent
+
+
+def _to_float(mantissa: float, exponent: int) -> float:
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, mantissa)
+
+
+def laguerre1(n: int, x: float) -> float:
+    """L_n^1(x); +-inf where the value exceeds the float64 range."""
+    return _to_float(*laguerre1_scaled(n, x))
 
 
 def ubm_moment(n: int, t: float) -> float:
     """n-th moment h_n(t) = e^{-nt/2} L_{n-1}^1(nt) / n of the free
-    unitary Brownian motion; h_0 = 1 and h_{-n} = h_n by unitarity."""
+    unitary Brownian motion; h_0 = 1 and h_{-n} = h_n by unitarity.
+
+    Finite for every t >= 0.  Once n t passes about 1.4e3 the exponential
+    underflows while the Laguerre value overflows; there the carried
+    Laguerre exponent is applied together with the exponential.
+    """
     if t < 0:
         raise ValueError("time must be nonnegative")
     n = abs(n)
     if n == 0:
         return 1.0
-    return math.exp(-n * t / 2.0) * laguerre1(n - 1, n * t) / n
+    mantissa, exponent = laguerre1_scaled(n - 1, n * t)
+    value = math.exp(-n * t / 2.0) * _to_float(mantissa, exponent) / n
+    if sys.float_info.min <= abs(value) < math.inf:
+        return value
+    return math.exp(exponent * _LN2 - n * t / 2.0) * mantissa / n
 
 
 def ubm_moment_vector(t: float, order: int) -> np.ndarray:
@@ -85,31 +115,37 @@ def s_system_rhs(t: float, s: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
-def _rk4_time_dependent(rhs, y0: np.ndarray, t0: float, t_end: float, h: float):
-    """Classical fixed-step RK4 for dy/dt = rhs(t, y); returns (times, states)."""
-    if h <= 0:
+def rk4(rhs, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Classical fixed-step RK4 for dy/dt = rhs(t, y) from t = 0 to t_end.
+
+    Returns (times, states) with every step stored; a final partial step
+    lands exactly on t_end when it is not a multiple of h.  The one
+    integrator of the package: the moment hierarchy and the trace system
+    both run through it.
+    """
+    if not h > 0:
         raise ValueError("step must be positive")
-    n_steps = max(0, int(round((t_end - t0) / h)))
-    times = [t0]
+    if t_end < 0:
+        raise ValueError("t_end must be nonnegative")
+    times = [0.0]
     states = [y0.copy()]
-    t, y = t0, y0.copy()
-    for _ in range(n_steps):
+    t, y = 0.0, y0.copy()
+
+    def step(dt):
         k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + (h / 2) * k1)
-        k3 = rhs(t + h / 2, y + (h / 2) * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = rhs(t + dt / 2, y + (dt / 2) * k1)
+        k3 = rhs(t + dt / 2, y + (dt / 2) * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    for _ in range(int(round(t_end / h))):
+        y = step(h)
         t += h
         times.append(t)
         states.append(y.copy())
-    # final partial step when t_end is not an exact multiple of h
     rem = t_end - t
-    if rem > 1e-12 * max(1.0, abs(t_end)):
-        k1 = rhs(t, y)
-        k2 = rhs(t + rem / 2, y + (rem / 2) * k1)
-        k3 = rhs(t + rem / 2, y + (rem / 2) * k2)
-        k4 = rhs(t + rem, y + rem * k3)
-        y = y + (rem / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if rem > 1e-12 * max(1.0, t_end):
+        y = step(rem)
         times.append(t_end)
         states.append(y.copy())
     return np.array(times), np.array(states)
@@ -124,12 +160,10 @@ def s_trajectory(
     """Integrate the trace system from t = 0; states[j, n-1] holds s_n."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
     if order < 1:
         raise ValueError("order must be >= 1")
     rhs = lambda t, y: s_system_rhs(t, y, theta)
-    return _rk4_time_dependent(rhs, s_initial(order), 0.0, t_end, h)
+    return rk4(rhs, s_initial(order), t_end, h)
 
 
 def s_moments(

@@ -104,15 +104,7 @@ def density_lambda1(
         raise ValueError("fejer must be one of auto|on|off")
     use_fejer = fejer == "on" or (fejer == "auto" and t < FEJER_TIME_CUTOFF)
 
-    if xs is None:
-        xs, weights = arc_grid(num_points)
-        rule = "arc-midpoint[0,1]"
-    else:
-        xs = np.asarray(xs, dtype=float)
-        if np.any(xs <= 0.0) or np.any(xs >= 1.0) or np.any(np.diff(xs) <= 0):
-            raise ValueError("xs must be strictly increasing inside (0, 1)")
-        weights = _trapezoid_arc_weights(xs)
-        rule = "arc-trapezoid(user)"
+    xs, weights, rule = _quadrature_grid(num_points, xs)
 
     k = np.arange(1, fourier_terms + 1)
     coeffs = ubm_moment_vector(2.0 * t, fourier_terms)
@@ -187,15 +179,7 @@ def stationary_density(
     r, b, c = stationary_transform_params(lam, theta)
     lo, hi = stationary_support(lam, theta)
 
-    if xs is None:
-        xs, weights = arc_grid(num_points, lo, hi)
-        rule = f"arc-midpoint[{lo:.6g},{hi:.6g}]"
-    else:
-        xs = np.asarray(xs, dtype=float)
-        if np.any(xs <= 0.0) or np.any(xs >= 1.0) or np.any(np.diff(xs) <= 0):
-            raise ValueError("xs must be strictly increasing inside (0, 1)")
-        weights = _trapezoid_arc_weights(xs, lo, hi)
-        rule = "arc-trapezoid(user)"
+    xs, weights, rule = _quadrature_grid(num_points, xs, lo, hi)
 
     radicand = b * xs - (r * xs) ** 2 - c * c
     values = np.where(
@@ -212,6 +196,18 @@ def stationary_density(
         params={"lambda": lam, "theta": theta, "t": math.inf, "support": (lo, hi)},
         preclip_min=float(values.min()),
     )
+
+
+def _quadrature_grid(num_points: int, xs, lo: float = 0.0, hi: float = 1.0):
+    """(xs, weights, rule): the arc-midpoint grid over [lo, hi], or
+    trapezoid arc weights for a user grid strictly inside (0, 1)."""
+    if xs is None:
+        xs, weights = arc_grid(num_points, lo, hi)
+        return xs, weights, f"arc-midpoint[{lo:.6g},{hi:.6g}]"
+    xs = np.asarray(xs, dtype=float)
+    if np.any(xs <= 0.0) or np.any(xs >= 1.0) or np.any(np.diff(xs) <= 0):
+        raise ValueError("xs must be strictly increasing inside (0, 1)")
+    return xs, _trapezoid_arc_weights(xs, lo, hi), "arc-trapezoid(user)"
 
 
 def _trapezoid_arc_weights(xs: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:

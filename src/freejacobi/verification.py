@@ -2,8 +2,9 @@
 
 Each suite returns a list of CheckResult records; the CLI ``verify``
 command and the acceptance test module both dispatch through
-``run_suite`` so there is exactly one implementation of every criterion
-and every tolerance.
+``run_suite``, and the CLI ``series`` command calls the same ``check_*``
+functions the series and decomposition suites are built from, so there
+is exactly one implementation of every criterion and every tolerance.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .moments import (
     lambda_scaling_residual,
     symmetric_binomial_moment,
 )
+from .series import one_minus_z
 from .special_functions import s_closed_theta_half, s_trajectory, ubm_moment
-
 
 
 @dataclass
@@ -211,36 +212,92 @@ def _mgf_vs_ode(traj, order) -> float:
 
 
 # ---------------------------------------------------------------------------
+# series checks, shared by the series and decomposition suites and by the
+# CLI ``series`` command; each returns its results together with the
+# coefficients it computed, keyed by series name, for export
+# ---------------------------------------------------------------------------
+
+Checked = tuple[list[CheckResult], dict[str, np.ndarray]]
+
+
+def check_alpha(order: int) -> Checked:
+    a = transforms.alpha_series(order)
+    ai = transforms.alpha_inv_series(order)
+    ident = np.zeros(order + 1)
+    if order >= 1:
+        ident[1] = 1.0
+    # the inverse-pair check composes inverse(alpha): that direction has
+    # bounded intermediate coefficients; alpha(inverse) overflows the
+    # float64 cancellation budget by ~1e19 at order 32
+    pair = float(np.max(np.abs(ai.compose(a).coeffs - ident)))
+    deriv = (one_minus_z(order).sqrt() * a.differentiate()).shift(1)
+    deriv_err = float(np.max(np.abs(deriv.coeffs[:order] - a.coeffs[:order])))
+    results = [
+        _check("series", f"alpha-inverse-pair-order-{order}", pair, 1e-13),
+        _check("series", "alpha-derivative-identity", deriv_err, 1e-13,
+               "z sqrt(1-z) alpha' = alpha"),
+    ]
+    return results, {"alpha": a.coeffs, "alpha_inverse": ai.coeffs}
+
+
+def check_rho(t: float, order: int) -> Checked:
+    result = _check("series", "rho-pde-residual", transforms.pde_residual_rho(t, order),
+                    1e-6, f"order {order}, t={t:g}")
+    return [result], {"rho": transforms.rho_series(t, order).coeffs}
+
+
+def check_mgf(t: float, order: int) -> Checked:
+    """Closed-form generating function at lambda = 1 against the closed-form
+    moments, coefficient by coefficient."""
+    m = transforms.mgf_closed_lambda1(t, order).coeffs
+    err = float(np.max(np.abs(m - closed_form_moments(t, order))))
+    return [_check("series", "mgf-vs-closed-form", err, 1e-10,
+                   f"order {order}, t={t:g}")], {"mgf": m}
+
+
+def check_s_pde(lam: float, t: float, order: int) -> Checked:
+    """Transport equation of S_t = M_t - M_inf on one integrated trajectory
+    (step 1e-4, which divides the difference stencil's offsets)."""
+    if not 0.0 < lam <= 1.0:
+        raise ValueError("the S-PDE check requires lambda in (0, 1]")
+    traj = integrate_moments(ProcessParams(lam=lam, theta=0.5), t + 4e-4, order=order, h=1e-4)
+    res = dec.pde_residual_S(traj, t, order)
+    s_coeffs = traj.at(t)[: order + 1] - transforms.stationary_mgf(lam, order).coeffs
+    return [_check("series", f"s-pde-residual-lam-{lam:g}", res, 1e-6)], {"S": s_coeffs}
+
+
+def decomposition_c12(decomps, detail: str = "") -> list[CheckResult]:
+    """c_1 and c_2 of the remainder vanish: worst over the decompositions
+    (c_2 only when every one reaches order 2)."""
+    out = [_check("decomposition", "c1-vanishes", max(abs(d.c[1]) for d in decomps), 1e-7,
+                  detail)]
+    if all(d.order >= 2 for d in decomps):
+        out.append(_check("decomposition", "c2-vanishes",
+                          max(abs(d.c[2]) for d in decomps), 1e-7))
+    return out
+
+
+def check_decomposition(lam: float, t: float, order: int) -> Checked:
+    if not 0.0 < lam <= 1.0:
+        raise ValueError("the decomposition check requires lambda in (0, 1]")
+    traj = integrate_moments(ProcessParams(lam=lam, theta=0.5), t, order=order)
+    d = dec.decomposition_u(lam, t, order, traj)
+    results = decomposition_c12([d], f"lam={lam:g}, t={t:g}")
+    return results, {"gamma": d.gamma, "psi": d.psi, "c": d.c, "d": d.d}
+
+
+# ---------------------------------------------------------------------------
 # series / PDE suite
 # ---------------------------------------------------------------------------
 
 def suite_series() -> list[CheckResult]:
-    out = []
-    order = 32
-    a = transforms.alpha_series(order)
-    ai = transforms.alpha_inv_series(order)
-    ident = np.zeros(order + 1)
-    ident[1] = 1.0
-    # the inverse-pair check composes inverse(alpha): that direction has
-    # bounded intermediate coefficients; alpha(inverse) overflows the
-    # float64 cancellation budget by ~1e19 at this order
-    pair = float(np.max(np.abs(ai.compose(a).coeffs - ident)))
-    out.append(_check("series", "alpha-inverse-pair-order-32", pair, 1e-13))
-    from .series import one_minus_z
-
-    deriv = (one_minus_z(order).sqrt() * a.differentiate()).shift(1)
-    deriv_err = float(np.max(np.abs(deriv.coeffs[:order] - a.coeffs[:order])))
-    out.append(_check("series", "alpha-derivative-identity", deriv_err, 1e-13,
-                      "z sqrt(1-z) alpha' = alpha"))
-    out.append(_check("series", "rho-pde-residual", transforms.pde_residual_rho(1.0, 24), 1e-6,
-                      "order 24, t=1"))
+    out = check_alpha(32)[0]
+    out += check_rho(1.0, 24)[0]
     out.append(_check("series", "mgf-pde-residual", transforms.pde_residual_mgf_lambda1(1.0, 16),
                       1e-6, "order 16, t=1"))
+    out += check_mgf(1.0, 32)[0]
     for lam, order_s in ((0.5, 12), (1.0, 16)):
-        params = ProcessParams(lam=lam, theta=0.5)
-        traj = integrate_moments(params, 1.0 + 4e-4, order=order_s, h=1e-4)
-        res = dec.pde_residual_S(traj, 1.0, order_s)
-        out.append(_check("series", f"s-pde-residual-lam-{lam:g}", res, 1e-6))
+        out += check_s_pde(lam, 1.0, order_s)[0]
     return out
 
 
@@ -249,22 +306,19 @@ def suite_series() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def suite_decomposition() -> list[CheckResult]:
-    out = []
-    worst_c1 = worst_c2 = worst_c3 = 0.0
+    decomps = []
+    worst_c3 = 0.0
     for lam in (0.3, 0.6, 0.9):
         params = ProcessParams(lam=lam, theta=0.5)
         traj = integrate_moments(params, 1.0, order=10)
         for t in (0.5, 1.0):
             d = dec.decomposition_u(lam, t, 10, traj)
-            worst_c1 = max(worst_c1, abs(d.c[1]))
-            worst_c2 = max(worst_c2, abs(d.c[2]))
+            decomps.append(d)
             c3_pred = -((1 - lam) / 32.0) * (
                 2 * lam * math.exp(-3 * t) + 3 * (1 - lam) * math.exp(-t)
             )
             worst_c3 = max(worst_c3, abs(d.c[3] - c3_pred))
-    out.append(_check("decomposition", "c1-vanishes", worst_c1, 1e-7,
-                      "lam in {0.3,0.6,0.9}, t in {0.5,1}"))
-    out.append(_check("decomposition", "c2-vanishes", worst_c2, 1e-7))
+    out = decomposition_c12(decomps, "lam in {0.3,0.6,0.9}, t in {0.5,1}")
     out.append(_check("decomposition", "c3-closed-form", worst_c3, 1e-6))
 
     maxima = {}
@@ -396,10 +450,9 @@ def suite_oracle(dim: int = 256, steps: int = 200, trials: int = 8,
         orc.OracleConfig(dim=dim, t_end=1.0, steps=steps, trials=trials, seed=seed,
                          lam=1.0, theta=0.5, mode="nested", orders=(1, 2))
     )
-    m1_ref = 0.683940
-    m2_ref = closed_form_moments(1.0, 2)[2]
+    _, m1_ref, m2_ref = closed_form_moments(1.0, 2)
     out.append(_check("oracle", "nested-m1", abs(nested.estimates[1] - m1_ref), 0.02,
-                      f"estimate {nested.estimates[1]:.5f} vs {m1_ref}"))
+                      f"estimate {nested.estimates[1]:.5f} vs {m1_ref:.5f}"))
     out.append(_check("oracle", "nested-m2", abs(nested.estimates[2] - m2_ref), 0.03,
                       f"estimate {nested.estimates[2]:.5f} vs {m2_ref:.5f}"))
     out.append(_check("oracle", "unitarity-drift", nested.unitarity_drift, 1e-10))

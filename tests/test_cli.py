@@ -1,7 +1,14 @@
+import csv
+import hashlib
+import io
 import json
+import math
+import os
+from contextlib import redirect_stdout
 
 import pytest
 
+from freejacobi import verification
 from freejacobi.cli import main
 
 
@@ -164,3 +171,93 @@ def test_verify_unknown_suite(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, "verify", "--suite", "nonsense")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("step", ["0", "-0.5"])
+def test_moments_nonpositive_step_exits_2(tmp_path, step):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "moments", "--lambda", "0.6", "--t", "2", "--order", "4",
+                "--step", step)
+    assert exc.value.code == 2
+    assert not (tmp_path / "moments.csv").exists()
+
+
+@pytest.mark.parametrize("step", ["0", "-0.5"])
+def test_s_system_nonpositive_step_exits_2(tmp_path, step):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "s-system", "--step", step)
+    assert exc.value.code == 2
+
+
+def test_manifest_start_precedes_the_work(tmp_path):
+    run_cli(tmp_path, "moments", "--lambda", "0.6", "--t", "2", "--method", "recurrence")
+    manifest = json.loads((tmp_path / "moments_manifest.json").read_text())
+    written = os.path.getmtime(tmp_path / "moments.csv")
+    # the RK4 run to t = 2 takes well over 50 ms before the CSV is written
+    assert written - manifest["started_at"] > 0.05
+    assert manifest["finished_at"] >= manifest["started_at"]
+    assert manifest["command_line"][-4:] == ["--t", "2", "--method", "recurrence"]
+
+
+# the README examples (without `oracle` and `verify --suite all`) and the
+# time where the Fourier density used to turn into NaN
+README_COMMANDS = [
+    "moments --lambda 1 --theta 0.5 --t 1 --method closed-form --order 16",
+    "moments --lambda 0.6 --theta 0.5 --t 2 --method recurrence --init p-le-q",
+    "density --t 1 --grid-points 999 --terms 256 --fejer auto",
+    "stationary-density --lambda 0.6",
+    "series --check alpha --order 32",
+    "series --check decomposition --lambda 0.6 --t 1 --order 12",
+    "words --n 8",
+    "verify --suite catalan",
+    "density --t 4",
+]
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_readme_command_outputs_are_finite_and_digested(tmp_path, command):
+    with redirect_stdout(io.StringIO()):
+        assert run_cli(tmp_path, *command.split()) == 0
+    (manifest_path,) = tmp_path.glob("*_manifest.json")
+    manifest = json.loads(manifest_path.read_text())
+    digests = {out["path"]: out["sha256"] for out in manifest["outputs"]}
+    written = {f.name for f in tmp_path.iterdir()} - {manifest_path.name}
+    assert set(digests) == written  # every file the command wrote is digested
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    for path in tmp_path.glob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader)
+            for row in reader:
+                for column, field in zip(header, row):
+                    try:
+                        value = float(field)
+                    except ValueError:
+                        continue
+                    # inf labels the stationary law in a t column
+                    assert math.isfinite(value) or (column == "t" and value == math.inf), (
+                        path.name, column, field)
+
+
+def test_series_pde_reports_the_suite_value(tmp_path, monkeypatch):
+    reported = []
+    check = verification.check_s_pde
+
+    def spy(*args):
+        results, exports = check(*args)
+        reported.extend(results)
+        return results, exports
+
+    monkeypatch.setattr(verification, "check_s_pde", spy)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = run_cli(tmp_path, "series", "--check", "pde", "--lambda", "0.5", "--t", "1",
+                       "--order", "12")
+    assert code == 0
+    monkeypatch.undo()
+    (suite_result,) = [r for r in verification.run_suite("series")
+                       if r.name == "s-pde-residual-lam-0.5"]
+    (cli_result,) = reported
+    assert float(cli_result.value).hex() == float(suite_result.value).hex()
+    assert suite_result.line() in out.getvalue().splitlines()

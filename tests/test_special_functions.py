@@ -111,3 +111,76 @@ def test_invalid_parameters():
         sf.s_moments(0.75, 1.0, 4, method="closed")
     with pytest.raises(ValueError):
         sf.laguerre1(-1, 0.0)
+
+
+def _laguerre1_unscaled(n, x):
+    prev, cur = 1.0, 2.0 - x
+    if n == 0:
+        return 1.0
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 2 - x) * cur - (k + 1) * prev) / (k + 1)
+    return cur
+
+
+@pytest.mark.parametrize("n,x", [(3, 1.7), (40, 120.0), (128, 900.0), (199, 1600.0),
+                                 (255, 1000.0), (300, 300.0)])
+def test_laguerre_scaling_is_bit_exact_where_unscaled_is_finite(n, x):
+    plain = _laguerre1_unscaled(n, x)
+    assert math.isfinite(plain)
+    assert sf.laguerre1(n, x) == plain
+    mantissa, exponent = sf.laguerre1_scaled(n, x)
+    assert math.ldexp(mantissa, exponent) == plain
+
+
+def test_laguerre_overflow_is_infinite_not_nan():
+    # L_255^1(2048) ~ -1e340: the unscaled recurrence overflows
+    assert sf.laguerre1(255, 2048.0) == -math.inf
+    mantissa, exponent = sf.laguerre1_scaled(255, 2048.0)
+    assert math.log2(abs(mantissa)) + exponent > 1024
+
+
+def _ubm_moment_exact(n, t):
+    """h_n(t) from the explicit Laguerre sum in enough decimal digits to
+    absorb its cancellation (terms reach e^{nt} and 2^n)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(int(n * t / 2.3 + 0.31 * n) + 40):
+        x = mpmath.mpf(n) * mpmath.mpf(t)
+        m = n - 1
+        lag = mpmath.fsum(
+            (-1) ** j * mpmath.binomial(m + 1, m - j) * x**j / mpmath.factorial(j)
+            for j in range(m + 1)
+        )
+        return float(mpmath.exp(-x / 2) * lag / n)
+
+
+@pytest.mark.parametrize("n,t", [(1, 2000.0), (5, 420.0), (50, 40.0), (100, 20.0),
+                                 (150, 10.0), (200, 8.0), (220, 5.0), (256, 8.0),
+                                 (256, 4.0), (300, 7.0), (400, 5.0), (512, 4.0),
+                                 (512, 0.5)])
+def test_ubm_moment_matches_mpmath_at_large_nt(n, t):
+    # n t up to 2100: exp(-nt/2) underflows and L_{n-1}^1(nt) overflows in
+    # float64 from n t ~ 1.4e3 on
+    ours = sf.ubm_moment(n, t)
+    ref = _ubm_moment_exact(n, t)
+    assert math.isfinite(ours) and abs(ours) <= 1.0
+    assert abs(ours - ref) <= 1e-15
+    if abs(ref) > 1e-300:
+        assert abs(ours - ref) <= 1e-11 * abs(ref)
+
+
+def test_rk4_rejects_nonpositive_step():
+    y0 = np.ones(2)
+    for h in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError):
+            sf.rk4(lambda t, y: -y, y0, 1.0, h)
+    with pytest.raises(ValueError):
+        sf.rk4(lambda t, y: -y, y0, -1.0, 0.1)
+
+
+def test_rk4_steps_and_partial_step():
+    times, states = sf.rk4(lambda t, y: np.cos(t) * y, np.ones(1), 1.05, 0.1)
+    assert len(times) == 12  # t = 0, ten full steps, one partial step
+    assert times[-1] == 1.05
+    assert states[-1][0] == pytest.approx(math.exp(math.sin(1.05)), rel=1e-6)
+    times, _ = sf.rk4(lambda t, y: -y, np.ones(1), 0.0, 0.1)
+    assert list(times) == [0.0]

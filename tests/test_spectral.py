@@ -1,4 +1,7 @@
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,3 +145,25 @@ def test_user_grid_validation():
         spectral.density_lambda1(1.0, xs=np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         spectral.density_lambda1(1.0, xs=np.array([0.0, 0.4]))
+
+
+@pytest.mark.parametrize("t", [3.5, 4.0, 8.0, 30.0])
+def test_density_finite_at_large_time(t):
+    # at 256 terms, n * 2t passes the float64 range of exp(-nt) and of the
+    # Laguerre values from t ~ 2.8 on; the law tends to the arcsine law
+    grid = spectral.density_lambda1(t, num_points=999, fourier_terms=256)
+    assert np.all(np.isfinite(grid.values)) and math.isfinite(grid.preclip_min)
+    assert grid.total_mass() == pytest.approx(1.0, abs=1e-8)
+    arcsine = 1.0 / (math.pi * np.sqrt(grid.xs * (1.0 - grid.xs)))
+    # leading correction 2 h_1(2t) cos(2 phi) = 2 e^{-t} cos(2 phi)
+    assert np.max(np.abs(grid.values / arcsine - 1.0)) < 3.0 * math.exp(-t)
+
+
+def test_density_scan_script_runs_at_default_times(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "density_scan.py"
+    out = tmp_path / "scan.csv"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(out)])
+    runpy.run_path(str(script), run_name="__main__")
+    assert "t=4.0" in capsys.readouterr().out
+    text = out.read_text()
+    assert "nan" not in text and "inf" not in text
