@@ -25,7 +25,7 @@ import numpy as np
 from .combinatorics import binomial
 from .moments import MomentTrajectory, closed_form_moments
 from .series import TruncatedSeries, geometric, one_minus_z
-from .special_functions import laguerre1
+from .special_functions import damped_laguerre_factors, damped_laguerre_term
 from .transforms import (
     FD_DELTA,
     alpha_series,
@@ -98,18 +98,13 @@ def psi_closed(lam: float, t: float, order: int) -> np.ndarray:
 
     Cross-checks the series extraction; the two must agree to rounding.
     """
-    s_rate = 2.0 * lam / (2.0 - lam)
+    factors = damped_laguerre_factors(2.0 * lam / (2.0 - lam), t, order)
     out = np.zeros(order + 1)
     for n in range(1, order + 1):
         acc = 0.0
         for k in range(1, n + 1):
-            acc += (
-                binomial(2 * n, n - k)
-                * (2.0 - lam) ** (k - 1)
-                * laguerre1(k - 1, s_rate * k * t)
-                * math.exp(-k * t)
-                / k
-            )
+            coef = binomial(2 * n, n - k) * (2.0 - lam) ** (k - 1)
+            acc += damped_laguerre_term(coef, k, t, factors[k - 1])
         out[n] = acc * 2.0 ** (1 - 2 * n)
     return out
 

@@ -6,20 +6,32 @@ The moments m_n(t) = tau(J_t^n)/tau(P) close into a triangular ODE system
                + lambda theta n sum_{k=0}^{n-2} m_{n-k-1} (m_k - m_{k+1})
 
 valid for any initial data, which this module integrates with fixed-step
-classical RK4.  It also provides the closed-form route at the symmetric
-parameter point, the combinatorial-expansion route for rank ratio one, and
-the complement transform recovering rank ratios above one from those below.
+classical RK4.  ``integrate_moments_batch`` stacks several parameter sets
+(lambda, theta and initial geometry may all differ) into one (B, order+1)
+state and advances them in a single RK4 loop, so a scan over lambda is one
+integration; ``integrate_moments`` is its batch of one.  The module also
+provides the closed-form route at the symmetric parameter point, the
+combinatorial-expansion route for rank ratio one, and the complement
+transform recovering rank ratios above one from those below.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .combinatorics import binomial
-from .special_functions import DEFAULT_STEP, laguerre1, rk4, s_moments, ubm_moment
+from .special_functions import (
+    DEFAULT_STEP,
+    damped_laguerre_factors,
+    damped_laguerre_term,
+    rk4,
+    s_moments,
+    ubm_moment,
+)
 
 DEFAULT_ORDER = 32
 
@@ -88,8 +100,33 @@ class ProcessParams:
         return m
 
 
-def recurrence_rhs(m: np.ndarray, lam: float, theta: float) -> np.ndarray:
-    """Time derivative of the moment vector (component 0 is zero).
+@lru_cache(maxsize=16)
+def _workspace(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(diffs slot of a zero-padded buffer, Toeplitz window over that buffer,
+    n = 1..order) for a state shape; see ``recurrence_rhs``."""
+    order = shape[-1] - 1
+    k = max(order - 1, 1)
+    # buf = (0, ..., 0, d_0, ..., d_{k-1}); window[j, i] = buf[k-1+j-i],
+    # which is d_{j-i} for i <= j and 0 above the diagonal
+    buf = np.zeros(shape[:-1] + (2 * k - 1,))
+    window = sliding_window_view(buf, k, axis=-1)[..., ::-1]
+    return buf[..., k - 1 :], window, np.arange(1.0, order + 1)
+
+
+def recurrence_rhs(m: np.ndarray, lam, theta) -> np.ndarray:
+    """Time derivative of the moment vectors (component 0 is zero).
+
+    ``m`` has shape (..., order+1): one moment vector per leading index,
+    with ``lam`` and ``theta`` broadcasting against the leading axes (a
+    column of shape (B, 1) gives each row of a (B, order+1) batch its own
+    parameters).  Each row's arithmetic does not depend on the others, so
+    a row of a batch is bit-identical to the same row passed alone.
+
+    The Cauchy product sum_{k=0}^{n-2} m_{n-k-1} (m_k - m_{k+1}) is one
+    matmul of a lower-triangular Toeplitz window of the differences with
+    (m_1, ..., m_{order-1}).  The window is a strided view over a
+    zero-padded buffer cached per state shape, so this function is not
+    reentrant across threads (the package runs none).
 
     The quadratic sum is empty for n = 1.  Component 0 of ``m`` is read
     as-is rather than assumed to be 1, so the rescaled system v_n = lam m_n
@@ -97,16 +134,19 @@ def recurrence_rhs(m: np.ndarray, lam: float, theta: float) -> np.ndarray:
     v_0 = lam) can reuse this function.
     """
     m = np.asarray(m, dtype=float)
-    order = m.size - 1
-    out = np.zeros(order + 1)
+    out = np.zeros(m.shape)
+    order = m.shape[-1] - 1
     if order == 0:
         return out
-    n = np.arange(1, order + 1)
-    out[1:] = -n * m[1:] + theta * n * m[:-1]
+    diffs, window, n = _workspace(m.shape)
+    # theta n m_{n-1} - n m_n, written in place
+    linear = out[..., 1:]
+    np.multiply(theta * n, m[..., :-1], out=linear)
+    linear -= n * m[..., 1:]
     if order >= 2:
-        diffs = m[:-1] - m[1:]
-        conv = np.convolve(m[1:], diffs)
-        out[2:] += lam * theta * n[1:] * conv[: order - 1]
+        np.subtract(m[..., :-2], m[..., 1:-1], out=diffs)
+        conv = window @ m[..., 1:-1, None]
+        out[..., 2:] += lam * theta * n[1:] * conv[..., 0]
     return out
 
 
@@ -140,6 +180,43 @@ class MomentTrajectory:
         return float(self.times[-1])
 
 
+def integrate_moments_batch(
+    params_seq,
+    t_end: float,
+    order: int = DEFAULT_ORDER,
+    h: float = DEFAULT_STEP,
+) -> list[MomentTrajectory]:
+    """Integrate several parameter sets in one RK4 loop.
+
+    The initial vectors are stacked into a (B, order+1) state, each row
+    with its own lambda and theta (init modes may differ too), and one
+    ``rk4`` call advances them together.  Row b of the result is
+    bit-identical to ``integrate_moments(params_seq[b], ...)``; the
+    trajectories' values are views into one shared (steps, B, order+1)
+    array.
+    """
+    params_seq = list(params_seq)
+    if not params_seq:
+        raise ValueError("need at least one parameter set")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    y0 = np.stack([p.initial_vector(order) for p in params_seq])
+    if len(params_seq) == 1:
+        # one row runs as a flat vector with scalar parameters: the same
+        # arithmetic, with less numpy dispatch per call than a (1, n) batch
+        y0, lam, theta = y0[0], params_seq[0].lam, params_seq[0].theta
+    else:
+        lam = np.array([[p.lam] for p in params_seq])
+        theta = np.array([[p.theta] for p in params_seq])
+    rhs = lambda t, m: recurrence_rhs(m, lam, theta)
+    times, states = rk4(rhs, y0, t_end, h)
+    states = states.reshape(times.size, len(params_seq), order + 1)
+    return [
+        MomentTrajectory(params=p, order=order, times=times, values=states[:, b], step=h)
+        for b, p in enumerate(params_seq)
+    ]
+
+
 def integrate_moments(
     params: ProcessParams,
     t_end: float,
@@ -150,15 +227,9 @@ def integrate_moments(
 
     Every RK4 step is stored, so intermediate times that are multiples of
     ``h`` can be read back exactly.  Deterministic for fixed
-    (params, order, h).
+    (params, order, h).  A batch of one: see ``integrate_moments_batch``.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    rhs = lambda t, m: recurrence_rhs(m, params.lam, params.theta)
-    times, states = rk4(rhs, params.initial_vector(order), t_end, h)
-    return MomentTrajectory(
-        params=params, order=order, times=times, values=states, step=h
-    )
+    return integrate_moments_batch([params], t_end, order, h)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +242,26 @@ def closed_form_moment(n: int, t: float) -> float:
     m_n(t) = 4^{-n} C(2n, n)
              + 2^{1-2n} sum_{k=1}^{n} C(2n, n-k) L_{k-1}^1(2kt) e^{-kt} / k.
     """
-    if n == 0:
-        return 1.0
-    four_n = 4.0**n
-    total = binomial(2 * n, n) / four_n
-    acc = 0.0
-    for k in range(1, n + 1):
-        acc += binomial(2 * n, n - k) * laguerre1(k - 1, 2 * k * t) * math.exp(-k * t) / k
-    return total + 2.0 * acc / four_n
+    return float(closed_form_moments(t, n)[n])
 
 
 def closed_form_moments(t: float, order: int) -> np.ndarray:
-    """Vector (m_0, ..., m_order) of the closed-form route at time t."""
-    return np.array([closed_form_moment(n, t) for n in range(order + 1)])
+    """Vector (m_0, ..., m_order) of the closed-form route at time t.
+
+    The Laguerre factors of the k-th term are shared by every n >= k, so
+    they are computed once per k.  Finite for every t >= 0: terms whose
+    plain product overflows carry the Laguerre exponent into e^{-kt}.
+    """
+    factors = damped_laguerre_factors(2.0, t, order)
+    out = np.empty(order + 1)
+    out[0] = 1.0
+    for n in range(1, order + 1):
+        four_n = 4.0**n
+        acc = 0.0
+        for k in range(1, n + 1):
+            acc += damped_laguerre_term(binomial(2 * n, n - k), k, t, factors[k - 1])
+        out[n] = binomial(2 * n, n) / four_n + 2.0 * acc / four_n
+    return out
 
 
 def symmetric_binomial_moment(n: int, t: float) -> float:
@@ -298,11 +376,12 @@ def lambda_scaling_residual(
     constant set to theta alone (lambda = 1) and v_0 = lam; integrating
     both and comparing validates the scaling reduction.
     """
+    if order < 1:
+        raise ValueError("order must be >= 1")
     params = ProcessParams(lam=lam, theta=theta, init_mode=init_mode)
-    traj = integrate_moments(params, t_end, order, h)
-
-    v0 = params.initial_vector(order) * lam  # v_0 = lam, v_n(0) = lam m_n(0)
-    rhs = lambda t, v: recurrence_rhs(v, 1.0, theta)
-    _, v_states = rk4(rhs, v0, t_end, h)
-
-    return float(np.max(np.abs(lam * traj.values - v_states)))
+    m0 = params.initial_vector(order)
+    # row 0: m_n at (lam, theta); row 1: v_n from v_0 = lam, v_n(0) = lam m_n(0)
+    coupling = np.array([[lam], [1.0]])
+    rhs = lambda t, y: recurrence_rhs(y, coupling, theta)
+    _, states = rk4(rhs, np.stack([m0, m0 * lam]), t_end, h)
+    return float(np.max(np.abs(lam * states[:, 0] - states[:, 1])))

@@ -59,6 +59,36 @@ def laguerre1(n: int, x: float) -> float:
     return _to_float(*laguerre1_scaled(n, x))
 
 
+def damped_laguerre_factors(rate: float, t: float, order: int) -> list[tuple]:
+    """Factors of L_{k-1}^1(rate k t) e^{-kt} for k = 1..order, computed once
+    per k for the sums over k that reuse them:
+    (Laguerre value, e^{-kt}, mantissa, exponent), where
+    mantissa * 2**exponent is the Laguerre value also past the float64
+    range.  Feed each to ``damped_laguerre_term``.
+    """
+    out = []
+    for k in range(1, order + 1):
+        x = rate * k * t
+        value = laguerre1(k - 1, x)
+        scaled = math.frexp(value) if math.isfinite(value) else laguerre1_scaled(k - 1, x)
+        out.append((value, math.exp(-k * t), *scaled))
+    return out
+
+
+def damped_laguerre_term(coef: float, k: int, t: float, factors: tuple) -> float:
+    """coef L_{k-1}^1(rate k t) e^{-kt} / k from ``damped_laguerre_factors``.
+
+    The plain product wherever it is finite; where the Laguerre value or
+    its product with coef overflows, the carried exponent goes into the
+    exponential instead, as in ``ubm_moment``.
+    """
+    value, damping, mantissa, exponent = factors
+    term = coef * value * damping / k
+    if math.isfinite(term):
+        return term
+    return coef * mantissa * math.exp(exponent * _LN2 - k * t) / k
+
+
 def ubm_moment(n: int, t: float) -> float:
     """n-th moment h_n(t) = e^{-nt/2} L_{n-1}^1(nt) / n of the free
     unitary Brownian motion; h_0 = 1 and h_{-n} = h_n by unitarity.
@@ -118,37 +148,44 @@ def s_system_rhs(t: float, s: np.ndarray, theta: float) -> np.ndarray:
 def rk4(rhs, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Classical fixed-step RK4 for dy/dt = rhs(t, y) from t = 0 to t_end.
 
-    Returns (times, states) with every step stored; a final partial step
-    lands exactly on t_end when it is not a multiple of h.  The one
-    integrator of the package: the moment hierarchy and the trace system
-    both run through it.
+    ``y0`` may have any shape; a (B, n) state advances B systems in one
+    loop, one rhs call per stage for all of them.  Returns (times, states)
+    with every step stored, states of shape (len(times),) + y0.shape; a
+    final partial step lands exactly on t_end when the accumulated time
+    falls short of it.  The one integrator of the package: the moment
+    hierarchy and the trace system both run through it.
     """
     if not h > 0:
         raise ValueError("step must be positive")
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
-    times = [0.0]
-    states = [y0.copy()]
-    t, y = 0.0, y0.copy()
+    y0 = np.asarray(y0, dtype=float)
+    steps = int(round(t_end / h))
+    # one spare row for the partial step, which the accumulated t decides
+    times = np.empty(steps + 2)
+    states = np.empty((steps + 2,) + y0.shape)
+    times[0], states[0] = 0.0, y0
+    t, y = 0.0, states[0]
 
-    def step(dt):
+    def step(dt, dest):
         k1 = rhs(t, y)
         k2 = rhs(t + dt / 2, y + (dt / 2) * k1)
         k3 = rhs(t + dt / 2, y + (dt / 2) * k2)
         k4 = rhs(t + dt, y + dt * k3)
-        return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        np.add(y, (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), out=dest)
+        return dest
 
-    for _ in range(int(round(t_end / h))):
-        y = step(h)
+    for j in range(1, steps + 1):
+        y = step(h, states[j])
         t += h
-        times.append(t)
-        states.append(y.copy())
+        times[j] = t
+    stored = steps + 1
     rem = t_end - t
     if rem > 1e-12 * max(1.0, t_end):
-        y = step(rem)
-        times.append(t_end)
-        states.append(y.copy())
-    return np.array(times), np.array(states)
+        step(rem, states[stored])
+        times[stored] = t_end
+        stored += 1
+    return times[:stored], states[:stored]
 
 
 def s_trajectory(

@@ -27,6 +27,7 @@ from .moments import (
     complement_moments,
     expansion_moments,
     integrate_moments,
+    integrate_moments_batch,
     lambda_scaling_residual,
     symmetric_binomial_moment,
 )
@@ -59,6 +60,14 @@ def _check(suite, name, value, tol, detail="") -> CheckResult:
     return CheckResult(
         suite=suite, name=name, passed=bool(value < tol), value=float(value),
         tolerance=float(tol), detail=detail,
+    )
+
+
+def _lambda_scan(lams, t_end: float, order: int):
+    """Nested-start trajectories at theta = 1/2, one per lambda, from one
+    batched integration."""
+    return integrate_moments_batch(
+        [ProcessParams(lam=lam, theta=0.5) for lam in lams], t_end, order=order
     )
 
 
@@ -220,12 +229,17 @@ def _mgf_vs_ode(traj, order) -> float:
 Checked = tuple[list[CheckResult], dict[str, np.ndarray]]
 
 
+def _require_order(order: int) -> None:
+    if order < 1:
+        raise ValueError(f"series order must be >= 1, got {order}")
+
+
 def check_alpha(order: int) -> Checked:
+    _require_order(order)
     a = transforms.alpha_series(order)
     ai = transforms.alpha_inv_series(order)
     ident = np.zeros(order + 1)
-    if order >= 1:
-        ident[1] = 1.0
+    ident[1] = 1.0
     # the inverse-pair check composes inverse(alpha): that direction has
     # bounded intermediate coefficients; alpha(inverse) overflows the
     # float64 cancellation budget by ~1e19 at order 32
@@ -241,6 +255,7 @@ def check_alpha(order: int) -> Checked:
 
 
 def check_rho(t: float, order: int) -> Checked:
+    _require_order(order)
     result = _check("series", "rho-pde-residual", transforms.pde_residual_rho(t, order),
                     1e-6, f"order {order}, t={t:g}")
     return [result], {"rho": transforms.rho_series(t, order).coeffs}
@@ -249,6 +264,7 @@ def check_rho(t: float, order: int) -> Checked:
 def check_mgf(t: float, order: int) -> Checked:
     """Closed-form generating function at lambda = 1 against the closed-form
     moments, coefficient by coefficient."""
+    _require_order(order)
     m = transforms.mgf_closed_lambda1(t, order).coeffs
     err = float(np.max(np.abs(m - closed_form_moments(t, order))))
     return [_check("series", "mgf-vs-closed-form", err, 1e-10,
@@ -258,6 +274,7 @@ def check_mgf(t: float, order: int) -> Checked:
 def check_s_pde(lam: float, t: float, order: int) -> Checked:
     """Transport equation of S_t = M_t - M_inf on one integrated trajectory
     (step 1e-4, which divides the difference stencil's offsets)."""
+    _require_order(order)
     if not 0.0 < lam <= 1.0:
         raise ValueError("the S-PDE check requires lambda in (0, 1]")
     traj = integrate_moments(ProcessParams(lam=lam, theta=0.5), t + 4e-4, order=order, h=1e-4)
@@ -278,6 +295,7 @@ def decomposition_c12(decomps, detail: str = "") -> list[CheckResult]:
 
 
 def check_decomposition(lam: float, t: float, order: int) -> Checked:
+    _require_order(order)
     if not 0.0 < lam <= 1.0:
         raise ValueError("the decomposition check requires lambda in (0, 1]")
     traj = integrate_moments(ProcessParams(lam=lam, theta=0.5), t, order=order)
@@ -308,9 +326,8 @@ def suite_series() -> list[CheckResult]:
 def suite_decomposition() -> list[CheckResult]:
     decomps = []
     worst_c3 = 0.0
-    for lam in (0.3, 0.6, 0.9):
-        params = ProcessParams(lam=lam, theta=0.5)
-        traj = integrate_moments(params, 1.0, order=10)
+    lams = (0.3, 0.6, 0.9)
+    for lam, traj in zip(lams, _lambda_scan(lams, 1.0, 10)):
         for t in (0.5, 1.0):
             d = dec.decomposition_u(lam, t, 10, traj)
             decomps.append(d)
@@ -322,9 +339,8 @@ def suite_decomposition() -> list[CheckResult]:
     out.append(_check("decomposition", "c3-closed-form", worst_c3, 1e-6))
 
     maxima = {}
-    for lam in (0.9, 0.99, 0.999):
-        params = ProcessParams(lam=lam, theta=0.5)
-        traj = integrate_moments(params, 1.0, order=10)
+    lams = (0.9, 0.99, 0.999)
+    for lam, traj in zip(lams, _lambda_scan(lams, 1.0, 10)):
         d = dec.decomposition_u(lam, 1.0, 10, traj)
         maxima[lam] = float(np.max(np.abs(d.c)))
     out.append(
@@ -373,24 +389,24 @@ def suite_decomposition() -> list[CheckResult]:
 def suite_complement() -> list[CheckResult]:
     out = []
     order = 10
-    src = integrate_moments(
-        ProcessParams(lam=0.5, theta=0.5, init_mode="orthogonal"), 2.0, order=order
+    src, direct, src1, base = integrate_moments_batch(
+        [
+            ProcessParams(lam=0.5, theta=0.5, init_mode="orthogonal"),
+            ProcessParams(lam=1.5, theta=0.5, init_mode="nested_P_ge_Q"),
+            ProcessParams(lam=1.0, theta=0.5, init_mode="orthogonal"),
+            ProcessParams(lam=1.0, theta=0.5),
+        ],
+        2.0,
+        order=order,
     )
     transformed = complement_moments(src, 1.5)
-    direct = integrate_moments(
-        ProcessParams(lam=1.5, theta=0.5, init_mode="nested_P_ge_Q"), 2.0, order=order
-    )
     worst = 0.0
     for t in (0.5, 1.0, 2.0):
         worst = max(worst, float(np.max(np.abs(transformed.at(t) - direct.at(t)))))
     out.append(_check("complement", "transform-vs-direct-lam-1.5", worst, 1e-8,
                       "n<=10, t in {0.5,1,2}"))
 
-    src1 = integrate_moments(
-        ProcessParams(lam=1.0, theta=0.5, init_mode="orthogonal"), 2.0, order=order
-    )
     lim = complement_moments(src1, 1.0)
-    base = integrate_moments(ProcessParams(lam=1.0, theta=0.5), 2.0, order=order)
     worst1 = 0.0
     for t in (0.5, 1.0, 2.0):
         worst1 = max(worst1, float(np.max(np.abs(lim.at(t) - base.at(t)))))
@@ -407,8 +423,9 @@ def suite_density() -> list[CheckResult]:
     out = []
     worst_m = 0.0
     worst_mass = 0.0
+    grids = {}
     for t in (0.5, 1.0, 2.0):
-        grid = spectral.density_lambda1(t, num_points=999, fourier_terms=256)
+        grid = grids[t] = spectral.density_lambda1(t, num_points=999, fourier_terms=256)
         mom = spectral.quadrature_moments(grid, 8)
         ref = closed_form_moments(t, 8)
         worst_m = max(worst_m, float(np.max(np.abs(mom - ref))))
@@ -417,22 +434,22 @@ def suite_density() -> list[CheckResult]:
                       "n<=8, t in {0.5,1,2}, 256 terms"))
     out.append(_check("density", "total-mass", worst_mass, 1e-8))
 
-    grid2 = spectral.density_lambda1(2.0, num_points=999, fourier_terms=256)
+    support = grids[2.0].values
     out.append(
         CheckResult(
             suite="density",
             name="support-fills-at-t-2",
-            passed=bool(np.all(grid2.values > 0.0)),
-            value=float(grid2.values.min()),
+            passed=bool(np.all(support > 0.0)),
+            value=float(support.min()),
             detail="strictly positive on 999 interior points",
         )
     )
 
     worst_stat = 0.0
-    for lam in (0.4, 0.6, 0.8):
+    lams = (0.4, 0.6, 0.8)
+    for lam, traj in zip(lams, _lambda_scan(lams, 30.0, 8)):
         sgrid = spectral.stationary_density(lam, num_points=999)
         mom = spectral.quadrature_moments(sgrid, 8)
-        traj = integrate_moments(ProcessParams(lam=lam, theta=0.5), 30.0, order=8)
         worst_stat = max(worst_stat, float(np.max(np.abs(mom - traj.at(30.0)))))
     out.append(_check("density", "stationary-vs-t-30-moments", worst_stat, 1e-4,
                       "lam in {0.4,0.6,0.8}, n<=8"))

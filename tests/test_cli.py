@@ -261,3 +261,11 @@ def test_series_pde_reports_the_suite_value(tmp_path, monkeypatch):
     (cli_result,) = reported
     assert float(cli_result.value).hex() == float(suite_result.value).hex()
     assert suite_result.line() in out.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("check", ["alpha", "rho", "mgf", "pde", "decomposition"])
+def test_series_order_below_one_exits_2(tmp_path, capsys, check):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "series", "--check", check, "--order", "0")
+    assert exc.value.code == 2
+    assert "order must be >= 1, got 0" in capsys.readouterr().err

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from freejacobi import decomposition as dec
-from freejacobi.moments import MomentTrajectory, ProcessParams, integrate_moments
+from freejacobi.combinatorics import binomial
+from freejacobi.moments import (
+    MomentTrajectory,
+    ProcessParams,
+    integrate_moments,
+    symmetric_binomial_moment,
+)
 from freejacobi.series import TruncatedSeries
 from freejacobi.transforms import stationary_mgf
 
@@ -48,6 +54,15 @@ def test_gamma_lambda_one_is_twice_beta():
     assert np.allclose(
         dec.gamma_coefficients(1.0, 10), 2 * dec.beta_coefficients(10), atol=1e-15
     )
+
+
+def test_psi_closed_finite_at_large_order_and_time():
+    # at lambda = 1, psi_n is the closed-form moment minus its arcsine part
+    psi = dec.psi_closed(1.0, 5.0, 256)
+    assert np.all(np.isfinite(psi))
+    for n in (1, 64, 219, 220, 256):
+        ref = symmetric_binomial_moment(n, 5.0) - binomial(2 * n, n) / 4.0**n
+        assert abs(psi[n] - ref) < 1e-12
 
 
 def test_psi_extraction_matches_closed_form():

@@ -3,7 +3,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 
 from freejacobi.combinatorics import binomial
 from freejacobi.moments import (
@@ -14,6 +14,7 @@ from freejacobi.moments import (
     complement_moments,
     expansion_moments,
     integrate_moments,
+    integrate_moments_batch,
     lambda_scaling_residual,
     recurrence_rhs,
     symmetric_binomial_moment,
@@ -198,3 +199,78 @@ def test_rhs_triangularity(lam, theta):
     full = recurrence_rhs(m, lam, theta)
     short = recurrence_rhs(m[:6], lam, theta)
     assert np.array_equal(full[:6], short)
+
+
+def test_closed_form_moments_finite_at_large_order_and_time():
+    # the plain L_{k-1}^1(2kt) overflows from n = 220 on at t = 5
+    closed = closed_form_moments(5.0, 256)
+    assert np.all(np.isfinite(closed))
+    for n in (1, 64, 219, 220, 240, 256):
+        assert abs(closed[n] - symmetric_binomial_moment(n, 5.0)) < 1e-12
+
+
+def convolve_rhs(m, lam, theta):
+    """The recurrence with the Cauchy product written as np.convolve."""
+    order = m.size - 1
+    out = np.zeros(order + 1)
+    n = np.arange(1, order + 1)
+    out[1:] = -n * m[1:] + theta * n * m[:-1]
+    if order >= 2:
+        conv = np.convolve(m[1:], m[:-1] - m[1:])
+        out[2:] += lam * theta * n[1:] * conv[: order - 1]
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 8, 17, 32])
+def test_batched_rhs_matches_convolution(order):
+    rng = np.random.default_rng(order)
+    m = np.concatenate([np.ones((4, 1)), rng.uniform(-1, 1, (4, order))], axis=1)
+    lam = rng.uniform(0.1, 1.9, (4, 1))
+    theta = rng.uniform(0.05, 0.5, (4, 1))
+    batched = recurrence_rhs(m, lam, theta)
+    assert batched.shape == m.shape
+    for b in range(4):
+        ref = convolve_rhs(m[b], lam[b, 0], theta[b, 0])
+        assert np.max(np.abs(batched[b] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+        assert np.array_equal(recurrence_rhs(m[b], lam[b, 0], theta[b, 0]), batched[b])
+
+
+@st.composite
+def process_params(draw):
+    mode = draw(st.sampled_from(["nested_P_le_Q", "nested_P_ge_Q", "orthogonal"]))
+    if mode == "nested_P_le_Q":
+        lam = draw(st.floats(0.05, 1.0))
+        theta = draw(st.floats(0.05, 0.95))
+    elif mode == "nested_P_ge_Q":
+        lam = draw(st.floats(1.0, 1.9))
+        theta = draw(st.floats(0.05, 0.95 / lam))
+    else:
+        lam = draw(st.floats(0.05, 1.9))
+        theta = draw(st.floats(0.05, 1.0 / (1.0 + lam)))
+    return ProcessParams(lam=lam, theta=theta, init_mode=mode)
+
+
+MIXED = [
+    ProcessParams(lam=0.4, theta=0.5),
+    ProcessParams(lam=1.5, theta=0.5, init_mode="nested_P_ge_Q"),
+    ProcessParams(lam=0.7, theta=0.3, init_mode="orthogonal"),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(process_params(), min_size=1, max_size=4), st.integers(1, 32))
+@example(MIXED, 1)
+@example(MIXED, 2)
+def test_batch_rows_equal_single_runs(params_seq, order):
+    batch = integrate_moments_batch(params_seq, 0.05, order=order, h=1e-2)
+    assert len(batch) == len(params_seq)
+    for params, traj in zip(params_seq, batch):
+        single = integrate_moments(params, 0.05, order=order, h=1e-2)
+        assert traj.params == params and traj.order == order
+        assert np.array_equal(traj.times, single.times)
+        assert np.array_equal(traj.values, single.values)
+
+
+def test_batch_needs_a_parameter_set():
+    with pytest.raises(ValueError):
+        integrate_moments_batch([], 1.0, order=4)

@@ -184,3 +184,43 @@ def test_rk4_steps_and_partial_step():
     assert states[-1][0] == pytest.approx(math.exp(math.sin(1.05)), rel=1e-6)
     times, _ = sf.rk4(lambda t, y: -y, np.ones(1), 0.0, 0.1)
     assert list(times) == [0.0]
+
+
+def list_rk4(rhs, y0, t_end, h):
+    """Reference loop: every step appended to a list, stacked at the end."""
+    times, states = [0.0], [y0.copy()]
+    t, y = 0.0, y0.copy()
+
+    def step(dt):
+        k1 = rhs(t, y)
+        k2 = rhs(t + dt / 2, y + (dt / 2) * k1)
+        k3 = rhs(t + dt / 2, y + (dt / 2) * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    for _ in range(int(round(t_end / h))):
+        y = step(h)
+        t += h
+        times.append(t)
+        states.append(y.copy())
+    if t_end - t > 1e-12 * max(1.0, t_end):
+        y = step(t_end - t)
+        times.append(t_end)
+        states.append(y.copy())
+    return np.array(times), np.array(states)
+
+
+@pytest.mark.parametrize("t_end, rows", [(1.0, 11), (1.05, 12), (0.3, 4)])
+def test_rk4_batched_state_matches_list_loop(t_end, rows):
+    rate = np.array([[-1.0], [0.5]])
+    rhs = lambda t, y: rate * np.cos(t) * y
+    y0 = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.25]])
+    times, states = sf.rk4(rhs, y0, t_end, 0.1)
+    assert states.shape == (rows, 2, 3)
+    assert times[-1] == pytest.approx(t_end, abs=1e-15)
+    ref_times, ref_states = list_rk4(rhs, y0, t_end, 0.1)
+    assert np.array_equal(times, ref_times)
+    assert np.array_equal(states, ref_states)
+    for b in range(2):
+        _, row = sf.rk4(lambda t, y: rate[b, 0] * np.cos(t) * y, y0[b], t_end, 0.1)
+        assert np.array_equal(states[:, b], row)
