@@ -25,14 +25,8 @@ import numpy as np
 from .combinatorics import binomial
 from .moments import MomentTrajectory, closed_form_moments
 from .series import TruncatedSeries, geometric, one_minus_z
-from .special_functions import damped_laguerre_factors, damped_laguerre_term
-from .transforms import (
-    FD_DELTA,
-    alpha_series,
-    radical_series,
-    rho_series,
-    stationary_mgf,
-)
+from .special_functions import rho_coefficients
+from .transforms import FD_DELTA, alpha_series, radical_series, stationary_mgf
 
 
 def beta_coefficients(order: int) -> np.ndarray:
@@ -76,11 +70,21 @@ def gamma_coefficients(lam: float, order: int) -> np.ndarray:
     return gamma
 
 
+def _transport_rho(lam: float, t: float, order: int) -> TruncatedSeries:
+    """rho_s((2-lambda) e^{-t} z), s = 2 lambda t/(2-lambda), pre-damped at
+    rate t - ln(2-lambda).  Lambda must lie in (0, 1], the range of
+    ``decomposition_u``: towards lambda = 2 the alternating sums built on it
+    cancel catastrophically (psi_256 = -4.3e7, not 0.0054, at lambda = 1.9).
+    """
+    if not 0.0 < lam <= 1.0:
+        raise ValueError("lambda must lie in (0, 1]")
+    s_time = 2.0 * lam * t / (2.0 - lam)
+    return TruncatedSeries(rho_coefficients(s_time, t - math.log(2.0 - lam), order))
+
+
 def v_series(lam: float, t: float, order: int) -> TruncatedSeries:
     """Transport term v_t(z) = 2/(2-lambda) rho_s((2-lambda) e^{-t} alpha)."""
-    s_time = 2.0 * lam * t / (2.0 - lam)
-    inner = alpha_series(order) * ((2.0 - lam) * math.exp(-t))
-    return rho_series(s_time, order).compose(inner) * (2.0 / (2.0 - lam))
+    return _transport_rho(lam, t, order).compose(alpha_series(order)) * (2.0 / (2.0 - lam))
 
 
 def psi_series(lam: float, t: float, order: int) -> np.ndarray:
@@ -98,14 +102,13 @@ def psi_closed(lam: float, t: float, order: int) -> np.ndarray:
 
     Cross-checks the series extraction; the two must agree to rounding.
     """
-    factors = damped_laguerre_factors(2.0 * lam / (2.0 - lam), t, order)
+    c = _transport_rho(lam, t, order).coeffs  # (2-lambda)^k L_{k-1}^1 e^{-kt} / k
     out = np.zeros(order + 1)
     for n in range(1, order + 1):
         acc = 0.0
         for k in range(1, n + 1):
-            coef = binomial(2 * n, n - k) * (2.0 - lam) ** (k - 1)
-            acc += damped_laguerre_term(coef, k, t, factors[k - 1])
-        out[n] = acc * 2.0 ** (1 - 2 * n)
+            acc += binomial(2 * n, n - k) * c[k]
+        out[n] = acc * 2.0 ** (1 - 2 * n) / (2.0 - lam)
     return out
 
 
@@ -123,7 +126,9 @@ def source_series(lam: float, t: float, order: int) -> TruncatedSeries:
 
     The relative minus sign between the two terms follows from expanding
     -(z/2) d/dz (r v_t) against the transport identity for v_t; it is
-    pinned numerically by Z_3 = -(3/16)(1-lambda)^2 e^{-t}.
+    pinned numerically by Z_3 = -(3/16)(1-lambda)^2 e^{-t}.  With
+    g(z) = rho_s((2-lambda) e^{-t} z), g'(z) = (2-lambda) e^{-t} rho_s'(.),
+    so the second term is z (r - 2) alpha' g'(alpha) / (2-lambda).
     """
     r = r_series(lam, order)
     v = v_series(lam, t, order)
@@ -133,13 +138,9 @@ def source_series(lam: float, t: float, order: int) -> TruncatedSeries:
         r.reciprocal() * z2_zm2 * geo * geo * v * ((1.0 - lam) ** 2 / 4.0)
     )
 
-    s_time = 2.0 * lam * t / (2.0 - lam)
-    inner = alpha_series(order) * ((2.0 - lam) * math.exp(-t))
-    rho_prime = rho_series(s_time, order).differentiate().compose(inner)
-    alpha_prime = alpha_series(order).differentiate()
-    term2 = (
-        (r - 2.0) * alpha_prime * rho_prime
-    ).shift(1) * math.exp(-t)
+    alpha = alpha_series(order)
+    g_prime = _transport_rho(lam, t, order).differentiate().compose(alpha)
+    term2 = ((r - 2.0) * alpha.differentiate() * g_prime).shift(1) * (1.0 / (2.0 - lam))
     return term1 - term2
 
 

@@ -26,10 +26,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .combinatorics import binomial
 from .special_functions import (
     DEFAULT_STEP,
-    damped_laguerre_factors,
-    damped_laguerre_term,
+    rho_coefficients,
     rk4,
-    s_moments,
+    s_trajectory,
     ubm_moment,
 )
 
@@ -248,18 +247,18 @@ def closed_form_moment(n: int, t: float) -> float:
 def closed_form_moments(t: float, order: int) -> np.ndarray:
     """Vector (m_0, ..., m_order) of the closed-form route at time t.
 
-    The Laguerre factors of the k-th term are shared by every n >= k, so
-    they are computed once per k.  Finite for every t >= 0: terms whose
-    plain product overflows carry the Laguerre exponent into e^{-kt}.
+    The damped Laguerre terms L_{k-1}^1(2kt) e^{-kt} / k = h_k(2t) are
+    shared by every n >= k, so they are computed once, finite for every
+    t >= 0 (see ``rho_coefficients``).
     """
-    factors = damped_laguerre_factors(2.0, t, order)
+    h = rho_coefficients(2.0 * t, t, order)
     out = np.empty(order + 1)
     out[0] = 1.0
     for n in range(1, order + 1):
         four_n = 4.0**n
         acc = 0.0
         for k in range(1, n + 1):
-            acc += damped_laguerre_term(binomial(2 * n, n - k), k, t, factors[k - 1])
+            acc += binomial(2 * n, n - k) * h[k]
         out[n] = binomial(2 * n, n) / four_n + 2.0 * acc / four_n
     return out
 
@@ -280,7 +279,6 @@ def expansion_moments(
     t: float,
     order: int,
     h: float = DEFAULT_STEP,
-    s_method: str = "auto",
 ) -> np.ndarray:
     """Moment vector (m_0..m_order) from the word-count expansion at
     rank ratio one:
@@ -289,13 +287,18 @@ def expansion_moments(
             + (2 theta - 1) 2^{2n-1} ] / (4^n theta).
 
     The odd-word correction 2^{2n-1} enters only away from theta = 1/2.
-    For theta != 1/2 the s_k come from integrating the stated trace system,
-    whose consistency is an open question; treat results as experimental.
+    At theta = 1/2 the damped traces e^{-kt} s_k are the Laguerre closed
+    form h_k(2t).  Elsewhere the s_k come from integrating the stated
+    trace system, whose consistency is an open question; treat results as
+    experimental.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    s = s_moments(theta, t, max(order, 1), h=h, method=s_method)
-    scaled = np.exp(-np.arange(1, s.size + 1) * t) * s
+    if theta == 0.5:
+        scaled = rho_coefficients(2.0 * t, t, order)[1:]
+    else:
+        s = s_trajectory(theta, t, max(order, 1), h)[1][-1]
+        scaled = np.exp(-np.arange(1, s.size + 1) * t) * s
     out = np.empty(order + 1)
     out[0] = 1.0
     c = 2.0 * theta - 1.0

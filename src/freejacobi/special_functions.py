@@ -1,6 +1,12 @@
 """Laguerre polynomials of index 1, moments of the free unitary Brownian
 motion, and the coupled trace system for Bernoulli-weighted conjugations.
 
+Every Laguerre value of the package comes from ``damped_laguerre1``; the
+damped coefficients of rho_s(e^{-rate} z) built on it (``rho_coefficients``)
+are, at s = 2t and rate = t, the free unitary Brownian motion moments
+h_k(2t) behind the closed-form moments, the generating function and the
+time-t density.
+
 The general-weight trace system (``theta != 1/2``) is integrated exactly as
 its source states it, but its consistency is an open question: the
 degenerate limit theta -> 1 of the stated inhomogeneous term is
@@ -47,71 +53,64 @@ def laguerre1_scaled(n: int, x: float) -> tuple[float, int]:
     return cur, exponent
 
 
-def _to_float(mantissa: float, exponent: int) -> float:
+def damped_laguerre1(n: int, x: float, decay: float) -> float:
+    """L_n^1(x) e^{-decay}; +-inf only where that value is past float64.
+
+    The plain product wherever it is a normal float.  Where the Laguerre
+    value overflows, or the exponential underflows against it, the
+    power-of-two exponent ``laguerre1_scaled`` carries is applied together
+    with the exponential instead; no other code handles that exponent.
+    """
+    mantissa, exponent = laguerre1_scaled(n, x)
     try:
-        return math.ldexp(mantissa, exponent)
+        value = math.exp(-decay) * math.ldexp(mantissa, exponent)
+    except OverflowError:
+        value = math.inf
+    if sys.float_info.min <= abs(value) < math.inf:
+        return value
+    try:
+        return mantissa * math.exp(exponent * _LN2 - decay)
     except OverflowError:
         return math.copysign(math.inf, mantissa)
 
 
 def laguerre1(n: int, x: float) -> float:
     """L_n^1(x); +-inf where the value exceeds the float64 range."""
-    return _to_float(*laguerre1_scaled(n, x))
+    return damped_laguerre1(n, x, 0.0)
 
 
-def damped_laguerre_factors(rate: float, t: float, order: int) -> list[tuple]:
-    """Factors of L_{k-1}^1(rate k t) e^{-kt} for k = 1..order, computed once
-    per k for the sums over k that reuse them:
-    (Laguerre value, e^{-kt}, mantissa, exponent), where
-    mantissa * 2**exponent is the Laguerre value also past the float64
-    range.  Feed each to ``damped_laguerre_term``.
+def rho_coefficients(s: float, rate: float, order: int) -> np.ndarray:
+    """(0, c_1, ..., c_order) with c_k = L_{k-1}^1(k s) e^{-k rate} / k,
+    the coefficients of rho_s(e^{-rate} z).
+
+    rho_{2t}(e^{-t} z) has the free unitary Brownian motion moments
+    h_k(2t) as coefficients.  Each c_k is damped before it is stored, so
+    it is finite wherever its own value is, however large L_{k-1}^1(k s).
     """
-    out = []
+    c = np.zeros(order + 1)
     for k in range(1, order + 1):
-        x = rate * k * t
-        value = laguerre1(k - 1, x)
-        scaled = math.frexp(value) if math.isfinite(value) else laguerre1_scaled(k - 1, x)
-        out.append((value, math.exp(-k * t), *scaled))
-    return out
-
-
-def damped_laguerre_term(coef: float, k: int, t: float, factors: tuple) -> float:
-    """coef L_{k-1}^1(rate k t) e^{-kt} / k from ``damped_laguerre_factors``.
-
-    The plain product wherever it is finite; where the Laguerre value or
-    its product with coef overflows, the carried exponent goes into the
-    exponential instead, as in ``ubm_moment``.
-    """
-    value, damping, mantissa, exponent = factors
-    term = coef * value * damping / k
-    if math.isfinite(term):
-        return term
-    return coef * mantissa * math.exp(exponent * _LN2 - k * t) / k
+        c[k] = damped_laguerre1(k - 1, k * s, k * rate) / k
+    return c
 
 
 def ubm_moment(n: int, t: float) -> float:
     """n-th moment h_n(t) = e^{-nt/2} L_{n-1}^1(nt) / n of the free
     unitary Brownian motion; h_0 = 1 and h_{-n} = h_n by unitarity.
-
-    Finite for every t >= 0.  Once n t passes about 1.4e3 the exponential
-    underflows while the Laguerre value overflows; there the carried
-    Laguerre exponent is applied together with the exponential.
+    Finite for every t >= 0.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
     n = abs(n)
     if n == 0:
         return 1.0
-    mantissa, exponent = laguerre1_scaled(n - 1, n * t)
-    value = math.exp(-n * t / 2.0) * _to_float(mantissa, exponent) / n
-    if sys.float_info.min <= abs(value) < math.inf:
-        return value
-    return math.exp(exponent * _LN2 - n * t / 2.0) * mantissa / n
+    return damped_laguerre1(n - 1, n * t, n * t / 2.0) / n
 
 
 def ubm_moment_vector(t: float, order: int) -> np.ndarray:
     """(h_1(t), ..., h_order(t)); every entry lies in [-1, 1]."""
-    return np.array([ubm_moment(n, t) for n in range(1, order + 1)])
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    return rho_coefficients(t, t / 2.0, order)[1:]
 
 
 def s_closed_theta_half(n: int, t: float) -> float:
@@ -201,30 +200,3 @@ def s_trajectory(
         raise ValueError("order must be >= 1")
     rhs = lambda t, y: s_system_rhs(t, y, theta)
     return rk4(rhs, s_initial(order), t_end, h)
-
-
-def s_moments(
-    theta: float,
-    t_end: float,
-    order: int,
-    h: float = DEFAULT_STEP,
-    method: str = "auto",
-) -> np.ndarray:
-    """Vector (s_1, ..., s_order) at time t_end.
-
-    ``method='auto'`` returns the Laguerre closed form at theta = 1/2 and
-    integrates the stated system otherwise; ``'integrate'`` forces the RK4
-    route (used to validate the closed form), ``'closed'`` forces the
-    closed form and raises away from theta = 1/2.
-    """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    if method not in ("auto", "integrate", "closed"):
-        raise ValueError(f"unknown method {method!r}")
-    use_closed = method == "closed" or (method == "auto" and theta == 0.5)
-    if use_closed:
-        if theta != 0.5:
-            raise ValueError("closed form is only available at theta = 1/2")
-        return np.array([s_closed_theta_half(n, t_end) for n in range(1, order + 1)])
-    _, states = s_trajectory(theta, t_end, order, h)
-    return states[-1]

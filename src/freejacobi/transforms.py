@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .series import TruncatedSeries, geometric, one_minus_z
-from .special_functions import laguerre1
+from .special_functions import rho_coefficients
 
 FD_DELTA = 1e-4
 
@@ -36,22 +36,29 @@ def alpha_inv_series(order: int) -> TruncatedSeries:
 
 
 def rho_series(t: float, order: int) -> TruncatedSeries:
-    """rho_t(z) = sum_k L_{k-1}^1(kt) z^k / k; rho_0(z) = z/(1-z)."""
-    c = np.zeros(order + 1)
-    for k in range(1, order + 1):
-        c[k] = laguerre1(k - 1, k * t) / k
+    """rho_t(z) = sum_k L_{k-1}^1(kt) z^k / k; rho_0(z) = z/(1-z).
+
+    The undamped coefficients grow with k t and leave the float64 range
+    (at t = 10 from k = 225); a ValueError names the first such order.
+    """
+    c = rho_coefficients(t, 0.0, order)
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        raise ValueError(f"rho_t coefficient {bad[0]} exceeds the float64 range at t={t:g}")
     return TruncatedSeries(c)
 
 
 def mgf_closed_lambda1(t: float, order: int) -> TruncatedSeries:
     """Moment generating function at the symmetric parameter point:
 
-    M_t(z) = (1 + 2 rho_{2t}(e^{-t} alpha(z))) / sqrt(1 - z).
+    M_t(z) = (1 + 2 rho_{2t}(e^{-t} alpha(z))) / sqrt(1 - z),
+
+    where rho_{2t}(e^{-t} .) enters by its damped coefficients h_k(2t).
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    inner = alpha_series(order) * math.exp(-t)
-    composed = rho_series(2.0 * t, order).compose(inner)
+    damped = TruncatedSeries(rho_coefficients(2.0 * t, t, order))
+    composed = damped.compose(alpha_series(order))
     inv_sqrt = one_minus_z(order).sqrt().reciprocal()
     return inv_sqrt * (2.0 * composed + 1.0)
 

@@ -256,9 +256,10 @@ def check_alpha(order: int) -> Checked:
 
 def check_rho(t: float, order: int) -> Checked:
     _require_order(order)
+    rho = transforms.rho_series(t, order).coeffs  # raises first at t itself
     result = _check("series", "rho-pde-residual", transforms.pde_residual_rho(t, order),
                     1e-6, f"order {order}, t={t:g}")
-    return [result], {"rho": transforms.rho_series(t, order).coeffs}
+    return [result], {"rho": rho}
 
 
 def check_mgf(t: float, order: int) -> Checked:

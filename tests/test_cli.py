@@ -269,3 +269,28 @@ def test_series_order_below_one_exits_2(tmp_path, capsys, check):
         run_cli(tmp_path, "series", "--check", check, "--order", "0")
     assert exc.value.code == 2
     assert "order must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--check", "mgf", "--t", "5", "--order", "256"),
+    ("--check", "decomposition", "--lambda", "1", "--t", "5", "--order", "256"),
+])
+def test_series_checks_pass_at_large_order_and_time(tmp_path, argv):
+    assert run_cli(tmp_path, "series", *argv) == 0
+    assert not (tmp_path / "series_failures.csv").exists()
+
+
+def test_moments_expansion_finite_at_large_order_and_time(tmp_path):
+    assert run_cli(tmp_path, "moments", "--method", "expansion", "--t", "5",
+                   "--order", "256") == 0
+    with open(tmp_path / "moments.csv", newline="") as handle:
+        values = [float(row["m_n"]) for row in csv.DictReader(handle)]
+    assert len(values) == 257 and all(math.isfinite(v) for v in values)
+
+
+def test_series_rho_past_float64_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "series", "--check", "rho", "--t", "10", "--order", "256")
+    assert exc.value.code == 2
+    assert "coefficient 225 exceeds the float64 range at t=10" in capsys.readouterr().err
+    assert not (tmp_path / "series_rho.csv").exists()

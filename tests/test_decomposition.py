@@ -171,3 +171,19 @@ def test_s_pde_residual_on_integrated_trajectory():
             ProcessParams(lam=lam, theta=0.5), 1.0 + 4e-4, order=order, h=1e-4
         )
         assert dec.pde_residual_S(traj, 1.0, order) < 1e-6
+
+
+def test_psi_series_finite_at_large_order_and_time():
+    psi = dec.psi_series(1.0, 5.0, 256)
+    assert np.all(np.isfinite(psi))
+    assert np.max(np.abs(psi - dec.psi_closed(1.0, 5.0, 256))) < 1e-12
+
+
+def test_transport_routes_reject_lambda_outside_unit_interval():
+    # near lambda = 2 the alternating Laguerre sum cancels catastrophically
+    with pytest.raises(ValueError):
+        dec.psi_closed(1.9, 2.0, 256)
+    for route in (dec.psi_closed, dec.psi_series, dec.v_series, dec.source_series):
+        for lam in (0.0, 1.2):
+            with pytest.raises(ValueError):
+                route(lam, 1.0, 8)

@@ -274,3 +274,10 @@ def test_batch_rows_equal_single_runs(params_seq, order):
 def test_batch_needs_a_parameter_set():
     with pytest.raises(ValueError):
         integrate_moments_batch([], 1.0, order=4)
+
+
+def test_expansion_moments_finite_at_large_order_and_time():
+    # the theta = 1/2 traces are damped before they are stored
+    expansion = expansion_moments(0.5, 5.0, 256)
+    assert np.all(np.isfinite(expansion))
+    assert np.max(np.abs(expansion - closed_form_moments(5.0, 256))) < 1e-12

@@ -7,6 +7,8 @@ from hypothesis import given
 from scipy.special import eval_genlaguerre
 
 from freejacobi import special_functions as sf
+from freejacobi.moments import expansion_moments
+from freejacobi.transforms import rho_series
 
 
 def test_laguerre_low_degrees():
@@ -53,17 +55,12 @@ def test_s_closed_low_orders():
         )
 
 
-def test_s_moments_closed_route():
-    s = sf.s_moments(0.5, 1.0, 6)
-    assert s[0] == 1.0
-    assert s[1] == pytest.approx(-1.0)  # 1 - 2t at t=1
-
-
-def test_s_moments_integration_matches_closed():
-    s_int = sf.s_moments(0.5, 1.0, 12, h=2e-4, method="integrate")
-    s_cl = sf.s_moments(0.5, 1.0, 12, method="closed")
+def test_s_trajectory_matches_closed_at_half():
+    times, states = sf.s_trajectory(0.5, 1.0, 12, h=2e-4)
+    assert times[-1] == pytest.approx(1.0, abs=1e-12)
+    s_cl = np.array([sf.s_closed_theta_half(n, 1.0) for n in range(1, 13)])
     scale = np.maximum(1.0, np.abs(s_cl))
-    assert np.max(np.abs(s_int - s_cl) / scale) < 1e-8
+    assert np.max(np.abs(states[-1] - s_cl) / scale) < 1e-8
 
 
 def test_scaled_traces_match_ubm_at_double_time():
@@ -103,14 +100,15 @@ def test_s_system_degenerate_weight_inconsistency():
 
 
 def test_invalid_parameters():
-    with pytest.raises(ValueError):
-        sf.s_moments(0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        sf.s_moments(1.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        sf.s_moments(0.75, 1.0, 4, method="closed")
+    for theta in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            sf.s_trajectory(theta, 1.0, 4)
+        with pytest.raises(ValueError):
+            expansion_moments(theta, 1.0, 4)
     with pytest.raises(ValueError):
         sf.laguerre1(-1, 0.0)
+    with pytest.raises(ValueError):
+        sf.ubm_moment_vector(-0.5, 4)
 
 
 def _laguerre1_unscaled(n, x):
@@ -224,3 +222,37 @@ def test_rk4_batched_state_matches_list_loop(t_end, rows):
     for b in range(2):
         _, row = sf.rk4(lambda t, y: rate[b, 0] * np.cos(t) * y, y0[b], t_end, 0.1)
         assert np.array_equal(states[:, b], row)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 5.0, 40.0, 1500.0])
+def test_ubm_moment_vector_is_bit_exact_with_single_moments(t):
+    vec = sf.ubm_moment_vector(t, 300)
+    assert all(vec[k - 1] == sf.ubm_moment(k, t) for k in range(1, 301))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.7, 2.0, 10.0])
+def test_rho_series_is_bit_exact_with_plain_laguerre(t):
+    order = 224 if t == 10.0 else 256  # rho_10 leaves float64 at k = 225
+    coeffs = rho_series(t, order).coeffs
+    for k in range(1, order + 1):
+        assert coeffs[k] == sf.laguerre1(k - 1, k * t) / k
+        plain = _laguerre1_unscaled(k - 1, k * t) / k
+        assert coeffs[k] == plain or not math.isfinite(plain)
+
+
+def test_damped_laguerre_is_finite_past_the_laguerre_overflow():
+    # L_255^1(2048) e^{-1024}: the Laguerre value alone is about -1e340
+    value = sf.damped_laguerre1(255, 2048.0, 1024.0)
+    assert math.isfinite(value) and value < 0
+    mpmath = pytest.importorskip("mpmath")
+    mantissa, exponent = sf.laguerre1_scaled(255, 2048.0)
+    ref = mpmath.mpf(mantissa) * mpmath.mpf(2) ** exponent * mpmath.exp(-1024)
+    assert value == pytest.approx(float(ref), rel=1e-12)
+    assert sf.damped_laguerre1(255, 2048.0, 0.0) == -math.inf
+
+
+def test_rho_coefficients_are_ubm_moments_at_double_time():
+    t = 3.0
+    h = sf.rho_coefficients(2.0 * t, t, 64)
+    assert h[0] == 0.0
+    assert all(h[k] == sf.ubm_moment(k, 2.0 * t) for k in range(1, 65))

@@ -180,3 +180,16 @@ def test_radical_series_squares_back():
         expected[1] = -4.0
         expected[2] = (1 - lam) ** 2
         assert np.allclose(sq.coeffs, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [4.0, 5.0])
+def test_mgf_finite_at_large_order_and_time(t):
+    coeffs = tr.mgf_closed_lambda1(t, 256).coeffs
+    assert np.all(np.isfinite(coeffs))
+    assert np.max(np.abs(coeffs - closed_form_moments(t, 256))) < 1e-10
+
+
+def test_rho_series_names_its_overflow():
+    with pytest.raises(ValueError, match="coefficient 225 .* t=10"):
+        tr.rho_series(10.0, 256)
+    assert np.all(np.isfinite(tr.rho_series(10.0, 224).coeffs))
