@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 #: Hard cap on brute-force enumeration: 4**12 is ~16.8M expansion terms.
 BRUTEFORCE_MAX_ORDER = 12
@@ -174,6 +177,22 @@ def word_counts_closed(n: int, k: int) -> tuple[int, int, int]:
 def combined_weight(n: int, k: int) -> int:
     """c(n,k) + e(n,k) = C(2n, n-k), the weight of cos-type word pairs."""
     return binomial(2 * n, n - k)
+
+
+@lru_cache(maxsize=8)
+def symmetric_weights(order: int) -> np.ndarray:
+    """Read-only W[n, k] = ``combined_weight(n, k)`` / 4^n for 0 <= k <= n <= order,
+    zero above the diagonal: the one place these weights become floats, each
+    by one correctly rounded int/int division, so none overflows at any order."""
+    table = np.zeros((order + 1, order + 1))
+    for n in range(order + 1):
+        four_n = 4**n
+        c = math.comb(2 * n, n)
+        for k in range(n + 1):
+            table[n, k] = c / four_n
+            c = c * (n - k) // (n + k + 1)  # C(2n, n-k-1), exact
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

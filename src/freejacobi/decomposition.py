@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import binomial
-from .moments import MomentTrajectory, closed_form_moments
+from .moments import MomentTrajectory, closed_form_moments, weighted_row_sums
 from .series import TruncatedSeries, geometric, one_minus_z
 from .special_functions import rho_coefficients
 from .transforms import FD_DELTA, alpha_series, radical_series, stationary_mgf
+from .transforms import _normalized_max_residual, _richardson_time_derivative
 
 
 def beta_coefficients(order: int) -> np.ndarray:
@@ -97,19 +97,14 @@ def psi_closed(lam: float, t: float, order: int) -> np.ndarray:
     """Closed form of psi_n, carrying the binomial weight its stationary
     limit requires:
 
-    psi_n = 2^{1-2n} sum_{k=1}^n C(2n, n-k) (2-lambda)^{k-1}
-            L_{k-1}^1(2 lambda k t/(2-lambda)) e^{-kt} / k.
+    psi_n = 2 sum_{k=1}^n W[n, k] (2-lambda)^{k-1}
+            L_{k-1}^1(2 lambda k t/(2-lambda)) e^{-kt} / k
 
-    Cross-checks the series extraction; the two must agree to rounding.
+    with W[n, k] = C(2n, n-k)/4^n (``symmetric_weights``).  Cross-checks
+    the series extraction; the two must agree to rounding.
     """
-    c = _transport_rho(lam, t, order).coeffs  # (2-lambda)^k L_{k-1}^1 e^{-kt} / k
-    out = np.zeros(order + 1)
-    for n in range(1, order + 1):
-        acc = 0.0
-        for k in range(1, n + 1):
-            acc += binomial(2 * n, n - k) * c[k]
-        out[n] = acc * 2.0 ** (1 - 2 * n) / (2.0 - lam)
-    return out
+    c = _transport_rho(lam, t, order).coeffs  # (2-lambda)^k L_{k-1}^1 e^{-kt} / k, c_0 = 0
+    return 2.0 * weighted_row_sums(c) / (2.0 - lam)
 
 
 def r_series(lam: float, order: int) -> TruncatedSeries:
@@ -250,19 +245,14 @@ def pde_residual_S(
         raise ValueError("trajectory order too small")
     m_inf = stationary_mgf(lam, order).coeffs
 
-    def s_at(u: float) -> np.ndarray:
-        return trajectory.at(u)[: order + 1] - m_inf
+    def s_at(u: float) -> TruncatedSeries:
+        return TruncatedSeries(trajectory.at(u)[: order + 1] - m_inf)
 
-    def centered(d: float) -> np.ndarray:
-        return (s_at(t + d) - s_at(t - d)) / (2.0 * d)
-
-    lhs = (4.0 * centered(delta) - centered(2.0 * delta)) / 3.0
-
-    s = TruncatedSeries(s_at(t))
+    lhs = _richardson_time_derivative(s_at, t, 2.0 * delta)
+    s = s_at(t)
     flux = one_minus_z(order) * s * s * lam + radical_series(lam, order) * s
     rhs = flux.differentiate().shift(1) * 0.5
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs[:order]), np.abs(rhs.coeffs[:order])))
-    return float(np.max(np.abs(lhs[:order] + rhs.coeffs[:order]) / scale))
+    return _normalized_max_residual(lhs[:order], rhs.coeffs[:order])
 
 
 def general_evolution_residual(

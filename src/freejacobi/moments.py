@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .combinatorics import binomial
+from .combinatorics import binomial, symmetric_weights
 from .special_functions import (
     DEFAULT_STEP,
     rho_coefficients,
@@ -236,31 +236,31 @@ def integrate_moments(
 # ---------------------------------------------------------------------------
 
 def closed_form_moment(n: int, t: float) -> float:
-    """Moment at the symmetric point via the explicit Laguerre sum:
-
-    m_n(t) = 4^{-n} C(2n, n)
-             + 2^{1-2n} sum_{k=1}^{n} C(2n, n-k) L_{k-1}^1(2kt) e^{-kt} / k.
-    """
+    """Moment m_n(t) at the symmetric point: element n of ``closed_form_moments``."""
     return float(closed_form_moments(t, n)[n])
 
 
 def closed_form_moments(t: float, order: int) -> np.ndarray:
-    """Vector (m_0, ..., m_order) of the closed-form route at time t.
-
-    The damped Laguerre terms L_{k-1}^1(2kt) e^{-kt} / k = h_k(2t) are
-    shared by every n >= k, so they are computed once, finite for every
-    t >= 0 (see ``rho_coefficients``).
+    """Vector (m_0, ..., m_order) of the closed-form route at time t:
+    m_n = W[n, 0] + 2 sum_{k=1}^{n} W[n, k] h_k(2t) with the weights
+    W = ``symmetric_weights(order)`` and the damped Laguerre terms
+    h_k(2t) = L_{k-1}^1(2kt) e^{-kt} / k, finite for every t >= 0 and
+    every order (see ``rho_coefficients``).
     """
-    h = rho_coefficients(2.0 * t, t, order)
-    out = np.empty(order + 1)
-    out[0] = 1.0
-    for n in range(1, order + 1):
-        four_n = 4.0**n
-        acc = 0.0
-        for k in range(1, n + 1):
-            acc += binomial(2 * n, n - k) * h[k]
-        out[n] = binomial(2 * n, n) / four_n + 2.0 * acc / four_n
-    return out
+    h = rho_coefficients(2.0 * t, t, order)  # h[0] = 0: the k = 0 term is W[n, 0]
+    return symmetric_weights(order)[:, 0] + 2.0 * weighted_row_sums(h)
+
+
+def weighted_row_sums(x: np.ndarray) -> np.ndarray:
+    """S_n = sum_{k=0}^{n} W[n, k] x_k for n = 0..order, W = ``symmetric_weights``,
+    added term by term in increasing k (numpy's pairwise sum would move last
+    bits); no x_k with k > n enters S_n.
+    """
+    w = symmetric_weights(x.size - 1)
+    acc = w[:, 0] * x[0]
+    for k in range(1, x.size):
+        acc[k:] += w[k:, k] * x[k]
+    return acc
 
 
 def symmetric_binomial_moment(n: int, t: float) -> float:
@@ -283,31 +283,26 @@ def expansion_moments(
     """Moment vector (m_0..m_order) from the word-count expansion at
     rank ratio one:
 
-    m_n = [ C(2n,n)/2 + sum_k C(2n, n-k) e^{-kt} s_k(t)
-            + (2 theta - 1) 2^{2n-1} ] / (4^n theta).
+    m_n = [ W[n, 0] + 2 sum_{k=1}^{n} W[n, k] e^{-kt} s_k(t)
+            + 2 theta - 1 ] / (2 theta)
 
-    The odd-word correction 2^{2n-1} enters only away from theta = 1/2.
-    At theta = 1/2 the damped traces e^{-kt} s_k are the Laguerre closed
-    form h_k(2t).  Elsewhere the s_k come from integrating the stated
-    trace system, whose consistency is an open question; treat results as
-    experimental.
+    with W = ``symmetric_weights(order)``.  The odd-word correction
+    2 theta - 1 enters only away from theta = 1/2.  At theta = 1/2 the
+    damped traces e^{-kt} s_k are the Laguerre closed form h_k(2t).
+    Elsewhere the s_k come from integrating the stated trace system, whose
+    consistency is an open question; treat results as experimental.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if theta == 0.5:
-        scaled = rho_coefficients(2.0 * t, t, order)[1:]
+        scaled = rho_coefficients(2.0 * t, t, order)
     else:
         s = s_trajectory(theta, t, max(order, 1), h)[1][-1]
-        scaled = np.exp(-np.arange(1, s.size + 1) * t) * s
-    out = np.empty(order + 1)
+        scaled = np.exp(-np.arange(order + 1) * t)
+        scaled[1:] *= s[:order]
+    scaled[0] = 0.5  # the k = 0 term W[n, 0] enters the doubled row sum first, halved
+    out = (2.0 * weighted_row_sums(scaled) + (2.0 * theta - 1.0)) / (2.0 * theta)
     out[0] = 1.0
-    c = 2.0 * theta - 1.0
-    for n in range(1, order + 1):
-        acc = 0.5 * binomial(2 * n, n)
-        for k in range(1, n + 1):
-            acc += binomial(2 * n, n - k) * scaled[k - 1]
-        acc += c * 2.0 ** (2 * n - 1)
-        out[n] = acc / (4.0**n * theta)
     return out
 
 
@@ -342,18 +337,14 @@ def complement_moments(
     tau_q = 0.5
     norm = lambda_prime / 2.0
     order = source.order
-    weights = np.array(
-        [[(-1) ** k * binomial(n, k) for k in range(order + 1)] for n in range(order + 1)]
+    # signs[k - 1, n - 1] = (-1)^k C(n, k), zero for k > n: one product for all times
+    signs = np.array(
+        [[(-1) ** k * binomial(n, k) for n in range(1, order + 1)] for k in range(1, order + 1)],
+        dtype=float,
     )
     out = np.empty_like(source.values)
-    for j in range(source.times.size):
-        r = tau_p * source.values[j]
-        r[0] = tau_p  # r_0 = tau(P''), unused by the k >= 1 sum below
-        vals = np.empty(order + 1)
-        vals[0] = 1.0
-        for n in range(1, order + 1):
-            vals[n] = (tau_q + np.dot(weights[n, 1 : n + 1], r[1 : n + 1])) / norm
-        out[j] = vals
+    out[:, 0] = 1.0
+    out[:, 1:] = (tau_q + (tau_p * source.values[:, 1:]) @ signs) / norm
     params = ProcessParams(lam=lambda_prime, theta=0.5, init_mode="nested_P_ge_Q")
     return MomentTrajectory(
         params=params,

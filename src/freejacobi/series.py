@@ -42,10 +42,6 @@ class TruncatedSeries:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(np.zeros(order + 1))
-
-    @classmethod
     def constant(cls, value: float, order: int) -> "TruncatedSeries":
         c = np.zeros(order + 1)
         c[0] = value
@@ -58,9 +54,6 @@ class TruncatedSeries:
         if order >= 1:
             c[1] = 1.0
         return cls(c)
-
-    def copy(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.coeffs.copy())
 
     def _check_same_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:

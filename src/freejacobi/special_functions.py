@@ -118,11 +118,6 @@ def s_closed_theta_half(n: int, t: float) -> float:
     return laguerre1(n - 1, 2.0 * n * t) / n
 
 
-def s_initial(order: int) -> np.ndarray:
-    """s_n(0) = 1 for every n (the weight squares to the identity)."""
-    return np.ones(order)
-
-
 def s_system_rhs(t: float, s: np.ndarray, theta: float) -> np.ndarray:
     """Right-hand side of the trace system, component n stored at s[n-1].
 
@@ -134,7 +129,7 @@ def s_system_rhs(t: float, s: np.ndarray, theta: float) -> np.ndarray:
     order = s.size
     c = 2.0 * theta - 1.0
     out = np.empty(order)
-    out[0] = c * c * math.exp(t)
+    out[0] = c * c * math.exp(t) if c != 0.0 else 0.0
     if order >= 2:
         conv = np.convolve(s, s)
         n = np.arange(2, order + 1)
@@ -193,10 +188,20 @@ def s_trajectory(
     order: int,
     h: float = DEFAULT_STEP,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the trace system from t = 0; states[j, n-1] holds s_n."""
+    """Integrate the trace system from s_n(0) = 1 (the weight squares to the
+    identity); states[j, n-1] holds s_n.  A ValueError names the time the
+    state leaves float64 (theta != 1/2)."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     if order < 1:
         raise ValueError("order must be >= 1")
-    rhs = lambda t, y: s_system_rhs(t, y, theta)
-    return rk4(rhs, s_initial(order), t_end, h)
+
+    def rhs(t, y):
+        if np.isfinite(y).all():
+            try:
+                return s_system_rhs(t, y, theta)
+            except OverflowError:  # math.exp(t) of the s_1 source, past t = 709.78
+                pass
+        raise ValueError(f"trace system state leaves the float64 range by t={t:g}")
+
+    return rk4(rhs, np.ones(order), t_end, h)

@@ -288,6 +288,56 @@ def test_moments_expansion_finite_at_large_order_and_time(tmp_path):
     assert len(values) == 257 and all(math.isfinite(v) for v in values)
 
 
+def csv_fields_finite(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    values = []
+    for row in rows:
+        for field in row.values():
+            try:
+                values.append(float(field))
+            except ValueError:
+                continue
+    return bool(rows) and all(math.isfinite(v) for v in values)
+
+
+@pytest.mark.parametrize("command", [
+    "moments --method closed-form --t 1 --order 512",
+    "moments --method expansion --t 1 --order 600",
+    "series --check mgf --t 1 --order 512",
+])
+def test_lambda_one_routes_finite_past_order_511(tmp_path, command):
+    with redirect_stdout(io.StringIO()):
+        assert run_cli(tmp_path, *command.split()) == 0
+    (path,) = tmp_path.glob("*.csv")
+    assert csv_fields_finite(path)
+
+
+def test_s_system_theta_half_past_exp_range(tmp_path):
+    # s_1 has no source at theta = 1/2, so e^t past t = 709.78 is never formed
+    with redirect_stdout(io.StringIO()):
+        assert run_cli(tmp_path, "s-system", "--t", "710", "--order", "2",
+                       "--step", "10", "--samples", "72") == 0
+    with open(tmp_path / "s_system.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows[-1]["t"] == "710"
+    for row in rows:
+        assert float(row["s_n"]) == pytest.approx(float(row["closed_form_if_any"]), rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("s-system", "--theta", "0.75", "--t", "100", "--step", "1"),
+    ("moments", "--method", "expansion", "--theta", "0.75", "--t", "100", "--order", "8",
+     "--step", "1"),
+])
+def test_trace_system_past_float64_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert "trace system state leaves the float64 range by t=" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_series_rho_past_float64_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, "series", "--check", "rho", "--t", "10", "--order", "256")

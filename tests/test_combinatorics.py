@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -117,6 +118,24 @@ def test_bruteforce_matches_closed_forms(n):
             # the e-column at k = 0 counts the empty word
             assert table.c(0) == e_cl
         assert comb.combined_weight(n, k) == c_cl + e_cl
+
+
+def test_symmetric_weights_are_the_word_count_weights():
+    w = comb.symmetric_weights(26)  # 4**26 = 2**52: every product below is exact
+    for n in range(27):
+        for k in range(n + 1):
+            assert w[n, k] * 4**n == comb.combined_weight(n, k)
+        assert not w[n, n + 1 :].any()
+    assert not w.flags.writeable
+    assert comb.symmetric_weights(26) is w
+
+
+def test_symmetric_weight_rows_sum_to_one_past_float64_powers_of_four():
+    # 4.0**n overflows from n = 512; the two-sided weights of each row sum to 1
+    w = comb.symmetric_weights(600)
+    assert np.all(np.isfinite(w))
+    two_sided = w[:, 0] + 2.0 * w[:, 1:].sum(axis=1)
+    assert np.max(np.abs(two_sided - 1.0)) < 1e-15
 
 
 def test_empty_word_count_is_half_central_binomial():

@@ -65,6 +65,26 @@ def test_psi_closed_finite_at_large_order_and_time():
         assert abs(psi[n] - ref) < 1e-12
 
 
+def psi_closed_reference(lam, t, order):
+    """psi_n as a scalar loop over exact binomials."""
+    c = dec._transport_rho(lam, t, order).coeffs
+    out = np.zeros(order + 1)
+    for n in range(1, order + 1):
+        acc = 0.0
+        for k in range(1, n + 1):
+            acc += binomial(2 * n, n - k) * c[k]
+        out[n] = acc * 2.0 ** (1 - 2 * n) / (2.0 - lam)
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2, 17, 64])
+def test_psi_closed_equals_the_binomial_loop(order):
+    for lam in (0.3, 0.6, 0.9, 1.0):
+        for t in (0.0, 1.0, 5.0):
+            assert (dec.psi_closed(lam, t, order).tobytes()
+                    == psi_closed_reference(lam, t, order).tobytes())
+
+
 def test_psi_extraction_matches_closed_form():
     for lam in (0.25, 0.6, 1.0):
         for t in (0.0, 0.5, 1.5):

@@ -19,6 +19,8 @@ from freejacobi.moments import (
     recurrence_rhs,
     symmetric_binomial_moment,
 )
+from freejacobi.special_functions import rho_coefficients, s_trajectory
+from freejacobi.transforms import mgf_closed_lambda1
 
 
 def arcsine_vector(order):
@@ -174,6 +176,19 @@ class TestComplement:
         out = complement_moments(src, 1.5)
         assert np.max(np.abs(out.at(1.0) - direct.at(1.0))) < 1e-8
 
+    def test_matches_the_per_row_loop(self):
+        src = integrate_moments(
+            ProcessParams(lam=0.5, theta=0.5, init_mode="orthogonal"), 1.0, order=10
+        )
+        out = complement_moments(src, 1.5)
+        for j in range(src.times.size):
+            r = 0.25 * src.values[j]  # tau(P'') = (2 - 1.5)/2
+            ref = [1.0] + [
+                (0.5 + sum((-1) ** k * binomial(n, k) * r[k] for k in range(1, n + 1))) / 0.75
+                for n in range(1, 11)
+            ]
+            assert np.max(np.abs(out.values[j] - ref)) < 1e-14
+
     def test_parameter_mismatch_rejected(self):
         src = integrate_moments(
             ProcessParams(lam=0.4, theta=0.5, init_mode="orthogonal"), 0.1, order=4
@@ -207,6 +222,55 @@ def test_closed_form_moments_finite_at_large_order_and_time():
     assert np.all(np.isfinite(closed))
     for n in (1, 64, 219, 220, 240, 256):
         assert abs(closed[n] - symmetric_binomial_moment(n, 5.0)) < 1e-12
+
+
+def closed_form_reference(t, order):
+    """The closed form as a scalar loop over exact binomials."""
+    h = rho_coefficients(2.0 * t, t, order)
+    out = np.empty(order + 1)
+    out[0] = 1.0
+    for n in range(1, order + 1):
+        acc = 0.0
+        for k in range(1, n + 1):
+            acc += binomial(2 * n, n - k) * h[k]
+        out[n] = binomial(2 * n, n) / 4.0**n + 2.0 * acc / 4.0**n
+    return out
+
+
+def expansion_reference(theta, t, order, h=1e-3):
+    """The word-count expansion as a scalar loop over exact binomials."""
+    if theta == 0.5:
+        scaled = rho_coefficients(2.0 * t, t, order)[1:]
+    else:
+        s = s_trajectory(theta, t, max(order, 1), h)[1][-1]
+        scaled = np.exp(-np.arange(1, s.size + 1) * t) * s
+    out = np.empty(order + 1)
+    out[0] = 1.0
+    for n in range(1, order + 1):
+        acc = 0.5 * binomial(2 * n, n)
+        for k in range(1, n + 1):
+            acc += binomial(2 * n, n - k) * scaled[k - 1]
+        acc += (2.0 * theta - 1.0) * 2.0 ** (2 * n - 1)
+        out[n] = acc / (4.0**n * theta)
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2, 17, 64])
+def test_weight_table_routes_equal_the_binomial_loops(order):
+    for t in (0.0, 0.5, 2.0, 5.0):
+        assert closed_form_moments(t, order).tobytes() == closed_form_reference(t, order).tobytes()
+        assert (expansion_moments(0.5, t, order).tobytes()
+                == expansion_reference(0.5, t, order).tobytes())
+    for theta in (0.25, 0.75):
+        assert (expansion_moments(theta, 0.5, order).tobytes()
+                == expansion_reference(theta, 0.5, order).tobytes())
+
+
+def test_closed_form_moments_finite_past_order_511():
+    # 4.0**n overflows from n = 512, C(2n, n-k) as a float from n = 513
+    closed = closed_form_moments(1.0, 512)
+    assert np.all(np.isfinite(closed))
+    assert np.max(np.abs(closed - mgf_closed_lambda1(1.0, 512).coeffs)) < 1e-10
 
 
 def convolve_rhs(m, lam, theta):
