@@ -51,6 +51,21 @@ def _fmt(x: float, pattern: str = "%.12g") -> str:
     return pattern % x
 
 
+def _check_report(results) -> tuple[tuple, tuple | None]:
+    """(header, rows) with one formatted row per check, and the failed rows
+    without the passed column (None when every check passed)."""
+    header = ["suite", "check", "passed", "value", "tolerance", "detail"]
+    rows = [
+        (r.suite, r.name, int(r.passed),
+         "" if r.value is None else _fmt(r.value),
+         "" if r.tolerance is None else _fmt(r.tolerance),
+         r.detail)
+        for r in results
+    ]
+    failed = [row[:2] + row[3:] for row in rows if not row[2]]
+    return (header, rows), (header[:2] + header[3:], failed) if failed else None
+
+
 def _params(args, *names: str) -> dict:
     """Manifest parameters from the parsed flags (``lam`` is recorded as
     ``lambda``)."""
@@ -178,12 +193,9 @@ def _cmd_series(args) -> int:
             # c1-vanishes -> c1, c2-vanishes -> c2
             "residuals": {r.name.split("-")[0]: r.value for r in results},
         }
-    failures = [r for r in results if not r.passed]
+    _, failures = _check_report(results)
     if failures:
-        outputs[args.outdir / "series_failures.csv"] = (
-            ["check", "value", "tolerance"],
-            [(r.name, r.value, r.tolerance) for r in failures],
-        )
+        outputs[args.outdir / "series_failures.csv"] = failures
     _write_run(args, f"series_{args.check}", outputs, _params(args, "check", "lam", "t", "order"))
     return 1 if failures else 0
 
@@ -268,19 +280,10 @@ def _cmd_verify(args) -> int:
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
 
-    header = ["suite", "check", "passed", "value", "tolerance", "detail"]
-    report = [
-        (r.suite, r.name, int(r.passed),
-         "" if r.value is None else _fmt(r.value),
-         "" if r.tolerance is None else _fmt(r.tolerance),
-         r.detail)
-        for r in results
-    ]
-    outputs = {args.outdir / "verify_report.csv": (header, report)}
-    if failed:  # the failed rows of the report, without the passed column
-        outputs[args.outdir / "verify_failures.csv"] = (
-            header[:2] + header[3:], [row[:2] + row[3:] for row in report if not row[2]],
-        )
+    report, failures = _check_report(results)
+    outputs = {args.outdir / "verify_report.csv": report}
+    if failures:
+        outputs[args.outdir / "verify_failures.csv"] = failures
     if args.suite in ("general-theta", "all"):
         outputs[args.outdir / "general_theta_report.csv"] = None  # written by the suite
     _write_run(args, "verify", outputs, {"suite": args.suite, **kwargs})

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -38,20 +38,9 @@ class RunManifest:
         p = Path(path)
         self.outputs.append({"path": p.name, "sha256": file_digest(p)})
 
-    def to_dict(self) -> dict:
-        return {
-            "command_line": self.command_line,
-            "parameters": self.parameters,
-            "seeds": self.seeds,
-            "package_version": self.package_version,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "outputs": self.outputs,
-        }
-
     def write(self, path: str | Path) -> None:
         if self.finished_at is None:
             self.finished_at = time.time()
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
+            json.dump(asdict(self), handle, indent=2, sort_keys=True)
             handle.write("\n")

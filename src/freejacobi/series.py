@@ -158,13 +158,6 @@ class TruncatedSeries:
             out[powers:] = self.coeffs[: self.order + 1 - powers]
         return TruncatedSeries(out)
 
-    def __call__(self, z: complex) -> complex:
-        """Evaluate the truncated polynomial at a point (Horner)."""
-        acc = 0.0 + 0.0j if isinstance(z, complex) else 0.0
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return acc
-
     def __repr__(self) -> str:
         head = ", ".join(f"{c:.6g}" for c in self.coeffs[:5])
         tail = ", ..." if self.order >= 5 else ""

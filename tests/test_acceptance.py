@@ -75,3 +75,4 @@ def test_criterion_10_general_theta_diagnostic(tmp_path):
     assert (tmp_path / "general_theta_report.csv").exists()
     report = [r for r in results if r.name == "report-produced"]
     assert report and "flagged" in report[0].detail
+    assert report[0].line().startswith("DIAG")

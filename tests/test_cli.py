@@ -263,6 +263,16 @@ def test_series_pde_reports_the_suite_value(tmp_path, monkeypatch):
     assert suite_result.line() in out.getvalue().splitlines()
 
 
+def test_series_failure_report_matches_verify_failures(tmp_path, monkeypatch):
+    monkeypatch.setattr(verification.transforms, "pde_residual_rho",
+                        lambda t, order: float("nan"))
+    assert run_cli(tmp_path, "series", "--check", "rho", "--order", "8") == 1
+    with open(tmp_path / "series_failures.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert rows == [["suite", "check", "value", "tolerance", "detail"],
+                    ["series", "rho-pde-residual", "nan", "1e-06", "order 8, t=1"]]
+
+
 @pytest.mark.parametrize("check", ["alpha", "rho", "mgf", "pde", "decomposition"])
 def test_series_order_below_one_exits_2(tmp_path, capsys, check):
     with pytest.raises(SystemExit) as exc:

@@ -165,9 +165,3 @@ def test_shift():
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
         TruncatedSeries([1.0, 2.0]) * TruncatedSeries([1.0, 2.0, 3.0])
-
-
-def test_pointwise_evaluation():
-    f = TruncatedSeries([1.0, 2.0, 3.0])
-    assert f(0.5) == pytest.approx(1 + 1 + 0.75)
-    assert f(0.5 + 0j) == pytest.approx(2.75 + 0j)

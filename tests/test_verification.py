@@ -1,0 +1,65 @@
+"""Every check can fail: the check constructor at and past its tolerance,
+and NaN injected into one input of a suite."""
+
+import numpy as np
+import pytest
+
+from freejacobi import spectral, verification
+from freejacobi.verification import _check
+
+
+@pytest.mark.parametrize("value", [1e-8, np.nextafter(1e-8, np.inf), np.nan])
+def test_check_fails_at_tolerance_past_it_and_at_nan(value):
+    result = _check("suite", "name", value, 1e-8)
+    assert not result.passed
+    assert result.line().startswith("FAIL")
+
+
+def test_check_passes_below_tolerance_and_stated_passed_wins():
+    assert _check("suite", "name", np.nextafter(1e-8, -np.inf), 1e-8).passed
+    assert not _check("suite", "name", 0.0, 1e-8, passed=False).passed
+
+
+def test_check_without_tolerance_or_passed_is_a_labelled_diagnostic():
+    result = _check("suite", "name", 3, detail="measured only")
+    assert result.passed and result.diagnostic
+    assert result.value == 3.0 and result.tolerance is None
+    assert result.line() == "DIAG  suite/name  value=3  measured only"
+
+
+def _nan_m3_at_half(m, theta, t, order):
+    if t == 0.5:
+        m[3] = np.nan
+
+
+def _nan_m3_at_one(traj, *args):
+    traj.values[traj.index_of(1.0), 3] = np.nan
+
+
+def _nan_m3(m, *args):
+    m[3] = np.nan
+
+
+@pytest.mark.parametrize("suite, module, name, poison, affected", [
+    ("routes", verification, "expansion_moments", _nan_m3_at_half,
+     {"expansion-vs-closed-form", "ode-vs-expansion"}),
+    ("complement", verification, "complement_moments", _nan_m3_at_one,
+     {"transform-vs-direct-lam-1.5", "limit-lam-1-symmetry"}),
+    ("density", spectral, "quadrature_moments", _nan_m3,
+     {"moment-back-check", "stationary-vs-t-30-moments"}),
+])
+def test_nan_in_one_input_fails_the_checks_it_reaches(monkeypatch, suite, module, name,
+                                                      poison, affected):
+    original = getattr(module, name)
+
+    def poisoned(*args, **kwargs):
+        out = original(*args, **kwargs)
+        poison(out, *args)
+        return out
+
+    monkeypatch.setattr(module, name, poisoned)
+    results = {r.name: r for r in verification.run_suite(suite)}
+    for check in affected:
+        assert not results[check].passed, results[check].line()
+        assert np.isnan(results[check].value)
+    assert all(r.passed for n, r in results.items() if n not in affected)
