@@ -262,8 +262,10 @@ def _cmd_oracle(args) -> int:
         **_params(args, "dim", "steps", "trials", "t", "mode", "lam", "theta"),
         "orders": list(orders),
         "unitarity_drift": run.unitarity_drift,
+        "trial_drift": run.trial_drift,
         "rank_info": run.rank_info,
         "wall_time": run.wall_time,
+        "trial_seconds": run.trial_seconds,
     }
     _write_run(args, "oracle", {args.outdir / "oracle.csv": (header, rows)}, parameters,
                seeds=[args.seed] + [key[1] for key in run.trial_keys])
@@ -271,10 +273,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite in ("oracle", "all"):
-        kwargs.update(dim=args.dim, steps=args.steps, trials=args.trials)
-    results = ver.run_suite(args.suite, outdir=args.outdir, **kwargs)
+    accepted = ver.suite_parameters(args.suite)
+    sizing = {k: getattr(args, k) for k in ("dim", "steps", "trials") if k in accepted}
+    results = ver.run_suite(args.suite, outdir=args.outdir, **sizing)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -284,9 +285,9 @@ def _cmd_verify(args) -> int:
     outputs = {args.outdir / "verify_report.csv": report}
     if failures:
         outputs[args.outdir / "verify_failures.csv"] = failures
-    if args.suite in ("general-theta", "all"):
+    if "outdir" in accepted:
         outputs[args.outdir / "general_theta_report.csv"] = None  # written by the suite
-    _write_run(args, "verify", outputs, {"suite": args.suite, **kwargs})
+    _write_run(args, "verify", outputs, {"suite": args.suite, **sizing})
     return 1 if failed else 0
 
 

@@ -11,11 +11,22 @@ an explicit correction.
 Per-trial randomness comes from a counter-based generator keyed by
 (master seed, trial index): estimates are identical for a given config no
 matter how trials are scheduled.
+
+Each step's GUE increment is drawn in a helper thread while the calling
+thread runs the previous step's eigendecomposition, reconstruction and
+update.  The draw depends only on the trial's generator, never on U, and
+runs only RNG and elementwise ufunc code: every LAPACK/BLAS call stays on
+the calling thread, so results are bit-identical to the serial loop at any
+BLAS thread count.  Draws stay strictly sequential on the one generator,
+at most one increment ahead.  The overlap saves time only where BLAS
+leaves a core idle (one BLAS thread on a multi-core host); where BLAS
+already uses every core the helper only contends with it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -81,7 +92,9 @@ class OracleRun:
     stderrs: dict[int, float]
     per_trial: np.ndarray  # shape (trials, len(orders))
     trial_keys: list[list[int]]
-    unitarity_drift: float
+    trial_drift: list[float]  # unitarity defect of each trial's endpoint
+    trial_seconds: list[float]  # wall time of each trial
+    unitarity_drift: float  # max of trial_drift; NaN if any trial's is
     wall_time: float
     rank_info: dict = field(default_factory=dict)
 
@@ -95,27 +108,71 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _box_muller(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard normals from counter-based uniforms via Box-Muller."""
+    """Standard normals from counter-based uniforms via Box-Muller.
+
+    Computed in place in one buffer of uniforms, whose first half becomes
+    the radii and second half the angles, to keep temporaries few: the
+    draw runs alongside the previous step's eigendecomposition."""
     n = int(np.prod(shape))
     half = (n + 1) // 2
-    u1 = 1.0 - rng.random(half)  # (0, 1], keeps the log finite
-    u2 = rng.random(half)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    out = np.concatenate(
-        [radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)]
-    )[:n]
-    return out.reshape(shape)
+    out = rng.random(2 * half)  # the same stream as two draws of `half`
+    radius, angle = out[:half], out[half:]
+    np.subtract(1.0, radius, out=radius)  # (0, 1], keeps the log finite
+    np.log(radius, out=radius)
+    np.multiply(radius, -2.0, out=radius)
+    np.sqrt(radius, out=radius)
+    np.multiply(angle, 2.0 * np.pi, out=angle)
+    cos = np.cos(angle)
+    np.sin(angle, out=angle)
+    np.multiply(angle, radius, out=angle)
+    np.multiply(cos, radius, out=radius)
+    return out[:n].reshape(shape)
 
 
 def _gue(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Hermitian matrix with E[(1/dim) Tr G^2] = 1: complex off-diagonal
     entries of variance 1/dim, real diagonal of variance 1/dim."""
     normals = _box_muller(rng, (2, dim, dim))
-    a = (normals[0] + 1j * normals[1]) / math.sqrt(2.0)
-    g = (a + a.conj().T) / math.sqrt(2.0)  # off-diag complex variance 1
-    diag = _box_muller(rng, (dim,))
-    g[np.diag_indices(dim)] = diag
-    return g / math.sqrt(dim)
+    a = 1j * normals[1]
+    a += normals[0]
+    a /= math.sqrt(2.0)
+    # g takes over the normals' storage: 2 dim^2 float64 = dim^2 complex128
+    g = normals.reshape(-1).view(complex).reshape(dim, dim)
+    np.conjugate(a.T, out=g)
+    g += a  # off-diag complex variance 1
+    g /= math.sqrt(2.0)
+    g[np.diag_indices(dim)] = _box_muller(rng, (dim,))
+    g /= math.sqrt(dim)
+    return g
+
+
+class _DrawAhead:
+    """One GUE increment drawn from ``rng`` in a helper thread.
+
+    The helper runs only RNG and elementwise ufunc code (``_gue``), so
+    LAPACK/BLAS and everything a tracer wraps stay on the calling thread.
+    ``get`` waits for the draw and re-raises on the calling thread any
+    exception it raised."""
+
+    def __init__(self, rng: np.random.Generator, dim: int):
+        self._result = None
+        self._thread = threading.Thread(target=self._draw, args=(rng, dim), daemon=True)
+        self._thread.start()
+
+    def _draw(self, rng, dim) -> None:
+        try:
+            self._result = _gue(rng, dim)
+        except BaseException as exc:  # handed to the calling thread by get()
+            self._result = exc
+
+    def join(self) -> None:
+        self._thread.join()
+
+    def get(self) -> np.ndarray:
+        self._thread.join()
+        if isinstance(self._result, BaseException):
+            raise self._result
+        return self._result
 
 
 def _unitary_endpoint(rng: np.random.Generator, dim: int, t_end: float, steps: int) -> np.ndarray:
@@ -124,11 +181,23 @@ def _unitary_endpoint(rng: np.random.Generator, dim: int, t_end: float, steps: i
         return u
     dt = t_end / steps
     sqrt_dt = math.sqrt(dt)
-    for _ in range(steps):
-        g = _gue(rng, dim)
-        w, v = np.linalg.eigh(g)
-        step = (v * np.exp(1j * sqrt_dt * w)) @ v.conj().T
-        u = step @ u
+    ahead = _DrawAhead(rng, dim)
+    try:
+        for k in range(steps):
+            g = ahead.get()
+            # the next draw starts only after this one finished: the
+            # generator is used strictly sequentially
+            ahead = _DrawAhead(rng, dim) if k + 1 < steps else None
+            w, v = np.linalg.eigh(g)
+            del g
+            scaled = v * np.exp(1j * sqrt_dt * w)
+            np.conjugate(v, out=v)
+            step = scaled @ v.T
+            del scaled, v
+            u = step @ u
+    finally:
+        if ahead is not None:  # an exception left a draw running
+            ahead.join()
     return u
 
 
@@ -182,13 +251,14 @@ def empirical_jacobi_moments(config: OracleConfig) -> OracleRun:
     unitary: normalized traces as described on the config.  Standard
     errors come from the spread over independent trials.
     """
-    start = time.time()
+    start = time.perf_counter()
     per_trial = np.empty((config.trials, len(config.orders)))
-    drift = 0.0
+    trial_drift, trial_seconds = [], []
     for trial in range(config.trials):
-        vals, d = _trial_estimates(config, trial)
-        per_trial[trial] = vals
-        drift = max(drift, d)
+        trial_start = time.perf_counter()
+        per_trial[trial], drift = _trial_estimates(config, trial)
+        trial_seconds.append(time.perf_counter() - trial_start)
+        trial_drift.append(drift)
     mean = per_trial.mean(axis=0)
     if config.trials > 1:
         stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(config.trials)
@@ -212,7 +282,9 @@ def empirical_jacobi_moments(config: OracleConfig) -> OracleRun:
         stderrs={n: float(s) for n, s in zip(config.orders, stderr)},
         per_trial=per_trial,
         trial_keys=[[config.seed, j] for j in range(config.trials)],
-        unitarity_drift=drift,
-        wall_time=time.time() - start,
+        trial_drift=trial_drift,
+        trial_seconds=trial_seconds,
+        unitarity_drift=float(np.max(trial_drift)),
+        wall_time=time.perf_counter() - start,
         rank_info=rank_info,
     )

@@ -453,7 +453,7 @@ def suite_general_theta(outdir: str | Path | None = None,
                 "expansion": f"{exp_m[n]:.12g}",
                 "reference": f"{ode_m[n]:.12g}",
                 "abs_diff": f"{diff:.6g}",
-                "flagged": diff > 1e-6,
+                "flagged": not diff <= 1e-6,  # a NaN difference is flagged
             })
 
     bern = orc.empirical_jacobi_moments(
@@ -468,7 +468,7 @@ def suite_general_theta(outdir: str | Path | None = None,
         predicted = math.exp(-k * 1.0) * s_end[k - 1]
         diff = abs(bern.estimates[k] - predicted)
         bound = 3.0 * bern.stderrs[k] + 4.0 / oracle_dim
-        flagged = diff > bound
+        flagged = not diff <= bound
         oracle_flags += flagged
         rows.append({
             "kind": "bernoulli-oracle",
@@ -518,17 +518,24 @@ _SUITES = {
 }
 
 
+def suite_parameters(name: str) -> set[str]:
+    """Keyword arguments accepted by the suites ``name`` expands to (every
+    suite for 'all'): the union of their signatures' parameters."""
+    if name == "all":
+        return {p for key in _SUITES for p in suite_parameters(key)}
+    if name not in _SUITES:
+        raise KeyError(f"unknown suite {name!r}")
+    return set(inspect.signature(_SUITES[name]).parameters)
+
+
 def run_suite(name: str, **kwargs) -> list[CheckResult]:
     """Dispatch one suite (or 'all').  Each keyword argument goes to the
     suites whose signature names it: the oracle sizing (dim/steps/trials/
     seed) to the oracle suite, ``outdir`` (and ``seed``) to general-theta."""
     if name == "all":
         return [r for key in _SUITES for r in run_suite(key, **kwargs)]
-    if name not in _SUITES:
-        raise KeyError(f"unknown suite {name!r}")
-    func = _SUITES[name]
-    accepted = inspect.signature(func).parameters
-    return func(**{k: v for k, v in kwargs.items() if k in accepted})
+    accepted = suite_parameters(name)
+    return _SUITES[name](**{k: v for k, v in kwargs.items() if k in accepted})
 
 
 def suite_names() -> tuple[str, ...]:

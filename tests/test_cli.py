@@ -146,6 +146,9 @@ def test_oracle_command(tmp_path):
     assert lines[0] == "n,t,estimate,stderr,N,steps,trials,mode"
     manifest = json.loads((tmp_path / "oracle_manifest.json").read_text())
     assert manifest["seeds"] == [3, 0, 1]
+    parameters = manifest["parameters"]
+    assert len(parameters["trial_drift"]) == len(parameters["trial_seconds"]) == 2
+    assert parameters["unitarity_drift"] == max(parameters["trial_drift"])
 
 
 def test_oracle_rerun_bit_identical(tmp_path):
@@ -165,6 +168,9 @@ def test_verify_catalan(tmp_path, capsys):
     assert "30/30 exact" in out
     assert (tmp_path / "verify_report.csv").exists()
     assert not (tmp_path / "verify_failures.csv").exists()
+    manifest = json.loads((tmp_path / "verify_manifest.json").read_text())
+    assert manifest["parameters"] == {"suite": "catalan"}
+    assert [out["path"] for out in manifest["outputs"]] == ["verify_report.csv"]
 
 
 def test_verify_unknown_suite(tmp_path):

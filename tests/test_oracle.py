@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -131,3 +133,92 @@ def test_convergence_trend_with_paired_seed():
         run = orc.empirical_jacobi_moments(cfg)
         errors.append(abs(run.estimates[1] - closed_form_moment(1, 1.0)))
     assert errors[0] >= errors[1] >= errors[2]
+
+
+# The serial draw and step loop the pipelined path replaced, kept verbatim
+# as the bit-for-bit reference.
+def _reference_box_muller(rng, shape):
+    n = int(np.prod(shape))
+    half = (n + 1) // 2
+    u1 = 1.0 - rng.random(half)
+    u2 = rng.random(half)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    out = np.concatenate(
+        [radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)]
+    )[:n]
+    return out.reshape(shape)
+
+
+def _reference_gue(rng, dim):
+    normals = _reference_box_muller(rng, (2, dim, dim))
+    a = (normals[0] + 1j * normals[1]) / math.sqrt(2.0)
+    g = (a + a.conj().T) / math.sqrt(2.0)
+    diag = _reference_box_muller(rng, (dim,))
+    g[np.diag_indices(dim)] = diag
+    return g / math.sqrt(dim)
+
+
+def _reference_endpoint(rng, dim, t_end, steps):
+    u = np.eye(dim, dtype=complex)
+    if t_end == 0.0:
+        return u
+    dt = t_end / steps
+    sqrt_dt = math.sqrt(dt)
+    for _ in range(steps):
+        g = _reference_gue(rng, dim)
+        w, v = np.linalg.eigh(g)
+        step = (v * np.exp(1j * sqrt_dt * w)) @ v.conj().T
+        u = step @ u
+    return u
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7])
+@pytest.mark.parametrize("dim", [2, 3, 16, 17])
+def test_pipelined_endpoint_is_bit_identical_to_serial_loop(dim, steps):
+    got = orc._unitary_endpoint(orc._trial_rng(5, 1), dim, 0.7, steps)
+    want = _reference_endpoint(orc._trial_rng(5, 1), dim, 0.7, steps)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", orc.MODES)
+def test_pipelined_runs_are_bit_identical_to_serial_loop(monkeypatch, mode):
+    cfg = orc.OracleConfig(dim=17, t_end=0.8, steps=6, trials=3, seed=42,
+                           lam=0.5, theta=0.5, mode=mode, orders=(1, 2, 3))
+    got = orc.empirical_jacobi_moments(cfg)
+    monkeypatch.setattr(orc, "_unitary_endpoint", _reference_endpoint)
+    want = orc.empirical_jacobi_moments(cfg)
+    assert got.per_trial.tobytes() == want.per_trial.tobytes()
+    assert float(got.unitarity_drift).hex() == float(want.unitarity_drift).hex()
+    assert got.trial_drift == want.trial_drift
+    assert got.unitarity_drift == max(got.trial_drift)
+    assert len(got.trial_seconds) == cfg.trials
+
+
+@pytest.mark.parametrize("owner, name", [(orc, "_gue"), (np.linalg, "eigh")])
+def test_failure_reaches_caller_and_leaves_no_thread(monkeypatch, owner, name):
+    # _gue fails in the helper thread; eigh fails on the calling thread
+    # while the helper draws the next increment, slowly enough that a
+    # helper left running would still be alive at the last assert
+    gue = orc._gue
+
+    def slow_gue(rng, dim):
+        time.sleep(0.05)
+        return gue(rng, dim)
+
+    monkeypatch.setattr(orc, "_gue", slow_gue)
+    calls = []
+    original = getattr(owner, name)
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError(f"{name} failed")
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, failing)
+    before = threading.active_count()
+    cfg = orc.OracleConfig(dim=8, t_end=1.0, steps=5, trials=2, seed=1)
+    with pytest.raises(RuntimeError, match=f"{name} failed"):
+        orc.empirical_jacobi_moments(cfg)
+    assert len(calls) == 3
+    assert threading.active_count() == before

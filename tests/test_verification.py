@@ -1,10 +1,13 @@
 """Every check can fail: the check constructor at and past its tolerance,
 and NaN injected into one input of a suite."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
 
-from freejacobi import spectral, verification
+from freejacobi import oracle, spectral, verification
 from freejacobi.verification import _check
 
 
@@ -63,3 +66,42 @@ def test_nan_in_one_input_fails_the_checks_it_reaches(monkeypatch, suite, module
         assert not results[check].passed, results[check].line()
         assert np.isnan(results[check].value)
     assert all(r.passed for n, r in results.items() if n not in affected)
+
+
+def test_nan_drift_in_one_trial_fails_the_drift_gate(monkeypatch):
+    defects = iter([2e-15, math.nan, 2e-15, 2e-15])
+    monkeypatch.setattr(oracle, "unitarity_defect", lambda u: next(defects))
+    results = {r.name: r for r in verification.run_suite("oracle", dim=8, steps=5, trials=2)}
+    drift = results["unitarity-drift"]
+    assert not drift.passed, drift.line()
+    assert np.isnan(drift.value)
+
+
+def test_nan_general_theta_row_is_flagged(monkeypatch, tmp_path):
+    original = verification.expansion_moments
+
+    def poisoned(theta, t, order, **kwargs):
+        out = original(theta, t, order, **kwargs)
+        if (theta, t) == (0.75, 1.0):
+            out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(verification, "expansion_moments", poisoned)
+    verification.run_suite("general-theta", outdir=tmp_path, oracle_dim=8,
+                           oracle_steps=2, oracle_trials=2)
+    with open(tmp_path / "general_theta_report.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    row = next(r for r in rows
+               if (r["kind"], r["t"], r["n"]) == ("moments", "1.0", "3"))
+    assert row["abs_diff"] == "nan"
+    assert row["flagged"] == "True"
+
+
+def test_suite_parameters_are_the_union_of_signatures():
+    assert verification.suite_parameters("catalan") == set()
+    assert {"dim", "steps", "trials", "seed"} <= verification.suite_parameters("oracle")
+    assert verification.suite_parameters("all") == (
+        verification.suite_parameters("oracle")
+        | verification.suite_parameters("general-theta"))
+    with pytest.raises(KeyError):
+        verification.suite_parameters("nonsense")
