@@ -92,17 +92,6 @@ def reduce_word(letters) -> str:
     return "".join(stack)
 
 
-def word_class(k: int, kind: str) -> str:
-    """Reduced-word key for a named class: (ab)^k, (ab)^k a, (ba)^k."""
-    if kind == "ab":
-        return "ab" * k
-    if kind == "aba":
-        return "ab" * k + "a"
-    if kind == "ba":
-        return "ba" * k
-    raise ValueError(f"unknown word class kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class WordCountTable:
     """Exact counts of reduced words in the expansion of [(1+a)(1+b)]^n.
@@ -120,15 +109,15 @@ class WordCountTable:
 
     def c(self, k: int) -> int:
         """Number of terms reducing to (ab)^k; k = 0 is the empty word."""
-        return self.count(word_class(k, "ab"))
+        return self.count("ab" * k)
 
     def d(self, k: int) -> int:
         """Number of terms reducing to (ab)^k a."""
-        return self.count(word_class(k, "aba"))
+        return self.count("ab" * k + "a")
 
     def e(self, k: int) -> int:
         """Number of terms reducing to (ba)^k; k = 0 is the empty word."""
-        return self.count(word_class(k, "ba"))
+        return self.count("ba" * k)
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -205,12 +194,18 @@ def closed_recurrences_hold(n_max: int) -> bool:
     c(n,k) = c(n-1,k) + d(n-1,k) + d(n-1,k-1) + c(n-1,k-1)       n >= 2, k >= 1
     d(n,k) = d(n-1,k) + c(n-1,k) + c(n-1,k+1) + d(n-1,k+1)       n >= 2, k >= 0
     e(n,k) = e(n-1,k) + d(n-1,k) + d(n-1,k-1) + e(n-1,k+1)       n >= 3, k >= 1
+
+    The counts are read from ``word_counts_closed``, so an error there fails
+    this check.
     """
     def c(n, k):
-        return binomial(2 * n - 1, n - k)
+        return word_counts_closed(n, k)[0]
 
     def d(n, k):
-        return binomial(2 * n - 1, n - k - 1)
+        return word_counts_closed(n, k)[1]
+
+    def e(n, k):
+        return word_counts_closed(n, k)[2]
 
     for n in range(2, n_max + 1):
         for k in range(0, n + 1):
@@ -218,10 +213,11 @@ def closed_recurrences_hold(n_max: int) -> bool:
                 return False
             if d(n, k) != d(n - 1, k) + c(n - 1, k) + c(n - 1, k + 1) + d(n - 1, k + 1):
                 return False
-            if n >= 3 and k >= 1:
-                # e and d share the same closed form; all e-indices here are >= 1
-                if d(n, k) != d(n - 1, k) + d(n - 1, k) + d(n - 1, k - 1) + d(n - 1, k + 1):
-                    return False
+            # all e-indices here are >= 1, where e is the (ba)^k count
+            if n >= 3 and k >= 1 and e(n, k) != (
+                e(n - 1, k) + d(n - 1, k) + d(n - 1, k - 1) + e(n - 1, k + 1)
+            ):
+                return False
     return True
 
 
@@ -261,10 +257,11 @@ def inverse_sqrt_4z_coefficients(order: int) -> list[Fraction]:
 
 
 def empty_word_generating_check(order: int) -> bool:
-    """Sum of empty-word counts matches (1/2)(1/sqrt(1-4z) - 1), exactly."""
+    """Empty-word counts c(n, 0) of ``word_counts_closed`` match the
+    coefficients of (1/2)(1/sqrt(1-4z) - 1), exactly."""
     inv = inverse_sqrt_4z_coefficients(order)
     for n in range(1, order + 1):
-        c_n0 = Fraction(binomial(2 * n - 1, n))
+        c_n0 = Fraction(word_counts_closed(n, 0)[0])
         target = (inv[n] - (1 if n == 0 else 0)) / 2
         if c_n0 != target:
             return False

@@ -26,7 +26,7 @@ from .moments import MomentTrajectory, closed_form_moments, weighted_row_sums
 from .series import TruncatedSeries, geometric, one_minus_z
 from .special_functions import rho_coefficients
 from .transforms import FD_DELTA, alpha_series, radical_series, stationary_mgf
-from .transforms import _normalized_max_residual, _richardson_time_derivative
+from .transforms import transport_residual
 
 
 def beta_coefficients(order: int) -> np.ndarray:
@@ -225,18 +225,13 @@ def k_gap_vector(lam: float, order: int) -> np.ndarray:
 # Evolution residuals
 # ---------------------------------------------------------------------------
 
-def pde_residual_S(
-    trajectory: MomentTrajectory,
-    t: float,
-    order: int,
-    delta: float = FD_DELTA,
-) -> float:
+def pde_residual_S(trajectory: MomentTrajectory, t: float, order: int) -> float:
     """Residual of d/dt S_t = -(z/2) d/dz{ lambda (1-z) S_t^2 + R(z) S_t }
     with S_t = M_t - M_inf and R the radical series, normalized per
     coefficient.
 
-    The Richardson stencil reads the trajectory at t, t +/- delta and
-    t +/- 2 delta, so the integration step must divide delta.
+    The Richardson stencil reads the trajectory at t, t +/- FD_DELTA and
+    t +/- 2 FD_DELTA, so the integration step must divide FD_DELTA.
     """
     lam = trajectory.params.lam
     if trajectory.params.theta != 0.5:
@@ -248,11 +243,10 @@ def pde_residual_S(
     def s_at(u: float) -> TruncatedSeries:
         return TruncatedSeries(trajectory.at(u)[: order + 1] - m_inf)
 
-    lhs = _richardson_time_derivative(s_at, t, 2.0 * delta)
-    s = s_at(t)
-    flux = one_minus_z(order) * s * s * lam + radical_series(lam, order) * s
-    rhs = flux.differentiate().shift(1) * 0.5
-    return _normalized_max_residual(lhs[:order], rhs.coeffs[:order])
+    def flux(s: TruncatedSeries) -> TruncatedSeries:
+        return one_minus_z(order) * s * s * lam + radical_series(lam, order) * s
+
+    return transport_residual(s_at, flux, t, order, 2.0 * FD_DELTA)
 
 
 def general_evolution_residual(
@@ -260,23 +254,22 @@ def general_evolution_residual(
     t: float,
     n_range: tuple[int, int],
     trajectory: MomentTrajectory,
-    order: int | None = None,
-    delta: float = 1e-3,
+    order: int,
 ) -> np.ndarray:
     """Residuals of the remainder evolution equation for n in n_range:
 
     c_n'(t) = -(n/2) [ (R u)_n + 2 lambda ((1-z) u psi-series)_n
                        + lambda ((1-z) u^2)_n ] + Z_n(t)
 
-    where u = sum c_k z^k and psi-series = v_t/sqrt(1-z).  c_n'(t) is a
-    centered difference of the decomposition at t +/- delta.  Note the
+    where u = sum c_k z^k and psi-series = v_t/sqrt(1-z), all truncated at
+    ``order``.  c_n'(t) is a centered difference of the decomposition at
+    t +/- 1e-3, so ``trajectory`` must reach t + 1e-3.  Note the
     2 lambda weight on the cross term: the plain rearrangement of the
     S-equation fixes this factor, and the residual check only passes with
     it (and with the corrected sign of Z_t).
     """
     n_lo, n_hi = n_range
-    if order is None:
-        order = n_hi
+    delta = 1e-3
     dec_mid = decomposition_u(lam, t, order, trajectory)
     dec_hi = decomposition_u(lam, t + delta, order, trajectory)
     dec_lo = decomposition_u(lam, t - delta, order, trajectory)

@@ -17,7 +17,7 @@ transform recovering rank ratios above one from those below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +34,7 @@ from .special_functions import (
 
 DEFAULT_ORDER = 32
 
-INIT_MODES = ("nested_P_le_Q", "nested_P_ge_Q", "orthogonal", "custom")
+INIT_MODES = ("nested_P_le_Q", "nested_P_ge_Q", "orthogonal")
 
 
 @dataclass(frozen=True)
@@ -42,16 +42,14 @@ class ProcessParams:
     """Parameter pair (lambda, theta) plus the initial-condition geometry.
 
     ``lam`` is the rank ratio tau(P)/tau(Q), ``theta`` = tau(Q).  Validity
-    requires 0 < theta < 1 and 0 < lam * theta < 1.  The three named init
-    modes encode the projection geometries P <= Q (moments start at 1),
-    P >= Q (start at 1/lam) and P orthogonal to Q (start at 0); ``custom``
-    takes an explicit vector.
+    requires 0 < theta < 1 and 0 < lam * theta < 1.  The three init modes
+    encode the projection geometries P <= Q (moments start at 1), P >= Q
+    (start at 1/lam) and P orthogonal to Q (start at 0).
     """
 
     lam: float
     theta: float
     init_mode: str = "nested_P_le_Q"
-    custom_init: tuple[float, ...] | None = field(default=None)
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
@@ -68,14 +66,6 @@ class ProcessParams:
             raise ValueError("P >= Q requires lambda >= 1")
         if self.init_mode == "orthogonal" and self.theta * (1.0 + self.lam) > 1.0:
             raise ValueError("orthogonal P, Q require tau(P) + tau(Q) <= 1")
-        if self.init_mode == "custom":
-            if self.custom_init is None:
-                raise ValueError("custom init mode needs custom_init")
-            vec = np.asarray(self.custom_init, dtype=float)
-            if not np.all(np.isfinite(vec)):
-                raise ValueError("custom init vector must be finite")
-        elif self.custom_init is not None:
-            raise ValueError("custom_init is only allowed with init_mode='custom'")
 
     def initial_vector(self, order: int) -> np.ndarray:
         """Initial moments (m_0, ..., m_order); m_0 = 1 always."""
@@ -85,17 +75,8 @@ class ProcessParams:
             m[1:] = 1.0
         elif self.init_mode == "nested_P_ge_Q":
             m[1:] = 1.0 / self.lam
-        elif self.init_mode == "orthogonal":
-            m[1:] = 0.0
         else:
-            vec = np.asarray(self.custom_init, dtype=float)
-            if vec.size < order + 1:
-                raise ValueError(
-                    f"custom init vector too short: need {order + 1}, got {vec.size}"
-                )
-            if vec[0] != 1.0:
-                raise ValueError("custom init vector must have m_0 = 1")
-            m[:] = vec[: order + 1]
+            m[1:] = 0.0
         return m
 
 
@@ -361,21 +342,20 @@ def lambda_scaling_residual(
     theta: float,
     t_end: float,
     order: int = 16,
-    h: float = DEFAULT_STEP,
-    init_mode: str = "nested_P_le_Q",
 ) -> float:
     """Max deviation between lam * m_n(t) and the rescaled system v_n(t).
 
     v_n = lam m_n satisfies the recurrence with the quadratic coupling
     constant set to theta alone (lambda = 1) and v_0 = lam; integrating
-    both and comparing validates the scaling reduction.
+    both from the nested P <= Q start at the default step and comparing
+    validates the scaling reduction.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    params = ProcessParams(lam=lam, theta=theta, init_mode=init_mode)
+    params = ProcessParams(lam=lam, theta=theta)
     m0 = params.initial_vector(order)
     # row 0: m_n at (lam, theta); row 1: v_n from v_0 = lam, v_n(0) = lam m_n(0)
     coupling = np.array([[lam], [1.0]])
     rhs = lambda t, y: recurrence_rhs(y, coupling, theta)
-    _, states = rk4(rhs, np.stack([m0, m0 * lam]), t_end, h)
+    _, states = rk4(rhs, np.stack([m0, m0 * lam]), t_end, DEFAULT_STEP)
     return float(np.max(np.abs(lam * states[:, 0] - states[:, 1])))

@@ -196,12 +196,20 @@ def s_trajectory(
     if order < 1:
         raise ValueError("order must be >= 1")
 
-    def rhs(t, y):
-        if np.isfinite(y).all():
-            try:
-                return s_system_rhs(t, y, theta)
-            except OverflowError:  # math.exp(t) of the s_1 source, past t = 709.78
-                pass
-        raise ValueError(f"trace system state leaves the float64 range by t={t:g}")
+    t_last = 0.0
 
-    return rk4(rhs, np.ones(order), t_end, h)
+    def rhs(t, y):
+        nonlocal t_last
+        t_last = t
+        return s_system_rhs(t, y, theta)
+
+    # every overflow raises, so the state never holds inf or NaN: numpy's
+    # as FloatingPointError, math.exp(t) of the s_1 source (past t = 709.78)
+    # as OverflowError
+    try:
+        with np.errstate(over="raise"):
+            return rk4(rhs, np.ones(order), t_end, h)
+    except (OverflowError, FloatingPointError):
+        raise ValueError(
+            f"trace system state leaves the float64 range by t={t_last:g}"
+        ) from None

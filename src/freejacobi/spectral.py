@@ -6,17 +6,17 @@ Brownian motion moments transported to [0, 1], and the stationary density
 for rank ratios in (0, 1], obtained by Stieltjes inversion of the closed
 Cauchy transform.
 
-Quadrature grids are built on the arc substitution x = mid + half * cos(phi)
-over the support interval (for the full interval this is x = cos^2(phi/2)),
-which cancels the inverse square-root edge factors exactly: the integrands
-seen by the uniform midpoint rule are trigonometric polynomials, so moments
-of the reconstructed measures are recovered to machine accuracy.
+Both densities are sampled on one kind of grid, ``arc_grid``: the uniform
+midpoint rule in the arc substitution x = mid + half * cos(phi) over the
+support interval (for the full interval this is x = cos^2(phi/2)), which
+cancels the inverse square-root edge factors exactly.  The integrands seen
+by the rule are trigonometric polynomials, so moments of the reconstructed
+measures are recovered to machine accuracy.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,7 +86,6 @@ def density_lambda1(
     num_points: int = 999,
     fourier_terms: int = 256,
     fejer: str = "auto",
-    xs: np.ndarray | None = None,
 ) -> DensityGrid:
     """Density of the process law at the symmetric point and time t > 0:
 
@@ -104,7 +103,7 @@ def density_lambda1(
         raise ValueError("fejer must be one of auto|on|off")
     use_fejer = fejer == "on" or (fejer == "auto" and t < FEJER_TIME_CUTOFF)
 
-    xs, weights, rule = _quadrature_grid(num_points, xs)
+    xs, weights = arc_grid(num_points)
 
     k = np.arange(1, fourier_terms + 1)
     coeffs = ubm_moment_vector(2.0 * t, fourier_terms)
@@ -121,7 +120,7 @@ def density_lambda1(
         values=values,
         weights=weights,
         atoms=[],
-        rule=rule,
+        rule="arc-midpoint[0,1]",
         params={
             "lambda": 1.0,
             "theta": 0.5,
@@ -161,11 +160,7 @@ def atom_masses(lam: float, theta: float = 0.5) -> list[tuple[float, float]]:
     return [(0.0, mass0), (1.0, mass1)]
 
 
-def stationary_density(
-    lam: float,
-    num_points: int = 999,
-    xs: np.ndarray | None = None,
-) -> DensityGrid:
+def stationary_density(lam: float, num_points: int = 999) -> DensityGrid:
     """Stationary density at theta = 1/2 for rank ratio lam in (0, 1].
 
     The continuous part is the Stieltjes inversion of the closed Cauchy
@@ -179,7 +174,7 @@ def stationary_density(
     r, b, c = stationary_transform_params(lam, theta)
     lo, hi = stationary_support(lam, theta)
 
-    xs, weights, rule = _quadrature_grid(num_points, xs, lo, hi)
+    xs, weights = arc_grid(num_points, lo, hi)
 
     radicand = b * xs - (r * xs) ** 2 - c * c
     values = np.where(
@@ -192,50 +187,18 @@ def stationary_density(
         values=values,
         weights=weights,
         atoms=atom_masses(lam, theta),
-        rule=rule,
+        rule=f"arc-midpoint[{lo:.6g},{hi:.6g}]",
         params={"lambda": lam, "theta": theta, "t": math.inf, "support": (lo, hi)},
         preclip_min=float(values.min()),
     )
-
-
-def _quadrature_grid(num_points: int, xs, lo: float = 0.0, hi: float = 1.0):
-    """(xs, weights, rule): the arc-midpoint grid over [lo, hi], or
-    trapezoid arc weights for a user grid strictly inside (0, 1)."""
-    if xs is None:
-        xs, weights = arc_grid(num_points, lo, hi)
-        return xs, weights, f"arc-midpoint[{lo:.6g},{hi:.6g}]"
-    xs = np.asarray(xs, dtype=float)
-    if np.any(xs <= 0.0) or np.any(xs >= 1.0) or np.any(np.diff(xs) <= 0):
-        raise ValueError("xs must be strictly increasing inside (0, 1)")
-    return xs, _trapezoid_arc_weights(xs, lo, hi), "arc-trapezoid(user)"
-
-
-def _trapezoid_arc_weights(xs: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """Trapezoid weights in the arc angle for a user-supplied grid."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    u = np.clip((xs - mid) / half, -1.0, 1.0)
-    phi = np.arccos(u)  # decreasing in x
-    w = np.zeros_like(xs)
-    dphi = -np.diff(phi)
-    w[:-1] += 0.5 * dphi
-    w[1:] += 0.5 * dphi
-    return w * half * np.sin(phi)
 
 
 def quadrature_moments(grid: DensityGrid, n_max: int) -> np.ndarray:
     """Moments integral x^n dmu for n = 0..n_max from a density grid.
 
     Continuous part by the grid's arc-substitution weights applied to the
-    signed reconstruction, plus the atom contributions.  Warns when a user
-    grid leaves part of the support uncovered.
+    signed reconstruction, plus the atom contributions.
     """
-    support = grid.params.get("support")
-    if grid.rule.endswith("(user)") and support is not None:
-        lo, hi = support
-        margin = 0.02 * (hi - lo)
-        if grid.xs[0] > lo + margin or grid.xs[-1] < hi - margin:
-            warnings.warn("user grid may not cover the support; moments may be biased")
     powers = np.vander(grid.xs, n_max + 1, increasing=True).T  # row n = xs**n
     cont = powers @ (grid.weights * grid.signed_values())
     atoms = np.zeros(n_max + 1)

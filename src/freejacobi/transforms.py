@@ -1,10 +1,12 @@
 """Named generating functions of the moment problem and their PDE checks.
 
 Series here are truncated to a finite order; identities are checked
-coefficient-wise.  Finite differences in time use centered stencils with
-Richardson extrapolation, and residuals are normalized per coefficient by
-the local scale max(1, |lhs_k|, |rhs_k|): the raw coefficients of the
-Laguerre series grow fast with the order, so an absolute residual would
+coefficient-wise.  The rho_t, M_t and S_t equations are all transport
+equations d/dt f + (z/2) d/dz flux(f) = 0, and ``transport_residual`` is
+the one body that checks them: it differences in time with a centered
+stencil and Richardson extrapolation, and normalizes each coefficient by
+the local scale max(1, |lhs_k|, |rhs_k|), because the raw coefficients of
+the Laguerre series grow fast with the order, so an absolute residual would
 measure nothing but the finite-difference truncation error.
 """
 
@@ -137,38 +139,35 @@ def cauchy_stationary_eval(lam: float, theta: float, z: complex) -> complex:
 # PDE residuals
 # ---------------------------------------------------------------------------
 
-def _normalized_max_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return float(np.max(np.abs(lhs + rhs) / scale))
+def transport_residual(series_at, flux, t: float, order: int, delta: float) -> float:
+    """Residual of the transport equation d/dt f_t + (z/2) d/dz flux(f_t) = 0
+    over the first ``order`` coefficients, for the series ``series_at(t)``.
 
-
-def _richardson_time_derivative(series_at, t: float, delta: float) -> np.ndarray:
-    """Centered difference with one Richardson level: error O(delta^4)."""
+    d/dt f_t is a centered difference with one Richardson level (error
+    O(delta^4)); the stencil reads f at t +/- delta and t +/- delta/2.  Each
+    coefficient is normalized by max(1, |lhs_k|, |rhs_k|); the top one is
+    dropped because differentiate() leaves it unreliable.
+    """
     def centered(d):
         return (series_at(t + d).coeffs - series_at(t - d).coeffs) / (2.0 * d)
 
     coarse = centered(delta)
     fine = centered(delta / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    lhs = (4.0 * fine - coarse) / 3.0
+    rhs = (flux(series_at(t)).differentiate().shift(1) * 0.5).coeffs
+    lhs, rhs = lhs[:order], rhs[:order]
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return float(np.max(np.abs(lhs + rhs) / scale))
 
 
-def transport_rhs_rho(f: TruncatedSeries) -> TruncatedSeries:
-    """(z/2) d/dz f^2, the flux side of the rho transport equation."""
-    return (f * f).differentiate().shift(1) * 0.5
-
-
-def pde_residual_rho(t: float, order: int, delta: float = FD_DELTA) -> float:
+def pde_residual_rho(t: float, order: int) -> float:
     """Residual of d/dt rho_t + (z/2) d/dz rho_t^2 = 0, normalized."""
-    lhs = _richardson_time_derivative(lambda u: rho_series(u, order), t, delta)
-    rhs = transport_rhs_rho(rho_series(t, order)).coeffs
-    # differentiate() leaves the top coefficient unreliable
-    return _normalized_max_residual(lhs[: order], rhs[: order])
+    return transport_residual(lambda u: rho_series(u, order), lambda f: f * f,
+                              t, order, FD_DELTA)
 
 
-def pde_residual_mgf_lambda1(t: float, order: int, delta: float = FD_DELTA) -> float:
+def pde_residual_mgf_lambda1(t: float, order: int) -> float:
     """Residual of d/dt M_t + (z/2) d/dz{(1 - z) M_t^2} = 0 for the
     closed-form generating function at the symmetric point."""
-    lhs = _richardson_time_derivative(lambda u: mgf_closed_lambda1(u, order), t, delta)
-    m = mgf_closed_lambda1(t, order)
-    rhs = (one_minus_z(order) * m * m).differentiate().shift(1) * 0.5
-    return _normalized_max_residual(lhs[: order], rhs.coeffs[: order])
+    return transport_residual(lambda u: mgf_closed_lambda1(u, order),
+                              lambda m: one_minus_z(order) * m * m, t, order, FD_DELTA)

@@ -495,7 +495,7 @@ def suite_general_theta(outdir: str | Path | None = None,
         f"{flagged_rows} of {len(rows)} rows flagged"
         f" (max ODE-vs-expansion discrepancy {max_disc:.3g};"
         f" {oracle_flags} oracle rows outside budget)"
-        + (f"; written to {report_path}" if report_path else "")
+        + (f"; written to {report_path.name}" if report_path else "")
     )))
     return out
 

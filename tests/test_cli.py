@@ -1,10 +1,12 @@
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
 import os
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -345,6 +347,10 @@ def test_s_system_theta_half_past_exp_range(tmp_path):
     ("s-system", "--theta", "0.75", "--t", "100", "--step", "1"),
     ("moments", "--method", "expansion", "--theta", "0.75", "--t", "100", "--order", "8",
      "--step", "1"),
+    # the overflow raises before numpy can warn, so -W error changes nothing
+    pytest.param(("moments", "--method", "expansion", "--theta", "0.75", "--t", "100",
+                  "--order", "8", "--step", "1"),
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ])
 def test_trace_system_past_float64_exits_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -360,3 +366,14 @@ def test_series_rho_past_float64_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
     assert "coefficient 225 exceeds the float64 range at t=10" in capsys.readouterr().err
     assert not (tmp_path / "series_rho.csv").exists()
+
+
+def test_cli_digests_script_runs_every_benchmark_command(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "cli_digests.py"
+    spec = importlib.util.spec_from_file_location("cli_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main()
+    records = json.loads(capsys.readouterr().out)
+    assert len(records) == 17
+    assert all(r["exit"] == 0 and r["files"] for r in records.values())

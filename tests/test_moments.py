@@ -52,14 +52,6 @@ class TestParams:
         with pytest.raises(ValueError):
             ProcessParams(lam=0.5, theta=0.0)
 
-    def test_custom_vector(self):
-        p = ProcessParams(
-            lam=0.5, theta=0.5, init_mode="custom", custom_init=(1.0, 0.3, 0.2)
-        )
-        assert p.initial_vector(2).tolist() == [1.0, 0.3, 0.2]
-        with pytest.raises(ValueError):
-            p.initial_vector(5)
-
 
 class TestRhs:
     def test_first_component_is_linear(self):

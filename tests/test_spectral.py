@@ -131,22 +131,6 @@ class TestStationary:
             spectral.stationary_density(1.5)
 
 
-def test_quadrature_on_user_grid_warns_when_partial():
-    grid = spectral.stationary_density(0.6, num_points=200)
-    sub = spectral.stationary_density(0.6, xs=np.linspace(0.3, 0.5, 50))
-    with pytest.warns(UserWarning):
-        spectral.quadrature_moments(sub, 2)
-    full = spectral.quadrature_moments(grid, 2)
-    assert full[0] == pytest.approx(1.0, abs=1e-10)
-
-
-def test_user_grid_validation():
-    with pytest.raises(ValueError):
-        spectral.density_lambda1(1.0, xs=np.array([0.5, 0.4]))
-    with pytest.raises(ValueError):
-        spectral.density_lambda1(1.0, xs=np.array([0.0, 0.4]))
-
-
 @pytest.mark.parametrize("t", [3.5, 4.0, 8.0, 30.0])
 def test_density_finite_at_large_time(t):
     # at 256 terms, n * 2t passes the float64 range of exp(-nt) and of the

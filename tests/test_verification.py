@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from freejacobi import oracle, spectral, verification
+from freejacobi import combinatorics, oracle, spectral, verification
 from freejacobi.verification import _check
 
 
@@ -68,6 +68,18 @@ def test_nan_in_one_input_fails_the_checks_it_reaches(monkeypatch, suite, module
     assert all(r.passed for n, r in results.items() if n not in affected)
 
 
+def test_closed_count_error_fails_the_combinatorics_suite(monkeypatch):
+    original = combinatorics.word_counts_closed
+
+    def off_by_one(n, k):
+        c, d, e = original(n, k)
+        return (c + 1, d, e) if (n, k) == (15, 3) else (c, d, e)
+
+    monkeypatch.setattr(combinatorics, "word_counts_closed", off_by_one)
+    results = {r.name: r for r in verification.run_suite("combinatorics")}
+    assert not results["closed-recurrences-n<=20"].passed
+
+
 def test_nan_drift_in_one_trial_fails_the_drift_gate(monkeypatch):
     defects = iter([2e-15, math.nan, 2e-15, 2e-15])
     monkeypatch.setattr(oracle, "unitarity_defect", lambda u: next(defects))
@@ -95,6 +107,16 @@ def test_nan_general_theta_row_is_flagged(monkeypatch, tmp_path):
                if (r["kind"], r["t"], r["n"]) == ("moments", "1.0", "3"))
     assert row["abs_diff"] == "nan"
     assert row["flagged"] == "True"
+
+
+def test_general_theta_details_do_not_depend_on_the_outdir(tmp_path):
+    details = [
+        [r.detail for r in verification.run_suite(
+            "general-theta", outdir=tmp_path / sub, oracle_dim=8, oracle_steps=2,
+            oracle_trials=2)]
+        for sub in ("a", "b")
+    ]
+    assert details[0] == details[1]
 
 
 def test_suite_parameters_are_the_union_of_signatures():
