@@ -80,53 +80,97 @@ class ProcessParams:
         return m
 
 
+class _Kernel:
+    """Everything ``recurrence_rhs`` keeps between calls at one state shape
+    and one (lambda, theta): the coefficients theta n and lambda theta n,
+    broadcast to contiguous (..., order) and (..., order - 1) arrays, and the
+    scratch buffers of the Cauchy product."""
+
+    def __init__(self, shape, lam, theta):
+        order = shape[-1] - 1
+        k = max(order - 1, 1)
+        rows = shape[:-1]
+        if isinstance(lam, tuple):
+            lam = np.array(lam)[:, None]
+        if isinstance(theta, tuple):
+            theta = np.array(theta)[:, None]
+        n = np.arange(1.0, order + 1)
+        self.n = np.ascontiguousarray(np.broadcast_to(n, rows + (order,)))
+        self.theta_n = np.ascontiguousarray(np.broadcast_to(theta * n, rows + (order,)))
+        # (lam theta) n: lam * theta is rounded first
+        self.coupling = np.ascontiguousarray(
+            np.broadcast_to(lam * theta * n[1:], rows + (order - 1,)))
+        # buf = (0, ..., 0, d_0, ..., d_{k-1}); window[j, i] = buf[k-1+j-i],
+        # which is d_{j-i} for i <= j and 0 above the diagonal
+        buf = np.zeros(rows + (2 * k - 1,))
+        self.diffs = buf[..., k - 1 :]
+        self.window = sliding_window_view(buf, k, axis=-1)[..., ::-1]
+        self.tmp = np.empty(rows + (order,))
+        self.conv = np.empty(rows + (k, 1))
+        self.conv_col = self.conv[..., 0]
+        self.q = np.empty(rows + (order - 1,))
+
+
 @lru_cache(maxsize=16)
-def _workspace(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(diffs slot of a zero-padded buffer, Toeplitz window over that buffer,
-    n = 1..order) for a state shape; see ``recurrence_rhs``."""
-    order = shape[-1] - 1
-    k = max(order - 1, 1)
-    # buf = (0, ..., 0, d_0, ..., d_{k-1}); window[j, i] = buf[k-1+j-i],
-    # which is d_{j-i} for i <= j and 0 above the diagonal
-    buf = np.zeros(shape[:-1] + (2 * k - 1,))
-    window = sliding_window_view(buf, k, axis=-1)[..., ::-1]
-    return buf[..., k - 1 :], window, np.arange(1.0, order + 1)
+def _kernel(shape: tuple[int, ...], lam, theta) -> _Kernel:
+    return _Kernel(shape, lam, theta)
 
 
-def recurrence_rhs(m: np.ndarray, lam, theta) -> np.ndarray:
+def _key(x):
+    """A float, or a tuple with one value per row, for the kernel cache."""
+    if isinstance(x, (float, tuple)):
+        return x
+    x = np.asarray(x, dtype=float)
+    return float(x) if x.ndim == 0 else tuple(x.ravel().tolist())
+
+
+def recurrence_rhs(m: np.ndarray, lam, theta, out: np.ndarray | None = None) -> np.ndarray:
     """Time derivative of the moment vectors (component 0 is zero).
 
-    ``m`` has shape (..., order+1): one moment vector per leading index,
-    with ``lam`` and ``theta`` broadcasting against the leading axes (a
-    column of shape (B, 1) gives each row of a (B, order+1) batch its own
-    parameters).  Each row's arithmetic does not depend on the others, so
-    a row of a batch is bit-identical to the same row passed alone.
+    ``m`` is a float array of shape (..., order+1): one moment vector per
+    leading index.  ``lam`` and ``theta`` are floats, or one value per row
+    of a (B, order+1) batch, as a tuple or a (B, 1) array.  Each row's
+    arithmetic does not depend on the others, so a row of a batch is
+    bit-identical to the same row passed alone.  The derivative is written
+    into ``out`` (same shape as ``m``, not overlapping it) when given, and
+    into a new array otherwise; either is returned.
 
     The Cauchy product sum_{k=0}^{n-2} m_{n-k-1} (m_k - m_{k+1}) is one
     matmul of a lower-triangular Toeplitz window of the differences with
     (m_1, ..., m_{order-1}).  The window is a strided view over a
-    zero-padded buffer cached per state shape, so this function is not
-    reentrant across threads (the package runs none).
+    zero-padded buffer, and the coefficients theta n and lambda theta n
+    are computed once: both are cached with the other scratch buffers per
+    (shape, lam, theta).  Two threads must therefore not call this at once
+    with the same key.  The package's one helper thread, the oracle's GUE
+    draw (``oracle._gue``), never calls it.
 
     The quadratic sum is empty for n = 1.  Component 0 of ``m`` is read
     as-is rather than assumed to be 1, so the rescaled system v_n = lam m_n
     (which satisfies the same recurrence with lambda replaced by 1 and
     v_0 = lam) can reuse this function.
     """
-    m = np.asarray(m, dtype=float)
-    out = np.zeros(m.shape)
+    if out is None:
+        out = np.empty(m.shape)
+    out[..., 0] = 0.0
     order = m.shape[-1] - 1
     if order == 0:
         return out
-    diffs, window, n = _workspace(m.shape)
+    try:
+        ker = _kernel(m.shape, lam, theta)
+    except TypeError:  # lam or theta an array: unhashable
+        ker = _kernel(m.shape, _key(lam), _key(theta))
     # theta n m_{n-1} - n m_n, written in place
     linear = out[..., 1:]
-    np.multiply(theta * n, m[..., :-1], out=linear)
-    linear -= n * m[..., 1:]
+    np.multiply(ker.theta_n, m[..., :-1], linear)
+    np.multiply(ker.n, m[..., 1:], ker.tmp)
+    np.subtract(linear, ker.tmp, linear)
     if order >= 2:
-        np.subtract(m[..., :-2], m[..., 1:-1], out=diffs)
-        conv = window @ m[..., 1:-1, None]
-        out[..., 2:] += lam * theta * n[1:] * conv[..., 0]
+        mid = m[..., 1:-1]
+        np.subtract(m[..., :-2], mid, ker.diffs)
+        np.matmul(ker.window, mid[..., None], ker.conv)
+        np.multiply(ker.coupling, ker.conv_col, ker.q)
+        quad = out[..., 2:]
+        np.add(quad, ker.q, quad)
     return out
 
 
@@ -186,9 +230,9 @@ def integrate_moments_batch(
         # arithmetic, with less numpy dispatch per call than a (1, n) batch
         y0, lam, theta = y0[0], params_seq[0].lam, params_seq[0].theta
     else:
-        lam = np.array([[p.lam] for p in params_seq])
-        theta = np.array([[p.theta] for p in params_seq])
-    rhs = lambda t, m: recurrence_rhs(m, lam, theta)
+        lam = tuple(p.lam for p in params_seq)
+        theta = tuple(p.theta for p in params_seq)
+    rhs = lambda t, m, out: recurrence_rhs(m, lam, theta, out)
     times, states = rk4(rhs, y0, t_end, h)
     states = states.reshape(times.size, len(params_seq), order + 1)
     return [
@@ -341,7 +385,7 @@ def lambda_scaling_residual(
     lam: float,
     theta: float,
     t_end: float,
-    order: int = 16,
+    order: int,
 ) -> float:
     """Max deviation between lam * m_n(t) and the rescaled system v_n(t).
 
@@ -355,7 +399,7 @@ def lambda_scaling_residual(
     params = ProcessParams(lam=lam, theta=theta)
     m0 = params.initial_vector(order)
     # row 0: m_n at (lam, theta); row 1: v_n from v_0 = lam, v_n(0) = lam m_n(0)
-    coupling = np.array([[lam], [1.0]])
-    rhs = lambda t, y: recurrence_rhs(y, coupling, theta)
+    coupling = (lam, 1.0)
+    rhs = lambda t, y, out: recurrence_rhs(y, coupling, theta, out)
     _, states = rk4(rhs, np.stack([m0, m0 * lam]), t_end, DEFAULT_STEP)
     return float(np.max(np.abs(lam * states[:, 0] - states[:, 1])))
