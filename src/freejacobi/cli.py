@@ -1,12 +1,16 @@
 """Command-line surface.
 
 Subcommands: moments, density, stationary-density, series, s-system, words,
-oracle, verify.  Every run writes CSV/JSON artifacts plus a run manifest
-carrying the command line, parameters, seeds and the SHA-256 digest of
-every file the run wrote; re-running with the same flags reproduces the
-outputs byte-for-byte.  ``series`` runs the checks of ``verification``
-under the names and tolerances ``verify`` reports them with.  ``--step``
-(the RK4 step of ``moments`` and ``s-system``) must be positive.
+oracle, verify.  Every run writes CSV/JSON artifacts into ``--outdir`` plus
+a run manifest carrying the command line, parameters, seeds and the
+SHA-256 digest of every file the run wrote; re-running with the same flags
+reproduces the outputs byte-for-byte.  ``_write_run`` is the only writer:
+the commands compute, and ``verification`` never touches the file system.
+``series`` and ``words`` run the checks of ``verification`` under the
+names and tolerances ``verify`` reports them with; ``verify`` writes each
+check's table as ``<suite>_report.csv`` (``-`` in the suite name becomes
+``_``).  ``--step`` (the RK4 step of ``moments`` and ``s-system``) must be
+positive.
 
 Exit codes: 0 all checks pass / command succeeded, 1 check failure,
 2 usage error, including inputs outside a route's validity range.
@@ -25,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import combinatorics as comb
 from . import oracle as orc
 from . import spectral
 from . import verification as ver
@@ -74,10 +77,11 @@ def _params(args, *names: str) -> dict:
 
 def _write_run(args, stem: str, outputs: dict, parameters: dict, seeds=()) -> None:
     """Write a command's outputs, then ``<stem>_manifest.json`` with the
-    digest of every one of them.
+    digest of every one of them.  This is the only place that writes an
+    artifact.
 
-    ``outputs`` maps each path to (header, rows) for a CSV, to a dict for
-    a JSON payload, or to None for a file the command has already written.
+    ``outputs`` maps each path to (header, rows) for a CSV or to a dict for
+    a JSON payload.
     """
     manifest = RunManifest(command_line=args.argv, parameters=parameters,
                            seeds=list(seeds), started_at=args.started_at)
@@ -87,7 +91,7 @@ def _write_run(args, stem: str, outputs: dict, parameters: dict, seeds=()) -> No
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(content, handle, indent=2)
                 handle.write("\n")
-        elif content is not None:
+        else:
             with open(path, "w", newline="", encoding="utf-8") as handle:
                 writer = csv.writer(handle)
                 writer.writerow(content[0])
@@ -114,12 +118,12 @@ def _cmd_moments(args) -> int:
     else:
         values = expansion_moments(args.theta, args.t, args.order, h=args.step)
 
-    out_path = Path(args.out) if args.out else args.outdir / "moments.csv"
     rows = [
         ("%g" % args.t, str(n), "%.7g" % values[n], args.method)
         for n in range(args.order + 1)
     ]
-    _write_run(args, "moments", {out_path: (["t", "n", "m_n", "method"], rows)},
+    header = ["t", "n", "m_n", "method"]
+    _write_run(args, "moments", {args.outdir / "moments.csv": (header, rows)},
                _params(args, "lam", "theta", "t", "order", "step", "init", "method"))
     return 0
 
@@ -216,26 +220,13 @@ def _cmd_s_system(args) -> int:
 
 
 def _cmd_words(args) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    if args.n > comb.BRUTEFORCE_MAX_ORDER:
-        raise ValueError(f"--n capped at {comb.BRUTEFORCE_MAX_ORDER} (4^n enumeration)")
-    rows = []
-    mismatch = False
-    for n in range(1, args.n + 1):
-        brute = comb.word_counts_bruteforce(n) if n <= args.brute_max else None
-        for k in range(0, n + 1):
-            closed = comb.word_counts_closed(n, k)
-            counts = ("", "", "")
-            if brute is not None:
-                # at k = 0 the e-column refers to the empty word
-                counts = (brute.c(k), brute.d(k), brute.e(k) if k >= 1 else brute.c(0))
-                mismatch = mismatch or counts != closed
-            rows.append((n, k, *closed, *counts))
+    results, exports = ver.check_word_counts(args.n)
+    for result in results:
+        print(result.line())
     header = ["n", "k", "c", "d", "e", "bruteforce_c", "bruteforce_d", "bruteforce_e"]
-    _write_run(args, "words", {args.outdir / "word_counts.csv": (header, rows)},
-               _params(args, "n", "brute_max"))
-    return 1 if mismatch else 0
+    _write_run(args, "words", {args.outdir / "word_counts.csv": (header, exports["rows"])},
+               _params(args, "n"))
+    return 0 if all(r.passed for r in results) else 1
 
 
 def _cmd_oracle(args) -> int:
@@ -275,7 +266,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     accepted = ver.suite_parameters(args.suite)
     sizing = {k: getattr(args, k) for k in ("dim", "steps", "trials") if k in accepted}
-    results = ver.run_suite(args.suite, outdir=args.outdir, **sizing)
+    results = ver.run_suite(args.suite, **sizing)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -285,8 +276,9 @@ def _cmd_verify(args) -> int:
     outputs = {args.outdir / "verify_report.csv": report}
     if failures:
         outputs[args.outdir / "verify_failures.csv"] = failures
-    if "outdir" in accepted:
-        outputs[args.outdir / "general_theta_report.csv"] = None  # written by the suite
+    for result in results:
+        if result.table is not None:
+            outputs[args.outdir / f"{result.suite.replace('-', '_')}_report.csv"] = result.table
     _write_run(args, "verify", outputs, {"suite": args.suite, **sizing})
     return 1 if failed else 0
 
@@ -319,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=["recurrence", "closed-form", "expansion"],
         default="recurrence",
     )
-    p.add_argument("--out", default=None, help="CSV path (default <outdir>/moments.csv)")
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("density", help="time-t spectral density at the symmetric point")
@@ -355,12 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20, help="rows per order")
     p.set_defaults(func=_cmd_s_system)
 
-    p = sub.add_parser("words", help="reduced word-count tables")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--brute-max", type=int, default=8,
-        help="largest order to cross-check by 4^n enumeration",
+    p = sub.add_parser(
+        "words", help="reduced word-count tables, checked against 4^n enumeration up to n = 8",
     )
+    p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_words)
 
     p = sub.add_parser("oracle", help="finite-N Monte Carlo estimates")

@@ -17,6 +17,7 @@ transform recovering rank ratios above one from those below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -116,20 +117,12 @@ def _kernel(shape: tuple[int, ...], lam, theta) -> _Kernel:
     return _Kernel(shape, lam, theta)
 
 
-def _key(x):
-    """A float, or a tuple with one value per row, for the kernel cache."""
-    if isinstance(x, (float, tuple)):
-        return x
-    x = np.asarray(x, dtype=float)
-    return float(x) if x.ndim == 0 else tuple(x.ravel().tolist())
-
-
 def recurrence_rhs(m: np.ndarray, lam, theta, out: np.ndarray | None = None) -> np.ndarray:
     """Time derivative of the moment vectors (component 0 is zero).
 
     ``m`` is a float array of shape (..., order+1): one moment vector per
-    leading index.  ``lam`` and ``theta`` are floats, or one value per row
-    of a (B, order+1) batch, as a tuple or a (B, 1) array.  Each row's
+    leading index.  ``lam`` and ``theta`` are floats, or tuples with one
+    value per row of a (B, order+1) batch (they key a cache).  Each row's
     arithmetic does not depend on the others, so a row of a batch is
     bit-identical to the same row passed alone.  The derivative is written
     into ``out`` (same shape as ``m``, not overlapping it) when given, and
@@ -155,10 +148,7 @@ def recurrence_rhs(m: np.ndarray, lam, theta, out: np.ndarray | None = None) -> 
     order = m.shape[-1] - 1
     if order == 0:
         return out
-    try:
-        ker = _kernel(m.shape, lam, theta)
-    except TypeError:  # lam or theta an array: unhashable
-        ker = _kernel(m.shape, _key(lam), _key(theta))
+    ker = _kernel(m.shape, lam, theta)
     # theta n m_{n-1} - n m_n, written in place
     linear = out[..., 1:]
     np.multiply(ker.theta_n, m[..., :-1], linear)
@@ -290,13 +280,16 @@ def weighted_row_sums(x: np.ndarray) -> np.ndarray:
 
 def symmetric_binomial_moment(n: int, t: float) -> float:
     """Same moment written as the symmetric binomial average of the free
-    unitary Brownian motion moments: 4^{-n} sum_{k=-n}^{n} C(2n, n-k) h_{|k|}(2t)."""
+    unitary Brownian motion moments: sum_{k=-n}^{n} 4^{-n} C(2n, n-k) h_{|k|}(2t).
+    Each weight is one correctly rounded int/int division, so no term
+    overflows at any n."""
     if n == 0:
         return 1.0
     acc = 0.0
+    scale = 4**n
     for k in range(-n, n + 1):
-        acc += binomial(2 * n, n - k) * ubm_moment(abs(k), 2.0 * t)
-    return acc / 4.0**n
+        acc += math.comb(2 * n, n - k) / scale * ubm_moment(abs(k), 2.0 * t)
+    return acc
 
 
 def expansion_moments(

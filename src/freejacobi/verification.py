@@ -2,18 +2,18 @@
 
 Each suite returns a list of CheckResult records; the CLI ``verify``
 command and the acceptance test module both dispatch through
-``run_suite``, and the CLI ``series`` command calls the same ``check_*``
-functions the series and decomposition suites are built from, so there
-is exactly one implementation of every criterion and every tolerance.
+``run_suite``, and the CLI ``series`` and ``words`` commands call the same
+``check_*`` functions the suites are built from, so there is exactly one
+implementation of every criterion and every tolerance.  This module only
+computes: a check that produces a report carries it as ``table``, and the
+CLI writes it.
 """
 
 from __future__ import annotations
 
-import csv
 import inspect
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -45,6 +45,7 @@ class CheckResult:
     tolerance: float | None = None
     detail: str = ""
     diagnostic: bool = False  # reported, never gated: always passes
+    table: tuple[list[str], list[tuple]] | None = None  # (header, rows) of a report
 
     def line(self) -> str:
         status = "DIAG" if self.diagnostic else "PASS" if self.passed else "FAIL"
@@ -58,7 +59,8 @@ class CheckResult:
         return "  ".join(parts)
 
 
-def _check(suite, name, value=None, tol=None, detail="", passed=None) -> CheckResult:
+def _check(suite, name, value=None, tol=None, detail="", passed=None,
+           table=None) -> CheckResult:
     """The one constructor of a check.  It passes when ``value < tol`` (so
     a NaN value fails) unless the check states ``passed`` itself; with
     neither ``tol`` nor ``passed`` it is a diagnostic, which passes."""
@@ -69,6 +71,7 @@ def _check(suite, name, value=None, tol=None, detail="", passed=None) -> CheckRe
         suite=suite, name=name, passed=passed,
         value=None if value is None else float(value),
         tolerance=None if tol is None else float(tol), detail=detail, diagnostic=diagnostic,
+        table=table,
     )
 
 
@@ -77,6 +80,11 @@ def _worst(pairs) -> float:
     difference makes the result NaN, which fails every ``value < tol``
     (Python's ``max`` would drop it)."""
     return float(np.max([np.max(np.abs(np.subtract(a, b))) for a, b in pairs]))
+
+
+# a check function's results, with what it computed for export keyed by name
+# (series coefficients, or the rows of a table)
+Checked = tuple[list[CheckResult], dict]
 
 
 def _lambda_scan(lams, t_end: float, order: int):
@@ -91,23 +99,41 @@ def _lambda_scan(lams, t_end: float, order: int):
 # combinatorics / catalan
 # ---------------------------------------------------------------------------
 
-def suite_combinatorics() -> list[CheckResult]:
+#: largest order ``check_word_counts`` enumerates (4^8 = 65536 words)
+_BRUTE_MAX = 8
+
+
+def check_word_counts(n_max: int) -> Checked:
+    """Closed-form word counts for n = 1..n_max against 4^n enumeration up
+    to n = 8: (c, d, e) at every k <= n (at k = 0 the e-column is the empty
+    word's count c_0), the total 4^n and the odd-word total 2^(2n-1).  The
+    rows are (n, k, c, d, e) in closed form followed by the enumerated
+    (c, d, e), left empty past n = 8."""
+    if not 1 <= n_max <= comb.BRUTEFORCE_MAX_ORDER:
+        raise ValueError(f"word-count order must lie in 1..{comb.BRUTEFORCE_MAX_ORDER}"
+                         f" (4^n enumeration), got {n_max}")
     mismatches = 0
-    for n in range(1, 9):
-        table = comb.word_counts_bruteforce(n)
-        mismatches += table.total() != 4**n
+    rows = []
+    for n in range(1, n_max + 1):
+        brute = comb.word_counts_bruteforce(n) if n <= _BRUTE_MAX else None
+        if brute is not None:
+            mismatches += brute.total() != 4**n
+            mismatches += brute.odd_total() != 2 ** (2 * n - 1)
         for k in range(0, n + 1):
-            c_cl, d_cl, e_cl = comb.word_counts_closed(n, k)
-            mismatches += table.c(k) != c_cl
-            if k <= n - 1:
-                mismatches += table.d(k) != d_cl
-            if 1 <= k <= n - 1:
-                mismatches += table.e(k) != e_cl
-        mismatches += table.odd_total() != 2 ** (2 * n - 1)
-    return [
-        _check("combinatorics", "bruteforce-vs-closed-n<=8", mismatches,
-               detail="exact integer comparison incl. odd-word totals 2^(2n-1)",
-               passed=mismatches == 0),
+            closed = comb.word_counts_closed(n, k)
+            counts = ("", "", "")
+            if brute is not None:
+                counts = (brute.c(k), brute.d(k), brute.e(k) if k >= 1 else brute.c(0))
+                mismatches += sum(a != b for a, b in zip(counts, closed))
+            rows.append((n, k, *closed, *counts))
+    result = _check("combinatorics", f"bruteforce-vs-closed-n<={min(n_max, _BRUTE_MAX)}",
+                    mismatches, detail="exact integer comparison incl. odd-word totals 2^(2n-1)",
+                    passed=mismatches == 0)
+    return [result], {"rows": rows}
+
+
+def suite_combinatorics() -> list[CheckResult]:
+    return check_word_counts(_BRUTE_MAX)[0] + [
         _check("combinatorics", "pascal-combination-n<=20", detail="exact",
                passed=comb.pascal_combination_holds(20)),
         _check("combinatorics", "closed-recurrences-n<=20", detail="exact",
@@ -184,9 +210,6 @@ def suite_routes() -> list[CheckResult]:
 # CLI ``series`` command; each returns its results together with the
 # coefficients it computed, keyed by series name, for export
 # ---------------------------------------------------------------------------
-
-Checked = tuple[list[CheckResult], dict[str, np.ndarray]]
-
 
 def _require_order(order: int) -> None:
     if order < 1:
@@ -419,13 +442,17 @@ def suite_oracle(dim: int = 256, steps: int = 200, trials: int = 8,
 # general-theta diagnostic
 # ---------------------------------------------------------------------------
 
-def suite_general_theta(outdir: str | Path | None = None,
-                        oracle_dim: int = 128, oracle_steps: int = 100,
+GENERAL_THETA_COLUMNS = ["kind", "theta", "t", "n", "expansion", "reference", "abs_diff",
+                         "flagged"]
+
+
+def suite_general_theta(oracle_dim: int = 128, oracle_steps: int = 100,
                         oracle_trials: int = 6, seed: int = 11) -> list[CheckResult]:
     """Diagnostic, not a hard gate: compares the expansion route at
     theta = 0.75 against the ODE hierarchy and the Bernoulli oracle,
-    writes a report, and requires only that the theta = 1/2 row agrees
-    and that discrepancies elsewhere are quantified and flagged (the
+    carries the comparison as the ``report-produced`` check's table
+    (``GENERAL_THETA_COLUMNS``), and requires only that the theta = 1/2 row
+    agrees and that discrepancies elsewhere are quantified and flagged (the
     asymmetric-weight trace system is an open question; see the module
     notes in special_functions).
     """
@@ -445,16 +472,8 @@ def suite_general_theta(outdir: str | Path | None = None,
     for t, exp_m, ode_m in routes:
         for n in range(1, 7):
             diff = abs(exp_m[n] - ode_m[n])
-            rows.append({
-                "kind": "moments",
-                "theta": theta,
-                "t": t,
-                "n": n,
-                "expansion": f"{exp_m[n]:.12g}",
-                "reference": f"{ode_m[n]:.12g}",
-                "abs_diff": f"{diff:.6g}",
-                "flagged": not diff <= 1e-6,  # a NaN difference is flagged
-            })
+            rows.append(("moments", theta, t, n, f"{exp_m[n]:.12g}", f"{ode_m[n]:.12g}",
+                         f"{diff:.6g}", not diff <= 1e-6))  # a NaN difference is flagged
 
     bern = orc.empirical_jacobi_moments(
         orc.OracleConfig(dim=oracle_dim, t_end=1.0, steps=oracle_steps,
@@ -470,33 +489,16 @@ def suite_general_theta(outdir: str | Path | None = None,
         bound = 3.0 * bern.stderrs[k] + 4.0 / oracle_dim
         flagged = not diff <= bound
         oracle_flags += flagged
-        rows.append({
-            "kind": "bernoulli-oracle",
-            "theta": theta,
-            "t": 1.0,
-            "n": k,
-            "expansion": f"{predicted:.12g}",
-            "reference": f"{bern.estimates[k]:.12g} (se {bern.stderrs[k]:.3g})",
-            "abs_diff": f"{diff:.6g}",
-            "flagged": flagged,
-        })
+        rows.append(("bernoulli-oracle", theta, 1.0, k, f"{predicted:.12g}",
+                     f"{bern.estimates[k]:.12g} (se {bern.stderrs[k]:.3g})", f"{diff:.6g}",
+                     flagged))
 
-    report_path = None
-    if outdir is not None:
-        Path(outdir).mkdir(parents=True, exist_ok=True)
-        report_path = Path(outdir) / "general_theta_report.csv"
-        with open(report_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-
-    flagged_rows = sum(1 for r in rows if r["flagged"])
+    flagged_rows = sum(1 for row in rows if row[-1])
     out.append(_check("general-theta", "report-produced", len(rows), detail=(
         f"{flagged_rows} of {len(rows)} rows flagged"
         f" (max ODE-vs-expansion discrepancy {max_disc:.3g};"
         f" {oracle_flags} oracle rows outside budget)"
-        + (f"; written to {report_path.name}" if report_path else "")
-    )))
+    ), table=(GENERAL_THETA_COLUMNS, rows)))
     return out
 
 
@@ -531,11 +533,15 @@ def suite_parameters(name: str) -> set[str]:
 def run_suite(name: str, **kwargs) -> list[CheckResult]:
     """Dispatch one suite (or 'all').  Each keyword argument goes to the
     suites whose signature names it: the oracle sizing (dim/steps/trials/
-    seed) to the oracle suite, ``outdir`` (and ``seed``) to general-theta."""
+    seed) to the oracle suite, ``seed`` and the ``oracle_*`` sizing to
+    general-theta.  A keyword no suite of ``name`` takes is a TypeError."""
+    unknown = set(kwargs) - suite_parameters(name)
+    if unknown:
+        raise TypeError(f"no suite of {name!r} takes {', '.join(sorted(unknown))}")
     if name == "all":
-        return [r for key in _SUITES for r in run_suite(key, **kwargs)]
-    accepted = suite_parameters(name)
-    return _SUITES[name](**{k: v for k, v in kwargs.items() if k in accepted})
+        return [r for key in _SUITES for r in run_suite(
+            key, **{k: v for k, v in kwargs.items() if k in suite_parameters(key)})]
+    return _SUITES[name](**kwargs)
 
 
 def suite_names() -> tuple[str, ...]:

@@ -70,9 +70,10 @@ def test_criterion_9_matrix_oracle():
     _run("oracle", dim=256, steps=200, trials=8)
 
 
-def test_criterion_10_general_theta_diagnostic(tmp_path):
-    results = _run("general-theta", outdir=tmp_path)
-    assert (tmp_path / "general_theta_report.csv").exists()
+def test_criterion_10_general_theta_diagnostic():
+    results = _run("general-theta")
     report = [r for r in results if r.name == "report-produced"]
     assert report and "flagged" in report[0].detail
     assert report[0].line().startswith("DIAG")
+    header, rows = report[0].table
+    assert len(rows) == 58 and all(len(row) == len(header) for row in rows)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from freejacobi import verification
+from freejacobi import combinatorics, verification
 from freejacobi.cli import main
 
 
@@ -133,6 +133,21 @@ def test_words_table(tmp_path):
     assert "2,1,3,1,1,3,1,1" in lines
 
 
+def test_wrong_closed_word_count_fails_words_and_the_suite(tmp_path, monkeypatch, capsys):
+    original = combinatorics.word_counts_closed
+
+    def off_by_one(n, k):
+        c, d, e = original(n, k)
+        return (c, d + 1, e) if (n, k) == (2, 1) else (c, d, e)
+
+    monkeypatch.setattr(combinatorics, "word_counts_closed", off_by_one)
+    assert run_cli(tmp_path, "words", "--n", "3") == 1
+    assert "FAIL  combinatorics/bruteforce-vs-closed-n<=3" in capsys.readouterr().out
+    assert "2,1,3,2,1,3,1,1" in (tmp_path / "word_counts.csv").read_text().splitlines()
+    results = {r.name: r for r in verification.run_suite("combinatorics")}
+    assert not results["bruteforce-vs-closed-n<=8"].passed
+
+
 def test_words_cap(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, "words", "--n", "13")
@@ -173,6 +188,19 @@ def test_verify_catalan(tmp_path, capsys):
     manifest = json.loads((tmp_path / "verify_manifest.json").read_text())
     assert manifest["parameters"] == {"suite": "catalan"}
     assert [out["path"] for out in manifest["outputs"]] == ["verify_report.csv"]
+
+
+def test_verify_general_theta_writes_its_report(tmp_path):
+    with redirect_stdout(io.StringIO()):
+        assert run_cli(tmp_path, "verify", "--suite", "general-theta") == 0
+    report = tmp_path / "general_theta_report.csv"
+    lines = report.read_text().splitlines()
+    assert len(lines) == 59
+    assert lines[0] == ",".join(verification.GENERAL_THETA_COLUMNS)
+    manifest = json.loads((tmp_path / "verify_manifest.json").read_text())
+    digests = {out["path"]: out["sha256"] for out in manifest["outputs"]}
+    assert list(digests) == ["verify_report.csv", "general_theta_report.csv"]
+    assert digests[report.name] == hashlib.sha256(report.read_bytes()).hexdigest()
 
 
 def test_verify_unknown_suite(tmp_path):

@@ -128,6 +128,11 @@ class TestClosedForm:
             closed_form_moment(n, t), abs=1e-12
         )
 
+    @pytest.mark.parametrize("n", [512, 600])
+    def test_symmetric_binomial_identity_past_order_511(self, n):
+        # 4.0**n overflows float64 from n = 512; the weights must not
+        assert abs(symmetric_binomial_moment(n, 1.0) - closed_form_moments(1.0, n)[n]) < 1e-12
+
 
 class TestExpansion:
     def test_theta_half_reduces_to_closed_form(self):
@@ -281,14 +286,14 @@ def convolve_rhs(m, lam, theta):
 def test_batched_rhs_matches_convolution(order):
     rng = np.random.default_rng(order)
     m = np.concatenate([np.ones((4, 1)), rng.uniform(-1, 1, (4, order))], axis=1)
-    lam = rng.uniform(0.1, 1.9, (4, 1))
-    theta = rng.uniform(0.05, 0.5, (4, 1))
+    lam = tuple(rng.uniform(0.1, 1.9, 4).tolist())
+    theta = tuple(rng.uniform(0.05, 0.5, 4).tolist())
     batched = recurrence_rhs(m, lam, theta)
     assert batched.shape == m.shape
     for b in range(4):
-        ref = convolve_rhs(m[b], lam[b, 0], theta[b, 0])
+        ref = convolve_rhs(m[b], lam[b], theta[b])
         assert np.max(np.abs(batched[b] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
-        assert np.array_equal(recurrence_rhs(m[b], lam[b, 0], theta[b, 0]), batched[b])
+        assert np.array_equal(recurrence_rhs(m[b], lam[b], theta[b]), batched[b])
 
 
 @st.composite

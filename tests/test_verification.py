@@ -1,7 +1,6 @@
 """Every check can fail: the check constructor at and past its tolerance,
 and NaN injected into one input of a suite."""
 
-import csv
 import math
 
 import numpy as np
@@ -89,7 +88,7 @@ def test_nan_drift_in_one_trial_fails_the_drift_gate(monkeypatch):
     assert np.isnan(drift.value)
 
 
-def test_nan_general_theta_row_is_flagged(monkeypatch, tmp_path):
+def test_nan_general_theta_row_is_flagged(monkeypatch):
     original = verification.expansion_moments
 
     def poisoned(theta, t, order, **kwargs):
@@ -99,24 +98,28 @@ def test_nan_general_theta_row_is_flagged(monkeypatch, tmp_path):
         return out
 
     monkeypatch.setattr(verification, "expansion_moments", poisoned)
-    verification.run_suite("general-theta", outdir=tmp_path, oracle_dim=8,
-                           oracle_steps=2, oracle_trials=2)
-    with open(tmp_path / "general_theta_report.csv", newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    row = next(r for r in rows
-               if (r["kind"], r["t"], r["n"]) == ("moments", "1.0", "3"))
+    results = {r.name: r for r in verification.run_suite(
+        "general-theta", oracle_dim=8, oracle_steps=2, oracle_trials=2)}
+    header, rows = results["report-produced"].table
+    row = dict(zip(header, next(r for r in rows if r[:4] == ("moments", 0.75, 1.0, 3))))
     assert row["abs_diff"] == "nan"
-    assert row["flagged"] == "True"
+    assert row["flagged"] is True
 
 
-def test_general_theta_details_do_not_depend_on_the_outdir(tmp_path):
-    details = [
-        [r.detail for r in verification.run_suite(
-            "general-theta", outdir=tmp_path / sub, oracle_dim=8, oracle_steps=2,
-            oracle_trials=2)]
-        for sub in ("a", "b")
-    ]
-    assert details[0] == details[1]
+def test_general_theta_suite_writes_no_file(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    results = verification.run_suite("general-theta", oracle_dim=8, oracle_steps=2,
+                                     oracle_trials=2)
+    assert list(tmp_path.iterdir()) == []
+    header, rows = results[-1].table
+    assert header == verification.GENERAL_THETA_COLUMNS and len(rows) == 58
+
+
+def test_unknown_suite_keyword_is_rejected():
+    with pytest.raises(TypeError, match="outdir"):
+        verification.run_suite("general-theta", outdir=".")
+    with pytest.raises(TypeError, match="dim"):
+        verification.run_suite("catalan", dim=8)
 
 
 def test_suite_parameters_are_the_union_of_signatures():
