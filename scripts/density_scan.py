@@ -29,7 +29,7 @@ def main():
             grid = density_lambda1(
                 t, num_points=args.grid_points, fourier_terms=args.terms
             )
-            for x, f, raw in zip(grid.xs, grid.values, grid.signed_values()):
+            for x, f, raw in zip(grid.xs, grid.values, grid.raw_values):
                 writer.writerow([f"{x:.10g}", t, f"{f:.10g}", int(raw < 0)])
             print(
                 f"t={t}: min {grid.values.min():.4g}, max {grid.values.max():.4g},"

@@ -137,7 +137,7 @@ def _write_density(args, grid, stem: str, parameters: dict) -> None:
     )
     rows = [
         (_fmt(x), _fmt(f), *fixed, str(int(raw < 0.0)))
-        for x, f, raw in zip(grid.xs, grid.values, grid.signed_values())
+        for x, f, raw in zip(grid.xs, grid.values, grid.raw_values)
     ]
     atoms = [(_fmt(loc), _fmt(mass)) for loc, mass in grid.atoms]
     outputs = {
@@ -205,8 +205,10 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_s_system(args) -> int:
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     times, states = s_trajectory(args.theta, args.t, args.order, h=args.step)
-    stride = max(1, len(times) // max(1, args.samples))
+    stride = max(1, len(times) // args.samples)
     closed = s_closed_theta_half if args.theta == 0.5 else None
     rows = []
     for j in range(0, len(times), stride):

@@ -166,7 +166,7 @@ def recurrence_rhs(m: np.ndarray, lam, theta, out: np.ndarray | None = None) -> 
 
 @dataclass
 class MomentTrajectory:
-    """Time-indexed moment vectors with the integration metadata.
+    """Time-indexed moment vectors of one parameter set.
 
     ``values[j]`` is (m_0, ..., m_order) at ``times[j]``.
     """
@@ -175,8 +175,6 @@ class MomentTrajectory:
     order: int
     times: np.ndarray
     values: np.ndarray
-    step: float
-    method: str = "rk4"
 
     def index_of(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -188,10 +186,6 @@ class MomentTrajectory:
 
     def at(self, t: float) -> np.ndarray:
         return self.values[self.index_of(t)]
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
 
 
 def integrate_moments_batch(
@@ -226,7 +220,7 @@ def integrate_moments_batch(
     times, states = rk4(rhs, y0, t_end, h)
     states = states.reshape(times.size, len(params_seq), order + 1)
     return [
-        MomentTrajectory(params=p, order=order, times=times, values=states[:, b], step=h)
+        MomentTrajectory(params=p, order=order, times=times, values=states[:, b])
         for b, p in enumerate(params_seq)
     ]
 
@@ -262,6 +256,8 @@ def closed_form_moments(t: float, order: int) -> np.ndarray:
     h_k(2t) = L_{k-1}^1(2kt) e^{-kt} / k, finite for every t >= 0 and
     every order (see ``rho_coefficients``).
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     h = rho_coefficients(2.0 * t, t, order)  # h[0] = 0: the k = 0 term is W[n, 0]
     return symmetric_weights(order)[:, 0] + 2.0 * weighted_row_sums(h)
 
@@ -364,14 +360,7 @@ def complement_moments(
     out[:, 0] = 1.0
     out[:, 1:] = (tau_q + (tau_p * source.values[:, 1:]) @ signs) / norm
     params = ProcessParams(lam=lambda_prime, theta=0.5, init_mode="nested_P_ge_Q")
-    return MomentTrajectory(
-        params=params,
-        order=order,
-        times=source.times.copy(),
-        values=out,
-        step=source.step,
-        method="complement",
-    )
+    return MomentTrajectory(params=params, order=order, times=source.times.copy(), values=out)
 
 
 def lambda_scaling_residual(

@@ -18,17 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .special_functions import ubm_moment_vector
-from .transforms import (
-    cauchy_stationary_eval,
-    stationary_support,
-    stationary_transform_params,
-)
+from .transforms import stationary_support, stationary_transform_params
 
-ATOM_THRESHOLD = 1e-10
 FEJER_TIME_CUTOFF = 0.5
 
 
@@ -36,28 +32,31 @@ FEJER_TIME_CUTOFF = 0.5
 class DensityGrid:
     """Sampled density on (0, 1) with quadrature weights and atom list.
 
-    ``values`` are clipped at zero for presentation and export; the signed
-    reconstruction is kept in ``raw_values`` (quadrature integrates the
-    signed values: truncated Fourier oscillation cancels exactly under the
-    arc rule, whereas integrating the clipped values would bias the mass
-    by the clipped amount).  The most negative pre-clip value is recorded
-    in ``preclip_min`` so Gibbs artifacts stay visible.
+    ``raw_values`` is the signed reconstruction and the one stored array:
+    quadrature integrates it (truncated Fourier oscillation cancels exactly
+    under the arc rule, whereas integrating the clipped values would bias
+    the mass by the clipped amount).  ``values`` clips it at zero for
+    presentation and export, and ``preclip_min`` is its most negative
+    value, so Gibbs artifacts stay visible.
     """
 
     xs: np.ndarray
-    values: np.ndarray
+    raw_values: np.ndarray
     weights: np.ndarray
     atoms: list[tuple[float, float]]
     rule: str
     params: dict = field(default_factory=dict)
-    preclip_min: float = 0.0
-    raw_values: np.ndarray | None = None
 
-    def signed_values(self) -> np.ndarray:
-        return self.values if self.raw_values is None else self.raw_values
+    @property
+    def values(self) -> np.ndarray:
+        return np.clip(self.raw_values, 0.0, None)
+
+    @property
+    def preclip_min(self) -> float:
+        return float(self.raw_values.min())
 
     def total_mass(self) -> float:
-        cont = float(np.dot(self.weights, self.signed_values()))
+        cont = float(np.dot(self.weights, self.raw_values))
         return cont + sum(m for _, m in self.atoms)
 
 
@@ -99,6 +98,8 @@ def density_lambda1(
     """
     if t <= 0:
         raise ValueError("density requires t > 0 (the t = 0 law is an atom at 1)")
+    if fourier_terms < 1:
+        raise ValueError("need at least one Fourier term")
     if fejer not in ("auto", "on", "off"):
         raise ValueError("fejer must be one of auto|on|off")
     use_fejer = fejer == "on" or (fejer == "auto" and t < FEJER_TIME_CUTOFF)
@@ -113,11 +114,9 @@ def density_lambda1(
     phi = 2.0 * np.arccos(np.sqrt(xs))
     series = 1.0 + 2.0 * (np.cos(np.outer(phi, k)) @ coeffs)
     raw = series / (math.pi * np.sqrt(xs * (1.0 - xs)))
-    preclip_min = float(raw.min())
-    values = np.clip(raw, 0.0, None)
     return DensityGrid(
         xs=xs,
-        values=values,
+        raw_values=raw,
         weights=weights,
         atoms=[],
         rule="arc-midpoint[0,1]",
@@ -127,37 +126,22 @@ def density_lambda1(
             "t": t,
             "fourier_terms": fourier_terms,
             "fejer": use_fejer,
-            "support": (0.0, 1.0),
         },
-        preclip_min=preclip_min,
-        raw_values=raw,
     )
 
 
 def atom_masses(lam: float, theta: float = 0.5) -> list[tuple[float, float]]:
-    """Masses of the stationary law at 0 and 1 from Cauchy residues.
+    """Masses of the stationary law at 0 and 1: the residues of the closed
+    Cauchy transform, max(0, (lam - 1)/lam) and
+    max(0, (lam theta + theta - 1)/(lam theta)).
 
-    Each residue is the limit of (z - pole) G(z) along real points
-    approaching the pole from outside the support, accelerated by one
-    Richardson step; magnitudes below 1e-10 are reported as exact zeros.
+    Each numerator is one rounding of its exact value, so its sign, and with
+    it whether the atom exists, is exact: at theta = 1/2 both masses are
+    exactly 0.0 for every lam <= 1.
     """
-    lo, hi = stationary_support(lam, theta)
-
-    def limit(pole: float, direction: float, gap: float) -> float:
-        def probe(eps: float) -> float:
-            z = pole + direction * eps
-            return ((z - pole) * cauchy_stationary_eval(lam, theta, z)).real
-
-        # probe scale well inside the gap to the support, so the expansion
-        # (z - pole) G = mass + c1 eps + c2 eps^2 + ... is in its radius;
-        # the 3-point Richardson combination cancels both eps and eps^2
-        eps = min(1e-7, 1e-3 * gap)
-        rich = (8.0 * probe(eps) - 6.0 * probe(2.0 * eps) + probe(4.0 * eps)) / 3.0
-        return rich if abs(rich) > ATOM_THRESHOLD else 0.0
-
-    mass0 = limit(0.0, -1.0, lo) if lo > 0 else 0.0
-    mass1 = limit(1.0, +1.0, 1.0 - hi) if hi < 1 else 0.0
-    return [(0.0, mass0), (1.0, mass1)]
+    at0 = lam - 1.0
+    at1 = float(Fraction(theta) * (Fraction(lam) + 1) - 1)
+    return [(0.0, max(0.0, at0 / lam)), (1.0, max(0.0, at1 / (lam * theta)))]
 
 
 def stationary_density(lam: float, num_points: int = 999) -> DensityGrid:
@@ -165,8 +149,8 @@ def stationary_density(lam: float, num_points: int = 999) -> DensityGrid:
 
     The continuous part is the Stieltjes inversion of the closed Cauchy
     transform, f(x) = sqrt(B x - r^2 x^2 - C^2) / (2 pi x (1 - x)) on the
-    interval where the radicand is positive, zero outside; atoms at 0 and
-    1 come from residues and are reported even when zero.
+    interval where the radicand is positive, zero outside; the atoms at 0
+    and 1 (``atom_masses``) are reported even when zero.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("lambda must lie in (0, 1]")
@@ -184,12 +168,11 @@ def stationary_density(lam: float, num_points: int = 999) -> DensityGrid:
     )
     return DensityGrid(
         xs=xs,
-        values=values,
+        raw_values=values,
         weights=weights,
         atoms=atom_masses(lam, theta),
         rule=f"arc-midpoint[{lo:.6g},{hi:.6g}]",
-        params={"lambda": lam, "theta": theta, "t": math.inf, "support": (lo, hi)},
-        preclip_min=float(values.min()),
+        params={"lambda": lam, "theta": theta, "t": math.inf},
     )
 
 
@@ -200,7 +183,7 @@ def quadrature_moments(grid: DensityGrid, n_max: int) -> np.ndarray:
     signed reconstruction, plus the atom contributions.
     """
     powers = np.vander(grid.xs, n_max + 1, increasing=True).T  # row n = xs**n
-    cont = powers @ (grid.weights * grid.signed_values())
+    cont = powers @ (grid.weights * grid.raw_values)
     atoms = np.zeros(n_max + 1)
     for loc, mass in grid.atoms:
         atoms += mass * np.array([loc**n for n in range(n_max + 1)])

@@ -307,12 +307,14 @@ def suite_series() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def suite_decomposition() -> list[CheckResult]:
+    # t_end leaves room for the evolution-equation stencil at t = 1 +/- 1e-3
+    lams = (0.3, 0.6, 0.9, 0.99, 0.999)
+    trajs = dict(zip(lams, _lambda_scan(lams, 1.0 + 1e-3, 10)))
     decomps = []
     c3_pairs = []
-    lams = (0.3, 0.6, 0.9)
-    for lam, traj in zip(lams, _lambda_scan(lams, 1.0, 10)):
+    for lam in (0.3, 0.6, 0.9):
         for t in (0.5, 1.0):
-            d = dec.decomposition_u(lam, t, 10, traj)
+            d = dec.decomposition_u(lam, t, 10, trajs[lam])
             decomps.append(d)
             c3_pred = -((1 - lam) / 32.0) * (
                 2 * lam * math.exp(-3 * t) + 3 * (1 - lam) * math.exp(-t)
@@ -321,18 +323,13 @@ def suite_decomposition() -> list[CheckResult]:
     out = decomposition_c12(decomps, "lam in {0.3,0.6,0.9}, t in {0.5,1}")
     out.append(_check("decomposition", "c3-closed-form", _worst(c3_pairs), 1e-6))
 
-    maxima = {}
-    lams = (0.9, 0.99, 0.999)
-    for lam, traj in zip(lams, _lambda_scan(lams, 1.0, 10)):
-        d = dec.decomposition_u(lam, 1.0, 10, traj)
-        maxima[lam] = float(np.max(np.abs(d.c)))
+    maxima = {lam: float(np.max(np.abs(dec.decomposition_u(lam, 1.0, 10, trajs[lam]).c)))
+              for lam in (0.9, 0.99, 0.999)}
     out.append(_check("decomposition", "remainder-small-near-lam-1", maxima[0.99], 0.02,
                       f"max|c_n| decreasing: {maxima}",
                       passed=maxima[0.99] < 0.02 and maxima[0.9] > maxima[0.99] > maxima[0.999]))
 
-    params = ProcessParams(lam=0.6, theta=0.5)
-    traj = integrate_moments(params, 1.0 + 1e-3, order=10)
-    res = dec.general_evolution_residual(0.6, 1.0, (4, 8), traj, order=10)
+    res = dec.general_evolution_residual(0.6, 1.0, (4, 8), trajs[0.6], order=10)
     out.append(_check("decomposition", "evolution-equation-n-4-to-8",
                       float(np.max(res)), 1e-5, "lam=0.6, t=1"))
 
@@ -460,13 +457,14 @@ def suite_general_theta(oracle_dim: int = 128, oracle_steps: int = 100,
     rows = []
     t_grid = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
 
-    base = integrate_moments(ProcessParams(lam=1.0, theta=0.5), 2.0, order=6)
+    theta = 0.75
+    base, traj = integrate_moments_batch(
+        [ProcessParams(lam=1.0, theta=0.5), ProcessParams(lam=1.0, theta=theta)], 2.0, order=6
+    )
     worst_half = _worst((expansion_moments(0.5, t, 6), base.at(t)) for t in t_grid)
     out.append(_check("general-theta", "theta-half-sanity", worst_half, 1e-8,
                       "expansion vs ODE at theta=1/2, n<=6, t<=2"))
 
-    theta = 0.75
-    traj = integrate_moments(ProcessParams(lam=1.0, theta=theta), 2.0, order=6)
     routes = [(t, expansion_moments(theta, t, 6, h=2e-4), traj.at(t)) for t in t_grid]
     max_disc = _worst((exp_m[1:], ode_m[1:]) for _, exp_m, ode_m in routes)
     for t, exp_m, ode_m in routes:

@@ -88,6 +88,13 @@ def test_stationary_density_outputs(tmp_path):
     assert atoms[2] == "1,0"
 
 
+def test_stationary_density_next_to_lambda_one(tmp_path):
+    code = run_cli(tmp_path, "stationary-density", "--lambda", "0.999999")
+    assert code == 0
+    atoms = (tmp_path / "stationary_density_atoms.csv").read_text().splitlines()
+    assert atoms[1:] == ["0,0", "1,0"]
+
+
 def test_series_checks(tmp_path):
     for check in ("alpha", "rho", "mgf"):
         code = run_cli(tmp_path, "series", "--check", check, "--order", "16")
@@ -223,6 +230,32 @@ def test_s_system_nonpositive_step_exits_2(tmp_path, step):
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, "s-system", "--step", step)
     assert exc.value.code == 2
+
+
+def test_moments_closed_form_negative_order_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "moments", "--t", "1", "--method", "closed-form", "--order", "-1")
+    assert exc.value.code == 2
+    assert "order must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "moments.csv").exists()
+
+
+@pytest.mark.parametrize("terms", ["0", "-1"])
+def test_density_without_fourier_terms_exits_2(tmp_path, capsys, terms):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "density", "--t", "1", "--terms", terms)
+    assert exc.value.code == 2
+    assert "at least one Fourier term" in capsys.readouterr().err
+    assert not (tmp_path / "density.csv").exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_s_system_samples_below_one_exits_2(tmp_path, capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "s-system", "--samples", samples)
+    assert exc.value.code == 2
+    assert "--samples must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "s_system.csv").exists()
 
 
 def test_manifest_start_precedes_the_work(tmp_path):

@@ -174,14 +174,7 @@ def test_s_pde_residual_trivial_for_stationary_input():
     params = ProcessParams(lam=lam, theta=0.5)
     m_inf = stationary_mgf(lam, 10).coeffs
     times = 0.999 + np.arange(11) * 1e-4
-    traj = MomentTrajectory(
-        params=params,
-        order=10,
-        times=times,
-        values=np.tile(m_inf, (11, 1)),
-        step=1e-4,
-        method="synthetic",
-    )
+    traj = MomentTrajectory(params=params, order=10, times=times, values=np.tile(m_inf, (11, 1)))
     assert dec.pde_residual_S(traj, 0.9995, 10) == 0.0
 
 
