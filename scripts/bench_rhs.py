@@ -6,9 +6,8 @@ B = 1 and 3 rows at orders 8 and 32, called as ``integrate_moments_batch``
 calls it: B = 1 as a flat vector with float parameters, B = 3 with one
 parameter per row as a tuple, both writing into a preallocated ``out``;
 the median microseconds per RK4 step of the density suite's batch
-(lambda in {0.4, 0.6, 0.8}, theta = 1/2, order 8) and of the single-row
-order-32 integration behind ``series --check pde`` (lambda = 1,
-theta = 1/2, h = 1e-4), each timed over 2000 steps of
+(lambda in {0.4, 0.6, 0.8}, theta = 1/2, order 8) and of a single-row
+order-32 integration (lambda = 1, theta = 1/2), each timed over 2000 steps of
 ``integrate_moments_batch``; then the wall time of the density suite's
 three-lambda integration (order 8, t = 30, h = 1e-3) run as one batch and
 as three single runs.  Plain ``perf_counter``; set OPENBLAS_NUM_THREADS=1
@@ -75,8 +74,8 @@ def main():
     params = [ProcessParams(lam=lam, theta=0.5) for lam in LAMBDAS]
     us = per_step_us(params, 8, 1e-3, args.repeats)
     print(f"rk4 step  density batch  B=3  order= 8  {us:7.2f} us/step")
-    us = per_step_us([ProcessParams(lam=1.0, theta=0.5)], 32, 1e-4, args.repeats)
-    print(f"rk4 step  series pde     B=1  order=32  {us:7.2f} us/step")
+    us = per_step_us([ProcessParams(lam=1.0, theta=0.5)], 32, 1e-3, args.repeats)
+    print(f"rk4 step  single row     B=1  order=32  {us:7.2f} us/step")
 
     start = perf_counter()
     integrate_moments_batch(params, args.t, order=8)

@@ -50,8 +50,8 @@ INIT_FLAGS = {
 OUTDIR_ENV = "FREEJACOBI_OUTDIR"
 
 
-def _fmt(x: float, pattern: str = "%.12g") -> str:
-    return pattern % x
+def _fmt(x: float) -> str:
+    return "%.12g" % x
 
 
 def _check_report(results) -> tuple[tuple, tuple | None]:

@@ -52,11 +52,6 @@ def stationary_moment(n: int) -> Fraction:
     return Fraction(math.comb(2 * n, n), 4**n)
 
 
-def stationary_difference(k: int) -> Fraction:
-    """m_k - m_{k+1} for the stationary moments; equals C_k / 2**(2k+1)."""
-    return stationary_moment(k) - stationary_moment(k + 1)
-
-
 def verify_catalan_identity(n_max: int) -> tuple[bool, int | None]:
     """Check m_n = sum_{k<n} m_{n-k-1} (m_k - m_{k+1}) in exact rationals.
 

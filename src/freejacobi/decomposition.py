@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import MomentTrajectory, closed_form_moments, weighted_row_sums
+from .moments import MomentTrajectory, closed_form_moments, recurrence_rhs, weighted_row_sums
 from .series import TruncatedSeries, geometric, one_minus_z
 from .special_functions import rho_coefficients
-from .transforms import FD_DELTA, alpha_series, radical_series, stationary_mgf
+from .transforms import FD_DELTA, alpha_series, radical_series, richardson_dt, stationary_mgf
 from .transforms import transport_residual
 
 
@@ -230,23 +230,21 @@ def pde_residual_S(trajectory: MomentTrajectory, t: float, order: int) -> float:
     with S_t = M_t - M_inf and R the radical series, normalized per
     coefficient.
 
-    The Richardson stencil reads the trajectory at t, t +/- FD_DELTA and
-    t +/- 2 FD_DELTA, so the integration step must divide FD_DELTA.
+    Only the state at t is read: d/dt S_t = d/dt M_t is the moment
+    recurrence at that state, exactly.
     """
     lam = trajectory.params.lam
     if trajectory.params.theta != 0.5:
         raise ValueError("the S equation is specialized to theta = 1/2")
     if trajectory.order < order:
         raise ValueError("trajectory order too small")
-    m_inf = stationary_mgf(lam, order).coeffs
-
-    def s_at(u: float) -> TruncatedSeries:
-        return TruncatedSeries(trajectory.at(u)[: order + 1] - m_inf)
+    m_t = trajectory.at(t)[: order + 1]
+    s_t = TruncatedSeries(m_t - stationary_mgf(lam, order).coeffs)
 
     def flux(s: TruncatedSeries) -> TruncatedSeries:
         return one_minus_z(order) * s * s * lam + radical_series(lam, order) * s
 
-    return transport_residual(s_at, flux, t, order, 2.0 * FD_DELTA)
+    return transport_residual(recurrence_rhs(m_t, lam, 0.5), s_t, flux, order)
 
 
 def general_evolution_residual(
@@ -262,22 +260,20 @@ def general_evolution_residual(
                        + lambda ((1-z) u^2)_n ] + Z_n(t)
 
     where u = sum c_k z^k and psi-series = v_t/sqrt(1-z), all truncated at
-    ``order``.  c_n'(t) is a centered difference of the decomposition at
-    t +/- 1e-3, so ``trajectory`` must reach t + 1e-3.  Note the
-    2 lambda weight on the cross term: the plain rearrangement of the
-    S-equation fixes this factor, and the residual check only passes with
-    it (and with the corrected sign of Z_t).
+    ``order``.  c_n' = m_n' - psi_n': m_n' is the moment recurrence at the
+    trajectory's state at t, and psi_n', closed-form in t, comes from
+    ``richardson_dt``.  Note the 2 lambda weight on the cross term: the
+    plain rearrangement of the S-equation fixes this factor, and the
+    residual check only passes with it (and with the corrected sign of Z_t).
     """
     n_lo, n_hi = n_range
-    delta = 1e-3
-    dec_mid = decomposition_u(lam, t, order, trajectory)
-    dec_hi = decomposition_u(lam, t + delta, order, trajectory)
-    dec_lo = decomposition_u(lam, t - delta, order, trajectory)
-    c_dot = (dec_hi.c - dec_lo.c) / (2.0 * delta)
+    dec_t = decomposition_u(lam, t, order, trajectory)
+    m_dot = recurrence_rhs(trajectory.at(t)[: order + 1], lam, 0.5)
+    c_dot = m_dot - richardson_dt(lambda u: psi_series(lam, u, order), t, FD_DELTA)
 
-    u = TruncatedSeries(dec_mid.c)
-    psi = TruncatedSeries(dec_mid.psi)
-    radical = TruncatedSeries(dec_mid.gamma)
+    u = TruncatedSeries(dec_t.c)
+    psi = TruncatedSeries(dec_t.psi)
+    radical = TruncatedSeries(dec_t.gamma)
     omz = one_minus_z(order)
     flux = radical * u + (omz * u * psi) * (2.0 * lam) + (omz * u * u) * lam
     z_coeffs = source_series(lam, t, order).coeffs

@@ -59,8 +59,10 @@ class OracleConfig:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("matrix dimension must be >= 2")
-        if self.steps < 1 or self.trials < 1:
-            raise ValueError("steps and trials must be >= 1")
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if self.trials < 2:
+            raise ValueError("trials must be >= 2: the standard error needs two")
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
         if self.mode not in MODES:
@@ -201,13 +203,6 @@ def _unitary_endpoint(rng: np.random.Generator, dim: int, t_end: float, steps: i
     return u
 
 
-def simulate_unitary_bm(dim: int, t_end: float, steps: int, seed: int) -> np.ndarray:
-    """Endpoint of one unitary Brownian motion path (single trial)."""
-    if dim < 2 or steps < 1:
-        raise ValueError("need dim >= 2 and steps >= 1")
-    return _unitary_endpoint(_trial_rng(seed, 0), dim, t_end, steps)
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     dim = u.shape[0]
     return float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
@@ -260,10 +255,7 @@ def empirical_jacobi_moments(config: OracleConfig) -> OracleRun:
         trial_seconds.append(time.perf_counter() - trial_start)
         trial_drift.append(drift)
     mean = per_trial.mean(axis=0)
-    if config.trials > 1:
-        stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(config.trials)
-    else:
-        stderr = np.full(len(config.orders), math.nan)
+    stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(config.trials)
     rank_info = {}
     if config.mode in ("nested", "orthogonal"):
         rank_info = {

@@ -23,9 +23,14 @@ from fractions import Fraction
 import numpy as np
 
 from .special_functions import ubm_moment_vector
-from .transforms import stationary_support, stationary_transform_params
+from .transforms import stationary_support
 
 FEJER_TIME_CUTOFF = 0.5
+
+#: smallest rank ratio ``stationary_density`` accepts: below about 6e-16 the
+#: support, of width sqrt(2 lambda), is too narrow for float64 and the
+#: reconstructed mass drifts past 1e-8
+STATIONARY_LAMBDA_MIN = 1e-15
 
 
 @dataclass
@@ -145,27 +150,24 @@ def atom_masses(lam: float, theta: float = 0.5) -> list[tuple[float, float]]:
 
 
 def stationary_density(lam: float, num_points: int = 999) -> DensityGrid:
-    """Stationary density at theta = 1/2 for rank ratio lam in (0, 1].
+    """Stationary density at theta = 1/2 for rank ratio lam in
+    [``STATIONARY_LAMBDA_MIN``, 1].
 
     The continuous part is the Stieltjes inversion of the closed Cauchy
-    transform, f(x) = sqrt(B x - r^2 x^2 - C^2) / (2 pi x (1 - x)) on the
-    interval where the radicand is positive, zero outside; the atoms at 0
-    and 1 (``atom_masses``) are reported even when zero.
+    transform, f(x) = r sqrt((x - x_-)(x_+ - x)) / (2 pi x (1 - x)) with
+    r = 1/(lambda theta) on the support [x_-, x_+] (``stationary_support``);
+    the factored radicand keeps its relative accuracy as the support narrows.
+    The atoms at 0 and 1 (``atom_masses``) are reported even when zero.
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("lambda must lie in (0, 1]")
+    if not STATIONARY_LAMBDA_MIN <= lam <= 1.0:
+        raise ValueError(f"lambda must lie in [{STATIONARY_LAMBDA_MIN:g}, 1]")
     theta = 0.5
-    r, b, c = stationary_transform_params(lam, theta)
     lo, hi = stationary_support(lam, theta)
 
     xs, weights = arc_grid(num_points, lo, hi)
 
-    radicand = b * xs - (r * xs) ** 2 - c * c
-    values = np.where(
-        radicand > 0.0,
-        np.sqrt(np.clip(radicand, 0.0, None)) / (2.0 * math.pi * xs * (1.0 - xs)),
-        0.0,
-    )
+    radicand = np.clip((xs - lo) * (hi - xs), 0.0, None)
+    values = np.sqrt(radicand) / (lam * theta * 2.0 * math.pi * xs * (1.0 - xs))
     return DensityGrid(
         xs=xs,
         raw_values=values,

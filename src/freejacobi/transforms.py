@@ -3,11 +3,12 @@
 Series here are truncated to a finite order; identities are checked
 coefficient-wise.  The rho_t, M_t and S_t equations are all transport
 equations d/dt f + (z/2) d/dz flux(f) = 0, and ``transport_residual`` is
-the one body that checks them: it differences in time with a centered
-stencil and Richardson extrapolation, and normalizes each coefficient by
-the local scale max(1, |lhs_k|, |rhs_k|), because the raw coefficients of
-the Laguerre series grow fast with the order, so an absolute residual would
-measure nothing but the finite-difference truncation error.
+the one body that checks them.  It normalizes each coefficient by the local
+scale max(1, |lhs_k|, |rhs_k|), because the raw coefficients of the
+Laguerre series grow fast with the order.  The time derivative is an input:
+closed forms in t are differenced by ``richardson_dt``, the package's one
+finite-difference stencil, while integrated trajectories take it exactly
+from the moment hierarchy (``decomposition.pde_residual_S``).
 """
 
 from __future__ import annotations
@@ -96,24 +97,13 @@ def stationary_mgf(lam: float, order: int) -> TruncatedSeries:
     return numer * geometric(order) * (1.0 / (2.0 * lam))
 
 
-def stationary_transform_params(lam: float, theta: float) -> tuple[float, float, float]:
-    """(r, B, C) of the stationary Cauchy transform: r = 1/(lambda theta),
-    B = 2 (r + (r - 2)/lambda), C = 1 - 1/lambda."""
-    r = 1.0 / (lam * theta)
-    b = 2.0 * (r + (r - 2.0) / lam)
-    c = 1.0 - 1.0 / lam
-    return r, b, c
-
-
 def stationary_support(lam: float, theta: float = 0.5) -> tuple[float, float]:
-    """Endpoints of the continuous stationary spectrum: the roots of
-    r^2 x^2 - B x + C^2 = 0."""
-    r, b, c = stationary_transform_params(lam, theta)
-    disc = b * b - 4.0 * r * r * c * c
-    if disc < 0:
-        raise ValueError("no real support interval for these parameters")
-    root = math.sqrt(disc)
-    return (b - root) / (2.0 * r * r), (b + root) / (2.0 * r * r)
+    """Endpoints x_-, x_+ of the continuous stationary spectrum,
+    (sqrt(lambda theta (1 - theta)) -/+ sqrt(theta (1 - lambda theta)))^2;
+    at theta = 1/2, (1 -/+ sqrt(lambda (2 - lambda)))/2."""
+    a = math.sqrt(lam * theta * (1.0 - theta))
+    b = math.sqrt(theta * (1.0 - lam * theta))
+    return (a - b) ** 2, (a + b) ** 2
 
 
 def cauchy_stationary_eval(lam: float, theta: float, z: complex) -> complex:
@@ -130,7 +120,7 @@ def cauchy_stationary_eval(lam: float, theta: float, z: complex) -> complex:
     if z.imag == 0.0 and x_lo - 1e-12 <= z.real <= x_hi + 1e-12:
         if min(abs(z.real - x_lo), abs(z.real - x_hi)) < 1e-12 or x_lo < z.real < x_hi:
             raise ValueError("evaluation point lies on the support cut")
-    r, _, _ = stationary_transform_params(lam, theta)
+    r = 1.0 / (lam * theta)
     s = r * cmath.sqrt(z - x_hi) * cmath.sqrt(z - x_lo)
     return ((2.0 - r) * z + (1.0 / lam - 1.0) + s) / (2.0 * z * (z - 1.0))
 
@@ -139,35 +129,38 @@ def cauchy_stationary_eval(lam: float, theta: float, z: complex) -> complex:
 # PDE residuals
 # ---------------------------------------------------------------------------
 
-def transport_residual(series_at, flux, t: float, order: int, delta: float) -> float:
-    """Residual of the transport equation d/dt f_t + (z/2) d/dz flux(f_t) = 0
-    over the first ``order`` coefficients, for the series ``series_at(t)``.
-
-    d/dt f_t is a centered difference with one Richardson level (error
-    O(delta^4)); the stencil reads f at t +/- delta and t +/- delta/2.  Each
-    coefficient is normalized by max(1, |lhs_k|, |rhs_k|); the top one is
-    dropped because differentiate() leaves it unreliable.
-    """
+def richardson_dt(coeffs_at, t: float, delta: float) -> np.ndarray:
+    """d/dt of the coefficient array ``coeffs_at(t)``: a centered difference
+    with one Richardson level (error O(delta^4)), reading t +/- delta and
+    t +/- delta/2.  Only for closed forms in t; a trajectory's derivative is
+    its recurrence."""
     def centered(d):
-        return (series_at(t + d).coeffs - series_at(t - d).coeffs) / (2.0 * d)
+        return (coeffs_at(t + d) - coeffs_at(t - d)) / (2.0 * d)
 
-    coarse = centered(delta)
-    fine = centered(delta / 2.0)
-    lhs = (4.0 * fine - coarse) / 3.0
-    rhs = (flux(series_at(t)).differentiate().shift(1) * 0.5).coeffs
-    lhs, rhs = lhs[:order], rhs[:order]
+    return (4.0 * centered(delta / 2.0) - centered(delta)) / 3.0
+
+
+def transport_residual(dfdt: np.ndarray, f: TruncatedSeries, flux, order: int) -> float:
+    """Residual of the transport equation d/dt f + (z/2) d/dz flux(f) = 0
+    over the first ``order`` coefficients, given f and its time derivative
+    ``dfdt``.  Each coefficient is normalized by max(1, |lhs_k|, |rhs_k|);
+    the top one is dropped because differentiate() leaves it unreliable.
+    """
+    rhs = (flux(f).differentiate().shift(1) * 0.5).coeffs
+    lhs, rhs = dfdt[:order], rhs[:order]
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return float(np.max(np.abs(lhs + rhs) / scale))
 
 
 def pde_residual_rho(t: float, order: int) -> float:
     """Residual of d/dt rho_t + (z/2) d/dz rho_t^2 = 0, normalized."""
-    return transport_residual(lambda u: rho_series(u, order), lambda f: f * f,
-                              t, order, FD_DELTA)
+    dfdt = richardson_dt(lambda u: rho_series(u, order).coeffs, t, FD_DELTA)
+    return transport_residual(dfdt, rho_series(t, order), lambda f: f * f, order)
 
 
 def pde_residual_mgf_lambda1(t: float, order: int) -> float:
     """Residual of d/dt M_t + (z/2) d/dz{(1 - z) M_t^2} = 0 for the
     closed-form generating function at the symmetric point."""
-    return transport_residual(lambda u: mgf_closed_lambda1(u, order),
-                              lambda m: one_minus_z(order) * m * m, t, order, FD_DELTA)
+    dfdt = richardson_dt(lambda u: mgf_closed_lambda1(u, order).coeffs, t, FD_DELTA)
+    return transport_residual(dfdt, mgf_closed_lambda1(t, order),
+                              lambda m: one_minus_z(order) * m * m, order)

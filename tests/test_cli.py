@@ -95,6 +95,14 @@ def test_stationary_density_next_to_lambda_one(tmp_path):
     assert atoms[1:] == ["0,0", "1,0"]
 
 
+@pytest.mark.parametrize("lam", ["1e-16", "5e-324"])
+def test_stationary_density_below_its_range_exits_2(tmp_path, capsys, lam):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "stationary-density", "--lambda", lam)
+    assert exc.value.code == 2
+    assert "lambda must lie in [1e-15, 1]" in capsys.readouterr().err
+
+
 def test_series_checks(tmp_path):
     for check in ("alpha", "rho", "mgf"):
         code = run_cli(tmp_path, "series", "--check", check, "--order", "16")
@@ -173,6 +181,17 @@ def test_oracle_command(tmp_path):
     parameters = manifest["parameters"]
     assert len(parameters["trial_drift"]) == len(parameters["trial_seconds"]) == 2
     assert parameters["unitarity_drift"] == max(parameters["trial_drift"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--dim", "16", "--steps", "5", "--trials", "1"),
+    ("verify", "--suite", "oracle", "--dim", "16", "--steps", "5", "--trials", "1"),
+])
+def test_oracle_single_trial_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert "trials must be >= 2" in capsys.readouterr().err
 
 
 def test_oracle_rerun_bit_identical(tmp_path):
@@ -330,6 +349,17 @@ def test_series_pde_reports_the_suite_value(tmp_path, monkeypatch):
     (cli_result,) = reported
     assert float(cli_result.value).hex() == float(suite_result.value).hex()
     assert suite_result.line() in out.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("t", ["0", "0.0001", "0.12345"])
+def test_series_pde_at_any_time(tmp_path, t):
+    with redirect_stdout(io.StringIO()):
+        assert run_cli(tmp_path, "series", "--check", "pde", "--t", t) == 0
+    assert not (tmp_path / "series_failures.csv").exists()
+    with open(tmp_path / "series_pde.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 33
+    assert all(math.isfinite(float(row["value"])) for row in rows)
 
 
 def test_series_failure_report_matches_verify_failures(tmp_path, monkeypatch):

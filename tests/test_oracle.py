@@ -12,25 +12,27 @@ from freejacobi.special_functions import s_closed_theta_half, ubm_moment
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        orc.OracleConfig(dim=1, t_end=1.0, steps=10, trials=1, seed=0)
+        orc.OracleConfig(dim=1, t_end=1.0, steps=10, trials=2, seed=0)
     with pytest.raises(ValueError):
-        orc.OracleConfig(dim=8, t_end=1.0, steps=0, trials=1, seed=0)
+        orc.OracleConfig(dim=8, t_end=1.0, steps=0, trials=2, seed=0)
     with pytest.raises(ValueError):
-        orc.OracleConfig(dim=8, t_end=1.0, steps=10, trials=1, seed=0, mode="bogus")
+        orc.OracleConfig(dim=8, t_end=1.0, steps=10, trials=2, seed=0, mode="bogus")
     with pytest.raises(ValueError):
         # rank(P) > rank(Q) is not nested
         orc.OracleConfig(
-            dim=8, t_end=1.0, steps=10, trials=1, seed=0, lam=1.8, theta=0.5
+            dim=8, t_end=1.0, steps=10, trials=2, seed=0, lam=1.8, theta=0.5
         )
     with pytest.raises(ValueError):
         orc.OracleConfig(
-            dim=8, t_end=1.0, steps=10, trials=1, seed=0,
+            dim=8, t_end=1.0, steps=10, trials=2, seed=0,
             lam=1.5, theta=0.5, mode="orthogonal",
         )
+    with pytest.raises(ValueError, match="trials must be >= 2"):
+        orc.OracleConfig(dim=8, t_end=1.0, steps=10, trials=1, seed=0)
 
 
 def test_rank_rounding():
-    cfg = orc.OracleConfig(dim=10, t_end=0.1, steps=1, trials=1, seed=0,
+    cfg = orc.OracleConfig(dim=10, t_end=0.1, steps=1, trials=2, seed=0,
                            lam=0.9, theta=0.5)
     assert cfg.rank_q() == 5
     assert cfg.rank_p() == 5  # round-half-up of 4.5
@@ -58,12 +60,12 @@ def test_box_muller_moments():
 
 
 def test_endpoint_at_time_zero_is_identity():
-    u = orc.simulate_unitary_bm(16, 0.0, 10, seed=4)
+    u = orc._unitary_endpoint(orc._trial_rng(4, 0), 16, 0.0, 10)
     assert np.array_equal(u, np.eye(16, dtype=complex))
 
 
 def test_unitarity_is_structural():
-    u = orc.simulate_unitary_bm(64, 1.0, 50, seed=4)
+    u = orc._unitary_endpoint(orc._trial_rng(4, 0), 64, 1.0, 50)
     assert orc.unitarity_defect(u) < 1e-12
 
 

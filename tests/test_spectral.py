@@ -140,6 +140,18 @@ class TestStationary:
             residue = ((z - pole) * cauchy_stationary_eval(lam, theta, z)).real
             assert mass == pytest.approx(residue, abs=1e-7)
 
+    @pytest.mark.parametrize("lam", [spectral.STATIONARY_LAMBDA_MIN, 2e-15, 1e-12, 1e-9])
+    def test_mass_as_lambda_tends_to_zero(self, lam):
+        # the support narrows to width sqrt(2 lam) around 1/2
+        grid = spectral.stationary_density(lam)
+        assert abs(grid.total_mass() - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("lam", [math.nextafter(spectral.STATIONARY_LAMBDA_MIN, 0.0),
+                                     1e-16, 5e-324])
+    def test_rejects_lambda_below_its_range(self, lam):
+        with pytest.raises(ValueError, match=r"\[1e-15, 1\]"):
+            spectral.stationary_density(lam)
+
     def test_finite_next_to_lambda_one(self):
         grid = spectral.stationary_density(1.0 - 1e-6)
         assert np.all(np.isfinite(grid.raw_values))

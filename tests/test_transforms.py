@@ -125,6 +125,18 @@ class TestStationary:
         assert lo == pytest.approx((1 - root) / 2, rel=1e-12)
         assert hi == pytest.approx((1 + root) / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("lam, theta", [(0.6, 0.5), (1.5, 0.4), (0.9, 0.7), (1e-6, 0.5)])
+    def test_support_endpoints_are_the_quadratic_roots(self, lam, theta):
+        # the roots of r^2 x^2 - B x + C^2 with r = 1/(lam theta),
+        # B = 2 (r + (r - 2)/lam), C = 1 - 1/lam
+        r = 1.0 / (lam * theta)
+        b = 2.0 * (r + (r - 2.0) / lam)
+        c = 1.0 - 1.0 / lam
+        root = math.sqrt(b * b - 4.0 * r * r * c * c)
+        lo, hi = tr.stationary_support(lam, theta)
+        assert lo == pytest.approx((b - root) / (2.0 * r * r), abs=1e-14)
+        assert hi == pytest.approx((b + root) / (2.0 * r * r), abs=1e-14)
+
     def test_cauchy_collapses_at_lambda_one(self):
         # radical collapses: G(z) = 1/sqrt(z^2 - z) off [0, 1]
         for z in (2.0, -1.5, 1.0 + 2.0j):
