@@ -12,7 +12,9 @@ vanish for n <= 2 and tend to zero as lambda -> 1.  The series assembled
 here were re-derived from the transport identities and validated against
 the explicit c_3 closed form; the evolution equation for c_n and the
 source term Z_t are implemented in the corrected form (see the module
-tests for the c_3 cross-check that pins the signs).
+tests for the c_3 cross-check that pins the signs).  The radical
+sqrt(4 - 4z + (1 - lambda)^2 z^2) is ``transforms.radical_series``
+throughout.
 """
 
 from __future__ import annotations
@@ -27,47 +29,6 @@ from .series import TruncatedSeries, geometric, one_minus_z
 from .special_functions import rho_coefficients
 from .transforms import FD_DELTA, alpha_series, radical_series, richardson_dt, stationary_mgf
 from .transforms import transport_residual
-
-
-def beta_coefficients(order: int) -> np.ndarray:
-    """Coefficients beta_n of sqrt(1 - z): 1, -1/2, -1/8, -1/16, ..."""
-    return one_minus_z(order).sqrt().coeffs
-
-
-def root_reciprocals(lam: float) -> tuple[float, float]:
-    """(1/z_1, 1/z_2) for the roots of (1-lambda)^2 z^2 - 4z + 4 = 0.
-
-    Uses the cancellation-free forms
-    1/z_1 = (1-lambda)^2 / (2 (1 + sqrt(lambda(2-lambda)))) and
-    1/z_2 = (1 + sqrt(lambda(2-lambda))) / 2, stable as lambda -> 1.
-    """
-    if not 0.0 < lam < 2.0:
-        raise ValueError("lambda must lie in (0, 2)")
-    root = math.sqrt(lam * (2.0 - lam))
-    inv_z2 = (1.0 + root) / 2.0
-    inv_z1 = (1.0 - lam) ** 2 / (2.0 * (1.0 + root))
-    return inv_z1, inv_z2
-
-
-def gamma_coefficients(lam: float, order: int) -> np.ndarray:
-    """Coefficients gamma_n of sqrt(4 - 4z + (1 - lambda)^2 z^2).
-
-    Computed from the factorization 4 (1 - z/z_1)(1 - z/z_2) as
-    gamma_n = 2 sum_k beta_k beta_{n-k} z_1^{-k} z_2^{-(n-k)}; at
-    lambda = 1 this degenerates to 2 beta_n.  The direct series square
-    root is the arbiter for this indexing (checked in the tests).
-    """
-    beta = beta_coefficients(order)
-    if lam == 1.0:
-        return 2.0 * beta
-    inv_z1, inv_z2 = root_reciprocals(lam)
-    pow1 = inv_z1 ** np.arange(order + 1)
-    pow2 = inv_z2 ** np.arange(order + 1)
-    gamma = np.empty(order + 1)
-    for n in range(order + 1):
-        k = np.arange(n + 1)
-        gamma[n] = 2.0 * float(np.sum(beta[k] * beta[n - k] * pow1[k] * pow2[n - k]))
-    return gamma
 
 
 def _transport_rho(lam: float, t: float, order: int) -> TruncatedSeries:
@@ -141,17 +102,11 @@ def source_series(lam: float, t: float, order: int) -> TruncatedSeries:
 
 @dataclass
 class DecompositionResult:
-    """Decomposition data at one (lambda, t): the radical coefficients
-    gamma_n, the transport coefficients psi_n, the remainder coefficients
-    c_n, and the source coefficients d_n with Z_t = (1-lambda) sum d_n z^n.
-    """
+    """Decomposition data at one (lambda, t): the transport coefficients
+    psi_n and the remainder coefficients c_n."""
 
-    lam: float
-    t: float
-    gamma: np.ndarray
     psi: np.ndarray
     c: np.ndarray
-    d: np.ndarray
 
     @property
     def order(self) -> int:
@@ -189,34 +144,18 @@ def decomposition_u(
             )
         m_t = trajectory.at(t)[: order + 1]
 
-    gamma = gamma_coefficients(lam, order)
     psi = psi_series(lam, t, order)
-    m_inf = stationary_mgf(lam, order).coeffs
-    c = m_t - m_inf - psi
+    c = m_t - stationary_mgf(lam, order).coeffs - psi
     c[0] = 0.0
-    if lam == 1.0:
-        d = np.zeros(order + 1)
-    else:
-        d = source_series(lam, t, order).coeffs / (1.0 - lam)
-    return DecompositionResult(lam=lam, t=t, gamma=gamma, psi=psi, c=c, d=d)
-
-
-def stationary_coefficient_identity_residual(lam: float, order: int) -> float:
-    """Max deviation of m_n(inf) from (lambda-1)/(2 lambda)
-    + (1/(2 lambda)) sum_{k<=n} gamma_k, the partial-sum form of the
-    stationary coefficients (n >= 1)."""
-    m_inf = stationary_mgf(lam, order).coeffs
-    gamma = gamma_coefficients(lam, order)
-    partial = np.cumsum(gamma)
-    predicted = (lam - 1.0) / (2.0 * lam) + partial / (2.0 * lam)
-    return float(np.max(np.abs(m_inf[1:] - predicted[1:])))
+    return DecompositionResult(psi=psi, c=c)
 
 
 def k_gap_vector(lam: float, order: int) -> np.ndarray:
     """k_n(lambda) = c_n(0) - c_{n-1}(0) = psi_{n-1}(0) - psi_n(0)
-    - gamma_n/(2 lambda), for n = 2..order; tends to 0 as lambda -> 1."""
+    - gamma_n/(2 lambda), for n = 2..order, with gamma_n the coefficients of
+    the radical series; tends to 0 as lambda -> 1."""
     psi0 = psi_series(lam, 0.0, order)
-    gamma = gamma_coefficients(lam, order)
+    gamma = radical_series(lam, order).coeffs
     n = np.arange(2, order + 1)
     return psi0[n - 1] - psi0[n] - gamma[n] / (2.0 * lam)
 
@@ -273,9 +212,8 @@ def general_evolution_residual(
 
     u = TruncatedSeries(dec_t.c)
     psi = TruncatedSeries(dec_t.psi)
-    radical = TruncatedSeries(dec_t.gamma)
     omz = one_minus_z(order)
-    flux = radical * u + (omz * u * psi) * (2.0 * lam) + (omz * u * u) * lam
+    flux = radical_series(lam, order) * u + (omz * u * psi) * (2.0 * lam) + (omz * u * u) * lam
     z_coeffs = source_series(lam, t, order).coeffs
 
     n = np.arange(n_lo, n_hi + 1)

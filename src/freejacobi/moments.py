@@ -258,6 +258,8 @@ def closed_form_moments(t: float, order: int) -> np.ndarray:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError("time must be finite and nonnegative")
     h = rho_coefficients(2.0 * t, t, order)  # h[0] = 0: the k = 0 term is W[n, 0]
     return symmetric_weights(order)[:, 0] + 2.0 * weighted_row_sums(h)
 
@@ -308,6 +310,8 @@ def expansion_moments(
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError("time must be finite and nonnegative")
     if theta == 0.5:
         scaled = rho_coefficients(2.0 * t, t, order)
     else:

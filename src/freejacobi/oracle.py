@@ -63,8 +63,8 @@ class OracleConfig:
             raise ValueError("steps must be >= 1")
         if self.trials < 2:
             raise ValueError("trials must be >= 2: the standard error needs two")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and nonnegative")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if not 0.0 < self.theta < 1.0:

@@ -99,8 +99,8 @@ def ubm_moment(n: int, t: float) -> float:
     unitary Brownian motion; h_0 = 1 and h_{-n} = h_n by unitarity.
     Finite for every t >= 0.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError("time must be finite and nonnegative")
     n = abs(n)
     if n == 0:
         return 1.0
@@ -109,8 +109,8 @@ def ubm_moment(n: int, t: float) -> float:
 
 def ubm_moment_vector(t: float, order: int) -> np.ndarray:
     """(h_1(t), ..., h_order(t)); every entry lies in [-1, 1]."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError("time must be finite and nonnegative")
     return rho_coefficients(t, t / 2.0, order)[1:]
 
 
@@ -160,17 +160,18 @@ def rk4(rhs, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.nda
 
     ``y0`` may have any shape; a (B, n) state advances B systems in one
     loop, one rhs call per stage for all of them.  Returns (times, states)
-    with every step stored, states of shape (len(times),) + y0.shape; a
-    final partial step lands exactly on t_end when the accumulated time
-    falls short of it.  The one integrator of the package: the moment
-    hierarchy and the trace system both run through it.
+    with every step stored, states of shape (len(times),) + y0.shape: the
+    most full steps that end at or before t_end (up to rounding), then a
+    partial step that lands on t_end when the accumulated time falls
+    short.  The one integrator of the package: the moment hierarchy and
+    the trace system both run through it.
     """
     if not h > 0:
         raise ValueError("step must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+    if not 0 <= t_end < math.inf:
+        raise ValueError("t_end must be finite and nonnegative")
     y0 = np.asarray(y0, dtype=float)
-    steps = int(round(t_end / h))
+    steps = math.floor(t_end / h + 1e-9)
     # one spare row for the partial step, which the accumulated t decides
     times = np.empty(steps + 2)
     states = np.empty((steps + 2,) + y0.shape)

@@ -101,8 +101,8 @@ def density_lambda1(
     'auto') to damp Gibbs oscillation where the Fourier tail is slow.
     At t = 0 the law is a point mass at 1, not a density.
     """
-    if t <= 0:
-        raise ValueError("density requires t > 0 (the t = 0 law is an atom at 1)")
+    if not 0 < t < math.inf:
+        raise ValueError("density requires a finite t > 0 (the t = 0 law is an atom at 1)")
     if fourier_terms < 1:
         raise ValueError("need at least one Fourier term")
     if fejer not in ("auto", "on", "off"):

@@ -58,8 +58,8 @@ def mgf_closed_lambda1(t: float, order: int) -> TruncatedSeries:
 
     where rho_{2t}(e^{-t} .) enters by its damped coefficients h_k(2t).
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError("time must be finite and nonnegative")
     damped = TruncatedSeries(rho_coefficients(2.0 * t, t, order))
     composed = damped.compose(alpha_series(order))
     inv_sqrt = one_minus_z(order).sqrt().reciprocal()

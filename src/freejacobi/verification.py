@@ -284,7 +284,11 @@ def check_decomposition(lam: float, t: float, order: int) -> Checked:
     traj = integrate_moments(ProcessParams(lam=lam, theta=0.5), t, order=order)
     d = dec.decomposition_u(lam, t, order, traj)
     results = decomposition_c12([d], f"lam={lam:g}, t={t:g}")
-    return results, {"gamma": d.gamma, "psi": d.psi, "c": d.c, "d": d.d}
+    # Z_t = (1 - lambda) sum d_n z^n; Z_t vanishes identically at lambda = 1
+    source = (np.zeros(order + 1) if lam == 1.0
+              else dec.source_series(lam, t, order).coeffs / (1.0 - lam))
+    gamma = transforms.radical_series(lam, order).coeffs
+    return results, {"gamma": gamma, "psi": d.psi, "c": d.c, "d": source}
 
 
 # ---------------------------------------------------------------------------

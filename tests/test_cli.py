@@ -468,3 +468,44 @@ def test_cli_digests_script_runs_every_benchmark_command(capsys):
     records = json.loads(capsys.readouterr().out)
     assert len(records) == 17
     assert all(r["exit"] == 0 and r["files"] for r in records.values())
+
+
+@pytest.mark.parametrize("command", [
+    "moments --lambda 0.6 --t 1.0006",
+    "series --check pde --t 1.0006",
+    "series --check decomposition --lambda 0.6 --t 1.0007",
+])
+def test_time_off_the_step_grid_is_integrated_to(tmp_path, command):
+    # the last RK4 step is a partial one that lands on --t, which the
+    # route then reads back
+    with redirect_stdout(io.StringIO()):
+        assert run_cli(tmp_path, *command.split()) == 0
+    assert all(csv_fields_finite(path) for path in tmp_path.glob("*.csv"))
+
+
+def test_s_system_ends_on_an_off_grid_time(tmp_path):
+    with redirect_stdout(io.StringIO()):
+        assert run_cli(tmp_path, "s-system", "--t", "1.0006", "--order", "2",
+                       "--samples", "2000") == 0
+    with open(tmp_path / "s_system.csv", newline="") as handle:
+        times = [float(row["t"]) for row in csv.DictReader(handle)]
+    assert max(times) == 1.0006
+
+
+@pytest.mark.parametrize("command", [
+    "moments --method closed-form --t -1",
+    "moments --method expansion --t -1",
+    "moments --method closed-form --t nan",
+    "moments --method closed-form --t inf",
+    "moments --t inf",
+    "density --t inf",
+    "density --t nan",
+    "oracle --t nan --dim 16 --steps 5 --trials 2",
+    "series --check mgf --t inf",
+])
+def test_time_outside_its_range_exits_2(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, *command.split())
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

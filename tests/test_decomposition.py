@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from freejacobi import decomposition as dec
+from freejacobi.verification import check_decomposition
 from freejacobi.combinatorics import binomial
 from freejacobi.moments import (
     MomentTrajectory,
@@ -11,8 +12,8 @@ from freejacobi.moments import (
     integrate_moments,
     symmetric_binomial_moment,
 )
-from freejacobi.series import TruncatedSeries
-from freejacobi.transforms import stationary_mgf
+from freejacobi.series import one_minus_z
+from freejacobi.transforms import radical_series, stationary_mgf, stationary_support
 
 
 @pytest.fixture(scope="module")
@@ -20,40 +21,35 @@ def traj06():
     return integrate_moments(ProcessParams(lam=0.6, theta=0.5), 1.0, order=12)
 
 
-def test_beta_coefficients():
-    beta = dec.beta_coefficients(4)
-    assert np.allclose(beta, [1, -0.5, -0.125, -1 / 16, -5 / 128], atol=1e-14)
-
-
 def test_root_reciprocals_sum_to_one():
-    # 1/z1 + 1/z2 = (sum of roots)/(product) = 1 for every lambda
+    # the reciprocals 1/z1, 1/z2 of the roots of (1-lambda)^2 z^2 - 4z + 4
+    # are the stationary support endpoints x_-, x_+ at theta = 1/2:
+    # their sum is 1 and their product (1-lambda)^2/4 for every lambda
     for lam in (0.1, 0.5, 0.9, 0.999):
-        inv1, inv2 = dec.root_reciprocals(lam)
-        assert inv1 + inv2 == pytest.approx(1.0, rel=1e-13)
-        assert inv1 * inv2 == pytest.approx((1 - lam) ** 2 / 4, rel=1e-12, abs=1e-15)
-
-
-def test_gamma_against_direct_sqrt():
-    # the root factorization must agree with the plain series square root
-    for lam in (0.2, 0.6, 0.95):
-        c = np.zeros(13)
-        c[0], c[1], c[2] = 4.0, -4.0, (1 - lam) ** 2
-        direct = TruncatedSeries(c).sqrt().coeffs
-        assert np.max(np.abs(dec.gamma_coefficients(lam, 12) - direct)) < 1e-13
+        x_lo, x_hi = stationary_support(lam, 0.5)
+        assert x_lo + x_hi == pytest.approx(1.0, rel=1e-13)
+        assert x_lo * x_hi == pytest.approx((1 - lam) ** 2 / 4, rel=1e-12, abs=1e-15)
 
 
 def test_gamma_low_orders():
     for lam in (0.3, 0.8):
-        g = dec.gamma_coefficients(lam, 3)
+        g = radical_series(lam, 3).coeffs
         assert g[0] == pytest.approx(2.0)
         assert g[1] == pytest.approx(-1.0)
         assert g[2] == pytest.approx(((1 - lam) ** 2 - 1) / 4)
 
 
 def test_gamma_lambda_one_is_twice_beta():
+    # at lambda = 1 the radical is 2 sqrt(1 - z)
     assert np.allclose(
-        dec.gamma_coefficients(1.0, 10), 2 * dec.beta_coefficients(10), atol=1e-15
+        radical_series(1.0, 10).coeffs, 2 * one_minus_z(10).sqrt().coeffs, atol=1e-15
     )
+
+
+@pytest.mark.parametrize("lam", [0.6, 1.0])
+def test_decomposition_export_gamma_is_the_radical(lam):
+    _, exports = check_decomposition(lam, 0.5, 12)
+    assert exports["gamma"].tobytes() == radical_series(lam, 12).coeffs.tobytes()
 
 
 def test_psi_closed_finite_at_large_order_and_time():
@@ -130,7 +126,8 @@ def test_remainder_coefficients(traj06):
 def test_remainder_vanishes_at_lambda_one():
     d = dec.decomposition_u(1.0, 1.0, 10)
     assert np.max(np.abs(d.c)) < 1e-10
-    assert np.all(d.d == 0.0)
+    _, exports = check_decomposition(1.0, 1.0, 10)
+    assert np.all(exports["d"] == 0.0)
 
 
 def test_source_vanishes_identically_at_lambda_one():
@@ -151,8 +148,13 @@ def test_decomposition_validates_trajectory(traj06):
 
 
 def test_stationary_coefficient_identity():
+    # m_n(inf) = (lambda-1)/(2 lambda) + (1/(2 lambda)) sum_{k<=n} gamma_k
+    # for n >= 1, the partial-sum form of the stationary coefficients
     for lam in (0.3, 0.6, 0.9):
-        assert dec.stationary_coefficient_identity_residual(lam, 16) < 1e-13
+        m_inf = stationary_mgf(lam, 16).coeffs
+        partial = np.cumsum(radical_series(lam, 16).coeffs)
+        predicted = (lam - 1.0) / (2.0 * lam) + partial / (2.0 * lam)
+        assert np.max(np.abs(m_inf[1:] - predicted[1:])) < 1e-13
 
 
 def test_gap_vector_scales_out():

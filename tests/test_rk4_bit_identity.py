@@ -74,7 +74,7 @@ def reference_rk4(rhs, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarr
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     y0 = np.asarray(y0, dtype=float)
-    steps = int(round(t_end / h))
+    steps = math.floor(t_end / h + 1e-9)
     # one spare row for the partial step, which the accumulated t decides
     times = np.empty(steps + 2)
     states = np.empty((steps + 2,) + y0.shape)

@@ -176,8 +176,9 @@ def test_rk4_rejects_nonpositive_step():
     for h in (0.0, -0.5, float("nan")):
         with pytest.raises(ValueError):
             sf.rk4(out_form(lambda t, y: -y), y0, 1.0, h)
-    with pytest.raises(ValueError):
-        sf.rk4(out_form(lambda t, y: -y), y0, -1.0, 0.1)
+    for t_end in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            sf.rk4(out_form(lambda t, y: -y), y0, t_end, 0.1)
 
 
 def test_rk4_steps_and_partial_step():
@@ -201,7 +202,7 @@ def list_rk4(rhs, y0, t_end, h):
         k4 = rhs(t + dt, y + dt * k3)
         return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    for _ in range(int(round(t_end / h))):
+    for _ in range(math.floor(t_end / h + 1e-9)):
         y = step(h)
         t += h
         times.append(t)
@@ -213,7 +214,7 @@ def list_rk4(rhs, y0, t_end, h):
     return np.array(times), np.array(states)
 
 
-@pytest.mark.parametrize("t_end, rows", [(1.0, 11), (1.05, 12), (0.3, 4)])
+@pytest.mark.parametrize("t_end, rows", [(1.0, 11), (1.05, 12), (0.3, 4), (1.06, 12)])
 def test_rk4_batched_state_matches_list_loop(t_end, rows):
     rate = np.array([[-1.0], [0.5]])
     rhs = lambda t, y: rate * np.cos(t) * y
