@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
 """Time the moment-hierarchy kernel, one RK4 step and the batched integrator.
 
-Prints the median microseconds per ``recurrence_rhs`` call for batches of
-B = 1 and 3 rows at orders 8 and 32, called as ``integrate_moments_batch``
-calls it: B = 1 as a flat vector with float parameters, B = 3 with one
-parameter per row as a tuple, both writing into a preallocated ``out``;
-the median microseconds per RK4 step of the density suite's batch
-(lambda in {0.4, 0.6, 0.8}, theta = 1/2, order 8) and of a single-row
-order-32 integration (lambda = 1, theta = 1/2), each timed over 2000 steps of
-``integrate_moments_batch``; then the wall time of the density suite's
-three-lambda integration (order 8, t = 30, h = 1e-3) run as one batch and
-as three single runs.  Plain ``perf_counter``; set OPENBLAS_NUM_THREADS=1
-to match the benchmark's children.
+Prints, for batches of B = 1 and 3 rows at orders 8 and 32, as
+``integrate_moments_batch`` runs them (B = 1 as a flat vector with float
+parameters, B = 3 with one parameter per row as a tuple):
+
+- the median microseconds per call of the bound right-hand side
+  (``_kernel(...).bind(m, out)``, bound once, called many times);
+- the median microseconds per RK4 step, each timed over 2000 steps of
+  ``integrate_moments_batch``.
+
+Then the per-step cost of one row run as a (1, order + 1) batch against
+the flat vector ``integrate_moments_batch`` uses, at orders 8 and 32,
+timed alternately (the percentage is the median per-repeat ratio), and
+the wall time of the density suite's three-lambda integration (order 8,
+t = 30, h = 1e-3) run as one batch and as three single runs.  Plain
+``perf_counter``; set OPENBLAS_NUM_THREADS=1 to match the benchmark's
+children.
 
 Usage: python scripts/bench_rhs.py [--repeats 15] [--calls 2000] [--t 30]
 """
@@ -24,12 +29,23 @@ import numpy as np
 
 from freejacobi.moments import (
     ProcessParams,
+    _kernel,
     integrate_moments,
     integrate_moments_batch,
-    recurrence_rhs,
 )
+from freejacobi.special_functions import rk4
 
 LAMBDAS = (0.4, 0.6, 0.8)
+STEPS = 2000
+
+
+def _median_us(run, repeats: int, per: int) -> float:
+    samples = []
+    for _ in range(repeats):
+        start = perf_counter()
+        run()
+        samples.append((perf_counter() - start) / per * 1e6)
+    return statistics.median(samples)
 
 
 def per_call_us(rows: int, order: int, repeats: int, calls: int) -> float:
@@ -39,24 +55,37 @@ def per_call_us(rows: int, order: int, repeats: int, calls: int) -> float:
     else:
         m = rng.uniform(0, 1, (rows, order + 1))
         lam, theta = LAMBDAS[:rows], (0.5,) * rows
-    out = np.empty_like(m)
-    samples = []
-    for _ in range(repeats):
-        start = perf_counter()
+    rhs = _kernel(m.shape, lam, theta).bind(m, np.empty_like(m))
+
+    def run():
         for _ in range(calls):
-            recurrence_rhs(m, lam, theta, out)
-        samples.append((perf_counter() - start) / calls * 1e6)
-    return statistics.median(samples)
+            rhs(0.0)
+
+    return _median_us(run, repeats, calls)
 
 
-def per_step_us(params, order: int, h: float, repeats: int) -> float:
-    steps = 2000
-    samples = []
-    for _ in range(repeats):
+def per_step_us(rows: int, order: int, repeats: int) -> float:
+    params = [ProcessParams(lam=lam, theta=0.5) for lam in LAMBDAS[:rows]]
+    h = 1e-3
+    return _median_us(lambda: integrate_moments_batch(params, STEPS * h, order=order, h=h),
+                      repeats, STEPS)
+
+
+def one_row_step_us(order: int, repeats: int) -> tuple[float, float, float]:
+    """Median us/step of one row run flat and as a (1, order + 1) batch,
+    timed alternately, and the median of their per-repeat ratios."""
+    y0 = ProcessParams(lam=0.6, theta=0.5).initial_vector(order)
+    h = 1e-3
+
+    def step_us(y):
         start = perf_counter()
-        integrate_moments_batch(params, steps * h, order=order, h=h)
-        samples.append((perf_counter() - start) / steps * 1e6)
-    return statistics.median(samples)
+        rk4(_kernel(y.shape, 0.6, 0.5).bind, y, STEPS * h, h)
+        return (perf_counter() - start) / STEPS * 1e6
+
+    pairs = [(step_us(y0), step_us(y0[None])) for _ in range(repeats)]
+    flat, batch = zip(*pairs)
+    ratio = statistics.median(b / f for f, b in pairs)
+    return statistics.median(flat), statistics.median(batch), ratio
 
 
 def main():
@@ -68,15 +97,17 @@ def main():
 
     for order in (8, 32):
         for rows in (1, 3):
-            us = per_call_us(rows, order, args.repeats, args.calls)
-            print(f"recurrence_rhs  B={rows}  order={order:2d}  {us:7.2f} us/call")
+            call = per_call_us(rows, order, args.repeats, args.calls)
+            step = per_step_us(rows, order, args.repeats)
+            print(f"B={rows}  order={order:2d}  bound call {call:6.2f} us  "
+                  f"rk4 step {step:6.2f} us")
+
+    for order in (8, 32):
+        flat, batch, ratio = one_row_step_us(order, args.repeats)
+        print(f"one row  order={order:2d}  flat {flat:6.2f} us/step  "
+              f"(1, {order + 1}) batch {batch:6.2f} us/step ({ratio - 1:+.0%})")
 
     params = [ProcessParams(lam=lam, theta=0.5) for lam in LAMBDAS]
-    us = per_step_us(params, 8, 1e-3, args.repeats)
-    print(f"rk4 step  density batch  B=3  order= 8  {us:7.2f} us/step")
-    us = per_step_us([ProcessParams(lam=1.0, theta=0.5)], 32, 1e-3, args.repeats)
-    print(f"rk4 step  single row     B=1  order=32  {us:7.2f} us/step")
-
     start = perf_counter()
     integrate_moments_batch(params, args.t, order=8)
     batched = perf_counter() - start

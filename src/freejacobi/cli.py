@@ -208,10 +208,11 @@ def _cmd_s_system(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     times, states = s_trajectory(args.theta, args.t, args.order, h=args.step)
-    stride = max(1, len(times) // args.samples)
+    # samples intervals from t = 0 to the last stored time, --t itself
+    picks = sorted({round(j) for j in np.linspace(0, len(times) - 1, args.samples + 1)})
     closed = s_closed_theta_half if args.theta == 0.5 else None
     rows = []
-    for j in range(0, len(times), stride):
+    for j in picks:
         for n in range(1, args.order + 1):
             closed_col = _fmt(closed(n, times[j])) if closed else ""
             rows.append((n, _fmt(times[j]), _fmt(states[j][n - 1]), closed_col))
@@ -345,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--samples", type=int, default=20, help="rows per order")
+    p.add_argument("--samples", type=int, default=20,
+                   help="intervals per order (samples + 1 rows, t = 0 to --t)")
     p.set_defaults(func=_cmd_s_system)
 
     p = sub.add_parser(

@@ -82,10 +82,18 @@ class ProcessParams:
 
 
 class _Kernel:
-    """Everything ``recurrence_rhs`` keeps between calls at one state shape
-    and one (lambda, theta): the coefficients theta n and lambda theta n,
-    broadcast to contiguous (..., order) and (..., order - 1) arrays, and the
-    scratch buffers of the Cauchy product."""
+    """Everything the hierarchy's right-hand side keeps at one state shape
+    and one (lambda, theta): its coefficients and the scratch buffers of
+    the Cauchy product.  ``bind`` ties them to a state and an output.
+
+    The linear terms run on the state laid end to end, one row after
+    another: position p of the flat output gets theta p' m_{p-1} - p' m_p,
+    where p' is p's column, and the coefficients are 0 at the columns
+    where a row's m_0 lands.  The quadratic sum is written into a
+    zero-padded buffer of the state's shape, so it is added flat as well.
+    The Toeplitz matmul stays on its strided window, so it runs numpy's
+    sequential (non-BLAS) loop.
+    """
 
     def __init__(self, shape, lam, theta):
         order = shape[-1] - 1
@@ -96,20 +104,62 @@ class _Kernel:
         if isinstance(theta, tuple):
             theta = np.array(theta)[:, None]
         n = np.arange(1.0, order + 1)
-        self.n = np.ascontiguousarray(np.broadcast_to(n, rows + (order,)))
-        self.theta_n = np.ascontiguousarray(np.broadcast_to(theta * n, rows + (order,)))
+        self.order = order
+        theta_n, n_flat = np.zeros((2,) + shape)
+        theta_n[..., 1:] = theta * n
+        n_flat[..., 1:] = n
+        self.theta_n = theta_n.reshape(-1)[1:]
+        self.n = n_flat.reshape(-1)[1:]
+        self.tmp = np.empty(self.n.shape)
         # (lam theta) n: lam * theta is rounded first
         self.coupling = np.ascontiguousarray(
-            np.broadcast_to(lam * theta * n[1:], rows + (order - 1,)))
+            np.broadcast_to(lam * theta * n[1:], rows + (max(order - 1, 0),)))
         # buf = (0, ..., 0, d_0, ..., d_{k-1}); window[j, i] = buf[k-1+j-i],
         # which is d_{j-i} for i <= j and 0 above the diagonal
         buf = np.zeros(rows + (2 * k - 1,))
         self.diffs = buf[..., k - 1 :]
         self.window = sliding_window_view(buf, k, axis=-1)[..., ::-1]
-        self.tmp = np.empty(rows + (order,))
         self.conv = np.empty(rows + (k, 1))
-        self.conv_col = self.conv[..., 0]
-        self.q = np.empty(rows + (order - 1,))
+        # columns 0 and 1 stay zero
+        self.quad = np.zeros(shape)
+
+    def bind(self, m: np.ndarray, out: np.ndarray):
+        """``rhs(t=None)``, which writes the derivative at the current
+        contents of ``m`` into ``out``.  Both are C-contiguous arrays of the
+        kernel's shape, and nothing but ``rhs`` writes ``out``: column 0 is
+        zeroed here, once, and every view is built here too."""
+        if not (m.flags.c_contiguous and out.flags.c_contiguous):
+            raise ValueError("the state and the output must be C-contiguous")
+        m_flat, out_flat = m.reshape(-1), out.reshape(-1)
+        col0 = out[..., 0]
+        col0.fill(0.0)
+        if self.order == 0:
+            return lambda t=None: None
+        multiply, subtract, add, matmul = np.multiply, np.subtract, np.add, np.matmul
+        theta_n, n, tmp, coupling = self.theta_n, self.n, self.tmp, self.coupling
+        prev, cur, linear = m_flat[:-1], m_flat[1:], out_flat[1:]
+        low, mid = m[..., :-2], m[..., 1:-1]
+        mid_col = mid[..., None]
+        diffs, window, conv = self.diffs, self.window, self.conv
+        conv_col, quad, quad_flat = conv[..., 0], self.quad[..., 2:], self.quad.reshape(-1)
+        quadratic = self.order >= 2
+        # the linear ufuncs write 0 * (previous row's m_order) into every
+        # row's column 0 after the first, NaN if that is inf
+        several_rows = col0.size > 1
+
+        def rhs(t=None):
+            # theta n m_{n-1} - n m_n, written in place
+            multiply(theta_n, prev, linear)
+            multiply(n, cur, tmp)
+            subtract(linear, tmp, linear)
+            if quadratic:
+                subtract(low, mid, diffs)
+                matmul(window, mid_col, conv)
+                multiply(coupling, conv_col, quad)
+                add(out_flat, quad_flat, out_flat)
+            if several_rows:
+                col0.fill(0.0)
+        return rhs
 
 
 @lru_cache(maxsize=16)
@@ -118,18 +168,20 @@ def _kernel(shape: tuple[int, ...], lam, theta) -> _Kernel:
 
 
 def recurrence_rhs(m: np.ndarray, lam, theta, out: np.ndarray | None = None) -> np.ndarray:
-    """Time derivative of the moment vectors (component 0 is zero).
+    """Time derivative of the moment vectors (component 0 is +0.0).
 
     ``m`` is a float array of shape (..., order+1): one moment vector per
     leading index.  ``lam`` and ``theta`` are floats, or tuples with one
     value per row of a (B, order+1) batch (they key a cache).  Each row's
     arithmetic does not depend on the others, so a row of a batch is
     bit-identical to the same row passed alone.  The derivative is written
-    into ``out`` (same shape as ``m``, not overlapping it) when given, and
-    into a new array otherwise; either is returned.
+    into ``out`` (C-contiguous, same shape as ``m``, not overlapping it)
+    when given, and into a new array otherwise; either is returned.
 
-    The Cauchy product sum_{k=0}^{n-2} m_{n-k-1} (m_k - m_{k+1}) is one
-    matmul of a lower-triangular Toeplitz window of the differences with
+    This is one call of the kernel the integrators bind once per run
+    (``_Kernel.bind``).  The Cauchy product
+    sum_{k=0}^{n-2} m_{n-k-1} (m_k - m_{k+1}) is one matmul of a
+    lower-triangular Toeplitz window of the differences with
     (m_1, ..., m_{order-1}).  The window is a strided view over a
     zero-padded buffer, and the coefficients theta n and lambda theta n
     are computed once: both are cached with the other scratch buffers per
@@ -142,25 +194,10 @@ def recurrence_rhs(m: np.ndarray, lam, theta, out: np.ndarray | None = None) -> 
     (which satisfies the same recurrence with lambda replaced by 1 and
     v_0 = lam) can reuse this function.
     """
+    m = np.ascontiguousarray(m, dtype=float)
     if out is None:
         out = np.empty(m.shape)
-    out[..., 0] = 0.0
-    order = m.shape[-1] - 1
-    if order == 0:
-        return out
-    ker = _kernel(m.shape, lam, theta)
-    # theta n m_{n-1} - n m_n, written in place
-    linear = out[..., 1:]
-    np.multiply(ker.theta_n, m[..., :-1], linear)
-    np.multiply(ker.n, m[..., 1:], ker.tmp)
-    np.subtract(linear, ker.tmp, linear)
-    if order >= 2:
-        mid = m[..., 1:-1]
-        np.subtract(m[..., :-2], mid, ker.diffs)
-        np.matmul(ker.window, mid[..., None], ker.conv)
-        np.multiply(ker.coupling, ker.conv_col, ker.q)
-        quad = out[..., 2:]
-        np.add(quad, ker.q, quad)
+    _kernel(m.shape, lam, theta).bind(m, out)()
     return out
 
 
@@ -198,7 +235,8 @@ def integrate_moments_batch(
 
     The initial vectors are stacked into a (B, order+1) state, each row
     with its own lambda and theta (init modes may differ too), and one
-    ``rk4`` call advances them together.  Row b of the result is
+    ``rk4`` call advances them together, with the hierarchy's kernel
+    (``_Kernel``) bound once to each stage's buffers.  Row b of the result is
     bit-identical to ``integrate_moments(params_seq[b], ...)``; the
     trajectories' values are views into one shared (steps, B, order+1)
     array.
@@ -216,8 +254,7 @@ def integrate_moments_batch(
     else:
         lam = tuple(p.lam for p in params_seq)
         theta = tuple(p.theta for p in params_seq)
-    rhs = lambda t, m, out: recurrence_rhs(m, lam, theta, out)
-    times, states = rk4(rhs, y0, t_end, h)
+    times, states = rk4(_kernel(y0.shape, lam, theta).bind, y0, t_end, h)
     states = states.reshape(times.size, len(params_seq), order + 1)
     return [
         MomentTrajectory(params=p, order=order, times=times, values=states[:, b])
@@ -386,6 +423,6 @@ def lambda_scaling_residual(
     m0 = params.initial_vector(order)
     # row 0: m_n at (lam, theta); row 1: v_n from v_0 = lam, v_n(0) = lam m_n(0)
     coupling = (lam, 1.0)
-    rhs = lambda t, y, out: recurrence_rhs(y, coupling, theta, out)
-    _, states = rk4(rhs, np.stack([m0, m0 * lam]), t_end, DEFAULT_STEP)
+    y0 = np.stack([m0, m0 * lam])
+    _, states = rk4(_kernel(y0.shape, coupling, theta).bind, y0, t_end, DEFAULT_STEP)
     return float(np.max(np.abs(lam * states[:, 0] - states[:, 1])))

@@ -147,19 +147,24 @@ def _s_system_terms(order: int, c: float) -> tuple[np.ndarray, np.ndarray, np.nd
     return -n, n.astype(float), 2 * n * c + (n - 1) * (n - 2) * c * c
 
 
-def rk4(rhs, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+def rk4(bind, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Classical fixed-step RK4 for dy/dt = f(t, y) from t = 0 to t_end.
 
-    ``rhs(t, y, out)`` writes f(t, y) into ``out``, an array of y's shape
-    that it must fill entirely and that never overlaps ``y``; its return
-    value is ignored.  The stage derivatives k1..k4, the stage state and
-    the increment are allocated once per call, and each step evaluates
+    ``bind(y, out)`` is called once for each of the four stages, before the
+    first step, with the stage's fixed state buffer ``y`` and derivative
+    buffer ``out`` (C-contiguous arrays of y0's shape that never overlap).
+    It returns ``f(t)``, which writes f(t, y) for the current contents of
+    ``y`` into ``out``; its return value is ignored.  Nothing else writes
+    ``out``, so entries that never change may be written once, by
+    ``bind``.  So a right-hand side builds its views and scratch buffers
+    once per integration, not once per call.  The state lives in one buffer and is
+    copied into ``states[j]`` after step j, and each step evaluates
     y + (dt/2) k1, y + (dt/2) k2, y + dt k3 and
     y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) with in-place ufuncs, which
     round exactly as their allocating forms.
 
     ``y0`` may have any shape; a (B, n) state advances B systems in one
-    loop, one rhs call per stage for all of them.  Returns (times, states)
+    loop, one call per stage for all of them.  Returns (times, states)
     with every step stored, states of shape (len(times),) + y0.shape: the
     most full steps that end at or before t_end (up to rounding), then a
     partial step that lands on t_end when the accumulated time falls
@@ -176,38 +181,40 @@ def rk4(rhs, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.nda
     times = np.empty(steps + 2)
     states = np.empty((steps + 2,) + y0.shape)
     times[0], states[0] = 0.0, y0
-    t, y = 0.0, states[0]
-    k1, k2, k3, k4, stage, acc = np.empty((6,) + y0.shape)
+    t = 0.0
+    y, k1, k2, k3, k4, stage, acc = np.empty((7,) + y0.shape)
+    y[...] = y0
+    f1, f2, f3, f4 = bind(y, k1), bind(stage, k2), bind(stage, k3), bind(stage, k4)
 
-    def step(dt, dest):
+    def step(dt):
         half = dt / 2
-        rhs(t, y, k1)
+        f1(t)
         np.multiply(half, k1, stage)
         np.add(y, stage, stage)
-        rhs(t + half, stage, k2)
+        f2(t + half)
         np.multiply(half, k2, stage)
         np.add(y, stage, stage)
-        rhs(t + half, stage, k3)
+        f3(t + half)
         np.multiply(dt, k3, stage)
         np.add(y, stage, stage)
-        rhs(t + dt, stage, k4)
+        f4(t + dt)
         np.multiply(2, k2, acc)
         np.add(k1, acc, acc)
         np.multiply(2, k3, stage)
         np.add(acc, stage, acc)
         np.add(acc, k4, acc)
         np.multiply(dt / 6, acc, acc)
-        return np.add(y, acc, dest)
+        np.add(y, acc, y)
 
     for j in range(1, steps + 1):
-        y = step(h, states[j])
+        step(h)
         t += h
-        times[j] = t
+        times[j], states[j] = t, y
     stored = steps + 1
     rem = t_end - t
     if rem > 1e-12 * max(1.0, t_end):
-        step(rem, states[stored])
-        times[stored] = t_end
+        step(rem)
+        times[stored], states[stored] = t_end, y
         stored += 1
     return times[:stored], states[:stored]
 
@@ -228,17 +235,19 @@ def s_trajectory(
 
     t_last = 0.0
 
-    def rhs(t, y, out):
-        nonlocal t_last
-        t_last = t
-        s_system_rhs(t, y, theta, out)
+    def bind(y, out):
+        def rhs(t):
+            nonlocal t_last
+            t_last = t
+            s_system_rhs(t, y, theta, out)
+        return rhs
 
     # every overflow raises, so the state never holds inf or NaN: numpy's
     # as FloatingPointError, math.exp(t) of the s_1 source (past t = 709.78)
     # as OverflowError
     try:
         with np.errstate(over="raise"):
-            return rk4(rhs, np.ones(order), t_end, h)
+            return rk4(bind, np.ones(order), t_end, h)
     except (OverflowError, FloatingPointError):
         raise ValueError(
             f"trace system state leaves the float64 range by t={t_last:g}"

@@ -125,6 +125,19 @@ def test_s_system_table(tmp_path):
     assert lines[1] == "1,0,1,1"
 
 
+@pytest.mark.parametrize("t, samples", [("1.0006", "20"), ("1", "20"), ("0.01", "4")])
+def test_s_system_rows_run_from_zero_to_t(tmp_path, t, samples):
+    code = run_cli(tmp_path, "s-system", "--t", t, "--order", "2", "--samples", samples)
+    assert code == 0
+    with open(tmp_path / "s_system.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    sampled = [float(r["t"]) for r in rows if r["n"] == "1"]
+    assert len(sampled) == int(samples) + 1
+    assert sampled[0] == 0.0
+    assert sampled[-1] == float(t)
+    assert sampled == sorted(set(sampled))
+
+
 def test_s_system_general_theta_has_no_closed_column(tmp_path):
     run_cli(tmp_path, "s-system", "--theta", "0.75", "--t", "0.5",
             "--order", "2", "--samples", "2")

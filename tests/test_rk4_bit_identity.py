@@ -16,11 +16,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from freejacobi.moments import (
     ProcessParams,
+    _kernel,
     integrate_moments_batch,
     lambda_scaling_residual,
     recurrence_rhs,
 )
-from freejacobi.special_functions import DEFAULT_STEP, s_trajectory
+from freejacobi.special_functions import DEFAULT_STEP, rk4, s_trajectory
 
 
 @lru_cache(maxsize=16)
@@ -197,3 +198,88 @@ def test_results_do_not_alias_the_scratch_buffers():
     out = np.full(m1.shape, np.nan)
     assert recurrence_rhs(m1, lam, theta, out) is out
     assert out.tobytes() == kept.tobytes()
+
+
+def _columns(values):
+    return np.array(values)[:, None] if isinstance(values, tuple) else values
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 32])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("per_row", [False, True])
+def test_bound_kernel_matches_the_reference(order, rows, per_row):
+    rng = np.random.default_rng(100 * order + rows)
+    m = np.concatenate([np.ones((rows, 1)), rng.uniform(0, 1, (rows, order))], axis=1)
+    lam, theta = ((0.4, 0.9, 1.3)[:rows], (0.5, 0.35, 0.6)[:rows]) if per_row else (0.7, 0.45)
+    want = reference_rhs(m, _columns(lam), _columns(theta))
+    out = np.full(m.shape, np.nan)
+    rhs = _kernel(m.shape, lam, theta).bind(m, out)
+    rhs(0.0)
+    assert out.tobytes() == want.tobytes()
+    # the bound call reads the state's current contents
+    m[:, 1:] = rng.uniform(-1, 1, (rows, order))
+    rhs(0.0)
+    want = reference_rhs(m, _columns(lam), _columns(theta))
+    assert out.tobytes() == want.tobytes()
+    # a flat row with float parameters, as integrate_moments runs it
+    for b in range(rows):
+        lam_b = lam[b] if per_row else lam
+        theta_b = theta[b] if per_row else theta
+        assert recurrence_rhs(m[b], lam_b, theta_b).tobytes() == want[b].tobytes()
+
+
+def test_mixed_init_modes_through_the_bound_kernel():
+    # the three geometries in one batch; the orthogonal start is all zeros
+    # past m_0
+    order, t_end = 16, 0.2505
+    y0 = np.stack([p.initial_vector(order) for p in MIXED])
+    lam = tuple(p.lam for p in MIXED)
+    theta = tuple(p.theta for p in MIXED)
+    times, states = rk4(_kernel(y0.shape, lam, theta).bind, y0, t_end, DEFAULT_STEP)
+    rhs = lambda t, m: reference_rhs(m, _columns(lam), _columns(theta))
+    ref_times, ref_states = reference_rk4(rhs, y0, t_end, DEFAULT_STEP)
+    assert times.tobytes() == ref_times.tobytes()
+    assert states.tobytes() == ref_states.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(9,), (1, 9), (3, 9)])
+def test_column_zero_is_positive_zero(shape):
+    rng = np.random.default_rng(11)
+    m = -rng.uniform(0.1, 1, shape)
+    lam, theta = ((0.4, 0.6, 0.8)[: shape[0]], (0.5,) * shape[0]) if len(shape) == 2 else (0.6, 0.5)
+    out = recurrence_rhs(m, lam, theta)
+    assert not np.signbit(out[..., 0]).any()
+    assert (out[..., 0] == 0.0).all()
+
+
+def test_rows_stay_independent_when_one_overflows():
+    rng = np.random.default_rng(12)
+    m = np.concatenate([np.ones((2, 1)), rng.uniform(0, 1, (2, 8))], axis=1)
+    m[0, -1] = np.inf
+    with np.errstate(invalid="ignore"):
+        out = recurrence_rhs(m, (0.4, 0.6), (0.5, 0.5))
+    assert out[1].tobytes() == reference_rhs(m[1], 0.6, 0.5).tobytes()
+
+
+@pytest.mark.parametrize("steps", [10, 1000])
+def test_rk4_binds_once_per_stage(steps):
+    calls = []
+
+    def bind(y, out):
+        calls.append((y, out))
+        return lambda t: np.multiply(-1.0, y, out)
+
+    times, states = rk4(bind, np.ones(3), steps * 1e-3, 1e-3)
+    assert len(times) == steps + 1
+    assert len(calls) == 4
+    # each stage binds its own output, and no bound buffer is a stored state
+    assert len({id(out) for _, out in calls}) == 4
+    assert not any(np.shares_memory(buf, states) for call in calls for buf in call)
+
+
+def test_bound_arrays_must_be_contiguous():
+    # a reshaped copy of a strided output would take the writes and drop them
+    m = np.ones((3, 9))
+    out = np.empty((9, 3)).T
+    with pytest.raises(ValueError, match="C-contiguous"):
+        recurrence_rhs(m, (0.4, 0.6, 0.8), (0.5,) * 3, out)

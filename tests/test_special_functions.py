@@ -166,27 +166,27 @@ def test_ubm_moment_matches_mpmath_at_large_nt(n, t):
         assert abs(ours - ref) <= 1e-11 * abs(ref)
 
 
-def out_form(rhs):
-    """A two-argument rhs(t, y) in rk4's rhs(t, y, out) form."""
-    return lambda t, y, out: np.copyto(out, rhs(t, y))
+def bind_form(rhs):
+    """A two-argument rhs(t, y) in rk4's bind(y, out) -> f(t) form."""
+    return lambda y, out: lambda t: np.copyto(out, rhs(t, y))
 
 
 def test_rk4_rejects_nonpositive_step():
     y0 = np.ones(2)
     for h in (0.0, -0.5, float("nan")):
         with pytest.raises(ValueError):
-            sf.rk4(out_form(lambda t, y: -y), y0, 1.0, h)
+            sf.rk4(bind_form(lambda t, y: -y), y0, 1.0, h)
     for t_end in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            sf.rk4(out_form(lambda t, y: -y), y0, t_end, 0.1)
+            sf.rk4(bind_form(lambda t, y: -y), y0, t_end, 0.1)
 
 
 def test_rk4_steps_and_partial_step():
-    times, states = sf.rk4(out_form(lambda t, y: np.cos(t) * y), np.ones(1), 1.05, 0.1)
+    times, states = sf.rk4(bind_form(lambda t, y: np.cos(t) * y), np.ones(1), 1.05, 0.1)
     assert len(times) == 12  # t = 0, ten full steps, one partial step
     assert times[-1] == 1.05
     assert states[-1][0] == pytest.approx(math.exp(math.sin(1.05)), rel=1e-6)
-    times, _ = sf.rk4(out_form(lambda t, y: -y), np.ones(1), 0.0, 0.1)
+    times, _ = sf.rk4(bind_form(lambda t, y: -y), np.ones(1), 0.0, 0.1)
     assert list(times) == [0.0]
 
 
@@ -219,14 +219,14 @@ def test_rk4_batched_state_matches_list_loop(t_end, rows):
     rate = np.array([[-1.0], [0.5]])
     rhs = lambda t, y: rate * np.cos(t) * y
     y0 = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.25]])
-    times, states = sf.rk4(out_form(rhs), y0, t_end, 0.1)
+    times, states = sf.rk4(bind_form(rhs), y0, t_end, 0.1)
     assert states.shape == (rows, 2, 3)
     assert times[-1] == pytest.approx(t_end, abs=1e-15)
     ref_times, ref_states = list_rk4(rhs, y0, t_end, 0.1)
     assert np.array_equal(times, ref_times)
     assert np.array_equal(states, ref_states)
     for b in range(2):
-        _, row = sf.rk4(out_form(lambda t, y: rate[b, 0] * np.cos(t) * y), y0[b], t_end, 0.1)
+        _, row = sf.rk4(bind_form(lambda t, y: rate[b, 0] * np.cos(t) * y), y0[b], t_end, 0.1)
         assert np.array_equal(states[:, b], row)
 
 
