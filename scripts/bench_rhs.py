@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
-"""Time the moment-hierarchy kernel, one RK4 step and the batched integrator.
+"""Time the moment-hierarchy right-hand side, one RK4 step and the batched
+integrator.
 
 Prints, for batches of B = 1 and 3 rows at orders 8 and 32, as
-``integrate_moments_batch`` runs them (B = 1 as a flat vector with float
-parameters, B = 3 with one parameter per row as a tuple):
+``integrate_moments_batch`` runs them (a (B, order + 1) state with one
+parameter per row as a tuple):
 
 - the median microseconds per call of the bound right-hand side
-  (``_kernel(...).bind(m, out)``, bound once, called many times);
+  (``hierarchy(lam, theta)(m, out)``, bound once, called many times);
 - the median microseconds per RK4 step, each timed over 2000 steps of
   ``integrate_moments_batch``.
 
-Then the per-step cost of one row run as a (1, order + 1) batch against
-the flat vector ``integrate_moments_batch`` uses, at orders 8 and 32,
-timed alternately (the percentage is the median per-repeat ratio), and
-the wall time of the density suite's three-lambda integration (order 8,
-t = 30, h = 1e-3) run as one batch and as three single runs.  Plain
-``perf_counter``; set OPENBLAS_NUM_THREADS=1 to match the benchmark's
-children.
+Then the wall time of the density suite's three-lambda integration
+(order 8, t = 30, h = 1e-3) run as one batch and as three single runs.
+Plain ``perf_counter``; set OPENBLAS_NUM_THREADS=1 to match the
+benchmark's children.
 
 Usage: python scripts/bench_rhs.py [--repeats 15] [--calls 2000] [--t 30]
 """
@@ -29,11 +27,10 @@ import numpy as np
 
 from freejacobi.moments import (
     ProcessParams,
-    _kernel,
+    hierarchy,
     integrate_moments,
     integrate_moments_batch,
 )
-from freejacobi.special_functions import rk4
 
 LAMBDAS = (0.4, 0.6, 0.8)
 STEPS = 2000
@@ -49,13 +46,8 @@ def _median_us(run, repeats: int, per: int) -> float:
 
 
 def per_call_us(rows: int, order: int, repeats: int, calls: int) -> float:
-    rng = np.random.default_rng(order)
-    if rows == 1:
-        m, lam, theta = rng.uniform(0, 1, order + 1), 0.6, 0.5
-    else:
-        m = rng.uniform(0, 1, (rows, order + 1))
-        lam, theta = LAMBDAS[:rows], (0.5,) * rows
-    rhs = _kernel(m.shape, lam, theta).bind(m, np.empty_like(m))
+    m = np.random.default_rng(order).uniform(0, 1, (rows, order + 1))
+    rhs = hierarchy(LAMBDAS[:rows], (0.5,) * rows)(m, np.empty_like(m))
 
     def run():
         for _ in range(calls):
@@ -71,23 +63,6 @@ def per_step_us(rows: int, order: int, repeats: int) -> float:
                       repeats, STEPS)
 
 
-def one_row_step_us(order: int, repeats: int) -> tuple[float, float, float]:
-    """Median us/step of one row run flat and as a (1, order + 1) batch,
-    timed alternately, and the median of their per-repeat ratios."""
-    y0 = ProcessParams(lam=0.6, theta=0.5).initial_vector(order)
-    h = 1e-3
-
-    def step_us(y):
-        start = perf_counter()
-        rk4(_kernel(y.shape, 0.6, 0.5).bind, y, STEPS * h, h)
-        return (perf_counter() - start) / STEPS * 1e6
-
-    pairs = [(step_us(y0), step_us(y0[None])) for _ in range(repeats)]
-    flat, batch = zip(*pairs)
-    ratio = statistics.median(b / f for f, b in pairs)
-    return statistics.median(flat), statistics.median(batch), ratio
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=15)
@@ -101,11 +76,6 @@ def main():
             step = per_step_us(rows, order, args.repeats)
             print(f"B={rows}  order={order:2d}  bound call {call:6.2f} us  "
                   f"rk4 step {step:6.2f} us")
-
-    for order in (8, 32):
-        flat, batch, ratio = one_row_step_us(order, args.repeats)
-        print(f"one row  order={order:2d}  flat {flat:6.2f} us/step  "
-              f"(1, {order + 1}) batch {batch:6.2f} us/step ({ratio - 1:+.0%})")
 
     params = [ProcessParams(lam=lam, theta=0.5) for lam in LAMBDAS]
     start = perf_counter()

@@ -9,7 +9,7 @@ Usage: python scripts/oracle_convergence.py [--dims 64,128,256] [--seed 1]
 
 import argparse
 
-from freejacobi.moments import closed_form_moment
+from freejacobi.moments import closed_form_moments
 from freejacobi.oracle import OracleConfig, empirical_jacobi_moments
 
 
@@ -22,8 +22,8 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    ref1 = closed_form_moment(1, args.t)
-    ref2 = closed_form_moment(2, args.t)
+    ref1 = closed_form_moments(args.t, 1)[1]
+    ref2 = closed_form_moments(args.t, 2)[2]
     print(f"theory: m1 = {ref1:.6f}, m2 = {ref2:.6f}")
     for dim in (int(x) for x in args.dims.split(",")):
         run = empirical_jacobi_moments(

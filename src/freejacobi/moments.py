@@ -6,9 +6,12 @@ The moments m_n(t) = tau(J_t^n)/tau(P) close into a triangular ODE system
                + lambda theta n sum_{k=0}^{n-2} m_{n-k-1} (m_k - m_{k+1})
 
 valid for any initial data, which this module integrates with fixed-step
-classical RK4.  ``integrate_moments_batch`` stacks several parameter sets
-(lambda, theta and initial geometry may all differ) into one (B, order+1)
-state and advances them in a single RK4 loop, so a scan over lambda is one
+classical RK4.  Its right-hand side, ``hierarchy(lam, theta)``, builds its
+coefficients and scratch buffers when ``rk4`` binds it, so nothing outlives
+one integration and concurrent integrations share no buffer.
+``integrate_moments_batch`` stacks several parameter sets (lambda, theta
+and initial geometry may all differ) into one (B, order+1) state and
+advances them in a single RK4 loop, so a scan over lambda is one
 integration; ``integrate_moments`` is its batch of one.  The module also
 provides the closed-form route at the symmetric parameter point, the
 combinatorial-expansion route for rank ratio one, and the complement
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,68 +83,67 @@ class ProcessParams:
         return m
 
 
-class _Kernel:
-    """Everything the hierarchy's right-hand side keeps at one state shape
-    and one (lambda, theta): its coefficients and the scratch buffers of
-    the Cauchy product.  ``bind`` ties them to a state and an output.
+def hierarchy(lam, theta):
+    """The hierarchy's right-hand side at (lambda, theta), as ``rk4`` takes
+    it: ``bind(m, out)`` returns ``rhs(t=None)``, which writes the
+    derivative at the current contents of ``m`` into ``out``.
+
+    ``lam`` and ``theta`` are floats, or tuples with one value per row of a
+    (B, order+1) state.  ``bind`` builds the coefficients, the scratch
+    buffers and every view for its own ``m`` and ``out`` (C-contiguous,
+    same shape, not overlapping), so no two bindings share a buffer.  It
+    zeroes column 0 of ``out`` once, so nothing but ``rhs`` may write
+    ``out``.
 
     The linear terms run on the state laid end to end, one row after
     another: position p of the flat output gets theta p' m_{p-1} - p' m_p,
     where p' is p's column, and the coefficients are 0 at the columns
-    where a row's m_0 lands.  The quadratic sum is written into a
-    zero-padded buffer of the state's shape, so it is added flat as well.
-    The Toeplitz matmul stays on its strided window, so it runs numpy's
-    sequential (non-BLAS) loop.
+    where a row's m_0 lands.  The Cauchy product
+    sum_{k=0}^{n-2} m_{n-k-1} (m_k - m_{k+1}) is one matmul of a
+    lower-triangular Toeplitz window of the differences with
+    (m_1, ..., m_{order-1}); the window is a strided view over a
+    zero-padded buffer, so the matmul runs numpy's sequential (non-BLAS)
+    loop.  The sum lands in a zero-padded buffer of the state's shape and
+    is added flat as well.
     """
+    if isinstance(lam, tuple):
+        lam = np.array(lam)[:, None]
+    if isinstance(theta, tuple):
+        theta = np.array(theta)[:, None]
 
-    def __init__(self, shape, lam, theta):
-        order = shape[-1] - 1
-        k = max(order - 1, 1)
-        rows = shape[:-1]
-        if isinstance(lam, tuple):
-            lam = np.array(lam)[:, None]
-        if isinstance(theta, tuple):
-            theta = np.array(theta)[:, None]
-        n = np.arange(1.0, order + 1)
-        self.order = order
-        theta_n, n_flat = np.zeros((2,) + shape)
-        theta_n[..., 1:] = theta * n
-        n_flat[..., 1:] = n
-        self.theta_n = theta_n.reshape(-1)[1:]
-        self.n = n_flat.reshape(-1)[1:]
-        self.tmp = np.empty(self.n.shape)
-        # (lam theta) n: lam * theta is rounded first
-        self.coupling = np.ascontiguousarray(
-            np.broadcast_to(lam * theta * n[1:], rows + (max(order - 1, 0),)))
-        # buf = (0, ..., 0, d_0, ..., d_{k-1}); window[j, i] = buf[k-1+j-i],
-        # which is d_{j-i} for i <= j and 0 above the diagonal
-        buf = np.zeros(rows + (2 * k - 1,))
-        self.diffs = buf[..., k - 1 :]
-        self.window = sliding_window_view(buf, k, axis=-1)[..., ::-1]
-        self.conv = np.empty(rows + (k, 1))
-        # columns 0 and 1 stay zero
-        self.quad = np.zeros(shape)
-
-    def bind(self, m: np.ndarray, out: np.ndarray):
-        """``rhs(t=None)``, which writes the derivative at the current
-        contents of ``m`` into ``out``.  Both are C-contiguous arrays of the
-        kernel's shape, and nothing but ``rhs`` writes ``out``: column 0 is
-        zeroed here, once, and every view is built here too."""
+    def bind(m: np.ndarray, out: np.ndarray):
         if not (m.flags.c_contiguous and out.flags.c_contiguous):
             raise ValueError("the state and the output must be C-contiguous")
-        m_flat, out_flat = m.reshape(-1), out.reshape(-1)
+        order, rows = m.shape[-1] - 1, m.shape[:-1]
         col0 = out[..., 0]
         col0.fill(0.0)
-        if self.order == 0:
+        if order == 0:
             return lambda t=None: None
         multiply, subtract, add, matmul = np.multiply, np.subtract, np.add, np.matmul
-        theta_n, n, tmp, coupling = self.theta_n, self.n, self.tmp, self.coupling
+        n = np.arange(1.0, order + 1)
+        theta_n, n_flat = np.zeros((2,) + m.shape)
+        theta_n[..., 1:] = theta * n
+        n_flat[..., 1:] = n
+        theta_n, n_flat = theta_n.reshape(-1)[1:], n_flat.reshape(-1)[1:]
+        tmp = np.empty(n_flat.shape)
+        m_flat, out_flat = m.reshape(-1), out.reshape(-1)
         prev, cur, linear = m_flat[:-1], m_flat[1:], out_flat[1:]
-        low, mid = m[..., :-2], m[..., 1:-1]
-        mid_col = mid[..., None]
-        diffs, window, conv = self.diffs, self.window, self.conv
-        conv_col, quad, quad_flat = conv[..., 0], self.quad[..., 2:], self.quad.reshape(-1)
-        quadratic = self.order >= 2
+        quadratic = order >= 2
+        if quadratic:
+            k = order - 1
+            # (lam theta) n: lam * theta is rounded first
+            coupling = np.ascontiguousarray(np.broadcast_to(lam * theta * n[1:], rows + (k,)))
+            # buf = (0, ..., 0, d_0, ..., d_{k-1}); window[j, i] = buf[k-1+j-i],
+            # which is d_{j-i} for i <= j and 0 above the diagonal
+            buf = np.zeros(rows + (2 * k - 1,))
+            diffs = buf[..., k - 1 :]
+            window = sliding_window_view(buf, k, axis=-1)[..., ::-1]
+            low, mid = m[..., :-2], m[..., 1:-1]
+            mid_col = mid[..., None]
+            conv = np.empty(rows + (k, 1))
+            conv_col = conv[..., 0]
+            sums = np.zeros(m.shape)  # columns 0 and 1 stay zero
+            quad, quad_flat = sums[..., 2:], sums.reshape(-1)
         # the linear ufuncs write 0 * (previous row's m_order) into every
         # row's column 0 after the first, NaN if that is inf
         several_rows = col0.size > 1
@@ -150,7 +151,7 @@ class _Kernel:
         def rhs(t=None):
             # theta n m_{n-1} - n m_n, written in place
             multiply(theta_n, prev, linear)
-            multiply(n, cur, tmp)
+            multiply(n_flat, cur, tmp)
             subtract(linear, tmp, linear)
             if quadratic:
                 subtract(low, mid, diffs)
@@ -160,11 +161,7 @@ class _Kernel:
             if several_rows:
                 col0.fill(0.0)
         return rhs
-
-
-@lru_cache(maxsize=16)
-def _kernel(shape: tuple[int, ...], lam, theta) -> _Kernel:
-    return _Kernel(shape, lam, theta)
+    return bind
 
 
 def recurrence_rhs(m: np.ndarray, lam, theta, out: np.ndarray | None = None) -> np.ndarray:
@@ -172,22 +169,13 @@ def recurrence_rhs(m: np.ndarray, lam, theta, out: np.ndarray | None = None) -> 
 
     ``m`` is a float array of shape (..., order+1): one moment vector per
     leading index.  ``lam`` and ``theta`` are floats, or tuples with one
-    value per row of a (B, order+1) batch (they key a cache).  Each row's
-    arithmetic does not depend on the others, so a row of a batch is
-    bit-identical to the same row passed alone.  The derivative is written
-    into ``out`` (C-contiguous, same shape as ``m``, not overlapping it)
-    when given, and into a new array otherwise; either is returned.
-
-    This is one call of the kernel the integrators bind once per run
-    (``_Kernel.bind``).  The Cauchy product
-    sum_{k=0}^{n-2} m_{n-k-1} (m_k - m_{k+1}) is one matmul of a
-    lower-triangular Toeplitz window of the differences with
-    (m_1, ..., m_{order-1}).  The window is a strided view over a
-    zero-padded buffer, and the coefficients theta n and lambda theta n
-    are computed once: both are cached with the other scratch buffers per
-    (shape, lam, theta).  Two threads must therefore not call this at once
-    with the same key.  The package's one helper thread, the oracle's GUE
-    draw (``oracle._gue``), never calls it.
+    value per row of a (B, order+1) batch.  Each row's arithmetic does not
+    depend on the others, so a row of a batch is bit-identical to the same
+    row passed alone.  The derivative is written into ``out``
+    (C-contiguous, same shape as ``m``, not overlapping it) when given, and
+    into a new array otherwise; either is returned.  One call of a fresh
+    ``hierarchy(lam, theta)`` binding, the right-hand side the integrators
+    bind once per stage.
 
     The quadratic sum is empty for n = 1.  Component 0 of ``m`` is read
     as-is rather than assumed to be 1, so the rescaled system v_n = lam m_n
@@ -197,7 +185,7 @@ def recurrence_rhs(m: np.ndarray, lam, theta, out: np.ndarray | None = None) -> 
     m = np.ascontiguousarray(m, dtype=float)
     if out is None:
         out = np.empty(m.shape)
-    _kernel(m.shape, lam, theta).bind(m, out)()
+    hierarchy(lam, theta)(m, out)()
     return out
 
 
@@ -235,10 +223,10 @@ def integrate_moments_batch(
 
     The initial vectors are stacked into a (B, order+1) state, each row
     with its own lambda and theta (init modes may differ too), and one
-    ``rk4`` call advances them together, with the hierarchy's kernel
-    (``_Kernel``) bound once to each stage's buffers.  Row b of the result is
-    bit-identical to ``integrate_moments(params_seq[b], ...)``; the
-    trajectories' values are views into one shared (steps, B, order+1)
+    ``rk4`` call advances them together, with the hierarchy's right-hand
+    side (``hierarchy``) bound once to each stage's buffers.  Row b of the
+    result is bit-identical to ``integrate_moments(params_seq[b], ...)``;
+    the trajectories' values are views into one shared (steps, B, order+1)
     array.
     """
     params_seq = list(params_seq)
@@ -247,15 +235,9 @@ def integrate_moments_batch(
     if order < 1:
         raise ValueError("order must be >= 1")
     y0 = np.stack([p.initial_vector(order) for p in params_seq])
-    if len(params_seq) == 1:
-        # one row runs as a flat vector with scalar parameters: the same
-        # arithmetic, with less numpy dispatch per call than a (1, n) batch
-        y0, lam, theta = y0[0], params_seq[0].lam, params_seq[0].theta
-    else:
-        lam = tuple(p.lam for p in params_seq)
-        theta = tuple(p.theta for p in params_seq)
-    times, states = rk4(_kernel(y0.shape, lam, theta).bind, y0, t_end, h)
-    states = states.reshape(times.size, len(params_seq), order + 1)
+    lam = tuple(p.lam for p in params_seq)
+    theta = tuple(p.theta for p in params_seq)
+    times, states = rk4(hierarchy(lam, theta), y0, t_end, h)
     return [
         MomentTrajectory(params=p, order=order, times=times, values=states[:, b])
         for b, p in enumerate(params_seq)
@@ -280,11 +262,6 @@ def integrate_moments(
 # ---------------------------------------------------------------------------
 # Closed-form and expansion routes (lambda = 1)
 # ---------------------------------------------------------------------------
-
-def closed_form_moment(n: int, t: float) -> float:
-    """Moment m_n(t) at the symmetric point: element n of ``closed_form_moments``."""
-    return float(closed_form_moments(t, n)[n])
-
 
 def closed_form_moments(t: float, order: int) -> np.ndarray:
     """Vector (m_0, ..., m_order) of the closed-form route at time t:
@@ -424,5 +401,5 @@ def lambda_scaling_residual(
     # row 0: m_n at (lam, theta); row 1: v_n from v_0 = lam, v_n(0) = lam m_n(0)
     coupling = (lam, 1.0)
     y0 = np.stack([m0, m0 * lam])
-    _, states = rk4(_kernel(y0.shape, coupling, theta).bind, y0, t_end, DEFAULT_STEP)
+    _, states = rk4(hierarchy(coupling, theta), y0, t_end, DEFAULT_STEP)
     return float(np.max(np.abs(lam * states[:, 0] - states[:, 1])))

@@ -12,22 +12,24 @@ Per-trial randomness comes from a counter-based generator keyed by
 (master seed, trial index): estimates are identical for a given config no
 matter how trials are scheduled.
 
-Each step's GUE increment is drawn in a helper thread while the calling
-thread runs the previous step's eigendecomposition, reconstruction and
-update.  The draw depends only on the trial's generator, never on U, and
-runs only RNG and elementwise ufunc code: every LAPACK/BLAS call stays on
-the calling thread, so results are bit-identical to the serial loop at any
-BLAS thread count.  Draws stay strictly sequential on the one generator,
-at most one increment ahead.  The overlap saves time only where BLAS
-leaves a core idle (one BLAS thread on a multi-core host); where BLAS
-already uses every core the helper only contends with it.
+Each step's GUE increment is drawn on a one-worker ``ThreadPoolExecutor``
+while the calling thread runs the previous step's eigendecomposition,
+reconstruction and update; the executor lives for one path, and leaving
+it joins its worker.  The draw depends only on the trial's generator,
+never on U, and runs only RNG and elementwise ufunc code: every
+LAPACK/BLAS call stays on the calling thread, so results are
+bit-identical to the serial loop at any BLAS thread count.  Draws stay
+strictly sequential on the one generator, at most one increment ahead.
+The overlap saves time only where BLAS leaves a core idle (one BLAS
+thread on a multi-core host); where BLAS already uses every core the
+worker only contends with it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,48 +150,21 @@ def _gue(rng: np.random.Generator, dim: int) -> np.ndarray:
     return g
 
 
-class _DrawAhead:
-    """One GUE increment drawn from ``rng`` in a helper thread.
-
-    The helper runs only RNG and elementwise ufunc code (``_gue``), so
-    LAPACK/BLAS and everything a tracer wraps stay on the calling thread.
-    ``get`` waits for the draw and re-raises on the calling thread any
-    exception it raised."""
-
-    def __init__(self, rng: np.random.Generator, dim: int):
-        self._result = None
-        self._thread = threading.Thread(target=self._draw, args=(rng, dim), daemon=True)
-        self._thread.start()
-
-    def _draw(self, rng, dim) -> None:
-        try:
-            self._result = _gue(rng, dim)
-        except BaseException as exc:  # handed to the calling thread by get()
-            self._result = exc
-
-    def join(self) -> None:
-        self._thread.join()
-
-    def get(self) -> np.ndarray:
-        self._thread.join()
-        if isinstance(self._result, BaseException):
-            raise self._result
-        return self._result
-
-
 def _unitary_endpoint(rng: np.random.Generator, dim: int, t_end: float, steps: int) -> np.ndarray:
     u = np.eye(dim, dtype=complex)
     if t_end == 0.0:
         return u
     dt = t_end / steps
     sqrt_dt = math.sqrt(dt)
-    ahead = _DrawAhead(rng, dim)
-    try:
+    # leaving the block joins a draw an exception left running
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(_gue, rng, dim)
         for k in range(steps):
-            g = ahead.get()
-            # the next draw starts only after this one finished: the
+            g = ahead.result()  # re-raises a failed draw here
+            # the next draw starts only after this one returned: the
             # generator is used strictly sequentially
-            ahead = _DrawAhead(rng, dim) if k + 1 < steps else None
+            if k + 1 < steps:
+                ahead = helper.submit(_gue, rng, dim)
             w, v = np.linalg.eigh(g)
             del g
             scaled = v * np.exp(1j * sqrt_dt * w)
@@ -197,9 +172,6 @@ def _unitary_endpoint(rng: np.random.Generator, dim: int, t_end: float, steps: i
             step = scaled @ v.T
             del scaled, v
             u = step @ u
-    finally:
-        if ahead is not None:  # an exception left a draw running
-            ahead.join()
     return u
 
 
@@ -215,15 +187,12 @@ def _trial_estimates(config: OracleConfig, trial: int) -> tuple[np.ndarray, floa
     drift = unitarity_defect(u)
     orders = config.orders
 
-    if config.mode == "unitary":
-        eig = np.linalg.eigvals(u)
-        vals = np.array([np.mean(eig**n).real for n in orders])
-        return vals, drift
-
-    if config.mode == "bernoulli_weight":
-        n_plus = round_half_up(config.theta * dim)
-        signs = np.concatenate([np.ones(n_plus), -np.ones(dim - n_plus)])
-        w = (signs[:, None] * u * signs[None, :]) @ u.conj().T  # a U a U*
+    if config.mode in ("unitary", "bernoulli_weight"):
+        w = u
+        if config.mode == "bernoulli_weight":
+            n_plus = round_half_up(config.theta * dim)
+            signs = np.concatenate([np.ones(n_plus), -np.ones(dim - n_plus)])
+            w = (signs[:, None] * u * signs[None, :]) @ u.conj().T  # a U a U*
         eig = np.linalg.eigvals(w)
         vals = np.array([np.mean(eig**n).real for n in orders])
         return vals, drift

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 
 import numpy as np
 
@@ -119,34 +118,6 @@ def s_closed_theta_half(n: int, t: float) -> float:
     return laguerre1(n - 1, 2.0 * n * t) / n
 
 
-def s_system_rhs(t: float, s: np.ndarray, theta: float, out: np.ndarray) -> None:
-    """Right-hand side of the trace system, component n stored at s[n-1],
-    written into ``out``.
-
-    d/dt s_1 = (2 theta - 1)^2 e^t  (the stated closed form for s_1), and
-    for n >= 2
-    d/dt s_n = -n sum_{k=1}^{n-1} s_{n-k} s_k
-               + e^{nt} [2n (2 theta - 1) + (n-1)(n-2)(2 theta - 1)^2].
-    """
-    order = s.size
-    c = 2.0 * theta - 1.0
-    out[0] = c * c * math.exp(t) if c != 0.0 else 0.0
-    if order >= 2:
-        neg_n, n, source = _s_system_terms(order, c)
-        tail = out[1:]
-        np.multiply(neg_n, np.convolve(s, s)[: order - 1], tail)
-        if c != 0.0:
-            tail += np.exp(n * t) * source
-
-
-@lru_cache(maxsize=16)
-def _s_system_terms(order: int, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(-n, n, 2n c + (n-1)(n-2) c^2) for n = 2..order: the t-independent
-    factors of ``s_system_rhs``."""
-    n = np.arange(2, order + 1)
-    return -n, n.astype(float), 2 * n * c + (n - 1) * (n - 2) * c * c
-
-
 def rk4(bind, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Classical fixed-step RK4 for dy/dt = f(t, y) from t = 0 to t_end.
 
@@ -156,8 +127,10 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.nd
     It returns ``f(t)``, which writes f(t, y) for the current contents of
     ``y`` into ``out``; its return value is ignored.  Nothing else writes
     ``out``, so entries that never change may be written once, by
-    ``bind``.  So a right-hand side builds its views and scratch buffers
-    once per integration, not once per call.  The state lives in one buffer and is
+    ``bind``.  ``bind`` prepares everything the right-hand side needs
+    (coefficients, views, scratch buffers) for its own two buffers, so
+    nothing outlives one integration and two integrations, in one thread
+    or several, share nothing.  The state lives in one buffer and is
     copied into ``states[j]`` after step j, and each step evaluates
     y + (dt/2) k1, y + (dt/2) k2, y + dt k3 and
     y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) with in-place ufuncs, which
@@ -227,19 +200,35 @@ def s_trajectory(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the trace system from s_n(0) = 1 (the weight squares to the
     identity); states[j, n-1] holds s_n.  A ValueError names the time the
-    state leaves float64 (theta != 1/2)."""
+    state leaves float64 (theta != 1/2).
+
+    With c = 2 theta - 1,
+    d/dt s_1 = c^2 e^t  (the stated closed form for s_1), and for n >= 2
+    d/dt s_n = -n sum_{k=1}^{n-1} s_{n-k} s_k + e^{nt} [2n c + (n-1)(n-2) c^2].
+    The t-independent factors -n, n and 2n c + (n-1)(n-2) c^2 are computed
+    once per binding.
+    """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     if order < 1:
         raise ValueError("order must be >= 1")
 
+    c = 2.0 * theta - 1.0
     t_last = 0.0
 
-    def bind(y, out):
+    def bind(s, out):
+        n = np.arange(2, order + 1)
+        neg_n, n_float, source = -n, n.astype(float), 2 * n * c + (n - 1) * (n - 2) * c * c
+        tail = out[1:]
+
         def rhs(t):
             nonlocal t_last
             t_last = t
-            s_system_rhs(t, y, theta, out)
+            out[0] = c * c * math.exp(t) if c != 0.0 else 0.0
+            if order >= 2:
+                np.multiply(neg_n, np.convolve(s, s)[: order - 1], tail)
+                if c != 0.0:
+                    np.add(tail, np.exp(n_float * t) * source, tail)
         return rhs
 
     # every overflow raises, so the state never holds inf or NaN: numpy's

@@ -238,6 +238,9 @@ def check_alpha(order: int) -> Checked:
 
 def check_rho(t: float, order: int) -> Checked:
     _require_order(order)
+    # here, not in rho_series: the stencil at t = 0 reads rho at -delta
+    if not 0 <= t < math.inf:
+        raise ValueError("time must be finite and nonnegative")
     rho = transforms.rho_series(t, order).coeffs  # raises first at t itself
     result = _check("series", "rho-pde-residual", transforms.pde_residual_rho(t, order),
                     1e-6, f"order {order}, t={t:g}")

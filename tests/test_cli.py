@@ -515,6 +515,9 @@ def test_s_system_ends_on_an_off_grid_time(tmp_path):
     "density --t nan",
     "oracle --t nan --dim 16 --steps 5 --trials 2",
     "series --check mgf --t inf",
+    "series --check rho --t -1",
+    "series --check rho --t nan",
+    "series --check rho --t inf",
 ])
 def test_time_outside_its_range_exits_2(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -522,3 +525,10 @@ def test_time_outside_its_range_exits_2(tmp_path, capsys, command):
     assert exc.value.code == 2
     assert "finite" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_rho_check_at_time_zero_passes(tmp_path):
+    # the stencil at t = 0 reads rho at a negative time, so the range
+    # check belongs to the command, not to rho_series
+    with redirect_stdout(io.StringIO()):
+        assert run_cli(tmp_path, "series", "--check", "rho", "--t", "0") == 0

@@ -9,7 +9,6 @@ from freejacobi.combinatorics import binomial
 from freejacobi.moments import (
     MomentTrajectory,
     ProcessParams,
-    closed_form_moment,
     closed_form_moments,
     complement_moments,
     expansion_moments,
@@ -115,7 +114,7 @@ class TestClosedForm:
 
     def test_m1(self):
         for t in (0.0, 0.5, 1.0, 3.0):
-            assert closed_form_moment(1, t) == pytest.approx(
+            assert closed_form_moments(t, 1)[1] == pytest.approx(
                 (1 + math.exp(-t)) / 2, rel=1e-14
             )
 
@@ -125,7 +124,7 @@ class TestClosedForm:
     @given(st.integers(1, 16), st.floats(0.05, 4.0))
     def test_symmetric_binomial_identity(self, n, t):
         assert symmetric_binomial_moment(n, t) == pytest.approx(
-            closed_form_moment(n, t), abs=1e-12
+            closed_form_moments(t, n)[n], abs=1e-12
         )
 
     @pytest.mark.parametrize("n", [512, 600])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from freejacobi import oracle as orc
-from freejacobi.moments import closed_form_moment
+from freejacobi.moments import closed_form_moments
 from freejacobi.special_functions import s_closed_theta_half, ubm_moment
 
 
@@ -111,8 +111,8 @@ def test_unitary_trace_tracks_theory():
 def test_nested_moments_track_theory():
     cfg = orc.OracleConfig(dim=128, t_end=1.0, steps=100, trials=4, seed=7)
     run = orc.empirical_jacobi_moments(cfg)
-    assert abs(run.estimates[1] - closed_form_moment(1, 1.0)) < 0.02
-    assert abs(run.estimates[2] - closed_form_moment(2, 1.0)) < 0.03
+    assert abs(run.estimates[1] - closed_form_moments(1.0, 1)[1]) < 0.02
+    assert abs(run.estimates[2] - closed_form_moments(1.0, 2)[2]) < 0.03
     assert run.unitarity_drift < 1e-10
 
 
@@ -133,7 +133,7 @@ def test_convergence_trend_with_paired_seed():
     for dim in (64, 128, 256):
         cfg = orc.OracleConfig(dim=dim, t_end=1.0, steps=60, trials=4, seed=1)
         run = orc.empirical_jacobi_moments(cfg)
-        errors.append(abs(run.estimates[1] - closed_form_moment(1, 1.0)))
+        errors.append(abs(run.estimates[1] - closed_form_moments(1.0, 1)[1]))
     assert errors[0] >= errors[1] >= errors[2]
 
 

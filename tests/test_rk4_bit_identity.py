@@ -1,13 +1,19 @@
-"""The in-place moment-hierarchy path against the allocating one it replaced.
+"""The bound, in-place right-hand sides against the allocating ones they
+replaced.
 
 ``reference_rhs``, ``reference_s_system_rhs`` and ``reference_rk4`` are the
-allocating ``moments.recurrence_rhs``, ``special_functions.s_system_rhs`` and
-``special_functions.rk4`` that the cached coefficients and preallocated
-stage buffers replaced, kept verbatim as the bit-for-bit reference: every
-operation and its order are unchanged, so every integrated bit must be too.
+allocating moment-hierarchy right-hand side, trace-system right-hand side
+and RK4 loop that the bound right-hand sides (``moments.hierarchy`` and the
+one in ``special_functions.s_trajectory``) and preallocated stage buffers
+replaced, kept verbatim as the bit-for-bit reference: every operation and
+its order are unchanged, so every integrated bit must be too.  A binding
+owns its coefficients and scratch, so integrations running in several
+threads at once must give the serial bits as well.
 """
 
 import math
+import sys
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from freejacobi.moments import (
     ProcessParams,
-    _kernel,
+    hierarchy,
     integrate_moments_batch,
     lambda_scaling_residual,
     recurrence_rhs,
@@ -162,9 +168,9 @@ def test_s_trajectory_is_bit_identical(theta):
     assert states.tobytes() == ref_states.tobytes()
 
 
-def test_kernel_cache_follows_the_parameters():
-    # consecutive calls at one shape with different parameters: a kernel
-    # keyed on the shape alone would reuse the first call's coefficients
+def test_consecutive_calls_follow_the_parameters():
+    # consecutive calls at one shape with different parameters: coefficients
+    # kept per shape alone would carry the first call's parameters over
     rng = np.random.default_rng(7)
     m = np.concatenate([np.ones((3, 1)), rng.uniform(0, 1, (3, 8))], axis=1)
     for lam, theta in [((0.4, 0.6, 0.8), (0.5, 0.5, 0.5)),
@@ -174,6 +180,38 @@ def test_kernel_cache_follows_the_parameters():
         assert recurrence_rhs(m, lam, theta).tobytes() == want.tobytes()
     for lam, theta in [(0.4, 0.5), (0.7, 0.5), (0.7, 0.25)]:
         assert recurrence_rhs(m[0], lam, theta).tobytes() == reference_rhs(m[0], lam, theta).tobytes()
+
+
+def test_concurrent_integrations_give_the_serial_bits():
+    # four threads integrate the same batch at once, switching as often as
+    # the interpreter allows: scratch shared between bindings would mix
+    # their stages
+    params = [ProcessParams(lam=lam, theta=0.5) for lam in (0.4, 0.6, 0.8)]
+
+    def run():
+        trajs = integrate_moments_batch(params, 1.0, order=16)
+        return b"".join(traj.values.tobytes() for traj in trajs)
+
+    want = run()
+    got = [None] * 4
+    start = threading.Barrier(len(got))
+
+    def worker(i):
+        start.wait(timeout=60)
+        got[i] = run()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(got))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [g == want for g in got] == [True] * len(got)
 
 
 def test_float_tuple_and_column_parameters_agree():
@@ -213,7 +251,7 @@ def test_bound_kernel_matches_the_reference(order, rows, per_row):
     lam, theta = ((0.4, 0.9, 1.3)[:rows], (0.5, 0.35, 0.6)[:rows]) if per_row else (0.7, 0.45)
     want = reference_rhs(m, _columns(lam), _columns(theta))
     out = np.full(m.shape, np.nan)
-    rhs = _kernel(m.shape, lam, theta).bind(m, out)
+    rhs = hierarchy(lam, theta)(m, out)
     rhs(0.0)
     assert out.tobytes() == want.tobytes()
     # the bound call reads the state's current contents
@@ -221,7 +259,7 @@ def test_bound_kernel_matches_the_reference(order, rows, per_row):
     rhs(0.0)
     want = reference_rhs(m, _columns(lam), _columns(theta))
     assert out.tobytes() == want.tobytes()
-    # a flat row with float parameters, as integrate_moments runs it
+    # a flat row with float parameters, as decomposition passes one
     for b in range(rows):
         lam_b = lam[b] if per_row else lam
         theta_b = theta[b] if per_row else theta
@@ -235,7 +273,7 @@ def test_mixed_init_modes_through_the_bound_kernel():
     y0 = np.stack([p.initial_vector(order) for p in MIXED])
     lam = tuple(p.lam for p in MIXED)
     theta = tuple(p.theta for p in MIXED)
-    times, states = rk4(_kernel(y0.shape, lam, theta).bind, y0, t_end, DEFAULT_STEP)
+    times, states = rk4(hierarchy(lam, theta), y0, t_end, DEFAULT_STEP)
     rhs = lambda t, m: reference_rhs(m, _columns(lam), _columns(theta))
     ref_times, ref_states = reference_rk4(rhs, y0, t_end, DEFAULT_STEP)
     assert times.tobytes() == ref_times.tobytes()
