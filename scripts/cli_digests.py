@@ -3,10 +3,11 @@
 
 Runs every command of the cli-artifacts workload (``CLI_COMMANDS`` in
 ``perfbench/sample.py``) in-process, each into its own fresh directory
-under one temporary directory, and prints, per command, the exit code and
-the SHA-256 of every output file except the run manifests (which record
-timestamps and paths) as sorted JSON, so two checkouts compare with one
-diff:
+under one temporary directory, and prints, per command, the exit code, the
+SHA-256 of every output file except the run manifests, and each manifest's
+``parameters`` and ``seeds`` (the fields that do not record timestamps,
+paths or the command line) as sorted JSON, so two checkouts compare with
+one diff:
 
     PYTHONPATH=src python scripts/cli_digests.py > new.json
 """
@@ -46,11 +47,14 @@ def main():
             outdir = Path(tmp) / f"cli-{k:02d}"
             outdir.mkdir()
             code = _run(["--outdir", str(outdir)] + command.split())
+            files = sorted(f for f in outdir.iterdir() if f.is_file())
             records[command] = {
                 "exit": code,
                 "files": {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-                          for f in sorted(outdir.iterdir())
-                          if f.is_file() and not f.name.endswith("_manifest.json")},
+                          for f in files if not f.name.endswith("_manifest.json")},
+                "manifests": {f.name: {key: json.loads(f.read_text())[key]
+                                       for key in ("parameters", "seeds")}
+                              for f in files if f.name.endswith("_manifest.json")},
             }
     print(json.dumps(records, indent=1, sort_keys=True))
 

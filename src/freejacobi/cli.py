@@ -208,8 +208,9 @@ def _cmd_s_system(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     times, states = s_trajectory(args.theta, args.t, args.order, h=args.step)
-    # samples intervals from t = 0 to the last stored time, --t itself
-    picks = sorted({round(j) for j in np.linspace(0, len(times) - 1, args.samples + 1)})
+    # samples intervals from t = 0 to --t, the last stored time; at most one per step
+    last = len(times) - 1
+    picks = sorted({round(j) for j in np.linspace(0, last, min(args.samples, last) + 1)})
     closed = s_closed_theta_half if args.theta == 0.5 else None
     rows = []
     for j in picks:
@@ -262,7 +263,7 @@ def _cmd_oracle(args) -> int:
         "trial_seconds": run.trial_seconds,
     }
     _write_run(args, "oracle", {args.outdir / "oracle.csv": (header, rows)}, parameters,
-               seeds=[args.seed] + [key[1] for key in run.trial_keys])
+               seeds=[args.seed, *range(args.trials)])
     return 0
 
 
@@ -346,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--samples", type=int, default=20,
-                   help="intervals per order (samples + 1 rows, t = 0 to --t)")
+    p.add_argument("--samples", type=int, default=20, help="intervals per order "
+                   "(samples + 1 rows, t = 0 to --t, one per step at most)")
     p.set_defaults(func=_cmd_s_system)
 
     p = sub.add_parser(

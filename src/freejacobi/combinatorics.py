@@ -23,10 +23,6 @@ BRUTEFORCE_MAX_ORDER = 12
 _FACTOR_PIECES = ("", "a", "b", "ab")
 
 
-class OrderTooLargeError(ValueError):
-    """Brute-force enumeration was requested above the 4**n term cap."""
-
-
 def binomial(n: int, k: int) -> int:
     """C(n, k) with the convention that out-of-range k gives 0."""
     if k < 0 or k > n:
@@ -132,7 +128,7 @@ def word_counts_bruteforce(n: int) -> WordCountTable:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > BRUTEFORCE_MAX_ORDER:
-        raise OrderTooLargeError(
+        raise ValueError(
             f"brute-force enumeration capped at n <= {BRUTEFORCE_MAX_ORDER}"
             f" (4**{n} terms requested)"
         )
@@ -158,14 +154,9 @@ def word_counts_closed(n: int, k: int) -> tuple[int, int, int]:
     return c, d, d
 
 
-def combined_weight(n: int, k: int) -> int:
-    """c(n,k) + e(n,k) = C(2n, n-k), the weight of cos-type word pairs."""
-    return binomial(2 * n, n - k)
-
-
 @lru_cache(maxsize=8)
 def symmetric_weights(order: int) -> np.ndarray:
-    """Read-only W[n, k] = ``combined_weight(n, k)`` / 4^n for 0 <= k <= n <= order,
+    """Read-only W[n, k] = (c(n,k) + e(n,k)) / 4^n = C(2n, n-k) / 4^n for 0 <= k <= n <= order,
     zero above the diagonal: the one place these weights become floats, each
     by one correctly rounded int/int division, so none overflows at any order."""
     table = np.zeros((order + 1, order + 1))

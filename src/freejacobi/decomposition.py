@@ -14,7 +14,7 @@ the explicit c_3 closed form; the evolution equation for c_n and the
 source term Z_t are implemented in the corrected form (see the module
 tests for the c_3 cross-check that pins the signs).  The radical
 sqrt(4 - 4z + (1 - lambda)^2 z^2) is ``transforms.radical_series``
-throughout.
+throughout.  The checks that read an integrated run take lambda from it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .moments import MomentTrajectory, closed_form_moments, recurrence_rhs, weighted_row_sums
 from .series import TruncatedSeries, geometric, one_minus_z
 from .special_functions import rho_coefficients
-from .transforms import FD_DELTA, alpha_series, radical_series, richardson_dt, stationary_mgf
+from .transforms import alpha_series, radical_series, richardson_dt, stationary_mgf
 from .transforms import transport_residual
 
 
@@ -114,35 +114,28 @@ class DecompositionResult:
 
 
 def decomposition_u(
-    lam: float,
     t: float,
     order: int,
     trajectory: MomentTrajectory | None = None,
 ) -> DecompositionResult:
     """Remainder coefficients c_n(t) = m_n(t) - m_n(inf) - psi_n(t).
 
-    ``trajectory`` supplies m_n(t); it must be a theta = 1/2 run with the
-    same rank ratio, nested P <= Q initial data, stored time t, and order
-    at least ``order``.  At lambda = 1 the closed-form moments are used
-    when no trajectory is given.
+    ``trajectory`` supplies m_n(t) and the rank ratio lambda; it must be a
+    theta = 1/2 run with nested P <= Q initial data (so lambda lies in
+    (0, 1]), stored time t, and order at least ``order``.  Without a
+    trajectory, lambda = 1 and the closed-form moments are used.
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("lambda must lie in (0, 1]")
     if trajectory is None:
-        if lam != 1.0:
-            raise ValueError("a trajectory is required away from lambda = 1")
-        m_t = closed_form_moments(t, order)
+        lam, m_t = 1.0, closed_form_moments(t, order)
     else:
         p = trajectory.params
-        if p.theta != 0.5 or abs(p.lam - lam) > 1e-12:
-            raise ValueError("trajectory parameters do not match (lambda, 1/2)")
+        if p.theta != 0.5:
+            raise ValueError("decomposition is specialized to theta = 1/2")
         if p.init_mode != "nested_P_le_Q":
             raise ValueError("decomposition needs nested P <= Q initial data")
         if trajectory.order < order:
-            raise ValueError(
-                f"trajectory order {trajectory.order} below requested {order}"
-            )
-        m_t = trajectory.at(t)[: order + 1]
+            raise ValueError(f"trajectory order {trajectory.order} below requested {order}")
+        lam, m_t = p.lam, trajectory.at(t)[: order + 1]
 
     psi = psi_series(lam, t, order)
     c = m_t - stationary_mgf(lam, order).coeffs - psi
@@ -187,13 +180,13 @@ def pde_residual_S(trajectory: MomentTrajectory, t: float, order: int) -> float:
 
 
 def general_evolution_residual(
-    lam: float,
     t: float,
     n_range: tuple[int, int],
     trajectory: MomentTrajectory,
     order: int,
 ) -> np.ndarray:
-    """Residuals of the remainder evolution equation for n in n_range:
+    """Residuals of the remainder evolution equation for n in n_range, at
+    the trajectory's rank ratio lambda:
 
     c_n'(t) = -(n/2) [ (R u)_n + 2 lambda ((1-z) u psi-series)_n
                        + lambda ((1-z) u^2)_n ] + Z_n(t)
@@ -206,9 +199,10 @@ def general_evolution_residual(
     residual check only passes with it (and with the corrected sign of Z_t).
     """
     n_lo, n_hi = n_range
-    dec_t = decomposition_u(lam, t, order, trajectory)
+    lam = trajectory.params.lam
+    dec_t = decomposition_u(t, order, trajectory)
     m_dot = recurrence_rhs(trajectory.at(t)[: order + 1], lam, 0.5)
-    c_dot = m_dot - richardson_dt(lambda u: psi_series(lam, u, order), t, FD_DELTA)
+    c_dot = m_dot - richardson_dt(lambda u: psi_series(lam, u, order), t)
 
     u = TruncatedSeries(dec_t.c)
     psi = TruncatedSeries(dec_t.psi)

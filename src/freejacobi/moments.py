@@ -15,7 +15,8 @@ advances them in a single RK4 loop, so a scan over lambda is one
 integration; ``integrate_moments`` is its batch of one.  The module also
 provides the closed-form route at the symmetric parameter point, the
 combinatorial-expansion route for rank ratio one, and the complement
-transform recovering rank ratios above one from those below.
+transform, which reads rank ratio 2 - lambda'' in [1, 2) off an
+orthogonal-start run at lambda''.
 """
 
 from __future__ import annotations
@@ -164,18 +165,16 @@ def hierarchy(lam, theta):
     return bind
 
 
-def recurrence_rhs(m: np.ndarray, lam, theta, out: np.ndarray | None = None) -> np.ndarray:
-    """Time derivative of the moment vectors (component 0 is +0.0).
+def recurrence_rhs(m: np.ndarray, lam, theta) -> np.ndarray:
+    """Time derivative of the moment vectors (component 0 is +0.0), in a
+    new array.
 
     ``m`` is a float array of shape (..., order+1): one moment vector per
     leading index.  ``lam`` and ``theta`` are floats, or tuples with one
     value per row of a (B, order+1) batch.  Each row's arithmetic does not
     depend on the others, so a row of a batch is bit-identical to the same
-    row passed alone.  The derivative is written into ``out``
-    (C-contiguous, same shape as ``m``, not overlapping it) when given, and
-    into a new array otherwise; either is returned.  One call of a fresh
-    ``hierarchy(lam, theta)`` binding, the right-hand side the integrators
-    bind once per stage.
+    row passed alone.  One call of a fresh ``hierarchy(lam, theta)``
+    binding, the right-hand side the integrators bind once per stage.
 
     The quadratic sum is empty for n = 1.  Component 0 of ``m`` is read
     as-is rather than assumed to be 1, so the rescaled system v_n = lam m_n
@@ -183,8 +182,7 @@ def recurrence_rhs(m: np.ndarray, lam, theta, out: np.ndarray | None = None) -> 
     v_0 = lam) can reuse this function.
     """
     m = np.ascontiguousarray(m, dtype=float)
-    if out is None:
-        out = np.empty(m.shape)
+    out = np.empty(m.shape)
     hierarchy(lam, theta)(m, out)()
     return out
 
@@ -197,9 +195,12 @@ class MomentTrajectory:
     """
 
     params: ProcessParams
-    order: int
     times: np.ndarray
     values: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return self.values.shape[-1] - 1
 
     def index_of(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -239,7 +240,7 @@ def integrate_moments_batch(
     theta = tuple(p.theta for p in params_seq)
     times, states = rk4(hierarchy(lam, theta), y0, t_end, h)
     return [
-        MomentTrajectory(params=p, order=order, times=times, values=states[:, b])
+        MomentTrajectory(params=p, times=times, values=states[:, b])
         for b, p in enumerate(params_seq)
     ]
 
@@ -342,30 +343,24 @@ def expansion_moments(
 # Parameter transforms
 # ---------------------------------------------------------------------------
 
-def complement_moments(
-    source: MomentTrajectory, lambda_prime: float
-) -> MomentTrajectory:
-    """Moments for rank ratio lambda' in [1, 2) from an orthogonal-start run.
+def complement_moments(source: MomentTrajectory) -> MomentTrajectory:
+    """Moments for rank ratio lambda' = 2 - lambda'' in [1, 2) from an
+    orthogonal-start run at rank ratio lambda''.
 
-    The source must be integrated at theta = 1/2 with rank ratio
-    lambda'' = 2 - lambda' and orthogonal initial data.  Writing
-    r_k = tau(P'') m_k with tau(P'') = (2 - lambda')/2, the complement
-    projection 1 - P'' has trace lambda'/2 and
+    The source must be integrated at theta = 1/2 with orthogonal initial
+    data, which forces lambda'' <= 1.  Writing r_k = tau(P'') m_k with
+    tau(P'') = lambda''/2, the complement projection 1 - P'' has trace
+    lambda'/2 and
 
         m'_n = [ tau(Q) + sum_{k=1}^n (-1)^k C(n,k) r_k ] / (lambda'/2).
     """
-    if not 1.0 <= lambda_prime < 2.0:
-        raise ValueError("lambda' must lie in [1, 2)")
     p = source.params
     if p.theta != 0.5:
         raise ValueError("complement transform requires theta = 1/2")
     if p.init_mode != "orthogonal":
         raise ValueError("source trajectory must use orthogonal initial data")
-    if abs(p.lam - (2.0 - lambda_prime)) > 1e-12:
-        raise ValueError(
-            f"source rank ratio {p.lam} does not match 2 - lambda' = {2.0 - lambda_prime}"
-        )
-    tau_p = (2.0 - lambda_prime) / 2.0
+    lambda_prime = 2.0 - p.lam
+    tau_p = p.lam / 2.0
     tau_q = 0.5
     norm = lambda_prime / 2.0
     order = source.order
@@ -378,7 +373,7 @@ def complement_moments(
     out[:, 0] = 1.0
     out[:, 1:] = (tau_q + (tau_p * source.values[:, 1:]) @ signs) / norm
     params = ProcessParams(lam=lambda_prime, theta=0.5, init_mode="nested_P_ge_Q")
-    return MomentTrajectory(params=params, order=order, times=source.times.copy(), values=out)
+    return MomentTrajectory(params=params, times=source.times.copy(), values=out)
 
 
 def lambda_scaling_residual(

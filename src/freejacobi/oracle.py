@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +94,6 @@ class OracleRun:
     estimates: dict[int, float]
     stderrs: dict[int, float]
     per_trial: np.ndarray  # shape (trials, len(orders))
-    trial_keys: list[list[int]]
     trial_drift: list[float]  # unitarity defect of each trial's endpoint
     trial_seconds: list[float]  # wall time of each trial
     unitarity_drift: float  # max of trial_drift; NaN if any trial's is
@@ -154,6 +152,9 @@ def _unitary_endpoint(rng: np.random.Generator, dim: int, t_end: float, steps: i
     u = np.eye(dim, dtype=complex)
     if t_end == 0.0:
         return u
+    # imported here, so commands and suites that draw no path never load it
+    from concurrent.futures import ThreadPoolExecutor
+
     dt = t_end / steps
     sqrt_dt = math.sqrt(dt)
     # leaving the block joins a draw an exception left running
@@ -242,7 +243,6 @@ def empirical_jacobi_moments(config: OracleConfig) -> OracleRun:
         estimates={n: float(m) for n, m in zip(config.orders, mean)},
         stderrs={n: float(s) for n, s in zip(config.orders, stderr)},
         per_trial=per_trial,
-        trial_keys=[[config.seed, j] for j in range(config.trials)],
         trial_drift=trial_drift,
         trial_seconds=trial_seconds,
         unitarity_drift=float(np.max(trial_drift)),

@@ -4,24 +4,13 @@ A series is a coefficient vector c_0..c_N understood modulo z^{N+1}.  All
 arithmetic is closed at the common order: products, reciprocals, square
 roots and compositions produce coefficients that are exact images of the
 formal operations (up to rounding), never approximations that depend on
-values outside the retained window.
+values outside the retained window.  An operation outside its domain
+raises ``ValueError`` naming the offending constant-term coefficient.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-class SeriesDomainError(ValueError):
-    """A series operation was applied outside its domain of definition.
-
-    Carries the offending constant-term coefficient so callers can report
-    exactly which precondition failed.
-    """
-
-    def __init__(self, message: str, coefficient: float):
-        super().__init__(f"{message} (offending coefficient: {coefficient!r})")
-        self.coefficient = coefficient
 
 
 class TruncatedSeries:
@@ -102,7 +91,8 @@ class TruncatedSeries:
         """Multiplicative inverse; requires a nonzero constant term."""
         a = self.coeffs
         if a[0] == 0.0:
-            raise SeriesDomainError("reciprocal needs nonzero constant term", a[0])
+            raise ValueError("reciprocal needs nonzero constant term"
+                             f" (offending coefficient: {a[0]!r})")
         n = self.order
         b = np.zeros(n + 1)
         b[0] = 1.0 / a[0]
@@ -114,7 +104,8 @@ class TruncatedSeries:
         """Square root branch with positive constant term; requires c_0 > 0."""
         a = self.coeffs
         if not a[0] > 0.0:
-            raise SeriesDomainError("sqrt needs positive constant term", a[0])
+            raise ValueError("sqrt needs positive constant term"
+                             f" (offending coefficient: {a[0]!r})")
         n = self.order
         b = np.zeros(n + 1)
         b[0] = np.sqrt(a[0])
@@ -127,9 +118,8 @@ class TruncatedSeries:
         """self(inner(z)); the inner series must have zero constant term."""
         self._check_same_order(inner)
         if inner.coeffs[0] != 0.0:
-            raise SeriesDomainError(
-                "composition needs inner constant term zero", inner.coeffs[0]
-            )
+            raise ValueError("composition needs inner constant term zero"
+                             f" (offending coefficient: {inner.coeffs[0]!r})")
         # Horner evaluation over the truncated polynomial ring.
         n = self.order
         acc = TruncatedSeries.constant(self.coeffs[n], n)

@@ -129,15 +129,15 @@ def cauchy_stationary_eval(lam: float, theta: float, z: complex) -> complex:
 # PDE residuals
 # ---------------------------------------------------------------------------
 
-def richardson_dt(coeffs_at, t: float, delta: float) -> np.ndarray:
+def richardson_dt(coeffs_at, t: float) -> np.ndarray:
     """d/dt of the coefficient array ``coeffs_at(t)``: a centered difference
-    with one Richardson level (error O(delta^4)), reading t +/- delta and
-    t +/- delta/2.  Only for closed forms in t; a trajectory's derivative is
-    its recurrence."""
+    with one Richardson level (error O(delta^4), delta = ``FD_DELTA``),
+    reading t +/- delta and t +/- delta/2.  Only for closed forms in t; a
+    trajectory's derivative is its recurrence."""
     def centered(d):
         return (coeffs_at(t + d) - coeffs_at(t - d)) / (2.0 * d)
 
-    return (4.0 * centered(delta / 2.0) - centered(delta)) / 3.0
+    return (4.0 * centered(FD_DELTA / 2.0) - centered(FD_DELTA)) / 3.0
 
 
 def transport_residual(dfdt: np.ndarray, f: TruncatedSeries, flux, order: int) -> float:
@@ -154,13 +154,13 @@ def transport_residual(dfdt: np.ndarray, f: TruncatedSeries, flux, order: int) -
 
 def pde_residual_rho(t: float, order: int) -> float:
     """Residual of d/dt rho_t + (z/2) d/dz rho_t^2 = 0, normalized."""
-    dfdt = richardson_dt(lambda u: rho_series(u, order).coeffs, t, FD_DELTA)
+    dfdt = richardson_dt(lambda u: rho_series(u, order).coeffs, t)
     return transport_residual(dfdt, rho_series(t, order), lambda f: f * f, order)
 
 
 def pde_residual_mgf_lambda1(t: float, order: int) -> float:
     """Residual of d/dt M_t + (z/2) d/dz{(1 - z) M_t^2} = 0 for the
     closed-form generating function at the symmetric point."""
-    dfdt = richardson_dt(lambda u: mgf_closed_lambda1(u, order).coeffs, t, FD_DELTA)
+    dfdt = richardson_dt(lambda u: mgf_closed_lambda1(u, order).coeffs, t)
     return transport_residual(dfdt, mgf_closed_lambda1(t, order),
                               lambda m: one_minus_z(order) * m * m, order)

@@ -285,7 +285,7 @@ def check_decomposition(lam: float, t: float, order: int) -> Checked:
     if not 0.0 < lam <= 1.0:
         raise ValueError("the decomposition check requires lambda in (0, 1]")
     traj = integrate_moments(ProcessParams(lam=lam, theta=0.5), t, order=order)
-    d = dec.decomposition_u(lam, t, order, traj)
+    d = dec.decomposition_u(t, order, traj)
     results = decomposition_c12([d], f"lam={lam:g}, t={t:g}")
     # Z_t = (1 - lambda) sum d_n z^n; Z_t vanishes identically at lambda = 1
     source = (np.zeros(order + 1) if lam == 1.0
@@ -320,7 +320,7 @@ def suite_decomposition() -> list[CheckResult]:
     c3_pairs = []
     for lam in (0.3, 0.6, 0.9):
         for t in (0.5, 1.0):
-            d = dec.decomposition_u(lam, t, 10, trajs[lam])
+            d = dec.decomposition_u(t, 10, trajs[lam])
             decomps.append(d)
             c3_pred = -((1 - lam) / 32.0) * (
                 2 * lam * math.exp(-3 * t) + 3 * (1 - lam) * math.exp(-t)
@@ -329,13 +329,13 @@ def suite_decomposition() -> list[CheckResult]:
     out = decomposition_c12(decomps, "lam in {0.3,0.6,0.9}, t in {0.5,1}")
     out.append(_check("decomposition", "c3-closed-form", _worst(c3_pairs), 1e-6))
 
-    maxima = {lam: float(np.max(np.abs(dec.decomposition_u(lam, 1.0, 10, trajs[lam]).c)))
+    maxima = {lam: float(np.max(np.abs(dec.decomposition_u(1.0, 10, trajs[lam]).c)))
               for lam in (0.9, 0.99, 0.999)}
     out.append(_check("decomposition", "remainder-small-near-lam-1", maxima[0.99], 0.02,
                       f"max|c_n| decreasing: {maxima}",
                       passed=maxima[0.99] < 0.02 and maxima[0.9] > maxima[0.99] > maxima[0.999]))
 
-    res = dec.general_evolution_residual(0.6, 1.0, (4, 8), trajs[0.6], order=10)
+    res = dec.general_evolution_residual(1.0, (4, 8), trajs[0.6], order=10)
     out.append(_check("decomposition", "evolution-equation-n-4-to-8",
                       float(np.max(res)), 1e-5, "lam=0.6, t=1"))
 
@@ -370,8 +370,8 @@ def suite_complement() -> list[CheckResult]:
         2.0,
         order=order,
     )
-    transformed = complement_moments(src, 1.5)
-    lim = complement_moments(src1, 1.0)
+    transformed = complement_moments(src)
+    lim = complement_moments(src1)
     times = (0.5, 1.0, 2.0)
     return [
         _check("complement", "transform-vs-direct-lam-1.5",

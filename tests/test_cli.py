@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -136,6 +137,21 @@ def test_s_system_rows_run_from_zero_to_t(tmp_path, t, samples):
     assert sampled[0] == 0.0
     assert sampled[-1] == float(t)
     assert sampled == sorted(set(sampled))
+
+
+def test_s_system_samples_past_the_steps_allocate_nothing_extra(tmp_path):
+    # --t 0.01 stores 11 times: the rows are those 11 times for any --samples
+    # past 10, so no more sample points than that are drawn
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert run_cli(tmp_path, "s-system", "--t", "0.01", "--samples", "10000000") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    lines = (tmp_path / "s_system.csv").read_text().splitlines()
+    assert len(lines) == 1 + 11 * 8
 
 
 def test_s_system_general_theta_has_no_closed_column(tmp_path):
@@ -481,6 +497,8 @@ def test_cli_digests_script_runs_every_benchmark_command(capsys):
     records = json.loads(capsys.readouterr().out)
     assert len(records) == 17
     assert all(r["exit"] == 0 and r["files"] for r in records.values())
+    assert all(set(m) == {"parameters", "seeds"}
+               for r in records.values() for m in r["manifests"].values())
 
 
 @pytest.mark.parametrize("command", [

@@ -116,7 +116,7 @@ def test_source_third_coefficient_pins_sign():
 
 
 def test_remainder_coefficients(traj06):
-    d = dec.decomposition_u(0.6, 1.0, 10, traj06)
+    d = dec.decomposition_u(1.0, 10, traj06)
     assert abs(d.c[1]) < 1e-7
     assert abs(d.c[2]) < 1e-7
     c3 = -((1 - 0.6) / 32) * (2 * 0.6 * math.exp(-3) + 3 * (1 - 0.6) * math.exp(-1))
@@ -124,7 +124,7 @@ def test_remainder_coefficients(traj06):
 
 
 def test_remainder_vanishes_at_lambda_one():
-    d = dec.decomposition_u(1.0, 1.0, 10)
+    d = dec.decomposition_u(1.0, 10)
     assert np.max(np.abs(d.c)) < 1e-10
     _, exports = check_decomposition(1.0, 1.0, 10)
     assert np.all(exports["d"] == 0.0)
@@ -137,14 +137,12 @@ def test_source_vanishes_identically_at_lambda_one():
 
 def test_decomposition_validates_trajectory(traj06):
     with pytest.raises(ValueError):
-        dec.decomposition_u(0.5, 1.0, 10, traj06)  # wrong lambda
-    with pytest.raises(ValueError):
-        dec.decomposition_u(0.6, 1.0, 14, traj06)  # order too high
+        dec.decomposition_u(1.0, 14, traj06)  # order too high
     orth = integrate_moments(
         ProcessParams(lam=0.6, theta=0.5, init_mode="orthogonal"), 0.1, order=10
     )
     with pytest.raises(ValueError):
-        dec.decomposition_u(0.6, 0.1, 10, orth)  # wrong initial geometry
+        dec.decomposition_u(0.1, 10, orth)  # wrong initial geometry
 
 
 def test_stationary_coefficient_identity():
@@ -167,7 +165,7 @@ def test_gap_vector_scales_out():
 
 def test_general_evolution_residual(traj06):
     # the trajectory ends at t: c_n' needs only the state there
-    res = dec.general_evolution_residual(0.6, 1.0, (4, 8), traj06, order=10)
+    res = dec.general_evolution_residual(1.0, (4, 8), traj06, order=10)
     assert res.shape == (5,)
     assert np.max(res) < 1e-11
 
@@ -177,7 +175,7 @@ def test_s_pde_residual_trivial_for_stationary_input():
     params = ProcessParams(lam=lam, theta=0.5)
     m_inf = stationary_mgf(lam, 10).coeffs
     times = 0.999 + np.arange(11) * 1e-4
-    traj = MomentTrajectory(params=params, order=10, times=times, values=np.tile(m_inf, (11, 1)))
+    traj = MomentTrajectory(params=params, times=times, values=np.tile(m_inf, (11, 1)))
     assert dec.pde_residual_S(traj, 0.9995, 10) == 0.0
 
 

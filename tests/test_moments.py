@@ -159,7 +159,8 @@ class TestComplement:
         src = integrate_moments(
             ProcessParams(lam=0.5, theta=0.5, init_mode="orthogonal"), 0.1, order=6
         )
-        out = complement_moments(src, 1.5)
+        out = complement_moments(src)
+        assert out.params == ProcessParams(lam=1.5, theta=0.5, init_mode="nested_P_ge_Q")
         assert np.allclose(out.at(0.0)[1:], 1 / 1.5, atol=1e-14)
 
     def test_two_route_consistency(self):
@@ -169,16 +170,16 @@ class TestComplement:
         direct = integrate_moments(
             ProcessParams(lam=1.5, theta=0.5, init_mode="nested_P_ge_Q"), 1.0, order=10
         )
-        out = complement_moments(src, 1.5)
+        out = complement_moments(src)
         assert np.max(np.abs(out.at(1.0) - direct.at(1.0))) < 1e-8
 
     def test_matches_the_per_row_loop(self):
         src = integrate_moments(
             ProcessParams(lam=0.5, theta=0.5, init_mode="orthogonal"), 1.0, order=10
         )
-        out = complement_moments(src, 1.5)
+        out = complement_moments(src)
         for j in range(src.times.size):
-            r = 0.25 * src.values[j]  # tau(P'') = (2 - 1.5)/2
+            r = 0.25 * src.values[j]  # tau(P'') = lambda''/2 = 0.5/2
             ref = [1.0] + [
                 (0.5 + sum((-1) ** k * binomial(n, k) * r[k] for k in range(1, n + 1))) / 0.75
                 for n in range(1, 11)
@@ -186,16 +187,9 @@ class TestComplement:
             assert np.max(np.abs(out.values[j] - ref)) < 1e-14
 
     def test_parameter_mismatch_rejected(self):
-        src = integrate_moments(
-            ProcessParams(lam=0.4, theta=0.5, init_mode="orthogonal"), 0.1, order=4
-        )
-        with pytest.raises(ValueError):
-            complement_moments(src, 1.5)  # 2 - 1.5 != 0.4
         nested = integrate_moments(ProcessParams(lam=0.5, theta=0.5), 0.1, order=4)
         with pytest.raises(ValueError):
-            complement_moments(nested, 1.5)
-        with pytest.raises(ValueError):
-            complement_moments(src, 2.5)
+            complement_moments(nested)
 
 
 def test_lambda_scaling():

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import freejacobi
 from freejacobi import oracle as orc
 from freejacobi.moments import closed_form_moments
 from freejacobi.special_functions import s_closed_theta_half, ubm_moment
@@ -224,3 +229,15 @@ def test_failure_reaches_caller_and_leaves_no_thread(monkeypatch, owner, name):
         orc.empirical_jacobi_moments(cfg)
     assert len(calls) == 3
     assert threading.active_count() == before
+
+
+def test_analytic_entry_points_do_not_load_the_thread_pool():
+    # only drawing a path needs concurrent.futures; the CLI and the suites
+    # import the oracle module without it
+    src = str(Path(freejacobi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, freejacobi.cli, freejacobi.verification; "
+            "print('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -234,7 +234,7 @@ def test_results_do_not_alias_the_scratch_buffers():
     assert first.tobytes() == kept.tobytes()
     assert not np.shares_memory(first, second)
     out = np.full(m1.shape, np.nan)
-    assert recurrence_rhs(m1, lam, theta, out) is out
+    hierarchy(lam, theta)(m1, out)()
     assert out.tobytes() == kept.tobytes()
 
 
@@ -320,4 +320,4 @@ def test_bound_arrays_must_be_contiguous():
     m = np.ones((3, 9))
     out = np.empty((9, 3)).T
     with pytest.raises(ValueError, match="C-contiguous"):
-        recurrence_rhs(m, (0.4, 0.6, 0.8), (0.5,) * 3, out)
+        hierarchy((0.4, 0.6, 0.8), (0.5,) * 3)(m, out)

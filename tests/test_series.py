@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from freejacobi.series import SeriesDomainError, TruncatedSeries, geometric, one_minus_z
+from freejacobi.series import TruncatedSeries, geometric, one_minus_z
 
 coeff = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -79,9 +79,8 @@ def test_reciprocal_roundtrip(f):
 
 
 def test_reciprocal_requires_nonzero_constant():
-    with pytest.raises(SeriesDomainError) as err:
+    with pytest.raises(ValueError, match=r"offending coefficient: (np\.float64\()?0\.0\b"):
         TruncatedSeries([0.0, 1.0]).reciprocal()
-    assert err.value.coefficient == 0.0
 
 
 def test_sqrt_of_one_minus_z():
@@ -103,9 +102,9 @@ def test_sqrt_roundtrip(f):
 
 
 def test_sqrt_domain():
-    with pytest.raises(SeriesDomainError):
+    with pytest.raises(ValueError, match="sqrt needs positive constant term"):
         TruncatedSeries([-1.0, 0.0]).sqrt()
-    with pytest.raises(SeriesDomainError):
+    with pytest.raises(ValueError, match="sqrt needs positive constant term"):
         TruncatedSeries([0.0, 1.0]).sqrt()
 
 
@@ -117,7 +116,7 @@ def test_compose_with_identity(f):
 
 def test_compose_requires_zero_constant():
     f = geometric(4)
-    with pytest.raises(SeriesDomainError):
+    with pytest.raises(ValueError, match="composition needs inner constant term zero"):
         f.compose(TruncatedSeries.constant(0.5, 4))
 
 

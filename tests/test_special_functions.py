@@ -9,6 +9,7 @@ from scipy.special import eval_genlaguerre
 from freejacobi import special_functions as sf
 from freejacobi.moments import expansion_moments
 from freejacobi.transforms import rho_series
+from test_rk4_bit_identity import reference_rk4
 
 
 def test_laguerre_low_degrees():
@@ -190,30 +191,6 @@ def test_rk4_steps_and_partial_step():
     assert list(times) == [0.0]
 
 
-def list_rk4(rhs, y0, t_end, h):
-    """Reference loop: every step appended to a list, stacked at the end."""
-    times, states = [0.0], [y0.copy()]
-    t, y = 0.0, y0.copy()
-
-    def step(dt):
-        k1 = rhs(t, y)
-        k2 = rhs(t + dt / 2, y + (dt / 2) * k1)
-        k3 = rhs(t + dt / 2, y + (dt / 2) * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    for _ in range(math.floor(t_end / h + 1e-9)):
-        y = step(h)
-        t += h
-        times.append(t)
-        states.append(y.copy())
-    if t_end - t > 1e-12 * max(1.0, t_end):
-        y = step(t_end - t)
-        times.append(t_end)
-        states.append(y.copy())
-    return np.array(times), np.array(states)
-
-
 @pytest.mark.parametrize("t_end, rows", [(1.0, 11), (1.05, 12), (0.3, 4), (1.06, 12)])
 def test_rk4_batched_state_matches_list_loop(t_end, rows):
     rate = np.array([[-1.0], [0.5]])
@@ -222,7 +199,7 @@ def test_rk4_batched_state_matches_list_loop(t_end, rows):
     times, states = sf.rk4(bind_form(rhs), y0, t_end, 0.1)
     assert states.shape == (rows, 2, 3)
     assert times[-1] == pytest.approx(t_end, abs=1e-15)
-    ref_times, ref_states = list_rk4(rhs, y0, t_end, 0.1)
+    ref_times, ref_states = reference_rk4(rhs, y0, t_end, 0.1)
     assert np.array_equal(times, ref_times)
     assert np.array_equal(states, ref_states)
     for b in range(2):
