@@ -4,13 +4,15 @@ Subcommands: moments, density, stationary-density, series, s-system, words,
 oracle, verify.  Every run writes CSV/JSON artifacts into ``--outdir`` plus
 a run manifest carrying the command line, parameters, seeds and the
 SHA-256 digest of every file the run wrote; re-running with the same flags
-reproduces the outputs byte-for-byte.  ``_write_run`` is the only writer:
-the commands compute, and ``verification`` never touches the file system.
+reproduces the outputs byte-for-byte.  The parameters are the parsed flags
+plus what the run measured.  ``_write_run`` is the only writer: the
+commands compute, and ``verification`` never touches the file system.
 ``series`` and ``words`` run the checks of ``verification`` under the
-names and tolerances ``verify`` reports them with; ``verify`` writes each
-check's table as ``<suite>_report.csv`` (``-`` in the suite name becomes
-``_``).  ``--step`` (the RK4 step of ``moments`` and ``s-system``) must be
-positive.
+names and tolerances ``verify`` reports them with.  ``verify`` runs each
+suite at its stated configuration (other oracle sizes run through
+``oracle``) and writes each check's table as ``<suite>_report.csv``
+(``-`` in the suite name becomes ``_``).  ``--step`` (the RK4 step of
+``moments`` and ``s-system``) must be positive.
 
 Exit codes: 0 all checks pass / command succeeded, 1 check failure,
 2 usage error, including inputs outside a route's validity range.
@@ -69,20 +71,23 @@ def _check_report(results) -> tuple[tuple, tuple | None]:
     return (header, rows), (header[:2] + header[3:], failed) if failed else None
 
 
-def _params(args, *names: str) -> dict:
-    """Manifest parameters from the parsed flags (``lam`` is recorded as
-    ``lambda``)."""
-    return {("lambda" if name == "lam" else name): getattr(args, name) for name in names}
+#: what a manifest leaves out of the parsed arguments: the parser's
+#: dispatch, the output directory and what ``main`` adds
+_RUN_ATTRS = ("func", "command", "outdir", "started_at", "argv")
 
 
-def _write_run(args, stem: str, outputs: dict, parameters: dict, seeds=()) -> None:
+def _write_run(args, stem: str, outputs: dict, measured: dict | None = None, seeds=()) -> None:
     """Write a command's outputs, then ``<stem>_manifest.json`` with the
     digest of every one of them.  This is the only place that writes an
     artifact.
 
     ``outputs`` maps each path to (header, rows) for a CSV or to a dict for
-    a JSON payload.
+    a JSON payload.  The manifest's parameters are the parsed flags
+    (``lam`` recorded as ``lambda``) updated with what the run ``measured``.
     """
+    parameters = {("lambda" if name == "lam" else name): value
+                  for name, value in vars(args).items() if name not in _RUN_ATTRS}
+    parameters.update(measured or {})
     manifest = RunManifest(command_line=args.argv, parameters=parameters,
                            seeds=list(seeds), started_at=args.started_at)
     args.outdir.mkdir(parents=True, exist_ok=True)
@@ -123,12 +128,11 @@ def _cmd_moments(args) -> int:
         for n in range(args.order + 1)
     ]
     header = ["t", "n", "m_n", "method"]
-    _write_run(args, "moments", {args.outdir / "moments.csv": (header, rows)},
-               _params(args, "lam", "theta", "t", "order", "step", "init", "method"))
+    _write_run(args, "moments", {args.outdir / "moments.csv": (header, rows)})
     return 0
 
 
-def _write_density(args, grid, stem: str, parameters: dict) -> None:
+def _write_density(args, grid, stem: str) -> None:
     t_val = grid.params.get("t")
     fixed = (
         _fmt(t_val) if np.isfinite(t_val) else "inf",
@@ -144,8 +148,8 @@ def _write_density(args, grid, stem: str, parameters: dict) -> None:
         args.outdir / f"{stem}.csv": (["x", "f", "t", "lambda", "theta", "clipped_flag"], rows),
         args.outdir / f"{stem}_atoms.csv": (["location", "mass"], atoms),
     }
-    parameters.update(preclip_min=grid.preclip_min, quadrature_rule=grid.rule)
-    _write_run(args, stem, outputs, parameters)
+    _write_run(args, stem, outputs, {"preclip_min": grid.preclip_min,
+                                     "quadrature_rule": grid.rule})
 
 
 def _cmd_density(args) -> int:
@@ -155,13 +159,13 @@ def _cmd_density(args) -> int:
         fourier_terms=args.terms,
         fejer=args.fejer,
     )
-    _write_density(args, grid, "density", _params(args, "t", "grid_points", "terms", "fejer"))
+    _write_density(args, grid, "density")
     return 0
 
 
 def _cmd_stationary_density(args) -> int:
     grid = spectral.stationary_density(args.lam, num_points=args.grid_points)
-    _write_density(args, grid, "stationary_density", _params(args, "lam", "grid_points"))
+    _write_density(args, grid, "stationary_density")
     return 0
 
 
@@ -200,7 +204,7 @@ def _cmd_series(args) -> int:
     _, failures = _check_report(results)
     if failures:
         outputs[args.outdir / "series_failures.csv"] = failures
-    _write_run(args, f"series_{args.check}", outputs, _params(args, "check", "lam", "t", "order"))
+    _write_run(args, f"series_{args.check}", outputs)
     return 1 if failures else 0
 
 
@@ -218,8 +222,7 @@ def _cmd_s_system(args) -> int:
             closed_col = _fmt(closed(n, times[j])) if closed else ""
             rows.append((n, _fmt(times[j]), _fmt(states[j][n - 1]), closed_col))
     _write_run(args, "s_system",
-               {args.outdir / "s_system.csv": (["n", "t", "s_n", "closed_form_if_any"], rows)},
-               _params(args, "theta", "t", "order", "step", "samples"))
+               {args.outdir / "s_system.csv": (["n", "t", "s_n", "closed_form_if_any"], rows)})
     return 0
 
 
@@ -228,8 +231,7 @@ def _cmd_words(args) -> int:
     for result in results:
         print(result.line())
     header = ["n", "k", "c", "d", "e", "bruteforce_c", "bruteforce_d", "bruteforce_e"]
-    _write_run(args, "words", {args.outdir / "word_counts.csv": (header, exports["rows"])},
-               _params(args, "n"))
+    _write_run(args, "words", {args.outdir / "word_counts.csv": (header, exports["rows"])})
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -253,8 +255,7 @@ def _cmd_oracle(args) -> int:
         for n in orders
     ]
     header = ["n", "t", "estimate", "stderr", "N", "steps", "trials", "mode"]
-    parameters = {
-        **_params(args, "dim", "steps", "trials", "t", "mode", "lam", "theta"),
+    measured = {
         "orders": list(orders),
         "unitarity_drift": run.unitarity_drift,
         "trial_drift": run.trial_drift,
@@ -262,15 +263,13 @@ def _cmd_oracle(args) -> int:
         "wall_time": run.wall_time,
         "trial_seconds": run.trial_seconds,
     }
-    _write_run(args, "oracle", {args.outdir / "oracle.csv": (header, rows)}, parameters,
+    _write_run(args, "oracle", {args.outdir / "oracle.csv": (header, rows)}, measured,
                seeds=[args.seed, *range(args.trials)])
     return 0
 
 
 def _cmd_verify(args) -> int:
-    accepted = ver.suite_parameters(args.suite)
-    sizing = {k: getattr(args, k) for k in ("dim", "steps", "trials") if k in accepted}
-    results = ver.run_suite(args.suite, **sizing)
+    results = ver.run_suite(args.suite)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -283,7 +282,7 @@ def _cmd_verify(args) -> int:
     for result in results:
         if result.table is not None:
             outputs[args.outdir / f"{result.suite.replace('-', '_')}_report.csv"] = result.table
-    _write_run(args, "verify", outputs, {"suite": args.suite, **sizing})
+    _write_run(args, "verify", outputs)
     return 1 if failed else 0
 
 
@@ -373,9 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(ver.suite_names()), required=True)
-    p.add_argument("--dim", type=int, default=256, help="oracle suite matrix size")
-    p.add_argument("--steps", type=int, default=200, help="oracle suite steps")
-    p.add_argument("--trials", type=int, default=8, help="oracle suite trials")
     p.set_defaults(func=_cmd_verify)
 
     return parser

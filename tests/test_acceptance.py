@@ -67,7 +67,7 @@ def test_criterion_8_density_suite():
 
 
 def test_criterion_9_matrix_oracle():
-    _run("oracle", dim=256, steps=200, trials=8)
+    _run("oracle")
 
 
 def test_criterion_10_general_theta_diagnostic():

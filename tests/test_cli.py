@@ -210,11 +210,16 @@ def test_oracle_command(tmp_path):
     parameters = manifest["parameters"]
     assert len(parameters["trial_drift"]) == len(parameters["trial_seconds"]) == 2
     assert parameters["unitarity_drift"] == max(parameters["trial_drift"])
+    # every parsed flag (``--orders`` as the parsed list), then what the run measured
+    flags = {"dim": 16, "steps": 5, "trials": 2, "t": 0.2, "seed": 3, "mode": "nested",
+             "lambda": 1.0, "theta": 0.5, "orders": [1, 2]}
+    assert {name: parameters[name] for name in flags} == flags
+    assert set(parameters) - set(flags) == {"unitarity_drift", "trial_drift", "rank_info",
+                                            "wall_time", "trial_seconds"}
 
 
 @pytest.mark.parametrize("argv", [
     ("oracle", "--dim", "16", "--steps", "5", "--trials", "1"),
-    ("verify", "--suite", "oracle", "--dim", "16", "--steps", "5", "--trials", "1"),
 ])
 def test_oracle_single_trial_exits_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -262,6 +267,16 @@ def test_verify_unknown_suite(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, "verify", "--suite", "nonsense")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [("--dim", "16"), ("--steps", "5"), ("--trials", "2")])
+def test_verify_runs_the_oracle_only_at_its_stated_configuration(tmp_path, capsys, flag):
+    # other sizes run through the ``oracle`` command
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "verify", "--suite", "oracle", *flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("step", ["0", "-0.5"])
@@ -409,6 +424,17 @@ def test_series_order_below_one_exits_2(tmp_path, capsys, check):
     assert "order must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ["pde", "decomposition"])
+@pytest.mark.parametrize("lam", ["1.5", "0", "nan", "inf"])
+def test_series_lambda_outside_nested_range_exits_2(tmp_path, capsys, check, lam):
+    # ProcessParams(lam, 0.5) with P <= Q is the one statement of the range
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "series", "--check", check, "--lambda", lam)
+    assert exc.value.code == 2
+    assert "lambda" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("argv", [
     ("--check", "mgf", "--t", "5", "--order", "256"),
     ("--check", "decomposition", "--lambda", "1", "--t", "5", "--order", "256"),
@@ -499,6 +525,20 @@ def test_cli_digests_script_runs_every_benchmark_command(capsys):
     assert all(r["exit"] == 0 and r["files"] for r in records.values())
     assert all(set(m) == {"parameters", "seeds"}
                for r in records.values() for m in r["manifests"].values())
+
+
+def test_check_values_script_prints_every_check_bit_for_bit(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "check_values.py"
+    spec = importlib.util.spec_from_file_location("check_values", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main(["catalan"])
+    records = json.loads(capsys.readouterr().out)
+    assert [(r["suite"], r["name"], r["passed"]) for r in records] == [
+        ("catalan", "stationary-recurrence-n<=30", True)]
+    for record in records:
+        for key in ("value", "tolerance"):
+            assert record[key] is None or float.fromhex(record[key]).hex() == record[key]
 
 
 @pytest.mark.parametrize("command", [
