@@ -27,7 +27,7 @@ def main():
     print(f"theory: m1 = {ref1:.6f}, m2 = {ref2:.6f}")
     for dim in (int(x) for x in args.dims.split(",")):
         run = empirical_jacobi_moments(
-            OracleConfig(dim=dim, t_end=args.t, steps=args.steps,
+            OracleConfig(dim=dim, t=args.t, steps=args.steps,
                          trials=args.trials, seed=args.seed)
         )
         print(

@@ -17,7 +17,7 @@ import json
 
 from freejacobi.oracle import OracleConfig, empirical_jacobi_moments
 
-SIZING = dict(dim=256, t_end=1.0, steps=200, trials=2, orders=(1, 2))
+SIZING = dict(dim=256, t=1.0, steps=200, trials=2, orders=(1, 2))
 CONFIGS = {
     "nested": OracleConfig(seed=20240601, lam=1.0, theta=0.5, mode="nested", **SIZING),
     "unitary": OracleConfig(seed=20240602, mode="unitary", **SIZING),

@@ -8,11 +8,13 @@ reproduces the outputs byte-for-byte.  The parameters are the parsed flags
 plus what the run measured.  ``_write_run`` is the only writer: the
 commands compute, and ``verification`` never touches the file system.
 ``series`` and ``words`` run the checks of ``verification`` under the
-names and tolerances ``verify`` reports them with.  ``verify`` runs each
-suite at its stated configuration (other oracle sizes run through
-``oracle``) and writes each check's table as ``<suite>_report.csv``
-(``-`` in the suite name becomes ``_``).  ``--step`` (the RK4 step of
-``moments`` and ``s-system``) must be positive.
+names and tolerances ``verify`` reports them with, and all three report
+through ``_report_checks``: each check's line, ``<command>_failures.csv``
+when one failed, then the run.  ``verify`` runs each suite at its stated
+configuration (other oracle sizes run through ``oracle``) and writes each
+check's table as ``<suite>_report.csv`` (``-`` in the suite name becomes
+``_``).  ``--step`` (the RK4 step of ``moments`` and ``s-system``) must be
+positive.
 
 Exit codes: 0 all checks pass / command succeeded, 1 check failure,
 2 usage error, including inputs outside a route's validity range.
@@ -26,6 +28,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -56,9 +59,8 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
-def _check_report(results) -> tuple[tuple, tuple | None]:
-    """(header, rows) with one formatted row per check, and the failed rows
-    without the passed column (None when every check passed)."""
+def _check_report(results) -> tuple[list[str], list[tuple]]:
+    """(header, rows) with one formatted row per check."""
     header = ["suite", "check", "passed", "value", "tolerance", "detail"]
     rows = [
         (r.suite, r.name, int(r.passed),
@@ -67,8 +69,7 @@ def _check_report(results) -> tuple[tuple, tuple | None]:
          r.detail)
         for r in results
     ]
-    failed = [row[:2] + row[3:] for row in rows if not row[2]]
-    return (header, rows), (header[:2] + header[3:], failed) if failed else None
+    return header, rows
 
 
 #: what a manifest leaves out of the parsed arguments: the parser's
@@ -104,6 +105,23 @@ def _write_run(args, stem: str, outputs: dict, measured: dict | None = None, see
         manifest.add_output(path)
     manifest.write(args.outdir / f"{stem}_manifest.json")
     print("wrote " + " and ".join(str(path) for path in outputs))
+
+
+def _report_checks(args, stem: str, results, outputs: dict, tally: bool = False) -> int:
+    """Print each check's line (then ``N/M checks passed`` if ``tally``),
+    add ``<command>_failures.csv``, the failed checks' report rows without
+    the passed column, when one failed, write the run; return the exit code."""
+    for result in results:
+        print(result.line())
+    failed = [r for r in results if not r.passed]
+    if tally:
+        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    if failed:
+        header, rows = _check_report(failed)
+        outputs[args.outdir / f"{args.command}_failures.csv"] = (
+            header[:2] + header[3:], [row[:2] + row[3:] for row in rows])
+    _write_run(args, stem, outputs)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +200,6 @@ def _cmd_series(args) -> int:
     if args.check == "mgf" and args.lam != 1.0:
         raise ValueError("--check mgf is specialized to --lambda 1")
     results, exports = SERIES_CHECKS[args.check](args)
-    for result in results:
-        print(result.line())
-
     lam, t = args.lam, args.t
     rows = [
         (str(n), _fmt(c), name, _fmt(lam), _fmt(t))
@@ -201,11 +216,7 @@ def _cmd_series(args) -> int:
             # c1-vanishes -> c1, c2-vanishes -> c2
             "residuals": {r.name.split("-")[0]: r.value for r in results},
         }
-    _, failures = _check_report(results)
-    if failures:
-        outputs[args.outdir / "series_failures.csv"] = failures
-    _write_run(args, f"series_{args.check}", outputs)
-    return 1 if failures else 0
+    return _report_checks(args, f"series_{args.check}", results, outputs)
 
 
 def _cmd_s_system(args) -> int:
@@ -228,20 +239,15 @@ def _cmd_s_system(args) -> int:
 
 def _cmd_words(args) -> int:
     results, exports = ver.check_word_counts(args.n)
-    for result in results:
-        print(result.line())
     header = ["n", "k", "c", "d", "e", "bruteforce_c", "bruteforce_d", "bruteforce_e"]
-    _write_run(args, "words", {args.outdir / "word_counts.csv": (header, exports["rows"])})
-    return 0 if all(r.passed for r in results) else 1
+    return _report_checks(args, "words", results,
+                          {args.outdir / "word_counts.csv": (header, exports["rows"])})
 
 
 def _cmd_oracle(args) -> int:
-    orders = tuple(int(x) for x in args.orders.split(","))
-    knobs = ("dim", "steps", "trials", "seed", "lam", "theta", "mode")
-    config = orc.OracleConfig(t_end=args.t, orders=orders,
-                              **{name: getattr(args, name) for name in knobs})
+    config = orc.OracleConfig(**{f.name: getattr(args, f.name) for f in fields(orc.OracleConfig)})
     run = orc.empirical_jacobi_moments(config)
-    for n in orders:
+    for n in args.orders:
         print(f"n={n}: {run.estimates[n]:.6f} +/- {run.stderrs[n]:.6f}")
     print(f"unitarity drift {run.unitarity_drift:.2e}")
     if run.rank_info.get("rank_rounded"):
@@ -252,11 +258,10 @@ def _cmd_oracle(args) -> int:
     rows = [
         (n, _fmt(args.t), _fmt(run.estimates[n]), _fmt(run.stderrs[n]),
          args.dim, args.steps, args.trials, args.mode)
-        for n in orders
+        for n in args.orders
     ]
     header = ["n", "t", "estimate", "stderr", "N", "steps", "trials", "mode"]
     measured = {
-        "orders": list(orders),
         "unitarity_drift": run.unitarity_drift,
         "trial_drift": run.trial_drift,
         "rank_info": run.rank_info,
@@ -270,25 +275,20 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = ver.run_suite(args.suite)
-    for result in results:
-        print(result.line())
-    failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-
-    report, failures = _check_report(results)
-    outputs = {args.outdir / "verify_report.csv": report}
-    if failures:
-        outputs[args.outdir / "verify_failures.csv"] = failures
+    outputs = {args.outdir / "verify_report.csv": _check_report(results)}
     for result in results:
         if result.table is not None:
             outputs[args.outdir / f"{result.suite.replace('-', '_')}_report.csv"] = result.table
-    _write_run(args, "verify", outputs)
-    return 1 if failed else 0
+    return _report_checks(args, "verify", results, outputs, tally=True)
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _orders(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -329,10 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stationary_density)
 
     p = sub.add_parser("series", help="series exports and identity checks")
-    p.add_argument(
-        "--check", choices=["alpha", "rho", "mgf", "pde", "decomposition"],
-        required=True,
-    )
+    p.add_argument("--check", choices=list(SERIES_CHECKS), required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--order", type=int, default=32)
@@ -367,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--orders", default="1,2", help="comma-separated moment orders")
+    p.add_argument("--orders", type=_orders, default="1,2", help="comma-separated moment orders")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -118,8 +118,6 @@ def hierarchy(lam, theta):
         order, rows = m.shape[-1] - 1, m.shape[:-1]
         col0 = out[..., 0]
         col0.fill(0.0)
-        if order == 0:
-            return lambda t=None: None
         multiply, subtract, add, matmul = np.multiply, np.subtract, np.add, np.matmul
         n = np.arange(1.0, order + 1)
         theta_n, n_flat = np.zeros((2,) + m.shape)

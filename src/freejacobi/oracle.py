@@ -39,7 +39,8 @@ MODES = ("nested", "orthogonal", "bernoulli_weight", "unitary")
 @dataclass(frozen=True)
 class OracleConfig:
     """Simulation request: matrix size, horizon, discretization, trials,
-    seed, process parameters, projection mode and requested moment orders.
+    seed, process parameters, projection mode and requested moment orders,
+    named as the ``oracle`` command's flags that set them (``t`` is ``--t``).
 
     ``bernoulli_weight`` estimates normalized traces of powers of
     a U a U* for a diagonal sign matrix with a fraction theta of +1
@@ -48,7 +49,7 @@ class OracleConfig:
     """
 
     dim: int
-    t_end: float
+    t: float
     steps: int
     trials: int
     seed: int
@@ -64,8 +65,8 @@ class OracleConfig:
             raise ValueError("steps must be >= 1")
         if self.trials < 2:
             raise ValueError("trials must be >= 2: the standard error needs two")
-        if not 0 <= self.t_end < math.inf:
-            raise ValueError("t_end must be finite and nonnegative")
+        if not 0 <= self.t < math.inf:
+            raise ValueError("t must be finite and nonnegative")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if not 0.0 < self.theta < 1.0:
@@ -184,14 +185,14 @@ def unitarity_defect(u: np.ndarray) -> float:
 def _trial_estimates(config: OracleConfig, trial: int) -> tuple[np.ndarray, float]:
     rng = _trial_rng(config.seed, trial)
     dim = config.dim
-    u = _unitary_endpoint(rng, dim, config.t_end, config.steps)
+    u = _unitary_endpoint(rng, dim, config.t, config.steps)
     drift = unitarity_defect(u)
     orders = config.orders
 
     if config.mode in ("unitary", "bernoulli_weight"):
         w = u
         if config.mode == "bernoulli_weight":
-            n_plus = round_half_up(config.theta * dim)
+            n_plus = config.rank_q()
             signs = np.concatenate([np.ones(n_plus), -np.ones(dim - n_plus)])
             w = (signs[:, None] * u * signs[None, :]) @ u.conj().T  # a U a U*
         eig = np.linalg.eigvals(w)

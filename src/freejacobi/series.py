@@ -62,9 +62,6 @@ class TruncatedSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TruncatedSeries(-self.coeffs)
-
     def __sub__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_same_order(other)
@@ -72,9 +69,6 @@ class TruncatedSeries:
         out = self.coeffs.copy()
         out[0] -= float(other)
         return TruncatedSeries(out)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):

@@ -411,7 +411,7 @@ def suite_oracle(dim: int = 256, steps: int = 200, trials: int = 8,
                  seed: int = 20240601) -> list[CheckResult]:
     out = []
     nested = orc.empirical_jacobi_moments(
-        orc.OracleConfig(dim=dim, t_end=1.0, steps=steps, trials=trials, seed=seed,
+        orc.OracleConfig(dim=dim, t=1.0, steps=steps, trials=trials, seed=seed,
                          lam=1.0, theta=0.5, mode="nested", orders=(1, 2))
     )
     _, m1_ref, m2_ref = closed_form_moments(1.0, 2)
@@ -422,7 +422,7 @@ def suite_oracle(dim: int = 256, steps: int = 200, trials: int = 8,
     out.append(_check("oracle", "unitarity-drift", nested.unitarity_drift, 1e-10))
 
     unitary = orc.empirical_jacobi_moments(
-        orc.OracleConfig(dim=dim, t_end=1.0, steps=steps, trials=trials, seed=seed + 1,
+        orc.OracleConfig(dim=dim, t=1.0, steps=steps, trials=trials, seed=seed + 1,
                          mode="unitary", orders=(1, 2))
     )
     for n in (1, 2):
@@ -441,8 +441,8 @@ GENERAL_THETA_COLUMNS = ["kind", "theta", "t", "n", "expansion", "reference", "a
                          "flagged"]
 
 
-def suite_general_theta(oracle_dim: int = 128, oracle_steps: int = 100,
-                        oracle_trials: int = 6, seed: int = 11) -> list[CheckResult]:
+def suite_general_theta(dim: int = 128, steps: int = 100, trials: int = 6,
+                        seed: int = 11) -> list[CheckResult]:
     """Diagnostic, not a hard gate: compares the expansion route at
     theta = 0.75 against the ODE hierarchy and the Bernoulli oracle,
     carries the comparison as the ``report-produced`` check's table
@@ -472,8 +472,7 @@ def suite_general_theta(oracle_dim: int = 128, oracle_steps: int = 100,
                          f"{diff:.6g}", not diff <= 1e-6))  # a NaN difference is flagged
 
     bern = orc.empirical_jacobi_moments(
-        orc.OracleConfig(dim=oracle_dim, t_end=1.0, steps=oracle_steps,
-                         trials=oracle_trials, seed=seed, theta=theta,
+        orc.OracleConfig(dim=dim, t=1.0, steps=steps, trials=trials, seed=seed, theta=theta,
                          mode="bernoulli_weight", orders=(1, 2, 3, 4))
     )
     _, s_states = s_trajectory(theta, 1.0, 4, h=2e-4)
@@ -482,7 +481,7 @@ def suite_general_theta(oracle_dim: int = 128, oracle_steps: int = 100,
     for k in (1, 2, 3, 4):
         predicted = math.exp(-k * 1.0) * s_end[k - 1]
         diff = abs(bern.estimates[k] - predicted)
-        bound = 3.0 * bern.stderrs[k] + 4.0 / oracle_dim
+        bound = 3.0 * bern.stderrs[k] + 4.0 / dim
         flagged = not diff <= bound
         oracle_flags += flagged
         rows.append(("bernoulli-oracle", theta, 1.0, k, f"{predicted:.12g}",

@@ -4,15 +4,16 @@ import importlib.util
 import io
 import json
 import math
-import os
+import time
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from freejacobi import combinatorics, verification
+from freejacobi import cli, combinatorics, verification
 from freejacobi.cli import main
+from freejacobi.moments import integrate_moments
 
 
 def run_cli(tmp_path, *argv):
@@ -188,6 +189,12 @@ def test_wrong_closed_word_count_fails_words_and_the_suite(tmp_path, monkeypatch
     assert run_cli(tmp_path, "words", "--n", "3") == 1
     assert "FAIL  combinatorics/bruteforce-vs-closed-n<=3" in capsys.readouterr().out
     assert "2,1,3,2,1,3,1,1" in (tmp_path / "word_counts.csv").read_text().splitlines()
+    with open(tmp_path / "words_failures.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["suite", "check", "value", "tolerance", "detail"]
+    assert [row[:2] for row in rows[1:]] == [["combinatorics", "bruteforce-vs-closed-n<=3"]]
+    manifest = json.loads((tmp_path / "words_manifest.json").read_text())
+    assert "words_failures.csv" in [out["path"] for out in manifest["outputs"]]
     results = {r.name: r for r in verification.run_suite("combinatorics")}
     assert not results["bruteforce-vs-closed-n<=8"].passed
 
@@ -321,13 +328,18 @@ def test_s_system_samples_below_one_exits_2(tmp_path, capsys, samples):
     assert not (tmp_path / "s_system.csv").exists()
 
 
-def test_manifest_start_precedes_the_work(tmp_path):
+def test_manifest_start_precedes_the_work(tmp_path, monkeypatch):
+    work_started = []
+
+    def recording(*args, **kwargs):
+        work_started.append(time.time())
+        return integrate_moments(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_moments", recording)
     run_cli(tmp_path, "moments", "--lambda", "0.6", "--t", "2", "--method", "recurrence")
     manifest = json.loads((tmp_path / "moments_manifest.json").read_text())
-    written = os.path.getmtime(tmp_path / "moments.csv")
-    # the RK4 run to t = 2 takes well over 50 ms before the CSV is written
-    assert written - manifest["started_at"] > 0.05
-    assert manifest["finished_at"] >= manifest["started_at"]
+    (started,) = work_started
+    assert manifest["started_at"] <= started <= manifest["finished_at"]
     assert manifest["command_line"][-4:] == ["--t", "2", "--method", "recurrence"]
 
 

@@ -17,27 +17,27 @@ from freejacobi.special_functions import s_closed_theta_half, ubm_moment
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        orc.OracleConfig(dim=1, t_end=1.0, steps=10, trials=2, seed=0)
+        orc.OracleConfig(dim=1, t=1.0, steps=10, trials=2, seed=0)
     with pytest.raises(ValueError):
-        orc.OracleConfig(dim=8, t_end=1.0, steps=0, trials=2, seed=0)
+        orc.OracleConfig(dim=8, t=1.0, steps=0, trials=2, seed=0)
     with pytest.raises(ValueError):
-        orc.OracleConfig(dim=8, t_end=1.0, steps=10, trials=2, seed=0, mode="bogus")
+        orc.OracleConfig(dim=8, t=1.0, steps=10, trials=2, seed=0, mode="bogus")
     with pytest.raises(ValueError):
         # rank(P) > rank(Q) is not nested
         orc.OracleConfig(
-            dim=8, t_end=1.0, steps=10, trials=2, seed=0, lam=1.8, theta=0.5
+            dim=8, t=1.0, steps=10, trials=2, seed=0, lam=1.8, theta=0.5
         )
     with pytest.raises(ValueError):
         orc.OracleConfig(
-            dim=8, t_end=1.0, steps=10, trials=2, seed=0,
+            dim=8, t=1.0, steps=10, trials=2, seed=0,
             lam=1.5, theta=0.5, mode="orthogonal",
         )
     with pytest.raises(ValueError, match="trials must be >= 2"):
-        orc.OracleConfig(dim=8, t_end=1.0, steps=10, trials=1, seed=0)
+        orc.OracleConfig(dim=8, t=1.0, steps=10, trials=1, seed=0)
 
 
 def test_rank_rounding():
-    cfg = orc.OracleConfig(dim=10, t_end=0.1, steps=1, trials=2, seed=0,
+    cfg = orc.OracleConfig(dim=10, t=0.1, steps=1, trials=2, seed=0,
                            lam=0.9, theta=0.5)
     assert cfg.rank_q() == 5
     assert cfg.rank_p() == 5  # round-half-up of 4.5
@@ -75,7 +75,7 @@ def test_unitarity_is_structural():
 
 
 def test_determinism_across_runs():
-    cfg = orc.OracleConfig(dim=32, t_end=0.5, steps=20, trials=3, seed=123)
+    cfg = orc.OracleConfig(dim=32, t=0.5, steps=20, trials=3, seed=123)
     r1 = orc.empirical_jacobi_moments(cfg)
     r2 = orc.empirical_jacobi_moments(cfg)
     assert r1.estimates == r2.estimates
@@ -83,14 +83,14 @@ def test_determinism_across_runs():
 
 
 def test_different_seeds_differ():
-    base = dict(dim=32, t_end=0.5, steps=20, trials=2)
+    base = dict(dim=32, t=0.5, steps=20, trials=2)
     r1 = orc.empirical_jacobi_moments(orc.OracleConfig(seed=1, **base))
     r2 = orc.empirical_jacobi_moments(orc.OracleConfig(seed=2, **base))
     assert r1.estimates != r2.estimates
 
 
 def test_nested_at_time_zero_is_exact():
-    cfg = orc.OracleConfig(dim=24, t_end=0.0, steps=1, trials=2, seed=9,
+    cfg = orc.OracleConfig(dim=24, t=0.0, steps=1, trials=2, seed=9,
                            lam=0.5, theta=0.5)
     run = orc.empirical_jacobi_moments(cfg)
     assert run.estimates[1] == pytest.approx(1.0, abs=1e-14)
@@ -98,14 +98,14 @@ def test_nested_at_time_zero_is_exact():
 
 
 def test_orthogonal_at_time_zero_vanishes():
-    cfg = orc.OracleConfig(dim=24, t_end=0.0, steps=1, trials=2, seed=9,
+    cfg = orc.OracleConfig(dim=24, t=0.0, steps=1, trials=2, seed=9,
                            lam=0.5, theta=0.5, mode="orthogonal")
     run = orc.empirical_jacobi_moments(cfg)
     assert run.estimates[1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_unitary_trace_tracks_theory():
-    cfg = orc.OracleConfig(dim=128, t_end=1.0, steps=100, trials=4, seed=20240601,
+    cfg = orc.OracleConfig(dim=128, t=1.0, steps=100, trials=4, seed=20240601,
                            mode="unitary", orders=(1, 2))
     run = orc.empirical_jacobi_moments(cfg)
     for n in (1, 2):
@@ -114,7 +114,7 @@ def test_unitary_trace_tracks_theory():
 
 
 def test_nested_moments_track_theory():
-    cfg = orc.OracleConfig(dim=128, t_end=1.0, steps=100, trials=4, seed=7)
+    cfg = orc.OracleConfig(dim=128, t=1.0, steps=100, trials=4, seed=7)
     run = orc.empirical_jacobi_moments(cfg)
     assert abs(run.estimates[1] - closed_form_moments(1.0, 1)[1]) < 0.02
     assert abs(run.estimates[2] - closed_form_moments(1.0, 2)[2]) < 0.03
@@ -122,7 +122,7 @@ def test_nested_moments_track_theory():
 
 
 def test_bernoulli_weight_tracks_symmetric_traces():
-    cfg = orc.OracleConfig(dim=128, t_end=1.0, steps=100, trials=4, seed=7,
+    cfg = orc.OracleConfig(dim=128, t=1.0, steps=100, trials=4, seed=7,
                            theta=0.5, mode="bernoulli_weight", orders=(1, 2))
     run = orc.empirical_jacobi_moments(cfg)
     predicted = math.exp(-2.0) * s_closed_theta_half(2, 1.0)  # -e^{-2}
@@ -136,7 +136,7 @@ def test_convergence_trend_with_paired_seed():
     # is a property of the pinned draw, not of every seed)
     errors = []
     for dim in (64, 128, 256):
-        cfg = orc.OracleConfig(dim=dim, t_end=1.0, steps=60, trials=4, seed=1)
+        cfg = orc.OracleConfig(dim=dim, t=1.0, steps=60, trials=4, seed=1)
         run = orc.empirical_jacobi_moments(cfg)
         errors.append(abs(run.estimates[1] - closed_form_moments(1.0, 1)[1]))
     assert errors[0] >= errors[1] >= errors[2]
@@ -189,7 +189,7 @@ def test_pipelined_endpoint_is_bit_identical_to_serial_loop(dim, steps):
 
 @pytest.mark.parametrize("mode", orc.MODES)
 def test_pipelined_runs_are_bit_identical_to_serial_loop(monkeypatch, mode):
-    cfg = orc.OracleConfig(dim=17, t_end=0.8, steps=6, trials=3, seed=42,
+    cfg = orc.OracleConfig(dim=17, t=0.8, steps=6, trials=3, seed=42,
                            lam=0.5, theta=0.5, mode=mode, orders=(1, 2, 3))
     got = orc.empirical_jacobi_moments(cfg)
     monkeypatch.setattr(orc, "_unitary_endpoint", _reference_endpoint)
@@ -224,7 +224,7 @@ def test_failure_reaches_caller_and_leaves_no_thread(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, failing)
     before = threading.active_count()
-    cfg = orc.OracleConfig(dim=8, t_end=1.0, steps=5, trials=2, seed=1)
+    cfg = orc.OracleConfig(dim=8, t=1.0, steps=5, trials=2, seed=1)
     with pytest.raises(RuntimeError, match=f"{name} failed"):
         orc.empirical_jacobi_moments(cfg)
     assert len(calls) == 3

@@ -99,7 +99,7 @@ def test_nan_general_theta_row_is_flagged(monkeypatch):
 
     monkeypatch.setattr(verification, "expansion_moments", poisoned)
     results = {r.name: r for r in verification.run_suite(
-        "general-theta", oracle_dim=8, oracle_steps=2, oracle_trials=2)}
+        "general-theta", dim=8, steps=2, trials=2)}
     header, rows = results["report-produced"].table
     row = dict(zip(header, next(r for r in rows if r[:4] == ("moments", 0.75, 1.0, 3))))
     assert row["abs_diff"] == "nan"
@@ -108,8 +108,7 @@ def test_nan_general_theta_row_is_flagged(monkeypatch):
 
 def test_general_theta_suite_writes_no_file(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    results = verification.run_suite("general-theta", oracle_dim=8, oracle_steps=2,
-                                     oracle_trials=2)
+    results = verification.run_suite("general-theta", dim=8, steps=2, trials=2)
     assert list(tmp_path.iterdir()) == []
     header, rows = results[-1].table
     assert header == verification.GENERAL_THETA_COLUMNS and len(rows) == 58
