@@ -1,16 +1,18 @@
 """Command-line surface.
 
 Subcommands: moments, density, stationary-density, series, s-system, words,
-oracle, verify.  Every run writes CSV/JSON artifacts into ``--outdir`` plus
-a run manifest carrying the command line, parameters, seeds and the
-SHA-256 digest of every file the run wrote; re-running with the same flags
-reproduces the outputs byte-for-byte.  The parameters are the parsed flags
-plus what the run measured.  ``_write_run`` is the only writer: the
-commands compute, and ``verification`` never touches the file system.
-``series`` and ``words`` run the checks of ``verification`` under the
-names and tolerances ``verify`` reports them with, and all three report
-through ``_report_checks``: each check's line, ``<command>_failures.csv``
-when one failed, then the run.  ``verify`` runs each suite at its stated
+oracle, verify.  Every run writes CSV/JSON artifacts into ``--outdir``
+(default: the current directory) plus a run manifest carrying the command
+line, parameters, seeds and the SHA-256 digest of every file the run wrote;
+re-running with the same flags reproduces the outputs byte-for-byte.  The
+parameters are the parsed flags plus what the run measured; ``oracle``'s
+defaults are the fields of ``OracleConfig()``, the acceptance run.
+``_write_run`` is the only writer: the commands compute, and
+``verification`` never touches the file system.  ``series`` and ``words``
+run the checks of ``verification`` under the names and tolerances
+``verify`` reports them with, and all three report through
+``_report_checks``: each check's line, ``<command>_failures.csv`` when one
+failed, then the run.  ``verify`` runs each suite at its stated
 configuration (other oracle sizes run through ``oracle``) and writes each
 check's table as ``<suite>_report.csv`` (``-`` in the suite name becomes
 ``_``).  ``--step`` (the RK4 step of ``moments`` and ``s-system``) must be
@@ -25,7 +27,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import fields
@@ -39,20 +40,19 @@ from . import spectral
 from . import verification as ver
 from .manifest import RunManifest
 from .moments import (
+    DEFAULT_ORDER,
     ProcessParams,
     closed_form_moments,
     expansion_moments,
     integrate_moments,
 )
-from .special_functions import s_closed_theta_half, s_trajectory
+from .special_functions import DEFAULT_STEP, s_closed_theta_half, s_trajectory
 
 INIT_FLAGS = {
     "p-le-q": "nested_P_le_Q",
     "p-ge-q": "nested_P_ge_Q",
     "orthogonal": "orthogonal",
 }
-
-OUTDIR_ENV = "FREEJACOBI_OUTDIR"
 
 
 def _fmt(x: float) -> str:
@@ -151,12 +151,7 @@ def _cmd_moments(args) -> int:
 
 
 def _write_density(args, grid, stem: str) -> None:
-    t_val = grid.params.get("t")
-    fixed = (
-        _fmt(t_val) if np.isfinite(t_val) else "inf",
-        _fmt(grid.params["lambda"]),
-        _fmt(grid.params["theta"]),
-    )
+    fixed = tuple(_fmt(grid.params[name]) for name in ("t", "lambda", "theta"))
     rows = [
         (_fmt(x), _fmt(f), *fixed, str(int(raw < 0.0)))
         for x, f, raw in zip(grid.xs, grid.values, grid.raw_values)
@@ -247,14 +242,12 @@ def _cmd_words(args) -> int:
 def _cmd_oracle(args) -> int:
     config = orc.OracleConfig(**{f.name: getattr(args, f.name) for f in fields(orc.OracleConfig)})
     run = orc.empirical_jacobi_moments(config)
+    rank_info = config.rank_info()
     for n in args.orders:
         print(f"n={n}: {run.estimates[n]:.6f} +/- {run.stderrs[n]:.6f}")
     print(f"unitarity drift {run.unitarity_drift:.2e}")
-    if run.rank_info.get("rank_rounded"):
-        print(
-            "note: projection ranks rounded to "
-            f"{run.rank_info['rank_p']}/{run.rank_info['rank_q']}"
-        )
+    if rank_info.get("rank_rounded"):
+        print(f"note: projection ranks rounded to {rank_info['rank_p']}/{rank_info['rank_q']}")
     rows = [
         (n, _fmt(args.t), _fmt(run.estimates[n]), _fmt(run.stderrs[n]),
          args.dim, args.steps, args.trials, args.mode)
@@ -264,7 +257,7 @@ def _cmd_oracle(args) -> int:
     measured = {
         "unitarity_drift": run.unitarity_drift,
         "trial_drift": run.trial_drift,
-        "rank_info": run.rank_info,
+        "rank_info": rank_info,
         "wall_time": run.wall_time,
         "trial_seconds": run.trial_seconds,
     }
@@ -297,18 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
         "series identities, spectral densities, Monte Carlo cross-checks.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--outdir",
-        help=f"output directory (default: ${OUTDIR_ENV} or current directory)",
-    )
+    parser.add_argument("--outdir", type=Path, default=".",
+                        help="output directory (default: current directory)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("moments", help="moment vector at one time by a chosen route")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--order", type=int, default=32)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
     p.add_argument("--init", choices=sorted(INIT_FLAGS), default="p-le-q")
     p.add_argument(
         "--method", choices=["recurrence", "closed-form", "expansion"],
@@ -342,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--order", type=int, default=8)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
     p.add_argument("--samples", type=int, default=20, help="intervals per order "
                    "(samples + 1 rows, t = 0 to --t, one per step at most)")
     p.set_defaults(func=_cmd_s_system)
@@ -354,17 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_words)
 
     p = sub.add_parser("oracle", help="finite-N Monte Carlo estimates")
-    p.add_argument("--dim", type=int, default=256)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=20240601)
-    p.add_argument(
-        "--mode", choices=sorted(orc.MODES), default="nested",
-    )
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--orders", type=_orders, default="1,2", help="comma-separated moment orders")
+    p.add_argument("--dim", type=int, default=orc.OracleConfig.dim)
+    p.add_argument("--steps", type=int, default=orc.OracleConfig.steps)
+    p.add_argument("--trials", type=int, default=orc.OracleConfig.trials)
+    p.add_argument("--t", type=float, default=orc.OracleConfig.t)
+    p.add_argument("--seed", type=int, default=orc.OracleConfig.seed)
+    p.add_argument("--mode", choices=sorted(orc.MODES), default=orc.OracleConfig.mode)
+    p.add_argument("--lambda", dest="lam", type=float, default=orc.OracleConfig.lam)
+    p.add_argument("--theta", type=float, default=orc.OracleConfig.theta)
+    p.add_argument("--orders", type=_orders, default=orc.OracleConfig.orders,
+                   help="comma-separated moment orders")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -380,7 +370,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.started_at = started_at
     args.argv = list(sys.argv[1:] if argv is None else argv)
-    args.outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV, "."))
     try:
         return args.func(args)
     except ValueError as exc:  # inputs outside a route's stated validity range

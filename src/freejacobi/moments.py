@@ -175,9 +175,9 @@ def recurrence_rhs(m: np.ndarray, lam, theta) -> np.ndarray:
     binding, the right-hand side the integrators bind once per stage.
 
     The quadratic sum is empty for n = 1.  Component 0 of ``m`` is read
-    as-is rather than assumed to be 1, so the rescaled system v_n = lam m_n
-    (which satisfies the same recurrence with lambda replaced by 1 and
-    v_0 = lam) can reuse this function.
+    as-is rather than assumed to be 1: the rescaled system v_n = lam m_n has
+    lambda replaced by 1 and v_0 = lam, and ``lambda_scaling_residual``
+    integrates it as row 1 of one ``hierarchy((lam, 1.0), theta)`` batch.
     """
     m = np.ascontiguousarray(m, dtype=float)
     out = np.empty(m.shape)

@@ -10,7 +10,8 @@ an explicit correction.
 
 Per-trial randomness comes from a counter-based generator keyed by
 (master seed, trial index): estimates are identical for a given config no
-matter how trials are scheduled.
+matter how trials are scheduled.  A run keeps only what it measured; its
+estimates, standard errors and worst drift are computed from that.
 
 Each step's GUE increment is drawn on a one-worker ``ThreadPoolExecutor``
 while the calling thread runs the previous step's eigendecomposition,
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +42,7 @@ class OracleConfig:
     """Simulation request: matrix size, horizon, discretization, trials,
     seed, process parameters, projection mode and requested moment orders,
     named as the ``oracle`` command's flags that set them (``t`` is ``--t``).
+    The field defaults are the acceptance run, as in ``verify --suite oracle``.
 
     ``bernoulli_weight`` estimates normalized traces of powers of
     a U a U* for a diagonal sign matrix with a fraction theta of +1
@@ -48,11 +50,11 @@ class OracleConfig:
     itself (no projections involved).
     """
 
-    dim: int
-    t: float
-    steps: int
-    trials: int
-    seed: int
+    dim: int = 256
+    t: float = 1.0
+    steps: int = 200
+    trials: int = 8
+    seed: int = 20240601
     lam: float = 1.0
     theta: float = 0.5
     mode: str = "nested"
@@ -86,20 +88,41 @@ class OracleConfig:
     def rank_q(self) -> int:
         return round_half_up(self.theta * self.dim)
 
+    def rank_info(self) -> dict:
+        """Realized and nominal projection ranks; empty without projections."""
+        if self.mode not in ("nested", "orthogonal"):
+            return {}
+        rank_p, rank_q = self.rank_p(), self.rank_q()
+        nominal_p, nominal_q = self.lam * self.theta * self.dim, self.theta * self.dim
+        return {"rank_p": rank_p, "rank_q": rank_q,
+                "nominal_rank_p": nominal_p, "nominal_rank_q": nominal_q,
+                "rank_rounded": rank_p != nominal_p or rank_q != nominal_q}
+
 
 @dataclass
 class OracleRun:
-    """Estimates with standard errors plus everything needed to reproduce."""
+    """What a run measured; estimates, stderrs and worst drift derive from it."""
 
     config: OracleConfig
-    estimates: dict[int, float]
-    stderrs: dict[int, float]
     per_trial: np.ndarray  # shape (trials, len(orders))
     trial_drift: list[float]  # unitarity defect of each trial's endpoint
     trial_seconds: list[float]  # wall time of each trial
-    unitarity_drift: float  # max of trial_drift; NaN if any trial's is
     wall_time: float
-    rank_info: dict = field(default_factory=dict)
+
+    @property
+    def estimates(self) -> dict[int, float]:
+        mean = self.per_trial.mean(axis=0)
+        return {n: float(m) for n, m in zip(self.config.orders, mean)}
+
+    @property
+    def stderrs(self) -> dict[int, float]:
+        stderr = self.per_trial.std(axis=0, ddof=1) / math.sqrt(self.config.trials)
+        return {n: float(s) for n, s in zip(self.config.orders, stderr)}
+
+    @property
+    def unitarity_drift(self) -> float:
+        """The largest trial drift; NaN if any trial's is."""
+        return float(np.max(self.trial_drift))
 
 
 def round_half_up(x: float) -> int:
@@ -225,28 +248,10 @@ def empirical_jacobi_moments(config: OracleConfig) -> OracleRun:
         per_trial[trial], drift = _trial_estimates(config, trial)
         trial_seconds.append(time.perf_counter() - trial_start)
         trial_drift.append(drift)
-    mean = per_trial.mean(axis=0)
-    stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(config.trials)
-    rank_info = {}
-    if config.mode in ("nested", "orthogonal"):
-        rank_info = {
-            "rank_p": config.rank_p(),
-            "rank_q": config.rank_q(),
-            "nominal_rank_p": config.lam * config.theta * config.dim,
-            "nominal_rank_q": config.theta * config.dim,
-        }
-        rank_info["rank_rounded"] = (
-            rank_info["rank_p"] != rank_info["nominal_rank_p"]
-            or rank_info["rank_q"] != rank_info["nominal_rank_q"]
-        )
     return OracleRun(
         config=config,
-        estimates={n: float(m) for n, m in zip(config.orders, mean)},
-        stderrs={n: float(s) for n, s in zip(config.orders, stderr)},
         per_trial=per_trial,
         trial_drift=trial_drift,
         trial_seconds=trial_seconds,
-        unitarity_drift=float(np.max(trial_drift)),
         wall_time=time.perf_counter() - start,
-        rank_info=rank_info,
     )

@@ -407,8 +407,9 @@ def suite_density() -> list[CheckResult]:
 # oracle suite
 # ---------------------------------------------------------------------------
 
-def suite_oracle(dim: int = 256, steps: int = 200, trials: int = 8,
-                 seed: int = 20240601) -> list[CheckResult]:
+def suite_oracle(dim: int = orc.OracleConfig.dim, steps: int = orc.OracleConfig.steps,
+                 trials: int = orc.OracleConfig.trials,
+                 seed: int = orc.OracleConfig.seed) -> list[CheckResult]:
     out = []
     nested = orc.empirical_jacobi_moments(
         orc.OracleConfig(dim=dim, t=1.0, steps=steps, trials=trials, seed=seed,

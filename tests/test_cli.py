@@ -1,17 +1,20 @@
 import csv
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import math
 import time
 import tracemalloc
 from contextlib import redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from freejacobi import cli, combinatorics, verification
+from freejacobi import oracle as orc
 from freejacobi.cli import main
 from freejacobi.moments import integrate_moments
 
@@ -223,6 +226,26 @@ def test_oracle_command(tmp_path):
     assert {name: parameters[name] for name in flags} == flags
     assert set(parameters) - set(flags) == {"unitarity_drift", "trial_drift", "rank_info",
                                             "wall_time", "trial_seconds"}
+
+
+def test_oracle_defaults_and_oracle_suite_are_the_acceptance_run():
+    args = cli.build_parser().parse_args(["oracle"])
+    config = orc.OracleConfig(**{f.name: getattr(args, f.name) for f in fields(orc.OracleConfig)})
+    assert config == orc.OracleConfig()
+    sizing = inspect.signature(verification.suite_oracle).parameters
+    assert {name: param.default for name, param in sizing.items()} == {
+        name: getattr(orc.OracleConfig(), name) for name in ("dim", "steps", "trials", "seed")}
+
+
+def test_outdir_is_the_only_output_directory(tmp_path, monkeypatch):
+    workdir, elsewhere = tmp_path / "work", tmp_path / "elsewhere"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    monkeypatch.setenv("FREEJACOBI_OUTDIR", str(elsewhere))
+    assert main(["words", "--n", "2"]) == 0
+    assert sorted(p.name for p in workdir.iterdir()) == ["word_counts.csv",
+                                                         "words_manifest.json"]
+    assert not elsewhere.exists()
 
 
 @pytest.mark.parametrize("argv", [
