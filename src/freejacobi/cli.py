@@ -41,18 +41,13 @@ from . import verification as ver
 from .manifest import RunManifest
 from .moments import (
     DEFAULT_ORDER,
+    INIT_MODES,
     ProcessParams,
     closed_form_moments,
     expansion_moments,
     integrate_moments,
 )
 from .special_functions import DEFAULT_STEP, s_closed_theta_half, s_trajectory
-
-INIT_FLAGS = {
-    "p-le-q": "nested_P_le_Q",
-    "p-ge-q": "nested_P_ge_Q",
-    "orthogonal": "orthogonal",
-}
 
 
 def _fmt(x: float) -> str:
@@ -133,7 +128,7 @@ def _cmd_moments(args) -> int:
         raise ValueError("--method closed-form requires --lambda 1 --theta 0.5")
     if args.method == "expansion" and args.lam != 1.0:
         raise ValueError("--method expansion requires --lambda 1")
-    params = ProcessParams(lam=args.lam, theta=args.theta, init_mode=INIT_FLAGS[args.init])
+    params = ProcessParams(lam=args.lam, theta=args.theta, init_mode=args.init)
     if args.method == "recurrence":
         values = integrate_moments(params, args.t, order=args.order, h=args.step).at(args.t)
     elif args.method == "closed-form":
@@ -300,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--step", type=float, default=DEFAULT_STEP)
-    p.add_argument("--init", choices=sorted(INIT_FLAGS), default="p-le-q")
+    p.add_argument("--init", choices=sorted(INIT_MODES), default="p-le-q")
     p.add_argument(
         "--method", choices=["recurrence", "closed-form", "expansion"],
         default="recurrence",

@@ -14,7 +14,7 @@ the explicit c_3 closed form; the evolution equation for c_n and the
 source term Z_t are implemented in the corrected form (see the module
 tests for the c_3 cross-check that pins the signs).  The radical
 sqrt(4 - 4z + (1 - lambda)^2 z^2) is ``transforms.radical_series``
-throughout.  The checks that read an integrated run take lambda from it.
+throughout.  The checks that read a "p-le-q" run take lambda from it.
 """
 
 from __future__ import annotations
@@ -68,12 +68,6 @@ def psi_closed(lam: float, t: float, order: int) -> np.ndarray:
     return 2.0 * weighted_row_sums(c) / (2.0 - lam)
 
 
-def r_series(lam: float, order: int) -> TruncatedSeries:
-    """sqrt(4 + (1 - lambda)^2 z^2/(1 - z)); independent of time."""
-    inner = geometric(order).shift(2) * (1.0 - lam) ** 2
-    return (inner + 4.0).sqrt()
-
-
 def source_series(lam: float, t: float, order: int) -> TruncatedSeries:
     """The source term Z_t in the remainder evolution:
 
@@ -85,8 +79,9 @@ def source_series(lam: float, t: float, order: int) -> TruncatedSeries:
     pinned numerically by Z_3 = -(3/16)(1-lambda)^2 e^{-t}.  With
     g(z) = rho_s((2-lambda) e^{-t} z), g'(z) = (2-lambda) e^{-t} rho_s'(.),
     so the second term is z (r - 2) alpha' g'(alpha) / (2-lambda).
+    Here r = R/sqrt(1-z), R the radical series, 1/sqrt(1-z) as in ``psi_series``.
     """
-    r = r_series(lam, order)
+    r = radical_series(lam, order) * one_minus_z(order).sqrt().reciprocal()
     v = v_series(lam, t, order)
     geo = geometric(order)
     z2_zm2 = (TruncatedSeries.identity(order) - 2.0).shift(2)  # z^2 (z - 2)
@@ -121,7 +116,7 @@ def decomposition_u(
     """Remainder coefficients c_n(t) = m_n(t) - m_n(inf) - psi_n(t).
 
     ``trajectory`` supplies m_n(t) and the rank ratio lambda; it must be a
-    theta = 1/2 run with nested P <= Q initial data (so lambda lies in
+    theta = 1/2 run from the P <= Q start "p-le-q" (so lambda lies in
     (0, 1]), stored time t, and order at least ``order``.  Without a
     trajectory, lambda = 1 and the closed-form moments are used.
     """
@@ -131,8 +126,8 @@ def decomposition_u(
         p = trajectory.params
         if p.theta != 0.5:
             raise ValueError("decomposition is specialized to theta = 1/2")
-        if p.init_mode != "nested_P_le_Q":
-            raise ValueError("decomposition needs nested P <= Q initial data")
+        if p.init_mode != "p-le-q":
+            raise ValueError("decomposition needs the P <= Q start 'p-le-q'")
         if trajectory.order < order:
             raise ValueError(f"trajectory order {trajectory.order} below requested {order}")
         lam, m_t = p.lam, trajectory.at(t)[: order + 1]

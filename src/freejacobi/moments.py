@@ -10,13 +10,13 @@ classical RK4.  Its right-hand side, ``hierarchy(lam, theta)``, builds its
 coefficients and scratch buffers when ``rk4`` binds it, so nothing outlives
 one integration and concurrent integrations share no buffer.
 ``integrate_moments_batch`` stacks several parameter sets (lambda, theta
-and initial geometry may all differ) into one (B, order+1) state and
-advances them in a single RK4 loop, so a scan over lambda is one
+and start geometry, ``INIT_MODES``, may differ) into one (B, order+1)
+state and advances them in a single RK4 loop, so a scan over lambda is one
 integration; ``integrate_moments`` is its batch of one.  The module also
 provides the closed-form route at the symmetric parameter point, the
 combinatorial-expansion route for rank ratio one, and the complement
-transform, which reads rank ratio 2 - lambda'' in [1, 2) off an
-orthogonal-start run at lambda''.
+transform, which reads a "p-ge-q" run at rank ratio 2 - lambda'' in [1, 2)
+off an "orthogonal" run at lambda''.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .special_functions import (
 
 DEFAULT_ORDER = 32
 
-INIT_MODES = ("nested_P_le_Q", "nested_P_ge_Q", "orthogonal")
+INIT_MODES = ("p-le-q", "p-ge-q", "orthogonal")
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,14 @@ class ProcessParams:
     """Parameter pair (lambda, theta) plus the initial-condition geometry.
 
     ``lam`` is the rank ratio tau(P)/tau(Q), ``theta`` = tau(Q).  Validity
-    requires 0 < theta < 1 and 0 < lam * theta < 1.  The three init modes
-    encode the projection geometries P <= Q (moments start at 1), P >= Q
-    (start at 1/lam) and P orthogonal to Q (start at 0).
+    requires 0 < theta < 1 and 0 < lam * theta < 1.  ``init_mode`` is one of
+    ``INIT_MODES``, the values of ``moments --init``: "p-le-q" (P <= Q, moments
+    start at 1), "p-ge-q" (P >= Q, at 1/lam) or "orthogonal" (P Q = 0, at 0).
     """
 
     lam: float
     theta: float
-    init_mode: str = "nested_P_le_Q"
+    init_mode: str = "p-le-q"
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
@@ -63,10 +63,10 @@ class ProcessParams:
         if not 0.0 < self.lam * self.theta < 1.0:
             raise ValueError("lambda * theta must lie in (0, 1)")
         if self.init_mode not in INIT_MODES:
-            raise ValueError(f"unknown init mode {self.init_mode!r}")
-        if self.init_mode == "nested_P_le_Q" and self.lam > 1.0:
+            raise ValueError(f"unknown init mode {self.init_mode!r}; expected one of {INIT_MODES}")
+        if self.init_mode == "p-le-q" and self.lam > 1.0:
             raise ValueError("P <= Q requires lambda <= 1")
-        if self.init_mode == "nested_P_ge_Q" and self.lam < 1.0:
+        if self.init_mode == "p-ge-q" and self.lam < 1.0:
             raise ValueError("P >= Q requires lambda >= 1")
         if self.init_mode == "orthogonal" and self.theta * (1.0 + self.lam) > 1.0:
             raise ValueError("orthogonal P, Q require tau(P) + tau(Q) <= 1")
@@ -75,9 +75,9 @@ class ProcessParams:
         """Initial moments (m_0, ..., m_order); m_0 = 1 always."""
         m = np.empty(order + 1)
         m[0] = 1.0
-        if self.init_mode == "nested_P_le_Q":
+        if self.init_mode == "p-le-q":
             m[1:] = 1.0
-        elif self.init_mode == "nested_P_ge_Q":
+        elif self.init_mode == "p-ge-q":
             m[1:] = 1.0 / self.lam
         else:
             m[1:] = 0.0
@@ -370,7 +370,7 @@ def complement_moments(source: MomentTrajectory) -> MomentTrajectory:
     out = np.empty_like(source.values)
     out[:, 0] = 1.0
     out[:, 1:] = (tau_q + (tau_p * source.values[:, 1:]) @ signs) / norm
-    params = ProcessParams(lam=lambda_prime, theta=0.5, init_mode="nested_P_ge_Q")
+    params = ProcessParams(lam=lambda_prime, theta=0.5, init_mode="p-ge-q")
     return MomentTrajectory(params=params, times=source.times.copy(), values=out)
 
 

@@ -355,7 +355,7 @@ def suite_complement() -> list[CheckResult]:
     src, direct, src1, base = integrate_moments_batch(
         [
             ProcessParams(lam=0.5, theta=0.5, init_mode="orthogonal"),
-            ProcessParams(lam=1.5, theta=0.5, init_mode="nested_P_ge_Q"),
+            ProcessParams(lam=1.5, theta=0.5, init_mode="p-ge-q"),
             ProcessParams(lam=1.0, theta=0.5, init_mode="orthogonal"),
             ProcessParams(lam=1.0, theta=0.5),
         ],

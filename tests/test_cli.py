@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import importlib.util
@@ -16,7 +17,7 @@ import pytest
 from freejacobi import cli, combinatorics, verification
 from freejacobi import oracle as orc
 from freejacobi.cli import main
-from freejacobi.moments import integrate_moments
+from freejacobi.moments import INIT_MODES, integrate_moments
 
 
 def run_cli(tmp_path, *argv):
@@ -58,6 +59,20 @@ def test_moments_invalid_geometry_exits_2(tmp_path):
         run_cli(tmp_path, "moments", "--lambda", "2", "--theta", "0.5", "--t", "1",
                 "--init", "p-le-q")
     assert exc.value.code == 2
+
+
+def test_init_choices_are_the_init_modes():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    init = next(a for a in sub.choices["moments"]._actions if a.dest == "init")
+    assert init.choices == sorted(INIT_MODES)
+
+
+def test_moments_p_ge_q_starts_at_one_over_lambda(tmp_path):
+    assert run_cli(tmp_path, "moments", "--init", "p-ge-q", "--lambda", "1.5", "--t", "0") == 0
+    with open(tmp_path / "moments.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["m_n"] for r in rows if r["n"] != "0"] == ["0.6666667"] * 32
 
 
 def test_moments_closed_form_needs_symmetric_point(tmp_path):

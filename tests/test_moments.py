@@ -35,7 +35,7 @@ class TestParams:
         assert p.initial_vector(3).tolist() == [1, 1, 1, 1]
 
     def test_ge_mode_initial(self):
-        p = ProcessParams(lam=1.6, theta=0.5, init_mode="nested_P_ge_Q")
+        p = ProcessParams(lam=1.6, theta=0.5, init_mode="p-ge-q")
         assert p.initial_vector(2)[1] == pytest.approx(1 / 1.6)
 
     def test_orthogonal_initial(self):
@@ -46,13 +46,18 @@ class TestParams:
         with pytest.raises(ValueError):
             ProcessParams(lam=2.0, theta=0.5)  # lam * theta = 1
         with pytest.raises(ValueError):
-            ProcessParams(lam=1.5, theta=0.5, init_mode="nested_P_le_Q")
+            ProcessParams(lam=1.5, theta=0.5, init_mode="p-le-q")
         with pytest.raises(ValueError):
-            ProcessParams(lam=0.5, theta=0.5, init_mode="nested_P_ge_Q")
+            ProcessParams(lam=0.5, theta=0.5, init_mode="p-ge-q")
         with pytest.raises(ValueError):
             ProcessParams(lam=0.5, theta=0.9, init_mode="orthogonal")
         with pytest.raises(ValueError):
             ProcessParams(lam=0.5, theta=0.0)
+
+    def test_old_init_name_is_rejected_with_the_valid_names(self):
+        with pytest.raises(ValueError) as exc:
+            ProcessParams(lam=0.5, theta=0.5, init_mode="nested_P_le_Q")
+        assert all(mode in str(exc.value) for mode in ("p-le-q", "p-ge-q", "orthogonal"))
 
 
 class TestRhs:
@@ -92,7 +97,7 @@ class TestIntegration:
         assert np.array_equal(full.values[:, :9], half.values)
 
     def test_monotone_contraction_moments(self):
-        for init in ("nested_P_le_Q", "orthogonal"):
+        for init in ("p-le-q", "orthogonal"):
             params = ProcessParams(lam=0.6, theta=0.5, init_mode=init)
             traj = integrate_moments(params, 3.0, order=12, h=1e-3)
             for j in range(0, len(traj.times), 500):
@@ -163,7 +168,7 @@ class TestComplement:
             ProcessParams(lam=0.5, theta=0.5, init_mode="orthogonal"), 0.1, order=6
         )
         out = complement_moments(src)
-        assert out.params == ProcessParams(lam=1.5, theta=0.5, init_mode="nested_P_ge_Q")
+        assert out.params == ProcessParams(lam=1.5, theta=0.5, init_mode="p-ge-q")
         assert np.allclose(out.at(0.0)[1:], 1 / 1.5, atol=1e-14)
 
     def test_two_route_consistency(self):
@@ -171,7 +176,7 @@ class TestComplement:
             ProcessParams(lam=0.5, theta=0.5, init_mode="orthogonal"), 1.0, order=10
         )
         direct = integrate_moments(
-            ProcessParams(lam=1.5, theta=0.5, init_mode="nested_P_ge_Q"), 1.0, order=10
+            ProcessParams(lam=1.5, theta=0.5, init_mode="p-ge-q"), 1.0, order=10
         )
         out = complement_moments(src)
         assert np.max(np.abs(out.at(1.0) - direct.at(1.0))) < 1e-8
@@ -294,11 +299,11 @@ def test_batched_rhs_matches_convolution(order):
 
 @st.composite
 def process_params(draw):
-    mode = draw(st.sampled_from(["nested_P_le_Q", "nested_P_ge_Q", "orthogonal"]))
-    if mode == "nested_P_le_Q":
+    mode = draw(st.sampled_from(["p-le-q", "p-ge-q", "orthogonal"]))
+    if mode == "p-le-q":
         lam = draw(st.floats(0.05, 1.0))
         theta = draw(st.floats(0.05, 0.95))
-    elif mode == "nested_P_ge_Q":
+    elif mode == "p-ge-q":
         lam = draw(st.floats(1.0, 1.9))
         theta = draw(st.floats(0.05, 0.95 / lam))
     else:
@@ -309,7 +314,7 @@ def process_params(draw):
 
 MIXED = [
     ProcessParams(lam=0.4, theta=0.5),
-    ProcessParams(lam=1.5, theta=0.5, init_mode="nested_P_ge_Q"),
+    ProcessParams(lam=1.5, theta=0.5, init_mode="p-ge-q"),
     ProcessParams(lam=0.7, theta=0.3, init_mode="orthogonal"),
 ]
 

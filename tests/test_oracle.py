@@ -44,7 +44,6 @@ def test_rank_rounding():
                            lam=0.9, theta=0.5)
     assert cfg.rank_q() == 5
     assert cfg.rank_p() == 5  # round-half-up of 4.5
-    run = orc.empirical_jacobi_moments(cfg)
     assert cfg.rank_info()["rank_rounded"] is True
 
 

@@ -124,7 +124,7 @@ def reference_batch(params_seq, t_end, order, h):
 
 MIXED = [
     ProcessParams(lam=0.4, theta=0.5),
-    ProcessParams(lam=1.5, theta=0.3, init_mode="nested_P_ge_Q"),
+    ProcessParams(lam=1.5, theta=0.3, init_mode="p-ge-q"),
     ProcessParams(lam=0.6, theta=0.35, init_mode="orthogonal"),
 ]
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from freejacobi import combinatorics, oracle, spectral, verification
+from freejacobi import combinatorics, decomposition, oracle, spectral, verification
 from freejacobi.verification import _check
 
 
@@ -42,6 +42,10 @@ def _nan_m3(m, *args):
     m[3] = np.nan
 
 
+def _nan_z4(series, *args):
+    series.coeffs[4] = np.nan
+
+
 @pytest.mark.parametrize("suite, module, name, poison, affected", [
     ("routes", verification, "expansion_moments", _nan_m3_at_half,
      {"expansion-vs-closed-form", "ode-vs-expansion"}),
@@ -49,6 +53,8 @@ def _nan_m3(m, *args):
      {"transform-vs-direct-lam-1.5", "limit-lam-1-symmetry"}),
     ("density", spectral, "quadrature_moments", _nan_m3,
      {"moment-back-check", "stationary-vs-t-30-moments"}),
+    ("decomposition", decomposition, "source_series", _nan_z4,
+     {"evolution-equation-n-4-to-8"}),
 ])
 def test_nan_in_one_input_fails_the_checks_it_reaches(monkeypatch, suite, module, name,
                                                       poison, affected):
