@@ -47,7 +47,8 @@ from .moments import (
     expansion_moments,
     integrate_moments,
 )
-from .special_functions import DEFAULT_STEP, s_closed_theta_half, s_trajectory
+from .special_functions import (DEFAULT_STEP, damped_traces, s_closed_theta_half, s_trajectory,
+                                ubm_moment_vector)
 
 
 def _fmt(x: float) -> str:
@@ -128,13 +129,18 @@ def _cmd_moments(args) -> int:
         raise ValueError("--method closed-form requires --lambda 1 --theta 0.5")
     if args.method == "expansion" and args.lam != 1.0:
         raise ValueError("--method expansion requires --lambda 1")
+    if args.method != "recurrence" and args.init != "p-le-q":
+        raise ValueError(f"--method {args.method} is the P <= Q start: it requires --init p-le-q")
     params = ProcessParams(lam=args.lam, theta=args.theta, init_mode=args.init)
     if args.method == "recurrence":
         values = integrate_moments(params, args.t, order=args.order, h=args.step).at(args.t)
     elif args.method == "closed-form":
         values = closed_form_moments(args.t, args.order)
-    else:
-        values = expansion_moments(args.theta, args.t, args.order, h=args.step)
+    elif args.theta == 0.5:  # the damped traces are h_k(2t)
+        values = expansion_moments(0.5, ubm_moment_vector(2.0 * args.t, args.order))
+    else:  # the last state of one trace-system run; order 0 reads none of it
+        s = s_trajectory(args.theta, args.t, args.order or 1, h=args.step)[1][-1]
+        values = expansion_moments(args.theta, damped_traces(s, args.t)[: args.order])
 
     rows = [
         ("%g" % args.t, str(n), "%.7g" % values[n], args.method)
@@ -187,6 +193,8 @@ SERIES_CHECKS = {
 
 
 def _cmd_series(args) -> int:
+    if not (0 <= args.t < np.inf and 0 < args.lam < np.inf):
+        raise ValueError("--t must be finite and nonnegative, --lambda finite and positive")
     if args.check == "mgf" and args.lam != 1.0:
         raise ValueError("--check mgf is specialized to --lambda 1")
     results, exports = SERIES_CHECKS[args.check](args)

@@ -14,9 +14,9 @@ and start geometry, ``INIT_MODES``, may differ) into one (B, order+1)
 state and advances them in a single RK4 loop, so a scan over lambda is one
 integration; ``integrate_moments`` is its batch of one.  The module also
 provides the closed-form route at the symmetric parameter point, the
-combinatorial-expansion route for rank ratio one, and the complement
-transform, which reads a "p-ge-q" run at rank ratio 2 - lambda'' in [1, 2)
-off an "orthogonal" run at lambda''.
+expansion route at rank ratio one, which reads damped traces it is handed,
+and the complement transform, which reads a "p-ge-q" run at rank ratio
+2 - lambda'' in [1, 2) off an "orthogonal" run at lambda''.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .combinatorics import binomial, symmetric_weights
-from .special_functions import (
-    DEFAULT_STEP,
-    rho_coefficients,
-    rk4,
-    s_trajectory,
-    ubm_moment,
-)
+from .special_functions import DEFAULT_STEP, rho_coefficients, rk4, stored_index, ubm_moment
 
 DEFAULT_ORDER = 32
 
@@ -200,16 +194,8 @@ class MomentTrajectory:
     def order(self) -> int:
         return self.values.shape[-1] - 1
 
-    def index_of(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        # tolerance covers float accumulation drift only; a request halfway
-        # between stored steps must fail loudly rather than snap to a neighbor
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError(f"time {t} not stored in trajectory")
-        return idx
-
     def at(self, t: float) -> np.ndarray:
-        return self.values[self.index_of(t)]
+        return self.values[stored_index(self.times, t)]
 
 
 def integrate_moments_batch(
@@ -303,35 +289,22 @@ def symmetric_binomial_moment(n: int, t: float) -> float:
     return acc
 
 
-def expansion_moments(
-    theta: float,
-    t: float,
-    order: int,
-    h: float = DEFAULT_STEP,
-) -> np.ndarray:
+def expansion_moments(theta: float, damped: np.ndarray) -> np.ndarray:
     """Moment vector (m_0..m_order) from the word-count expansion at
-    rank ratio one:
+    rank ratio one over ``damped`` = (e^{-kt} s_k(t))_{k=1..order} at one t:
 
     m_n = [ W[n, 0] + 2 sum_{k=1}^{n} W[n, k] e^{-kt} s_k(t)
             + 2 theta - 1 ] / (2 theta)
 
     with W = ``symmetric_weights(order)``.  The odd-word correction
     2 theta - 1 enters only away from theta = 1/2.  At theta = 1/2 the
-    damped traces e^{-kt} s_k are the Laguerre closed form h_k(2t).
-    Elsewhere the s_k come from integrating the stated trace system, whose
+    damped traces are h_k(2t) (``ubm_moment_vector(2t, order)``); elsewhere
+    they come from the stated trace system (``damped_traces``), whose
     consistency is an open question; treat results as experimental.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if not 0 <= t < math.inf:
-        raise ValueError("time must be finite and nonnegative")
-    if theta == 0.5:
-        scaled = rho_coefficients(2.0 * t, t, order)
-    else:
-        s = s_trajectory(theta, t, max(order, 1), h)[1][-1]
-        scaled = np.exp(-np.arange(order + 1) * t)
-        scaled[1:] *= s[:order]
-    scaled[0] = 0.5  # the k = 0 term W[n, 0] enters the doubled row sum first, halved
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie in (0, 1)")
+    scaled = np.concatenate(([0.5], damped))  # W[n, 0] enters the doubled row sum first, halved
     out = (2.0 * weighted_row_sums(scaled) + (2.0 * theta - 1.0)) / (2.0 * theta)
     out[0] = 1.0
     return out

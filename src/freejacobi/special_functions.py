@@ -5,7 +5,8 @@ Every Laguerre value of the package comes from ``damped_laguerre1``; the
 damped coefficients of rho_s(e^{-rate} z) built on it (``rho_coefficients``)
 are, at s = 2t and rate = t, the free unitary Brownian motion moments
 h_k(2t) behind the closed-form moments, the generating function and the
-time-t density.
+time-t density.  ``damped_traces`` turns a trace-system state into the
+damped traces e^{-kt} s_k(t) that the expansion route reads.
 
 The general-weight trace system (``theta != 1/2``) is integrated exactly as
 its source states it, but its consistency is an open question: the
@@ -110,6 +111,8 @@ def ubm_moment_vector(t: float, order: int) -> np.ndarray:
     """(h_1(t), ..., h_order(t)); every entry lies in [-1, 1]."""
     if not 0 <= t < math.inf:
         raise ValueError("time must be finite and nonnegative")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     return rho_coefficients(t, t / 2.0, order)[1:]
 
 
@@ -192,6 +195,16 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.nd
     return times[:stored], states[:stored]
 
 
+def stored_index(times: np.ndarray, t: float) -> int:
+    """Index of ``t`` among an ``rk4`` run's stored ``times``, within float
+    accumulation drift; a KeyError for a time between stored steps, which
+    must fail loudly rather than snap to a neighbor."""
+    idx = int(np.argmin(np.abs(times - t)))
+    if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+        raise KeyError(f"time {t} not stored in trajectory")
+    return idx
+
+
 def s_trajectory(
     theta: float,
     t_end: float,
@@ -241,3 +254,8 @@ def s_trajectory(
         raise ValueError(
             f"trace system state leaves the float64 range by t={t_last:g}"
         ) from None
+
+
+def damped_traces(s: np.ndarray, t: float) -> np.ndarray:
+    """(e^{-t} s_1, ..., e^{-nt} s_n) of a trace-system state s at time t."""
+    return np.exp(-np.arange(1, s.size + 1) * t) * s

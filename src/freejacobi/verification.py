@@ -32,7 +32,8 @@ from .moments import (
     symmetric_binomial_moment,
 )
 from .series import one_minus_z
-from .special_functions import s_closed_theta_half, s_trajectory, ubm_moment
+from .special_functions import (damped_traces, s_closed_theta_half, s_trajectory, stored_index,
+                                ubm_moment, ubm_moment_vector)
 
 
 @dataclass
@@ -184,7 +185,7 @@ def suite_routes() -> list[CheckResult]:
     times = (0.25, 0.5, 1.0, 2.0, 4.0)
     ode = [traj.at(t) for t in times]
     closed = [closed_form_moments(t, order) for t in times]
-    expansion = [expansion_moments(0.5, t, order) for t in times]
+    expansion = [expansion_moments(0.5, ubm_moment_vector(2.0 * t, order)) for t in times]
     mgf = [transforms.mgf_closed_lambda1(t, order).coeffs for t in times]
     sym = _worst((m, [symmetric_binomial_moment(n, t) for n in range(order + 1)])
                  for t, m in zip(times, closed) if t in (0.5, 1.0, 2.0))
@@ -460,11 +461,16 @@ def suite_general_theta(dim: int = 128, steps: int = 100, trials: int = 6,
     base, traj = integrate_moments_batch(
         [ProcessParams(lam=1.0, theta=0.5), ProcessParams(lam=1.0, theta=theta)], 2.0, order=6
     )
-    worst_half = _worst((expansion_moments(0.5, t, 6), base.at(t)) for t in t_grid)
+    worst_half = _worst((expansion_moments(0.5, ubm_moment_vector(2.0 * t, 6)), base.at(t))
+                        for t in t_grid)
     out.append(_check("general-theta", "theta-half-sanity", worst_half, 1e-8,
                       "expansion vs ODE at theta=1/2, n<=6, t<=2"))
 
-    routes = [(t, expansion_moments(theta, t, 6, h=2e-4), traj.at(t)) for t in t_grid]
+    # one trace-system run, read at each grid time and at t = 1; damped at the grid
+    # time t, not the stored one, it gives the bits of a separate run to t
+    s_times, s_states = s_trajectory(theta, 2.0, 6, h=2e-4)
+    routes = [(t, expansion_moments(theta, damped_traces(s_states[stored_index(s_times, t)], t)),
+               traj.at(t)) for t in t_grid]
     max_disc = _worst((exp_m[1:], ode_m[1:]) for _, exp_m, ode_m in routes)
     for t, exp_m, ode_m in routes:
         for n in range(1, 7):
@@ -476,8 +482,7 @@ def suite_general_theta(dim: int = 128, steps: int = 100, trials: int = 6,
         orc.OracleConfig(dim=dim, t=1.0, steps=steps, trials=trials, seed=seed, theta=theta,
                          mode="bernoulli_weight", orders=(1, 2, 3, 4))
     )
-    _, s_states = s_trajectory(theta, 1.0, 4, h=2e-4)
-    s_end = s_states[-1]
+    s_end = s_states[stored_index(s_times, 1.0)]
     oracle_flags = 0
     for k in (1, 2, 3, 4):
         predicted = math.exp(-k * 1.0) * s_end[k - 1]

@@ -340,6 +340,37 @@ def test_s_system_nonpositive_step_exits_2(tmp_path, step):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("theta", ["0.5", "0.75"])
+def test_moments_expansion_at_order_zero_writes_m0(tmp_path, theta):
+    assert run_cli(tmp_path, "moments", "--method", "expansion", "--theta", theta,
+                   "--t", "1", "--order", "0") == 0
+    with open(tmp_path / "moments.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(r["n"], r["m_n"]) for r in rows] == [("0", "1")]
+
+
+@pytest.mark.parametrize("theta", ["0.5", "0.75"])
+def test_moments_expansion_negative_order_exits_2(tmp_path, capsys, theta):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "moments", "--method", "expansion", "--theta", theta, "--t", "1",
+                "--order", "-1")
+    assert exc.value.code == 2
+    assert "order must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "moments.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["closed-form", "expansion"])
+@pytest.mark.parametrize("init", ["orthogonal", "p-ge-q"])
+def test_lambda_one_routes_reject_another_start(tmp_path, capsys, method, init):
+    # both routes are the P <= Q start; --init orthogonal wrote m_n = 1 here
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "moments", "--method", method, "--init", init, "--lambda", "1",
+                "--theta", "0.5", "--t", "0", "--order", "3")
+    assert exc.value.code == 2
+    assert "requires --init p-le-q" in capsys.readouterr().err
+    assert not (tmp_path / "moments.csv").exists()
+
+
 def test_moments_closed_form_negative_order_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, "moments", "--t", "1", "--method", "closed-form", "--order", "-1")
@@ -485,6 +516,21 @@ def test_series_lambda_outside_nested_range_exits_2(tmp_path, capsys, check, lam
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("check", ["alpha", "rho", "mgf", "pde", "decomposition"])
+@pytest.mark.parametrize("flag, value", [
+    ("--t", "nan"), ("--t", "inf"), ("--t", "-1"),
+    ("--lambda", "nan"), ("--lambda", "0"), ("--lambda", "-1"), ("--lambda", "inf"),
+])
+def test_series_rejects_a_bad_time_or_lambda_for_every_check(tmp_path, capsys, check, flag,
+                                                             value):
+    # each row echoes --lambda and --t, also where the check ignores them
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "series", "--check", check, flag, value)
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("argv", [
     ("--check", "mgf", "--t", "5", "--order", "256"),
     ("--check", "decomposition", "--lambda", "1", "--t", "5", "--order", "256"),
@@ -577,18 +623,28 @@ def test_cli_digests_script_runs_every_benchmark_command(capsys):
                for r in records.values() for m in r["manifests"].values())
 
 
-def test_check_values_script_prints_every_check_bit_for_bit(capsys):
+def test_check_values_script_prints_every_check_bit_for_bit(capsys, monkeypatch):
     path = Path(__file__).resolve().parents[1] / "scripts" / "check_values.py"
     spec = importlib.util.spec_from_file_location("check_values", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    module.main(["catalan"])
+    # the general-theta suite at the tests' oracle size, through the script's own loop
+    monkeypatch.setattr(module, "run_suite", lambda name: verification.run_suite(
+        name, **({"dim": 8, "steps": 2, "trials": 2} if name == "general-theta" else {})))
+    module.main(["catalan", "general-theta"])
     records = json.loads(capsys.readouterr().out)
     assert [(r["suite"], r["name"], r["passed"]) for r in records] == [
-        ("catalan", "stationary-recurrence-n<=30", True)]
+        ("catalan", "stationary-recurrence-n<=30", True),
+        ("general-theta", "theta-half-sanity", True),
+        ("general-theta", "report-produced", True)]
     for record in records:
         for key in ("value", "tolerance"):
             assert record[key] is None or float.fromhex(record[key]).hex() == record[key]
+    assert [r["table"] is None for r in records] == [True, True, False]
+    header, rows = records[-1]["table"]
+    expected = verification.run_suite("general-theta", dim=8, steps=2, trials=2)[-1].table
+    assert header == verification.GENERAL_THETA_COLUMNS
+    assert rows == [list(row) for row in expected[1]] and len(rows) == 58
 
 
 @pytest.mark.parametrize("command", [

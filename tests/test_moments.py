@@ -21,8 +21,14 @@ from freejacobi.moments import (
     recurrence_rhs,
     symmetric_binomial_moment,
 )
-from freejacobi.special_functions import rho_coefficients, s_trajectory
+from freejacobi.special_functions import (damped_traces, rho_coefficients, s_trajectory,
+                                          ubm_moment_vector)
 from freejacobi.transforms import mgf_closed_lambda1
+
+
+def run_traces(theta, t, order, h=1e-3):
+    """Damped traces at t from the last state of one trace-system run."""
+    return damped_traces(s_trajectory(theta, t, order, h)[1][-1], t)
 
 
 def arcsine_vector(order):
@@ -144,13 +150,13 @@ class TestClosedForm:
 class TestExpansion:
     def test_theta_half_reduces_to_closed_form(self):
         for t in (0.0, 0.5, 1.5, 3.0):
-            exp_m = expansion_moments(0.5, t, 12)
+            exp_m = expansion_moments(0.5, ubm_moment_vector(2.0 * t, 12))
             assert np.max(np.abs(exp_m - closed_form_moments(t, 12))) < 1e-10
 
     def test_initial_value_any_theta(self):
         # 4^n theta = 2^{2n-1} + (2 theta - 1) 2^{2n-1} makes m_n(0) = 1
         for theta in (0.25, 0.6, 0.75):
-            exp_m = expansion_moments(theta, 0.0, 8)
+            exp_m = expansion_moments(theta, run_traces(theta, 0.0, 8))
             assert np.allclose(exp_m, 1.0, atol=1e-12)
 
     def test_first_moment_any_theta_matches_ode(self):
@@ -158,7 +164,7 @@ class TestExpansion:
         theta = 0.75
         params = ProcessParams(lam=1.0, theta=theta)
         traj = integrate_moments(params, 1.0, order=2)
-        exp_m = expansion_moments(theta, 1.0, 2, h=2e-4)
+        exp_m = expansion_moments(theta, run_traces(theta, 1.0, 2, h=2e-4))
         assert exp_m[1] == pytest.approx(traj.at(1.0)[1], abs=1e-9)
 
 
@@ -257,10 +263,10 @@ def expansion_reference(theta, t, order, h=1e-3):
 def test_weight_table_routes_equal_the_binomial_loops(order):
     for t in (0.0, 0.5, 2.0, 5.0):
         assert closed_form_moments(t, order).tobytes() == closed_form_reference(t, order).tobytes()
-        assert (expansion_moments(0.5, t, order).tobytes()
+        assert (expansion_moments(0.5, ubm_moment_vector(2.0 * t, order)).tobytes()
                 == expansion_reference(0.5, t, order).tobytes())
     for theta in (0.25, 0.75):
-        assert (expansion_moments(theta, 0.5, order).tobytes()
+        assert (expansion_moments(theta, run_traces(theta, 0.5, order)).tobytes()
                 == expansion_reference(theta, 0.5, order).tobytes())
 
 
@@ -340,7 +346,7 @@ def test_batch_needs_a_parameter_set():
 
 def test_expansion_moments_finite_at_large_order_and_time():
     # the theta = 1/2 traces are damped before they are stored
-    expansion = expansion_moments(0.5, 5.0, 256)
+    expansion = expansion_moments(0.5, ubm_moment_vector(10.0, 256))
     assert np.all(np.isfinite(expansion))
     assert np.max(np.abs(expansion - closed_form_moments(5.0, 256))) < 1e-12
 

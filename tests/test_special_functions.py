@@ -89,6 +89,17 @@ def test_s_system_general_weight_initial_value():
     assert np.all(states[0] == 1.0)
 
 
+def test_one_trace_run_holds_each_shorter_run_bit_for_bit():
+    # the general-theta suite reads one run to t = 2 at every grid time and
+    # at t = 1 for its order-4 Bernoulli rows
+    times, states = sf.s_trajectory(0.75, 2.0, 6, h=2e-4)
+    for t in (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0):
+        shorter = sf.s_trajectory(0.75, t, 6, h=2e-4)[1][-1]
+        assert np.array_equal(states[sf.stored_index(times, t)], shorter)
+    order_4 = sf.s_trajectory(0.75, 1.0, 4, h=2e-4)[1][-1]
+    assert np.array_equal(states[sf.stored_index(times, 1.0)][:4], order_4)
+
+
 def test_s_system_degenerate_weight_inconsistency():
     """The stated inhomogeneous term is inconsistent as theta -> 1: it
     forces d/dt s_n -> 2 e^{nt} where the degenerate solution e^{nt}
@@ -105,7 +116,7 @@ def test_invalid_parameters():
         with pytest.raises(ValueError):
             sf.s_trajectory(theta, 1.0, 4)
         with pytest.raises(ValueError):
-            expansion_moments(theta, 1.0, 4)
+            expansion_moments(theta, np.ones(4))
     with pytest.raises(ValueError):
         sf.laguerre1(-1, 0.0)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from freejacobi import combinatorics, decomposition, oracle, spectral, verification
+from freejacobi.special_functions import ubm_moment_vector
 from freejacobi.verification import _check
 
 
@@ -29,13 +30,13 @@ def test_check_without_tolerance_or_passed_is_a_labelled_diagnostic():
     assert result.line() == "DIAG  suite/name  value=3  measured only"
 
 
-def _nan_m3_at_half(m, theta, t, order):
-    if t == 0.5:
+def _nan_m3_at_half(m, theta, damped):
+    if np.array_equal(damped, ubm_moment_vector(1.0, damped.size)):  # h_k(2t) at t = 0.5
         m[3] = np.nan
 
 
 def _nan_m3_at_one(traj, *args):
-    traj.values[traj.index_of(1.0), 3] = np.nan
+    traj.at(1.0)[3] = np.nan
 
 
 def _nan_m3(m, *args):
@@ -95,21 +96,34 @@ def test_nan_drift_in_one_trial_fails_the_drift_gate(monkeypatch):
 
 
 def test_nan_general_theta_row_is_flagged(monkeypatch):
-    original = verification.expansion_moments
+    original = verification.damped_traces
 
-    def poisoned(theta, t, order, **kwargs):
-        out = original(theta, t, order, **kwargs)
-        if (theta, t) == (0.75, 1.0):
-            out[3] = np.nan
+    def poisoned(s, t):
+        out = original(s, t)
+        if t == 1.0:
+            out[2] = np.nan  # the theta = 0.75 trace e^{-3t} s_3 at t = 1
         return out
 
-    monkeypatch.setattr(verification, "expansion_moments", poisoned)
+    monkeypatch.setattr(verification, "damped_traces", poisoned)
     results = {r.name: r for r in verification.run_suite(
         "general-theta", dim=8, steps=2, trials=2)}
     header, rows = results["report-produced"].table
     row = dict(zip(header, next(r for r in rows if r[:4] == ("moments", 0.75, 1.0, 3))))
     assert row["abs_diff"] == "nan"
     assert row["flagged"] is True
+
+
+def test_general_theta_suite_integrates_the_trace_system_once(monkeypatch):
+    calls = []
+    original = verification.s_trajectory
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "s_trajectory", counted)
+    verification.run_suite("general-theta", dim=8, steps=2, trials=2)
+    assert calls == [(0.75, 2.0, 6)]
 
 
 def test_general_theta_suite_writes_no_file(monkeypatch, tmp_path):
