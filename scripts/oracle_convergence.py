@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Finite-size convergence of the Monte Carlo oracle toward the free limit.
 
-Runs the nested-projection estimator at a sequence of matrix sizes with a
+Runs the P <= Q (``p-le-q``) estimator at a sequence of matrix sizes with a
 shared master seed and reports the error against the closed-form moments.
 
 Usage: python scripts/oracle_convergence.py [--dims 64,128,256] [--seed 1]

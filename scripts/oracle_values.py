@@ -2,10 +2,11 @@
 """Print the oracle's raw results as sorted JSON, bit for bit.
 
 Runs the two oracle configurations the benchmark's oracle-mc workload
-digests (the oracle suite at N = 256, t = 1, 200 steps, 2 trials: nested at
-seed 20240601, unitary at 20240602) and prints ``float.hex`` of every
-per-trial estimate and of the unitarity drift, so two checkouts compare
-with one diff:
+digests (the oracle suite at N = 256, t = 1, 200 steps, 2 trials: P <= Q,
+mode ``p-le-q``, at seed 20240601, unitary at 20240602) and prints
+``float.hex`` of every per-trial estimate and of the unitarity drift, so
+two checkouts compare with one diff.  The keys are the workload's
+``ORACLE_MODES``, ``nested`` for the P <= Q run:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/oracle_values.py > new.json
 
@@ -19,7 +20,7 @@ from freejacobi.oracle import OracleConfig, empirical_jacobi_moments
 
 SIZING = dict(dim=256, t=1.0, steps=200, trials=2, orders=(1, 2))
 CONFIGS = {
-    "nested": OracleConfig(seed=20240601, lam=1.0, theta=0.5, mode="nested", **SIZING),
+    "nested": OracleConfig(seed=20240601, lam=1.0, theta=0.5, mode="p-le-q", **SIZING),
     "unitary": OracleConfig(seed=20240602, mode="unitary", **SIZING),
 }
 

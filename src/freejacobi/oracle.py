@@ -6,7 +6,8 @@ ensemble normalized so the expected normalized trace of G^2 is one.  The
 exponential is taken through a Hermitian eigendecomposition, so unitarity
 is structural rather than asymptotic, and the e^{-t/2} trace drift of the
 free limit emerges from the second-order term of the exponential without
-an explicit correction.
+an explicit correction.  P and Q are coordinate projections in one of the
+hierarchy's start geometries, ``INIT_MODES``; P U Q U* P is one block of U.
 
 Per-trial randomness comes from a counter-based generator keyed by
 (master seed, trial index): estimates are identical for a given config no
@@ -34,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MODES = ("nested", "orthogonal", "bernoulli_weight", "unitary")
+from .moments import INIT_MODES, ProcessParams
+
+MODES = INIT_MODES + ("bernoulli_weight", "unitary")
 
 
 @dataclass(frozen=True)
@@ -44,10 +47,11 @@ class OracleConfig:
     named as the ``oracle`` command's flags that set them (``t`` is ``--t``).
     The field defaults are the acceptance run, as in ``verify --suite oracle``.
 
-    ``bernoulli_weight`` estimates normalized traces of powers of
-    a U a U* for a diagonal sign matrix with a fraction theta of +1
-    entries; ``unitary`` estimates normalized traces of powers of U
-    itself (no projections involved).
+    Modes in ``INIT_MODES`` take (lam, theta) where ``ProcessParams`` does,
+    if the rounded ranks are positive (and, orthogonal, fit side by side);
+    ``bernoulli_weight`` estimates normalized traces of powers of a U a U*
+    for a diagonal sign matrix with a fraction theta of +1 entries;
+    ``unitary`` those of U itself (no projections involved).
     """
 
     dim: int = 256
@@ -57,7 +61,7 @@ class OracleConfig:
     seed: int = 20240601
     lam: float = 1.0
     theta: float = 0.5
-    mode: str = "nested"
+    mode: str = "p-le-q"
     orders: tuple[int, ...] = (1, 2)
 
     def __post_init__(self):
@@ -71,14 +75,16 @@ class OracleConfig:
             raise ValueError("t must be finite and nonnegative")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        if self.mode in ("nested", "orthogonal") and not 0.0 < self.lam * self.theta < 1.0:
-            raise ValueError("lambda * theta must lie in (0, 1)")
         if min(self.orders) < 1:
             raise ValueError("moment orders must be >= 1")
-        if self.mode == "nested" and self.rank_p() > self.rank_q():
-            raise ValueError("nested mode requires rank(P) <= rank(Q)")
+        if self.mode not in INIT_MODES:
+            if not 0.0 < self.theta < 1.0:
+                raise ValueError("theta must lie in (0, 1)")
+            return
+        ProcessParams(self.lam, self.theta, self.mode)
+        # rounded ranks can vanish, or overlap where the nominal traces do not
+        if min(self.rank_p(), self.rank_q()) < 1:
+            raise ValueError("rank(P) and rank(Q) must be >= 1: raise dim")
         if self.mode == "orthogonal" and self.rank_p() + self.rank_q() > self.dim:
             raise ValueError("orthogonal mode requires rank(P) + rank(Q) <= dim")
 
@@ -90,7 +96,7 @@ class OracleConfig:
 
     def rank_info(self) -> dict:
         """Realized and nominal projection ranks; empty without projections."""
-        if self.mode not in ("nested", "orthogonal"):
+        if self.mode not in INIT_MODES:
             return {}
         rank_p, rank_q = self.rank_p(), self.rank_q()
         nominal_p, nominal_q = self.lam * self.theta * self.dim, self.theta * self.dim
@@ -223,10 +229,8 @@ def _trial_estimates(config: OracleConfig, trial: int) -> tuple[np.ndarray, floa
         return vals, drift
 
     rank_p, rank_q = config.rank_p(), config.rank_q()
-    if config.mode == "nested":
-        block = u[:rank_p, :rank_q]
-    else:  # orthogonal: P sits where Q vanishes
-        block = u[rank_q : rank_q + rank_p, :rank_q]
+    first = rank_q if config.mode == "orthogonal" else 0  # orthogonal: P sits where Q vanishes
+    block = u[first : first + rank_p, :rank_q]
     eig = np.linalg.eigvalsh(block @ block.conj().T)
     vals = np.array([np.mean(np.clip(eig, 0.0, None) ** n) for n in orders])
     return vals, drift
@@ -235,10 +239,9 @@ def _trial_estimates(config: OracleConfig, trial: int) -> tuple[np.ndarray, floa
 def empirical_jacobi_moments(config: OracleConfig) -> OracleRun:
     """Monte Carlo estimates of the requested traced quantities.
 
-    nested / orthogonal: moments of P U Q U* P normalized in the
-    compressed space (trace over the realized rank of P); bernoulli /
-    unitary: normalized traces as described on the config.  Standard
-    errors come from the spread over independent trials.
+    ``INIT_MODES``: moments of P U Q U* P normalized over the realized rank
+    of P; bernoulli / unitary: normalized traces as described on the config.
+    Standard errors come from the spread over independent trials.
     """
     start = time.perf_counter()
     per_trial = np.empty((config.trials, len(config.orders)))

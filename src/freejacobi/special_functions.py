@@ -147,8 +147,8 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.nd
     short.  The one integrator of the package: the moment hierarchy and
     the trace system both run through it.
     """
-    if not h > 0:
-        raise ValueError("step must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("step must be positive and finite")
     if not 0 <= t_end < math.inf:
         raise ValueError("t_end must be finite and nonnegative")
     y0 = np.asarray(y0, dtype=float)

@@ -12,7 +12,7 @@ CLI writes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -412,10 +412,8 @@ def suite_oracle(dim: int = orc.OracleConfig.dim, steps: int = orc.OracleConfig.
                  trials: int = orc.OracleConfig.trials,
                  seed: int = orc.OracleConfig.seed) -> list[CheckResult]:
     out = []
-    nested = orc.empirical_jacobi_moments(
-        orc.OracleConfig(dim=dim, t=1.0, steps=steps, trials=trials, seed=seed,
-                         lam=1.0, theta=0.5, mode="nested", orders=(1, 2))
-    )
+    config = orc.OracleConfig(dim=dim, steps=steps, trials=trials, seed=seed)
+    nested = orc.empirical_jacobi_moments(config)
     _, m1_ref, m2_ref = closed_form_moments(1.0, 2)
     out.append(_check("oracle", "nested-m1", abs(nested.estimates[1] - m1_ref), 0.02,
                       f"estimate {nested.estimates[1]:.5f} vs {m1_ref:.5f}"))
@@ -423,10 +421,7 @@ def suite_oracle(dim: int = orc.OracleConfig.dim, steps: int = orc.OracleConfig.
                       f"estimate {nested.estimates[2]:.5f} vs {m2_ref:.5f}"))
     out.append(_check("oracle", "unitarity-drift", nested.unitarity_drift, 1e-10))
 
-    unitary = orc.empirical_jacobi_moments(
-        orc.OracleConfig(dim=dim, t=1.0, steps=steps, trials=trials, seed=seed + 1,
-                         mode="unitary", orders=(1, 2))
-    )
+    unitary = orc.empirical_jacobi_moments(replace(config, seed=seed + 1, mode="unitary"))
     for n in (1, 2):
         err = abs(unitary.estimates[n] - ubm_moment(n, 1.0))
         out.append(_check("oracle", f"unitary-trace-h{n}-within-3-sigma", err,

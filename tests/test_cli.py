@@ -226,7 +226,7 @@ def test_words_cap(tmp_path):
 def test_oracle_command(tmp_path):
     code = run_cli(tmp_path, "oracle", "--dim", "16", "--steps", "5",
                    "--trials", "2", "--t", "0.2", "--seed", "3",
-                   "--mode", "nested")
+                   "--mode", "p-le-q")
     assert code == 0
     lines = (tmp_path / "oracle.csv").read_text().splitlines()
     assert lines[0] == "n,t,estimate,stderr,N,steps,trials,mode"
@@ -236,11 +236,32 @@ def test_oracle_command(tmp_path):
     assert len(parameters["trial_drift"]) == len(parameters["trial_seconds"]) == 2
     assert parameters["unitarity_drift"] == max(parameters["trial_drift"])
     # every parsed flag (``--orders`` as the parsed list), then what the run measured
-    flags = {"dim": 16, "steps": 5, "trials": 2, "t": 0.2, "seed": 3, "mode": "nested",
+    flags = {"dim": 16, "steps": 5, "trials": 2, "t": 0.2, "seed": 3, "mode": "p-le-q",
              "lambda": 1.0, "theta": 0.5, "orders": [1, 2]}
     assert {name: parameters[name] for name in flags} == flags
     assert set(parameters) - set(flags) == {"unitarity_drift", "trial_drift", "rank_info",
                                             "wall_time", "trial_seconds"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--lambda", "0.1"),  # rank(P) rounds to 0
+    ("--mode", "orthogonal", "--lambda", "0.5", "--theta", "0.1"),  # both ranks round to 0
+])
+def test_oracle_zero_rank_exits_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "oracle", "--dim", "4", "--steps", "2", "--trials", "2", *argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "oracle.csv").exists()
+
+
+def test_oracle_modes_are_the_init_modes_and_nested_is_gone(tmp_path, capsys):
+    assert orc.MODES == INIT_MODES + ("bernoulli_weight", "unitary")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "oracle", "--mode", "nested")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and all(mode in err for mode in orc.MODES)
+    assert not list(tmp_path.iterdir())
 
 
 def test_oracle_defaults_and_oracle_suite_are_the_acceptance_run():
@@ -338,6 +359,17 @@ def test_s_system_nonpositive_step_exits_2(tmp_path, step):
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, "s-system", "--step", step)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--step", "inf", "--t", "1", "--order", "3"),
+    ("s-system", "--theta", "0.75", "--step", "inf", "--t", "1"),
+])
+def test_infinite_step_exits_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("theta", ["0.5", "0.75"])

@@ -14,7 +14,7 @@ import pytest
 
 import freejacobi
 from freejacobi import oracle as orc
-from freejacobi.moments import closed_form_moments
+from freejacobi.moments import INIT_MODES, ProcessParams, closed_form_moments, integrate_moments
 from freejacobi.special_functions import s_closed_theta_half, ubm_moment
 
 
@@ -26,7 +26,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         orc.OracleConfig(dim=8, t=1.0, steps=10, trials=2, seed=0, mode="bogus")
     with pytest.raises(ValueError):
-        # rank(P) > rank(Q) is not nested
+        # P <= Q requires lambda <= 1 (lambda = 1.8 is P >= Q, mode "p-ge-q")
         orc.OracleConfig(
             dim=8, t=1.0, steps=10, trials=2, seed=0, lam=1.8, theta=0.5
         )
@@ -37,6 +37,30 @@ def test_config_validation():
         )
     with pytest.raises(ValueError, match="trials must be >= 2"):
         orc.OracleConfig(dim=8, t=1.0, steps=10, trials=1, seed=0)
+
+
+GRID = [(lam, theta, mode) for lam in (0.3, 0.9, 1.0, 1.2, 1.9, 2.5)
+        for theta in (0.2, 0.5, 0.6) for mode in INIT_MODES]
+
+
+@pytest.mark.parametrize("lam, theta, mode", GRID)
+def test_config_accepts_what_process_params_accepts(lam, theta, mode):
+    def raises(build):
+        try:
+            build()
+        except ValueError:
+            return True
+        return False
+
+    assert raises(lambda: orc.OracleConfig(dim=1024, lam=lam, theta=theta, mode=mode)) == \
+        raises(lambda: ProcessParams(lam, theta, mode))
+
+
+def test_orthogonal_rounded_ranks_must_fit():
+    # nominal traces 1/2 + 1/2 = 1 fit, but at dim 3 both ranks round to 2
+    ProcessParams(1.0, 0.5, "orthogonal")
+    with pytest.raises(ValueError, match="rank\\(P\\) \\+ rank\\(Q\\) <= dim"):
+        orc.OracleConfig(dim=3, lam=1.0, theta=0.5, mode="orthogonal")
 
 
 def test_rank_rounding():
@@ -104,6 +128,22 @@ def test_orthogonal_at_time_zero_vanishes():
                            lam=0.5, theta=0.5, mode="orthogonal")
     run = orc.empirical_jacobi_moments(cfg)
     assert run.estimates[1] == pytest.approx(0.0, abs=1e-14)
+
+
+def test_p_ge_q_at_time_zero_is_one_over_lambda():
+    cfg = orc.OracleConfig(dim=64, t=0.0, steps=1, trials=2, seed=9,
+                           lam=1.5, theta=0.5, mode="p-ge-q")
+    run = orc.empirical_jacobi_moments(cfg)
+    assert run.estimates == {1: 1 / 1.5, 2: 1 / 1.5}
+
+
+def test_p_ge_q_moments_track_the_hierarchy():
+    cfg = orc.OracleConfig(dim=64, t=0.5, steps=25, trials=4, seed=1,
+                           lam=1.5, theta=0.5, mode="p-ge-q", orders=(1, 2, 3))
+    run = orc.empirical_jacobi_moments(cfg)
+    ode = integrate_moments(ProcessParams(1.5, 0.5, "p-ge-q"), 0.5, order=3).at(0.5)
+    for n in cfg.orders:
+        assert abs(run.estimates[n] - ode[n]) <= 3 * run.stderrs[n] + 4.0 / cfg.dim
 
 
 def test_unitary_trace_tracks_theory():
@@ -192,7 +232,8 @@ def test_pipelined_endpoint_is_bit_identical_to_serial_loop(dim, steps):
 @pytest.mark.parametrize("mode", orc.MODES)
 def test_pipelined_runs_are_bit_identical_to_serial_loop(monkeypatch, mode):
     cfg = orc.OracleConfig(dim=17, t=0.8, steps=6, trials=3, seed=42,
-                           lam=0.5, theta=0.5, mode=mode, orders=(1, 2, 3))
+                           lam=1.5 if mode == "p-ge-q" else 0.5, theta=0.5, mode=mode,
+                           orders=(1, 2, 3))
     got = orc.empirical_jacobi_moments(cfg)
     monkeypatch.setattr(orc, "_unitary_endpoint", _reference_endpoint)
     want = orc.empirical_jacobi_moments(cfg)
@@ -269,8 +310,10 @@ def test_oracle_values_script_matches_the_benchmark_and_prints_raw_bits(monkeypa
     module = _load(ROOT / "scripts" / "oracle_values.py")
     sample = _load(ROOT / "perfbench" / "sample.py")
     assert list(module.CONFIGS) == sample.ORACLE_MODES
-    for (mode, config), seed in zip(module.CONFIGS.items(),
-                                    (sample.ORACLE_SEED, sample.ORACLE_SEED + 1)):
+    # the workload's op "nested" is the P <= Q run
+    for (op, config), seed in zip(module.CONFIGS.items(),
+                                  (sample.ORACLE_SEED, sample.ORACLE_SEED + 1)):
+        mode = {"nested": "p-le-q"}.get(op, op)
         assert (config.mode, config.seed, config.t, config.orders) == (mode, seed, 1.0, (1, 2))
         assert {name: getattr(config, name) for name in sample.ORACLE_CONFIG} == \
             sample.ORACLE_CONFIG

@@ -183,6 +183,15 @@ def bind_form(rhs):
     return lambda y, out: lambda t: np.copyto(out, rhs(t, y))
 
 
+def test_rk4_rejects_an_infinite_step_but_not_one_past_t_end():
+    with pytest.raises(ValueError, match="positive and finite"):
+        sf.rk4(bind_form(lambda t, y: -y), np.ones(2), 1.0, float("inf"))
+    # a step wider than t_end is one partial step that lands on t_end
+    times, states = sf.rk4(bind_form(lambda t, y: -y), np.ones(2), 1.0, 2.0)
+    assert times.tolist() == [0.0, 1.0]
+    assert len(states) == 2
+
+
 def test_rk4_rejects_nonpositive_step():
     y0 = np.ones(2)
     for h in (0.0, -0.5, float("nan")):
