@@ -250,7 +250,8 @@ def _cmd_oracle(args) -> int:
         print(f"n={n}: {run.estimates[n]:.6f} +/- {run.stderrs[n]:.6f}")
     print(f"unitarity drift {run.unitarity_drift:.2e}")
     if rank_info.get("rank_rounded"):
-        print(f"note: projection ranks rounded to {rank_info['rank_p']}/{rank_info['rank_q']}")
+        ranks = "/".join(str(rank_info[name]) for name in ("rank_p", "rank_q") if name in rank_info)
+        print(f"note: projection ranks rounded to {ranks}")
     rows = [
         (n, _fmt(args.t), _fmt(run.estimates[n]), _fmt(run.stderrs[n]),
          args.dim, args.steps, args.trials, args.mode)
@@ -263,6 +264,7 @@ def _cmd_oracle(args) -> int:
         "rank_info": rank_info,
         "wall_time": run.wall_time,
         "trial_seconds": run.trial_seconds,
+        "workers": run.workers,
     }
     _write_run(args, "oracle", {args.outdir / "oracle.csv": (header, rows)}, measured,
                seeds=[args.seed, *range(args.trials)])

@@ -14,22 +14,26 @@ Per-trial randomness comes from a counter-based generator keyed by
 matter how trials are scheduled.  A run keeps only what it measured; its
 estimates, standard errors and worst drift are computed from that.
 
-Each step's GUE increment is drawn on a one-worker ``ThreadPoolExecutor``
-while the calling thread runs the previous step's eigendecomposition,
-reconstruction and update; the executor lives for one path, and leaving
-it joins its worker.  The draw depends only on the trial's generator,
-never on U, and runs only RNG and elementwise ufunc code: every
-LAPACK/BLAS call stays on the calling thread, so results are
-bit-identical to the serial loop at any BLAS thread count.  Draws stay
-strictly sequential on the one generator, at most one increment ahead.
-The overlap saves time only where BLAS leaves a core idle (one BLAS
-thread on a multi-core host); where BLAS already uses every core the
-worker only contends with it.
+Trials' paths run side by side when BLAS runs one thread per call (see
+``_workers``): the calling thread and helper threads each take the next
+trial index from one counter and run that trial's whole path, so every
+path draws from its own generator in its own order and makes the same
+calls as the serial loop; which thread runs it changes no bit.  Where BLAS
+may use more than one thread, a second path would only contend with BLAS
+for the cores, so the paths run one after another on the calling thread
+while one helper draws each step's increment during the step before (the
+draw is single-threaded numpy code, the step's ``eigh`` leaves a core
+partly idle).  The estimates (``unitarity_defect``, ``eigvalsh``/
+``eigvals``) run on the calling thread in trial order once every path has
+returned, so the run holds every trial's endpoint until then: trials x
+dim^2 complex numbers, 8 MB at the acceptance run.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -50,8 +54,10 @@ class OracleConfig:
     Modes in ``INIT_MODES`` take (lam, theta) where ``ProcessParams`` does,
     if the rounded ranks are positive (and, orthogonal, fit side by side);
     ``bernoulli_weight`` estimates normalized traces of powers of a U a U*
-    for a diagonal sign matrix with a fraction theta of +1 entries;
-    ``unitary`` those of U itself (no projections involved).
+    for a diagonal sign matrix a = 2Q - 1 with round(theta dim) entries +1,
+    which must be neither 0 nor dim (a = -I or I makes every estimate 1);
+    ``unitary`` those of U itself (no projections involved).  Every mode
+    takes a finite positive lam, though only ``INIT_MODES`` read it.
     """
 
     dim: int = 256
@@ -78,8 +84,13 @@ class OracleConfig:
         if min(self.orders) < 1:
             raise ValueError("moment orders must be >= 1")
         if self.mode not in INIT_MODES:
+            if not 0.0 < self.lam < math.inf:
+                raise ValueError("lambda must be finite and positive")
             if not 0.0 < self.theta < 1.0:
                 raise ValueError("theta must lie in (0, 1)")
+            if self.mode == "bernoulli_weight" and not 0 < self.rank_q() < self.dim:
+                raise ValueError("bernoulli_weight needs between 1 and dim - 1 signs +1: "
+                                 "round(theta * dim) is 0 or dim")
             return
         ProcessParams(self.lam, self.theta, self.mode)
         # rounded ranks can vanish, or overlap where the nominal traces do not
@@ -95,14 +106,17 @@ class OracleConfig:
         return round_half_up(self.theta * self.dim)
 
     def rank_info(self) -> dict:
-        """Realized and nominal projection ranks; empty without projections."""
-        if self.mode not in INIT_MODES:
+        """Realized and nominal projection ranks: P's and Q's, or for
+        ``bernoulli_weight`` Q's alone (the +1 count); empty for ``unitary``."""
+        if self.mode == "unitary":
             return {}
-        rank_p, rank_q = self.rank_p(), self.rank_q()
-        nominal_p, nominal_q = self.lam * self.theta * self.dim, self.theta * self.dim
-        return {"rank_p": rank_p, "rank_q": rank_q,
-                "nominal_rank_p": nominal_p, "nominal_rank_q": nominal_q,
-                "rank_rounded": rank_p != nominal_p or rank_q != nominal_q}
+        realized = {"rank_q": self.rank_q()}
+        nominal = {"rank_q": self.theta * self.dim}
+        if self.mode in INIT_MODES:
+            realized["rank_p"] = self.rank_p()
+            nominal["rank_p"] = self.lam * self.theta * self.dim
+        return {**realized, **{f"nominal_{name}": x for name, x in nominal.items()},
+                "rank_rounded": realized != nominal}
 
 
 @dataclass
@@ -112,8 +126,11 @@ class OracleRun:
     config: OracleConfig
     per_trial: np.ndarray  # shape (trials, len(orders))
     trial_drift: list[float]  # unitarity defect of each trial's endpoint
-    trial_seconds: list[float]  # wall time of each trial
+    # wall time of each trial's path on the thread that ran it, plus its
+    # estimates; paths that ran side by side overlap in wall_time
+    trial_seconds: list[float]
     wall_time: float
+    workers: int  # how many paths ran side by side (see _workers)
 
     @property
     def estimates(self) -> dict[int, float]:
@@ -143,8 +160,8 @@ def _box_muller(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard normals from counter-based uniforms via Box-Muller.
 
     Computed in place in one buffer of uniforms, whose first half becomes
-    the radii and second half the angles, to keep temporaries few: the
-    draw runs alongside the previous step's eigendecomposition."""
+    the radii and second half the angles, to keep temporaries few: paths
+    that run side by side each hold their own."""
     n = int(np.prod(shape))
     half = (n + 1) // 2
     out = rng.random(2 * half)  # the same stream as two draws of `half`
@@ -178,43 +195,42 @@ def _gue(rng: np.random.Generator, dim: int) -> np.ndarray:
     return g
 
 
-def _unitary_endpoint(rng: np.random.Generator, dim: int, t_end: float, steps: int) -> np.ndarray:
+def _unitary_endpoint(rng: np.random.Generator, dim: int, t_end: float, steps: int,
+                      helper=None) -> np.ndarray:
+    """U at ``t_end``.  With ``helper``, a one-worker executor, step k + 1's
+    increment is drawn on it while the calling thread runs step k: the
+    draws stay strictly in order on the one generator, so the bits are the
+    inline loop's."""
     u = np.eye(dim, dtype=complex)
     if t_end == 0.0:
         return u
-    # imported here, so commands and suites that draw no path never load it
-    from concurrent.futures import ThreadPoolExecutor
-
-    dt = t_end / steps
-    sqrt_dt = math.sqrt(dt)
-    # leaving the block joins a draw an exception left running
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        ahead = helper.submit(_gue, rng, dim)
-        for k in range(steps):
+    sqrt_dt = math.sqrt(t_end / steps)
+    ahead = None if helper is None else helper.submit(_gue, rng, dim)
+    for k in range(steps):
+        if helper is None:
+            g = _gue(rng, dim)
+        else:
             g = ahead.result()  # re-raises a failed draw here
-            # the next draw starts only after this one returned: the
-            # generator is used strictly sequentially
-            if k + 1 < steps:
+            if k + 1 < steps:  # the next draw starts only after this one returned
                 ahead = helper.submit(_gue, rng, dim)
-            w, v = np.linalg.eigh(g)
-            del g
-            scaled = v * np.exp(1j * sqrt_dt * w)
-            np.conjugate(v, out=v)
-            step = scaled @ v.T
-            del scaled, v
-            u = step @ u
+        w, v = np.linalg.eigh(g)
+        del g
+        scaled = v * np.exp(1j * sqrt_dt * w)
+        np.conjugate(v, out=v)
+        step = scaled @ v.T
+        del scaled, v
+        u = step @ u
     return u
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    dim = u.shape[0]
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+    gram = u.conj().T @ u
+    gram[np.diag_indices(u.shape[0])] -= 1.0  # the bits of gram - eye, without eye
+    return float(np.max(np.abs(gram)))
 
 
-def _trial_estimates(config: OracleConfig, trial: int) -> tuple[np.ndarray, float]:
-    rng = _trial_rng(config.seed, trial)
+def _trial_estimates(config: OracleConfig, u: np.ndarray) -> tuple[np.ndarray, float]:
     dim = config.dim
-    u = _unitary_endpoint(rng, dim, config.t, config.steps)
     drift = unitarity_defect(u)
     orders = config.orders
 
@@ -236,6 +252,70 @@ def _trial_estimates(config: OracleConfig, trial: int) -> tuple[np.ndarray, floa
     return vals, drift
 
 
+def _workers(trials: int) -> int:
+    """How many trials' paths run side by side: one per CPU the process may
+    run on (at most ``trials``) when BLAS runs one thread per call, else 1.
+
+    BLAS runs one thread when the first of these variables that is set
+    (OpenBLAS reads them in this order) is 1; unset, BLAS takes every core
+    and a second path would only contend with it."""
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    threads = next((os.environ[name] for name in names if os.environ.get(name)), "")
+    if threads.strip() != "1":
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(trials, cpus)
+
+
+def _paths(config: OracleConfig, workers: int) -> tuple[list[np.ndarray], list[float]]:
+    """Every trial's endpoint U and the wall time of its path.
+
+    The calling thread and ``workers - 1`` helper threads each take the
+    next trial index from one counter and draw their increments inline.
+    With one worker BLAS may use every core, so the paths run one after
+    another on the calling thread, each step's increment drawn ahead on
+    one helper.  Once a path raises, no trial starts; the running paths
+    finish, every helper is joined, and the error reaches the caller."""
+    endpoints = [None] * config.trials
+    seconds = [0.0] * config.trials
+    trials = iter(range(config.trials))
+    counter = threading.Lock()
+    stop = threading.Event()
+
+    def run(helper):
+        while not stop.is_set():
+            with counter:
+                trial = next(trials, None)
+            if trial is None:
+                return
+            start = time.perf_counter()
+            try:
+                endpoints[trial] = _unitary_endpoint(_trial_rng(config.seed, trial), config.dim,
+                                                     config.t, config.steps, helper)
+            except BaseException:
+                stop.set()
+                raise
+            seconds[trial] = time.perf_counter() - start
+
+    # imported here, so commands and suites that draw no path never load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    # the pool's threads run paths, or its one thread draws ahead for the
+    # calling thread's; leaving the block joins a path or draw still running
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        helpers = [pool.submit(run, None) for _ in range(workers - 1)]
+        try:
+            run(pool if workers == 1 else None)
+        finally:
+            stop.set()  # the counter is spent, or the calling thread failed
+    for helper in helpers:
+        helper.result()  # re-raises a helper's failure
+    return endpoints, seconds
+
+
 def empirical_jacobi_moments(config: OracleConfig) -> OracleRun:
     """Monte Carlo estimates of the requested traced quantities.
 
@@ -244,12 +324,14 @@ def empirical_jacobi_moments(config: OracleConfig) -> OracleRun:
     Standard errors come from the spread over independent trials.
     """
     start = time.perf_counter()
+    workers = _workers(config.trials)
+    endpoints, trial_seconds = _paths(config, workers)
     per_trial = np.empty((config.trials, len(config.orders)))
-    trial_drift, trial_seconds = [], []
-    for trial in range(config.trials):
-        trial_start = time.perf_counter()
-        per_trial[trial], drift = _trial_estimates(config, trial)
-        trial_seconds.append(time.perf_counter() - trial_start)
+    trial_drift = []
+    for trial, u in enumerate(endpoints):
+        estimate_start = time.perf_counter()
+        per_trial[trial], drift = _trial_estimates(config, u)
+        trial_seconds[trial] += time.perf_counter() - estimate_start
         trial_drift.append(drift)
     return OracleRun(
         config=config,
@@ -257,4 +339,5 @@ def empirical_jacobi_moments(config: OracleConfig) -> OracleRun:
         trial_drift=trial_drift,
         trial_seconds=trial_seconds,
         wall_time=time.perf_counter() - start,
+        workers=workers,
     )

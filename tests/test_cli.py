@@ -240,18 +240,41 @@ def test_oracle_command(tmp_path):
              "lambda": 1.0, "theta": 0.5, "orders": [1, 2]}
     assert {name: parameters[name] for name in flags} == flags
     assert set(parameters) - set(flags) == {"unitarity_drift", "trial_drift", "rank_info",
-                                            "wall_time", "trial_seconds"}
+                                            "wall_time", "trial_seconds", "workers"}
+    assert parameters["workers"] == orc._workers(2)
 
 
 @pytest.mark.parametrize("argv", [
     ("--lambda", "0.1"),  # rank(P) rounds to 0
     ("--mode", "orthogonal", "--lambda", "0.5", "--theta", "0.1"),  # both ranks round to 0
+    ("--mode", "bernoulli_weight", "--theta", "0.1"),  # no sign +1: a = -I
+    ("--mode", "bernoulli_weight", "--theta", "0.9"),  # every sign +1: a = I
 ])
 def test_oracle_zero_rank_exits_2(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, "oracle", "--dim", "4", "--steps", "2", "--trials", "2", *argv)
     assert exc.value.code == 2
     assert not (tmp_path / "oracle.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["unitary", "bernoulli_weight"])
+@pytest.mark.parametrize("lam", ["-3", "0", "inf", "nan"])
+def test_oracle_invalid_lambda_exits_2_in_every_mode(tmp_path, capsys, mode, lam):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "oracle", "--dim", "4", "--steps", "2", "--trials", "2",
+                "--mode", mode, "--lambda", lam)
+    assert exc.value.code == 2
+    assert "lambda must be" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_oracle_bernoulli_records_its_sign_count(tmp_path, capsys):
+    assert run_cli(tmp_path, "oracle", "--dim", "10", "--steps", "2", "--trials", "2",
+                   "--mode", "bernoulli_weight", "--theta", "0.55") == 0
+    assert "note: projection ranks rounded to 6" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "oracle_manifest.json").read_text())
+    assert manifest["parameters"]["rank_info"] == {"rank_q": 6, "nominal_rank_q": 5.5,
+                                                   "rank_rounded": True}
 
 
 def test_oracle_modes_are_the_init_modes_and_nested_is_gone(tmp_path, capsys):

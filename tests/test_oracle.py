@@ -69,6 +69,10 @@ def test_rank_rounding():
     assert cfg.rank_q() == 5
     assert cfg.rank_p() == 5  # round-half-up of 4.5
     assert cfg.rank_info()["rank_rounded"] is True
+    bernoulli = orc.OracleConfig(dim=10, mode="bernoulli_weight", theta=0.55)
+    assert bernoulli.rank_info() == {"rank_q": 6, "nominal_rank_q": 5.5, "rank_rounded": True}
+    assert orc.OracleConfig(dim=10, mode="bernoulli_weight").rank_info()["rank_rounded"] is False
+    assert orc.OracleConfig(dim=10, mode="unitary").rank_info() == {}
 
 
 def test_gaussian_normalization():
@@ -184,8 +188,8 @@ def test_convergence_trend_with_paired_seed():
     assert errors[0] >= errors[1] >= errors[2]
 
 
-# The serial draw and step loop the pipelined path replaced, kept verbatim
-# as the bit-for-bit reference.
+# The serial draw and step loop, kept verbatim as the bit-for-bit reference
+# of the in-place draw, the draw-ahead and paths run side by side.
 def _reference_box_muller(rng, shape):
     n = int(np.prod(shape))
     half = (n + 1) // 2
@@ -224,54 +228,135 @@ def _reference_endpoint(rng, dim, t_end, steps):
 @pytest.mark.parametrize("steps", [1, 2, 7])
 @pytest.mark.parametrize("dim", [2, 3, 16, 17])
 def test_pipelined_endpoint_is_bit_identical_to_serial_loop(dim, steps):
-    got = orc._unitary_endpoint(orc._trial_rng(5, 1), dim, 0.7, steps)
+    from concurrent.futures import ThreadPoolExecutor
+
     want = _reference_endpoint(orc._trial_rng(5, 1), dim, 0.7, steps)
-    assert got.tobytes() == want.tobytes()
+    inline = orc._unitary_endpoint(orc._trial_rng(5, 1), dim, 0.7, steps)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = orc._unitary_endpoint(orc._trial_rng(5, 1), dim, 0.7, steps, helper)
+    assert inline.tobytes() == want.tobytes()
+    assert ahead.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("mode", orc.MODES)
 def test_pipelined_runs_are_bit_identical_to_serial_loop(monkeypatch, mode):
+    # one worker drawing ahead, and trials side by side on 2 and 3 threads,
+    # against the reference loop: which thread runs a trial changes no bit
     cfg = orc.OracleConfig(dim=17, t=0.8, steps=6, trials=3, seed=42,
                            lam=1.5 if mode == "p-ge-q" else 0.5, theta=0.5, mode=mode,
                            orders=(1, 2, 3))
-    got = orc.empirical_jacobi_moments(cfg)
-    monkeypatch.setattr(orc, "_unitary_endpoint", _reference_endpoint)
+    runs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(orc, "_workers", lambda trials, n=workers: n)
+        runs[workers] = orc.empirical_jacobi_moments(cfg)
+        assert runs[workers].workers == workers
+    monkeypatch.setattr(orc, "_workers", lambda trials: 1)
+    monkeypatch.setattr(orc, "_unitary_endpoint",
+                        lambda rng, dim, t_end, steps, helper: _reference_endpoint(
+                            rng, dim, t_end, steps))
     want = orc.empirical_jacobi_moments(cfg)
-    assert got.per_trial.tobytes() == want.per_trial.tobytes()
-    assert float(got.unitarity_drift).hex() == float(want.unitarity_drift).hex()
-    assert got.trial_drift == want.trial_drift
-    assert got.unitarity_drift == max(got.trial_drift)
-    assert len(got.trial_seconds) == cfg.trials
+    for got in runs.values():
+        assert got.per_trial.tobytes() == want.per_trial.tobytes()
+        assert float(got.unitarity_drift).hex() == float(want.unitarity_drift).hex()
+        assert got.trial_drift == want.trial_drift
+        assert got.unitarity_drift == max(got.trial_drift)
+        assert len(got.trial_seconds) == cfg.trials
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("env, one_blas_thread", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, True),  # empty reads as unset
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, False),  # in doubt, serial
+    ({"OMP_NUM_THREADS": "4"}, False),
+])
+def test_trials_run_side_by_side_only_at_one_blas_thread(monkeypatch, env, one_blas_thread):
+    for name in BLAS_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(orc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    for trials, workers in ((2, 2), (3, 3), (8, 3)):  # min(trials, CPUs the process may use)
+        assert orc._workers(trials) == (workers if one_blas_thread else 1)
 
 
 @pytest.mark.parametrize("owner, name", [(orc, "_gue"), (np.linalg, "eigh")])
 def test_failure_reaches_caller_and_leaves_no_thread(monkeypatch, owner, name):
-    # _gue fails in the helper thread; eigh fails on the calling thread
-    # while the helper draws the next increment, slowly enough that a
-    # helper left running would still be alive at the last assert
-    gue = orc._gue
+    # serially, the path fails at the third call: a draw on the helper, or
+    # an eigh on the calling thread while the helper draws the next
+    # increment, slowly enough that a helper left running would still be
+    # alive at the last assert.  Side by side, the path fails on the
+    # calling thread, then on the helper; the failure waits for the other
+    # path's first step, which then waits for the failure, so no later
+    # trial may start once that path finishes
+    endpoint, gue = orc._unitary_endpoint, orc._gue
+    cfg = orc.OracleConfig(dim=8, t=1.0, steps=5, trials=4, seed=1)
 
     def slow_gue(rng, dim):
         time.sleep(0.05)
         return gue(rng, dim)
 
     monkeypatch.setattr(orc, "_gue", slow_gue)
-    calls = []
     original = getattr(owner, name)
+    for workers, failing_side in ((1, None), (2, "caller"), (2, "helper")):
+        started, calls = [], []
+        other_started, failed = threading.Event(), threading.Event()
 
-    def failing(*args):
-        calls.append(args)
-        if len(calls) == 3:
-            raise RuntimeError(f"{name} failed")
-        return original(*args)
+        def counted(*args):
+            started.append(args)
+            return endpoint(*args)
 
-    monkeypatch.setattr(owner, name, failing)
-    before = threading.active_count()
-    cfg = orc.OracleConfig(dim=8, t=1.0, steps=5, trials=2, seed=1)
-    with pytest.raises(RuntimeError, match=f"{name} failed"):
-        orc.empirical_jacobi_moments(cfg)
-    assert len(calls) == 3
-    assert threading.active_count() == before
+        def failing(*args):
+            calls.append(args)
+            if failing_side is None:
+                if len(calls) == 3:
+                    raise RuntimeError(f"{name} failed")
+                return original(*args)
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (failing_side == "caller"):
+                assert other_started.wait(timeout=10)
+                failed.set()
+                raise RuntimeError(f"{name} failed")
+            other_started.set()
+            if not failed.is_set():
+                assert failed.wait(timeout=10)
+                time.sleep(0.1)  # lets the failing path set the pool's stop
+            return original(*args)
+
+        monkeypatch.setattr(orc, "_workers", lambda trials: workers)
+        monkeypatch.setattr(orc, "_unitary_endpoint", counted)
+        monkeypatch.setattr(owner, name, failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{name} failed"):
+            orc.empirical_jacobi_moments(cfg)
+        assert len(started) == workers
+        assert threading.active_count() == before
+        if failing_side is None:
+            assert len(calls) == 3
+
+
+def test_many_workers_run_each_trial_once(monkeypatch):
+    # more threads than cores and a short switch interval: the shared trial
+    # counter must hand out every index exactly once
+    cfg = orc.OracleConfig(dim=4, t=0.5, steps=3, trials=24, seed=5, mode="unitary")
+    monkeypatch.setattr(orc, "_workers", lambda trials: 1)
+    want = orc.empirical_jacobi_moments(cfg)
+    monkeypatch.setattr(orc, "_workers", lambda trials: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = orc.empirical_jacobi_moments(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.workers == 8
+    assert got.per_trial.tobytes() == want.per_trial.tobytes()
+    assert got.trial_drift == want.trial_drift
 
 
 def test_analytic_entry_points_do_not_load_the_thread_pool():
