@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -189,7 +190,7 @@ def test_convergence_trend_with_paired_seed():
 
 
 # The serial draw and step loop, kept verbatim as the bit-for-bit reference
-# of the in-place draw, the draw-ahead and paths run side by side.
+# of the in-place draw and of paths run side by side.
 def _reference_box_muller(rng, shape):
     n = int(np.prod(shape))
     half = (n + 1) // 2
@@ -228,20 +229,15 @@ def _reference_endpoint(rng, dim, t_end, steps):
 @pytest.mark.parametrize("steps", [1, 2, 7])
 @pytest.mark.parametrize("dim", [2, 3, 16, 17])
 def test_pipelined_endpoint_is_bit_identical_to_serial_loop(dim, steps):
-    from concurrent.futures import ThreadPoolExecutor
-
+    got = orc._unitary_endpoint(orc._trial_rng(5, 1), dim, 0.7, steps)
     want = _reference_endpoint(orc._trial_rng(5, 1), dim, 0.7, steps)
-    inline = orc._unitary_endpoint(orc._trial_rng(5, 1), dim, 0.7, steps)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        ahead = orc._unitary_endpoint(orc._trial_rng(5, 1), dim, 0.7, steps, helper)
-    assert inline.tobytes() == want.tobytes()
-    assert ahead.tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("mode", orc.MODES)
 def test_pipelined_runs_are_bit_identical_to_serial_loop(monkeypatch, mode):
-    # one worker drawing ahead, and trials side by side on 2 and 3 threads,
-    # against the reference loop: which thread runs a trial changes no bit
+    # trials one after another and side by side on 2 and 3 threads, against
+    # the reference loop: which thread runs a trial changes no bit
     cfg = orc.OracleConfig(dim=17, t=0.8, steps=6, trials=3, seed=42,
                            lam=1.5 if mode == "p-ge-q" else 0.5, theta=0.5, mode=mode,
                            orders=(1, 2, 3))
@@ -251,9 +247,7 @@ def test_pipelined_runs_are_bit_identical_to_serial_loop(monkeypatch, mode):
         runs[workers] = orc.empirical_jacobi_moments(cfg)
         assert runs[workers].workers == workers
     monkeypatch.setattr(orc, "_workers", lambda trials: 1)
-    monkeypatch.setattr(orc, "_unitary_endpoint",
-                        lambda rng, dim, t_end, steps, helper: _reference_endpoint(
-                            rng, dim, t_end, steps))
+    monkeypatch.setattr(orc, "_unitary_endpoint", _reference_endpoint)
     want = orc.empirical_jacobi_moments(cfg)
     for got in runs.values():
         assert got.per_trial.tobytes() == want.per_trial.tobytes()
@@ -286,64 +280,119 @@ def test_trials_run_side_by_side_only_at_one_blas_thread(monkeypatch, env, one_b
         assert orc._workers(trials) == (workers if one_blas_thread else 1)
 
 
+def _trace_trials(monkeypatch):
+    """Record which trials' paths began, and the trial whose path the
+    current thread runs."""
+    started, current = [], threading.local()
+    trial_rng = orc._trial_rng
+
+    def recorded(seed, trial):
+        started.append(trial)
+        current.trial = trial
+        return trial_rng(seed, trial)
+
+    monkeypatch.setattr(orc, "_trial_rng", recorded)
+    return started, current
+
+
 @pytest.mark.parametrize("owner, name", [(orc, "_gue"), (np.linalg, "eigh")])
 def test_failure_reaches_caller_and_leaves_no_thread(monkeypatch, owner, name):
-    # serially, the path fails at the third call: a draw on the helper, or
-    # an eigh on the calling thread while the helper draws the next
-    # increment, slowly enough that a helper left running would still be
-    # alive at the last assert.  Side by side, the path fails on the
-    # calling thread, then on the helper; the failure waits for the other
-    # path's first step, which then waits for the failure, so no later
-    # trial may start once that path finishes
-    endpoint, gue = orc._unitary_endpoint, orc._gue
-    cfg = orc.OracleConfig(dim=8, t=1.0, steps=5, trials=4, seed=1)
+    # one after another, the path fails at the third call.  Side by side (3
+    # workers, 7 trials), trial 0 fails on the calling thread or trial 1 on
+    # a helper, once the other two trials of the block have begun; those
+    # finish only after the failure, and no later trial may begin
+    gue, original = orc._gue, getattr(owner, name)
+    cfg = orc.OracleConfig(dim=8, t=1.0, steps=5, trials=7, seed=1)
 
     def slow_gue(rng, dim):
-        time.sleep(0.05)
+        time.sleep(0.02)  # a thread left running would still be alive at the last assert
         return gue(rng, dim)
 
-    monkeypatch.setattr(orc, "_gue", slow_gue)
-    original = getattr(owner, name)
-    for workers, failing_side in ((1, None), (2, "caller"), (2, "helper")):
-        started, calls = [], []
-        other_started, failed = threading.Event(), threading.Event()
-
-        def counted(*args):
-            started.append(args)
-            return endpoint(*args)
+    for workers, failing_trial in ((1, None), (3, 0), (3, 1)):
+        monkeypatch.setattr(orc, "_gue", slow_gue)
+        started, current = _trace_trials(monkeypatch)
+        calls, block_began, failed = [], threading.Barrier(3, timeout=10), threading.Event()
 
         def failing(*args):
             calls.append(args)
-            if failing_side is None:
+            if failing_trial is None:
                 if len(calls) == 3:
                     raise RuntimeError(f"{name} failed")
-                return original(*args)
-            on_caller = threading.current_thread() is threading.main_thread()
-            if on_caller == (failing_side == "caller"):
-                assert other_started.wait(timeout=10)
+            elif current.trial == failing_trial:
+                block_began.wait()
                 failed.set()
                 raise RuntimeError(f"{name} failed")
-            other_started.set()
-            if not failed.is_set():
+            elif not failed.is_set():
+                block_began.wait()
                 assert failed.wait(timeout=10)
-                time.sleep(0.1)  # lets the failing path set the pool's stop
-            return original(*args)
+            return (slow_gue if owner is orc else original)(*args)
 
         monkeypatch.setattr(orc, "_workers", lambda trials: workers)
-        monkeypatch.setattr(orc, "_unitary_endpoint", counted)
         monkeypatch.setattr(owner, name, failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"{name} failed"):
             orc.empirical_jacobi_moments(cfg)
-        assert len(started) == workers
+        assert sorted(started) == ([0] if workers == 1 else [0, 1, 2])
         assert threading.active_count() == before
-        if failing_side is None:
+        if workers == 1:
             assert len(calls) == 3
+        monkeypatch.undo()
+
+
+def test_failed_estimate_on_the_calling_thread_leaves_no_thread(monkeypatch):
+    # trial 0's estimates fail on the calling thread; trial 1 ran beside it
+    started, _ = _trace_trials(monkeypatch)
+    estimates = orc._trial_estimates
+
+    def failing(config, u):
+        if threading.current_thread() is threading.main_thread():
+            raise RuntimeError("estimate failed")
+        return estimates(config, u)
+
+    monkeypatch.setattr(orc, "_trial_estimates", failing)
+    monkeypatch.setattr(orc, "_workers", lambda trials: 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="estimate failed"):
+        orc.empirical_jacobi_moments(orc.OracleConfig(dim=8, t=1.0, steps=5, trials=6, seed=1))
+    assert sorted(started) == [0, 1]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_each_endpoint_is_released_after_its_estimates(monkeypatch, workers):
+    # however many trials, a run holds at most workers + 1 endpoints: one
+    # block's and the one last estimated; the estimates run on the calling
+    # thread, in trial order
+    live, most, estimated, trial_of = [], [], [], {}
+    lock = threading.Lock()
+    path, estimates = orc._path, orc._trial_estimates
+
+    def tracked(config, trial):
+        u, seconds = path(config, trial)
+        with lock:
+            live.append(weakref.ref(u))
+            most.append(sum(ref() is not None for ref in live))
+            trial_of[id(u)] = trial
+        return u, seconds
+
+    def recorded(config, u):
+        estimated.append((threading.current_thread() is threading.main_thread(), trial_of[id(u)]))
+        return estimates(config, u)
+
+    monkeypatch.setattr(orc, "_path", tracked)
+    monkeypatch.setattr(orc, "_trial_estimates", recorded)
+    monkeypatch.setattr(orc, "_workers", lambda trials: workers)
+    cfg = orc.OracleConfig(dim=16, t=0.5, steps=2, trials=12, seed=3, mode="unitary")
+    run = orc.empirical_jacobi_moments(cfg)
+    assert len(most) == cfg.trials and max(most) <= workers + 1
+    assert estimated == [(True, trial) for trial in range(cfg.trials)]
+    monkeypatch.undo()
+    assert run.per_trial.tobytes() == orc.empirical_jacobi_moments(cfg).per_trial.tobytes()
 
 
 def test_many_workers_run_each_trial_once(monkeypatch):
-    # more threads than cores and a short switch interval: the shared trial
-    # counter must hand out every index exactly once
+    # more threads than cores and a short switch interval: every trial must
+    # run exactly once and its estimates land in its own row
     cfg = orc.OracleConfig(dim=4, t=0.5, steps=3, trials=24, seed=5, mode="unitary")
     monkeypatch.setattr(orc, "_workers", lambda trials: 1)
     want = orc.empirical_jacobi_moments(cfg)
