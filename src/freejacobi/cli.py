@@ -344,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_s_system)
 
     p = sub.add_parser(
-        "words", help="reduced word-count tables, checked against 4^n enumeration up to n = 8",
+        "words", help="reduced word-count tables for n = 1..N, each checked against its 4^n "
+                      "enumeration (N <= 12)",
     )
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_words)

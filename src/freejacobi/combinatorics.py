@@ -3,7 +3,10 @@ moments, and enumeration of reduced words over a two-letter involution
 alphabet.
 
 Everything in this module is computed in exact integer/rational arithmetic;
-no floating point enters any identity checked here.
+no floating point enters any identity checked here.  The word enumeration
+forms all 4**n expansion terms in one int8 array and reduces them by
+cancellation alone (``word_counts_bruteforce``); ``reduce_word`` is the
+string reference it is tested against.
 """
 
 from __future__ import annotations
@@ -12,15 +15,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
-#: Hard cap on brute-force enumeration: 4**12 is ~16.8M expansion terms.
+#: Hard cap on brute-force enumeration: 4**12 is ~16.8M expansion terms,
+#: one byte each.
 BRUTEFORCE_MAX_ORDER = 12
 
-#: The four terms contributed by one factor (1+a)(1+b) = 1 + a + b + ab.
-_FACTOR_PIECES = ("", "a", "b", "ab")
+#: Cells per ``np.bincount`` call in the tally; each call casts its block to
+#: int64, 64 KB at a time.
+_TALLY_BLOCK = 1 << 13
 
 
 def binomial(n: int, k: int) -> int:
@@ -123,7 +127,21 @@ def word_counts_bruteforce(n: int) -> WordCountTable:
     Each of the n factors contributes one of {1, a, b, ab}; the chosen
     pieces are concatenated and reduced with aa = bb = identity.  This is
     the independent oracle for the closed-form counts: it never consults
-    a binomial formula or a recurrence.
+    a binomial formula, a recurrence or a transfer matrix.
+
+    The 4**n terms are the cells of one int8 array; digit j of a cell's
+    index in base 4 is factor j's piece (0 = 1, 1 = a, 2 = b, 3 = ab, a
+    applied before b).  A cell holds its term's reduced word as a signed
+    position x: |x| alternating letters, starting with a if x > 0 and with
+    b if x < 0.  Appending a letter is one cancellation step of
+    ``reduce_word``: a maps x to x ^ 1 and b maps x to ((x - 1) ^ 1) + 1,
+    each removing the last letter when it equals the new one and appending
+    it otherwise.  Factor j extends the 4**j reduced prefixes of factors
+    0..j-1 to the 4**(j+1) prefixes of factors 0..j, letter by letter, so
+    every term is formed and reduced in its own cell.  A reduced word has
+    at most 2n <= 24 letters, so int8 holds every position, and the tally
+    counts x + 2n in [0, 4n] in blocks of ``_TALLY_BLOCK`` cells.  At the
+    cap that is 16.8 MB of cells plus one 64 KB block.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -132,10 +150,23 @@ def word_counts_bruteforce(n: int) -> WordCountTable:
             f"brute-force enumeration capped at n <= {BRUTEFORCE_MAX_ORDER}"
             f" (4**{n} terms requested)"
         )
-    counts: dict[str, int] = {}
-    for pieces in product(_FACTOR_PIECES, repeat=n):
-        word = reduce_word("".join(pieces))
-        counts[word] = counts.get(word, 0) + 1
+    cells = np.zeros(4**n, dtype=np.int8)
+    for j in range(n):
+        block = cells[: 4 ** (j + 1)].reshape(4, 4**j)  # row = factor j's piece
+        block[1:] = block[0]
+        block[1::2] ^= 1  # a, in pieces a and ab
+        with_b = block[2:]  # b, in pieces b and ab
+        with_b -= 1
+        with_b ^= 1
+        with_b += 1
+    cells += 2 * n
+    tally = np.zeros(4 * n + 1, dtype=np.int64)
+    for start in range(0, cells.size, _TALLY_BLOCK):
+        tally += np.bincount(cells[start : start + _TALLY_BLOCK], minlength=4 * n + 1)
+    counts = {}
+    for x, count in enumerate(tally.tolist(), start=-2 * n):
+        if count:
+            counts[("ab" * n)[:x] if x >= 0 else ("ba" * n)[:-x]] = count
     return WordCountTable(n=n, counts=counts)
 
 

@@ -99,41 +99,33 @@ def _lambda_scan(lams, t_end: float, order: int):
 # combinatorics / catalan
 # ---------------------------------------------------------------------------
 
-#: largest order ``check_word_counts`` enumerates (4^8 = 65536 words)
-_BRUTE_MAX = 8
-
-
 def check_word_counts(n_max: int) -> Checked:
-    """Closed-form word counts for n = 1..n_max against 4^n enumeration up
-    to n = 8: (c, d, e) at every k <= n (at k = 0 the e-column is the empty
-    word's count c_0), the total 4^n and the odd-word total 2^(2n-1).  The
-    rows are (n, k, c, d, e) in closed form followed by the enumerated
-    (c, d, e), left empty past n = 8."""
+    """Closed-form word counts for n = 1..n_max against 4^n enumeration:
+    (c, d, e) at every k <= n (at k = 0 the e-column is the empty word's
+    count c_0), the total 4^n and the odd-word total 2^(2n-1).  The rows are
+    (n, k, c, d, e) in closed form followed by the enumerated (c, d, e)."""
     if not 1 <= n_max <= comb.BRUTEFORCE_MAX_ORDER:
         raise ValueError(f"word-count order must lie in 1..{comb.BRUTEFORCE_MAX_ORDER}"
                          f" (4^n enumeration), got {n_max}")
     mismatches = 0
     rows = []
     for n in range(1, n_max + 1):
-        brute = comb.word_counts_bruteforce(n) if n <= _BRUTE_MAX else None
-        if brute is not None:
-            mismatches += brute.total() != 4**n
-            mismatches += brute.odd_total() != 2 ** (2 * n - 1)
+        brute = comb.word_counts_bruteforce(n)
+        mismatches += brute.total() != 4**n
+        mismatches += brute.odd_total() != 2 ** (2 * n - 1)
         for k in range(0, n + 1):
             closed = comb.word_counts_closed(n, k)
-            counts = ("", "", "")
-            if brute is not None:
-                counts = (brute.c(k), brute.d(k), brute.e(k) if k >= 1 else brute.c(0))
-                mismatches += sum(a != b for a, b in zip(counts, closed))
+            counts = (brute.c(k), brute.d(k), brute.e(k) if k >= 1 else brute.c(0))
+            mismatches += sum(a != b for a, b in zip(counts, closed))
             rows.append((n, k, *closed, *counts))
-    result = _check("combinatorics", f"bruteforce-vs-closed-n<={min(n_max, _BRUTE_MAX)}",
+    result = _check("combinatorics", f"bruteforce-vs-closed-n<={n_max}",
                     mismatches, detail="exact integer comparison incl. odd-word totals 2^(2n-1)",
                     passed=mismatches == 0)
     return [result], {"rows": rows}
 
 
 def suite_combinatorics() -> list[CheckResult]:
-    return check_word_counts(_BRUTE_MAX)[0] + [
+    return check_word_counts(8)[0] + [
         _check("combinatorics", "pascal-combination-n<=20", detail="exact",
                passed=comb.pascal_combination_holds(20)),
         _check("combinatorics", "closed-recurrences-n<=20", detail="exact",

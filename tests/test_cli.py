@@ -196,6 +196,18 @@ def test_words_table(tmp_path):
     assert "2,1,3,1,1,3,1,1" in lines
 
 
+def test_words_enumerates_every_order_past_eight(tmp_path, capsys):
+    assert run_cli(tmp_path, "words", "--n", "10") == 0
+    assert "combinatorics/bruteforce-vs-closed-n<=10" in capsys.readouterr().out
+    with open(tmp_path / "word_counts.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == sum(n + 1 for n in range(1, 11))
+    for row in rows:
+        assert [row[f"bruteforce_{col}"] for col in "cde"] == [row[col] for col in "cde"]
+    assert {"n": "10", "k": "3", "c": "50388", "d": "27132", "e": "27132",
+            "bruteforce_c": "50388", "bruteforce_d": "27132", "bruteforce_e": "27132"} in rows
+
+
 def test_wrong_closed_word_count_fails_words_and_the_suite(tmp_path, monkeypatch, capsys):
     original = combinatorics.word_counts_closed
 

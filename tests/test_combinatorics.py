@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import hypothesis.strategies as st
 import numpy as np
@@ -88,6 +90,13 @@ def test_word_counts_order_two_by_hand():
     assert table.count("ba") == 1
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bruteforce_matches_string_reduction(n):
+    reference = Counter(comb.reduce_word("".join(pieces))
+                        for pieces in product(("", "a", "b", "ab"), repeat=n))
+    assert comb.word_counts_bruteforce(n).counts == reference
+
+
 def test_closed_form_base_cases():
     # c(1,k) = delta_{k0} + delta_{k1}; e(2,k) = 3 delta_{k0} + delta_{k1}
     assert comb.word_counts_closed(1, 0)[0] == 1
@@ -108,9 +117,11 @@ def test_bruteforce_total_and_symmetry(n):
         assert table.d(k - 1) == table.c(k)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_bruteforce_matches_closed_forms(n):
     table = comb.word_counts_bruteforce(n)
+    assert table.total() == 4**n
+    assert table.odd_total() == 2 ** (2 * n - 1)
     for k in range(0, n + 1):
         c_cl, d_cl, e_cl = comb.word_counts_closed(n, k)
         assert table.c(k) == c_cl
