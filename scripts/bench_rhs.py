@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Time the moment-hierarchy right-hand side, one RK4 step and the batched
-integrator.
+"""Time the bound right-hand sides, one RK4 step and the batched integrator.
 
 Prints, for batches of B = 1 and 3 rows at orders 8 and 32, as
 ``integrate_moments_batch`` runs them (a (B, order + 1) state with one
@@ -11,7 +10,9 @@ parameter per row as a tuple):
 - the median microseconds per RK4 step, each timed over 2000 steps of
   ``integrate_moments_batch``.
 
-Then the wall time of the density suite's three-lambda integration
+Then the same two for the trace system as the laguerre suite runs it
+(``trace_system(0.5, 12)``, steps of ``s_trajectory`` at h = 2e-4), and
+the wall time of the density suite's three-lambda integration
 (order 8, t = 30, h = 1e-3) run as one batch and as three single runs.
 Plain ``perf_counter``; set OPENBLAS_NUM_THREADS=1 to match the
 benchmark's children.
@@ -31,9 +32,11 @@ from freejacobi.moments import (
     integrate_moments,
     integrate_moments_batch,
 )
+from freejacobi.special_functions import s_trajectory, trace_system
 
 LAMBDAS = (0.4, 0.6, 0.8)
 STEPS = 2000
+TRACE_ORDER, TRACE_STEP = 12, 2e-4
 
 
 def _median_us(run, repeats: int, per: int) -> float:
@@ -45,15 +48,18 @@ def _median_us(run, repeats: int, per: int) -> float:
     return statistics.median(samples)
 
 
-def per_call_us(rows: int, order: int, repeats: int, calls: int) -> float:
-    m = np.random.default_rng(order).uniform(0, 1, (rows, order + 1))
-    rhs = hierarchy(LAMBDAS[:rows], (0.5,) * rows)(m, np.empty_like(m))
-
+def _call_us(rhs, repeats: int, calls: int) -> float:
     def run():
         for _ in range(calls):
             rhs(0.0)
 
     return _median_us(run, repeats, calls)
+
+
+def per_call_us(rows: int, order: int, repeats: int, calls: int) -> float:
+    m = np.random.default_rng(order).uniform(0, 1, (rows, order + 1))
+    return _call_us(hierarchy(LAMBDAS[:rows], (0.5,) * rows)(m, np.empty_like(m)),
+                    repeats, calls)
 
 
 def per_step_us(rows: int, order: int, repeats: int) -> float:
@@ -76,6 +82,12 @@ def main():
             step = per_step_us(rows, order, args.repeats)
             print(f"B={rows}  order={order:2d}  bound call {call:6.2f} us  "
                   f"rk4 step {step:6.2f} us")
+
+    s = np.random.default_rng(TRACE_ORDER).uniform(0, 1, TRACE_ORDER)
+    call = _call_us(trace_system(0.5, TRACE_ORDER)(s, np.empty_like(s)), args.repeats, args.calls)
+    step = _median_us(lambda: s_trajectory(0.5, STEPS * TRACE_STEP, TRACE_ORDER, h=TRACE_STEP),
+                      args.repeats, STEPS)
+    print(f"trace  order={TRACE_ORDER}  bound call {call:6.2f} us  rk4 step {step:6.2f} us")
 
     params = [ProcessParams(lam=lam, theta=0.5) for lam in LAMBDAS]
     start = perf_counter()

@@ -139,57 +139,81 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.nd
     y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) with in-place ufuncs, which
     round exactly as their allocating forms.
 
+    A step's multipliers dt/2, dt and dt/6 are held as 0-d float64 arrays,
+    made once for the full steps and once for the partial one, so no
+    ufunc converts a Python scalar per call.  A Python float is already a
+    float64, so each array holds the very value the ufunc used to convert
+    and every product rounds as before.  2 k is formed as k + k: doubling
+    is exact in binary floating point, so both give the same bits, overflow
+    to inf, NaN and -0.0 included.  The stage times stay Python floats.
+    Every step, the partial one included, runs the one step body.
+
     ``y0`` may have any shape; a (B, n) state advances B systems in one
     loop, one call per stage for all of them.  Returns (times, states)
     with every step stored, states of shape (len(times),) + y0.shape: the
     most full steps that end at or before t_end (up to rounding), then a
     partial step that lands on t_end when the accumulated time falls
-    short.  The one integrator of the package: the moment hierarchy and
-    the trace system both run through it.
+    short.  A run too long to store raises a ValueError naming its step
+    count and the bytes it needs.  The one integrator of the package: the
+    moment hierarchy and the trace system both run through it.
     """
     if not 0 < h < math.inf:
         raise ValueError("step must be positive and finite")
     if not 0 <= t_end < math.inf:
         raise ValueError("t_end must be finite and nonnegative")
     y0 = np.asarray(y0, dtype=float)
-    steps = math.floor(t_end / h + 1e-9)
-    # one spare row for the partial step, which the accumulated t decides
-    times = np.empty(steps + 2)
-    states = np.empty((steps + 2,) + y0.shape)
+    span = t_end / h + 1e-9
+    # one spare row for the partial step, which the accumulated t decides.
+    # A run too long to store: OverflowError from floor(inf), ValueError
+    # past numpy's largest dimension, MemoryError short of it
+    try:
+        steps = math.floor(span)
+        times = np.empty(steps + 2)
+        states = np.empty((steps + 2,) + y0.shape)
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError(
+            f"{span:.6g} steps of h={h:g} to t={t_end:g} need "
+            f"{8 * (span + 2) * (1 + y0.size):.3g} bytes of stored times and states, "
+            "more than can be allocated"
+        ) from None
     times[0], states[0] = 0.0, y0
-    t = 0.0
     y, k1, k2, k3, k4, stage, acc = np.empty((7,) + y0.shape)
     y[...] = y0
     f1, f2, f3, f4 = bind(y, k1), bind(stage, k2), bind(stage, k3), bind(stage, k4)
+    multiply, add = np.multiply, np.add
 
-    def step(dt):
-        half = dt / 2
+    def scalars(dt):
+        return dt, dt / 2, np.array(dt / 2), np.array(dt), np.array(dt / 6)
+
+    def step(t, dt, half, half_a, dt_a, sixth_a):
         f1(t)
-        np.multiply(half, k1, stage)
-        np.add(y, stage, stage)
+        multiply(half_a, k1, stage)
+        add(y, stage, stage)
         f2(t + half)
-        np.multiply(half, k2, stage)
-        np.add(y, stage, stage)
+        multiply(half_a, k2, stage)
+        add(y, stage, stage)
         f3(t + half)
-        np.multiply(dt, k3, stage)
-        np.add(y, stage, stage)
+        multiply(dt_a, k3, stage)
+        add(y, stage, stage)
         f4(t + dt)
-        np.multiply(2, k2, acc)
-        np.add(k1, acc, acc)
-        np.multiply(2, k3, stage)
-        np.add(acc, stage, acc)
-        np.add(acc, k4, acc)
-        np.multiply(dt / 6, acc, acc)
-        np.add(y, acc, y)
+        add(k2, k2, acc)
+        add(k1, acc, acc)
+        add(k3, k3, stage)
+        add(acc, stage, acc)
+        add(acc, k4, acc)
+        multiply(sixth_a, acc, acc)
+        add(y, acc, y)
 
+    full = scalars(h)
+    t = 0.0
     for j in range(1, steps + 1):
-        step(h)
+        step(t, *full)
         t += h
         times[j], states[j] = t, y
     stored = steps + 1
     rem = t_end - t
     if rem > 1e-12 * max(1.0, t_end):
-        step(rem)
+        step(t, *scalars(rem))
         times[stored], states[stored] = t_end, y
         stored += 1
     return times[:stored], states[:stored]
@@ -205,45 +229,71 @@ def stored_index(times: np.ndarray, t: float) -> int:
     return idx
 
 
+def trace_system(theta: float, order: int):
+    """The trace system's right-hand side at theta, as ``rk4`` takes it:
+    ``bind(s, out)`` returns ``rhs(t)``, which writes d/dt (s_1, ..., s_order)
+    at the current contents of ``s`` into ``out``.
+
+    With c = 2 theta - 1,
+    d/dt s_1 = c^2 e^t  (the stated closed form for s_1), and for n >= 2
+    d/dt s_n = -n sum_{k=1}^{n-1} s_{n-k} s_k + e^{nt} [2n c + (n-1)(n-2) c^2].
+    ``bind`` prepares, for its own state and output buffers, the
+    t-independent factors -n, n and 2n c + (n-1)(n-2) c^2, a reversed view
+    of the state and a scratch buffer for e^{nt} [...].  At c = 0 (theta =
+    1/2) it writes d/dt s_1 = 0 once, as the hierarchy's ``bind`` writes
+    its column 0, and the source term is skipped.  The self-convolution is
+    ``np.correlate`` of the state with its reversed view, the very call
+    ``np.convolve(s, s)`` makes, so every bit is the allocating form's.
+    Every right-hand side of one ``bind`` stores the time of its latest
+    call in ``bind.t``.
+    """
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie in (0, 1)")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    c = 2.0 * theta - 1.0
+
+    def bind(s, out):
+        n = np.arange(2, order + 1)
+        # -n as floats: each int converts exactly, as it did inside the
+        # allocating product
+        neg_n, n_float = -n.astype(float), n.astype(float)
+        source = 2 * n * c + (n - 1) * (n - 2) * c * c
+        tail, mirror, cut = out[1:], s[::-1], order - 1
+        forcing, c2 = c != 0.0, c * c
+        scratch = np.empty(cut)
+        if not forcing:
+            out[0] = 0.0
+        multiply, add, exp, correlate = np.multiply, np.add, np.exp, np.correlate
+
+        def rhs(t):
+            bind.t = t
+            if forcing:
+                out[0] = c2 * math.exp(t)
+            if cut:
+                multiply(neg_n, correlate(s, mirror, "full")[:cut], tail)
+                if forcing:
+                    multiply(n_float, t, scratch)
+                    exp(scratch, scratch)
+                    multiply(scratch, source, scratch)
+                    add(tail, scratch, tail)
+        return rhs
+
+    bind.t = 0.0
+    return bind
+
+
 def s_trajectory(
     theta: float,
     t_end: float,
     order: int,
     h: float = DEFAULT_STEP,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the trace system from s_n(0) = 1 (the weight squares to the
-    identity); states[j, n-1] holds s_n.  A ValueError names the time the
-    state leaves float64 (theta != 1/2).
-
-    With c = 2 theta - 1,
-    d/dt s_1 = c^2 e^t  (the stated closed form for s_1), and for n >= 2
-    d/dt s_n = -n sum_{k=1}^{n-1} s_{n-k} s_k + e^{nt} [2n c + (n-1)(n-2) c^2].
-    The t-independent factors -n, n and 2n c + (n-1)(n-2) c^2 are computed
-    once per binding.
+    """Integrate the trace system (``trace_system``) from s_n(0) = 1 (the
+    weight squares to the identity); states[j, n-1] holds s_n.  A
+    ValueError names the time the state leaves float64 (theta != 1/2).
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-
-    c = 2.0 * theta - 1.0
-    t_last = 0.0
-
-    def bind(s, out):
-        n = np.arange(2, order + 1)
-        neg_n, n_float, source = -n, n.astype(float), 2 * n * c + (n - 1) * (n - 2) * c * c
-        tail = out[1:]
-
-        def rhs(t):
-            nonlocal t_last
-            t_last = t
-            out[0] = c * c * math.exp(t) if c != 0.0 else 0.0
-            if order >= 2:
-                np.multiply(neg_n, np.convolve(s, s)[: order - 1], tail)
-                if c != 0.0:
-                    np.add(tail, np.exp(n_float * t) * source, tail)
-        return rhs
-
+    bind = trace_system(theta, order)
     # every overflow raises, so the state never holds inf or NaN: numpy's
     # as FloatingPointError, math.exp(t) of the s_1 source (past t = 709.78)
     # as OverflowError
@@ -252,7 +302,7 @@ def s_trajectory(
             return rk4(bind, np.ones(order), t_end, h)
     except (OverflowError, FloatingPointError):
         raise ValueError(
-            f"trace system state leaves the float64 range by t={t_last:g}"
+            f"trace system state leaves the float64 range by t={bind.t:g}"
         ) from None
 
 

@@ -669,6 +669,21 @@ def test_trace_system_past_float64_exits_2(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command, need", [
+    ("moments --t 1e12 --order 8", "8e+16"),  # 1 time + 9 moments per step
+    ("s-system --t 1e12 --order 4", "4e+16"),
+    ("series --check pde --t 1e12", "2.72e+17"),  # order 32 plus time and m_0
+])
+def test_integration_too_long_to_store_exits_2(tmp_path, capsys, command, need):
+    # 1e15 steps: 7 PiB of stored times alone, past any host's memory
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, *command.split())
+    assert exc.value.code == 2
+    assert (f"1e+15 steps of h=0.001 to t=1e+12 need {need} bytes of stored times and states"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_series_rho_past_float64_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, "series", "--check", "rho", "--t", "10", "--order", "256")

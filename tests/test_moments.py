@@ -351,12 +351,13 @@ def test_expansion_moments_finite_at_large_order_and_time():
     assert np.max(np.abs(expansion - closed_form_moments(5.0, 256))) < 1e-12
 
 
-def test_bench_rhs_script_prints_four_rows_and_the_scan(monkeypatch, capsys):
+def test_bench_rhs_script_prints_five_rows_and_the_scan(monkeypatch, capsys):
     script = Path(__file__).resolve().parents[1] / "scripts" / "bench_rhs.py"
     monkeypatch.setattr(sys, "argv", [str(script), "--repeats", "1", "--calls", "10",
                                       "--t", "0.01"])
     runpy.run_path(str(script), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split("  bound")[0] for line in lines[:4]] == [
-        "B=1  order= 8", "B=3  order= 8", "B=1  order=32", "B=3  order=32"]
-    assert len(lines) == 5 and lines[4].startswith("three-lambda scan to t=0.01: batched ")
+    assert [line.split("  bound")[0] for line in lines[:5]] == [
+        "B=1  order= 8", "B=3  order= 8", "B=1  order=32", "B=3  order=32",
+        "trace  order=12"]
+    assert len(lines) == 6 and lines[5].startswith("three-lambda scan to t=0.01: batched ")

@@ -159,11 +159,19 @@ def test_lambda_scaling_residual_is_bit_identical(lam, theta):
     assert lambda_scaling_residual(lam, theta, 2.0, order=12).hex() == want.hex()
 
 
-@pytest.mark.parametrize("theta", [0.5, 0.75])
-def test_s_trajectory_is_bit_identical(theta):
-    times, states = s_trajectory(theta, 1.0, 6, h=1e-2)
+# theta = 1/2 writes d/dt s_1 once and skips the source; 0.75 runs the
+# source through the binding's scratch.  t_end = 1.005 ends on a partial
+# step, order 12 is the laguerre suite's, order 1 has no convolution.
+@pytest.mark.parametrize("theta, t_end, order, h", [
+    pytest.param(theta, t_end, order, h, id=f"{theta}{label}")
+    for label, t_end, order, h in [("", 1.0, 6, 1e-2), ("-partial-step", 1.005, 6, 1e-2),
+                                   ("-order-12", 0.5, 12, 2e-4), ("-order-1", 0.2, 1, 1e-2)]
+    for theta in (0.5, 0.75)
+])
+def test_s_trajectory_is_bit_identical(theta, t_end, order, h):
+    times, states = s_trajectory(theta, t_end, order, h=h)
     rhs = lambda t, y: reference_s_system_rhs(t, y, theta)
-    ref_times, ref_states = reference_rk4(rhs, np.ones(6), 1.0, 1e-2)
+    ref_times, ref_states = reference_rk4(rhs, np.ones(order), t_end, h)
     assert times.tobytes() == ref_times.tobytes()
     assert states.tobytes() == ref_states.tobytes()
 
@@ -183,14 +191,16 @@ def test_consecutive_calls_follow_the_parameters():
 
 
 def test_concurrent_integrations_give_the_serial_bits():
-    # four threads integrate the same batch at once, switching as often as
-    # the interpreter allows: scratch shared between bindings would mix
-    # their stages
+    # four threads integrate at once, switching as often as the interpreter
+    # allows: scratch shared between bindings would mix their stages.  Each
+    # runs a hierarchy batch and the theta = 0.75 trace system, whose
+    # binding carries e^{nt} times the source in its own scratch
     params = [ProcessParams(lam=lam, theta=0.5) for lam in (0.4, 0.6, 0.8)]
 
     def run():
         trajs = integrate_moments_batch(params, 1.0, order=16)
-        return b"".join(traj.values.tobytes() for traj in trajs)
+        traces = s_trajectory(0.75, 1.0, 12, h=2e-3)[1]
+        return b"".join(traj.values.tobytes() for traj in trajs) + traces.tobytes()
 
     want = run()
     got = [None] * 4

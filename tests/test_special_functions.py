@@ -1,4 +1,5 @@
 import math
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -200,6 +201,19 @@ def test_rk4_rejects_nonpositive_step():
     for t_end in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             sf.rk4(bind_form(lambda t, y: -y), y0, t_end, 0.1)
+
+
+@pytest.mark.parametrize("t_end, h, steps", [
+    (1e12, 1e-3, "1e+15"),  # numpy cannot allocate it
+    (1e300, 1e-3, "1e+303"),  # past numpy's largest dimension
+    (1e300, 1e-300, "inf"),  # t_end / h overflows
+])
+def test_rk4_run_too_long_to_store_is_a_value_error(t_end, h, steps):
+    with pytest.raises(ValueError, match=f"^{re.escape(steps)} steps of h="):
+        sf.rk4(bind_form(lambda t, y: -y), np.ones(2), t_end, h)
+    # the trace system reports it as such, not as an overflow of its state
+    with pytest.raises(ValueError, match="bytes of stored times and states"):
+        sf.s_trajectory(0.75, t_end, 2, h=h)
 
 
 def test_rk4_steps_and_partial_step():
