@@ -14,14 +14,24 @@ Then the same two for the trace system as the laguerre suite runs it
 (``trace_system(0.5, 12)``, steps of ``s_trajectory`` at h = 2e-4), and
 the wall time of the density suite's three-lambda integration
 (order 8, t = 30, h = 1e-3) run as one batch and as three single runs.
-Plain ``perf_counter``; set OPENBLAS_NUM_THREADS=1 to match the
+
+Raw ``perf_counter`` medians follow the host's speed, which drifts on a
+shared host.  So every timed sample is preceded by one sample of the
+benchmark's host-speed reference loop (``reference_s`` in
+``perfbench/sample.py``), and each row also prints its times at reference
+speed: scaled by the nominal reference time over the reference sample, as
+the benchmark scales its metrics, median over the repeats.  The two scans
+run once each and are scaled by the median reference sample, which the
+first line prints.  Set OPENBLAS_NUM_THREADS=1 to match the
 benchmark's children.
 
 Usage: python scripts/bench_rhs.py [--repeats 15] [--calls 2000] [--t 30]
 """
 
 import argparse
+import importlib.util
 import statistics
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -37,36 +47,64 @@ from freejacobi.special_functions import s_trajectory, trace_system
 LAMBDAS = (0.4, 0.6, 0.8)
 STEPS = 2000
 TRACE_ORDER, TRACE_STEP = 12, 2e-4
+SAMPLE = Path(__file__).resolve().parents[1] / "perfbench" / "sample.py"
+REFERENCE_NOMINAL_S = 0.001  # the benchmark's: its metrics are seconds at this reference time
 
 
-def _median_us(run, repeats: int, per: int) -> float:
-    samples = []
-    for _ in range(repeats):
-        start = perf_counter()
-        run()
-        samples.append((perf_counter() - start) / per * 1e6)
-    return statistics.median(samples)
+def _seconds(run) -> float:
+    start = perf_counter()
+    run()
+    return perf_counter() - start
 
 
-def _call_us(rhs, repeats: int, calls: int) -> float:
-    def run():
-        for _ in range(calls):
-            rhs(0.0)
+class Timer:
+    """Median times of repeated runs, raw and at reference speed: each run
+    follows one sample of the benchmark's reference loop, and every sample
+    is kept in ``references``."""
 
-    return _median_us(run, repeats, calls)
+    def __init__(self, repeats: int):
+        spec = importlib.util.spec_from_file_location("perfbench_sample", SAMPLE)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        self.reference_s = module.reference_s
+        self.repeats = repeats
+        self.references: list[float] = []
+
+    def _timed(self, run) -> tuple[float, float]:
+        ref = self.reference_s()
+        self.references.append(ref)
+        elapsed = _seconds(run)
+        return elapsed, elapsed * REFERENCE_NOMINAL_S / ref
+
+    def median_us(self, run, per: int) -> tuple[float, float]:
+        """Median microseconds per ``per`` of ``run``: raw and at reference speed."""
+        samples = [self._timed(run) for _ in range(self.repeats)]
+        return tuple(statistics.median(sample[i] for sample in samples) / per * 1e6
+                     for i in (0, 1))
+
+    def call_us(self, rhs, calls: int) -> tuple[float, float]:
+        def run():
+            for _ in range(calls):
+                rhs(0.0)
+
+        return self.median_us(run, calls)
 
 
-def per_call_us(rows: int, order: int, repeats: int, calls: int) -> float:
+def per_call_us(timer: Timer, rows: int, order: int, calls: int) -> tuple[float, float]:
     m = np.random.default_rng(order).uniform(0, 1, (rows, order + 1))
-    return _call_us(hierarchy(LAMBDAS[:rows], (0.5,) * rows)(m, np.empty_like(m)),
-                    repeats, calls)
+    return timer.call_us(hierarchy(LAMBDAS[:rows], (0.5,) * rows)(m, np.empty_like(m)), calls)
 
 
-def per_step_us(rows: int, order: int, repeats: int) -> float:
+def per_step_us(timer: Timer, rows: int, order: int) -> tuple[float, float]:
     params = [ProcessParams(lam=lam, theta=0.5) for lam in LAMBDAS[:rows]]
     h = 1e-3
-    return _median_us(lambda: integrate_moments_batch(params, STEPS * h, order=order, h=h),
-                      repeats, STEPS)
+    return timer.median_us(lambda: integrate_moments_batch(params, STEPS * h, order=order, h=h),
+                           STEPS)
+
+
+def _row(label: str, call: tuple[float, float], step: tuple[float, float]) -> str:
+    return (f"{label}  bound call {call[0]:6.2f} us  rk4 step {step[0]:6.2f} us  "
+            f"at reference speed: {call[1]:6.2f} us  {step[1]:6.2f} us")
 
 
 def main():
@@ -75,30 +113,35 @@ def main():
     parser.add_argument("--calls", type=int, default=2000)
     parser.add_argument("--t", type=float, default=30.0, help="end time of the scan")
     args = parser.parse_args()
+    timer = Timer(args.repeats)
 
+    rows = []
     for order in (8, 32):
-        for rows in (1, 3):
-            call = per_call_us(rows, order, args.repeats, args.calls)
-            step = per_step_us(rows, order, args.repeats)
-            print(f"B={rows}  order={order:2d}  bound call {call:6.2f} us  "
-                  f"rk4 step {step:6.2f} us")
+        for b in (1, 3):
+            call = per_call_us(timer, b, order, args.calls)
+            step = per_step_us(timer, b, order)
+            rows.append(_row(f"B={b}  order={order:2d}", call, step))
 
     s = np.random.default_rng(TRACE_ORDER).uniform(0, 1, TRACE_ORDER)
-    call = _call_us(trace_system(0.5, TRACE_ORDER)(s, np.empty_like(s)), args.repeats, args.calls)
-    step = _median_us(lambda: s_trajectory(0.5, STEPS * TRACE_STEP, TRACE_ORDER, h=TRACE_STEP),
-                      args.repeats, STEPS)
-    print(f"trace  order={TRACE_ORDER}  bound call {call:6.2f} us  rk4 step {step:6.2f} us")
+    call = timer.call_us(trace_system(0.5, TRACE_ORDER)(s, np.empty_like(s)), args.calls)
+    step = timer.median_us(
+        lambda: s_trajectory(0.5, STEPS * TRACE_STEP, TRACE_ORDER, h=TRACE_STEP), STEPS)
+    rows.append(_row(f"trace  order={TRACE_ORDER}", call, step))
 
     params = [ProcessParams(lam=lam, theta=0.5) for lam in LAMBDAS]
-    start = perf_counter()
-    integrate_moments_batch(params, args.t, order=8)
-    batched = perf_counter() - start
-    start = perf_counter()
-    for p in params:
-        integrate_moments(p, args.t, order=8)
-    serial = perf_counter() - start
-    print(f"three-lambda scan to t={args.t:g}: batched {batched:.2f} s, "
-          f"serial {serial:.2f} s ({serial / batched:.2f}x)")
+    batched = _seconds(lambda: integrate_moments_batch(params, args.t, order=8))
+    serial = _seconds(lambda: [integrate_moments(p, args.t, order=8) for p in params])
+    # one sample of about 1 ms says little about a run of seconds: the
+    # scans are scaled by the median of every reference sample
+    reference = statistics.median(timer.references)
+    scale = REFERENCE_NOMINAL_S / reference
+    rows.append(f"three-lambda scan to t={args.t:g}: batched {batched:.2f} s, "
+                f"serial {serial:.2f} s ({serial / batched:.2f}x); "
+                f"at reference speed {batched * scale:.2f} s and {serial * scale:.2f} s")
+
+    print(f"reference loop {reference * 1e3:.3f} ms (median of {len(timer.references)} samples;"
+          f" nominal {REFERENCE_NOMINAL_S * 1e3:g} ms)")
+    print("\n".join(rows))
 
 
 if __name__ == "__main__":

@@ -2,10 +2,8 @@
 """Print every check of the named verify suites as sorted JSON.
 
 Each record carries the suite, the check name, pass/fail, ``float.hex`` of
-the value and of the tolerance (null when absent), the detail and the
-check's table as [header, rows] (null when absent; the general-theta
-suite's is ``general_theta_report.csv``), so two checkouts compare bit for
-bit with one diff:
+the value and of the tolerance (null when absent) and the detail, so two
+checkouts compare bit for bit with one diff:
 
     PYTHONPATH=src python scripts/check_values.py routes density > new.json
 
@@ -27,8 +25,7 @@ def main(suites):
         raise SystemExit(__doc__)
     records = [
         {"suite": r.suite, "name": r.name, "passed": bool(r.passed),
-         "value": _hex(r.value), "tolerance": _hex(r.tolerance), "detail": r.detail,
-         "table": r.table}
+         "value": _hex(r.value), "tolerance": _hex(r.tolerance), "detail": r.detail}
         for suite in suites
         for r in run_suite(suite)
     ]

@@ -13,10 +13,9 @@ run the checks of ``verification`` under the names and tolerances
 ``verify`` reports them with, and all three report through
 ``_report_checks``: each check's line, ``<command>_failures.csv`` when one
 failed, then the run.  ``verify`` runs each suite at its stated
-configuration (other oracle sizes run through ``oracle``) and writes each
-check's table as ``<suite>_report.csv`` (``-`` in the suite name becomes
-``_``).  ``--step`` (the RK4 step of ``moments`` and ``s-system``) must be
-positive.
+configuration (other oracle sizes run through ``oracle``) and writes one
+row per check to ``verify_report.csv``.  ``--step`` (the RK4 step of
+``moments`` and ``s-system``) must be positive.
 
 Exit codes: 0 all checks pass / command succeeded, 1 check failure,
 2 usage error, including inputs outside a route's validity range.
@@ -273,11 +272,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = ver.run_suite(args.suite)
-    outputs = {args.outdir / "verify_report.csv": _check_report(results)}
-    for result in results:
-        if result.table is not None:
-            outputs[args.outdir / f"{result.suite.replace('-', '_')}_report.csv"] = result.table
-    return _report_checks(args, "verify", results, outputs, tally=True)
+    return _report_checks(args, "verify", results,
+                          {args.outdir / "verify_report.csv": _check_report(results)}, tally=True)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=32)
     p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser(
-        "s-system", help="trace-system trajectory table (experimental away "
-        "from theta = 1/2)",
-    )
+    p = sub.add_parser("s-system", help="trace-system trajectory table")
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--order", type=int, default=8)

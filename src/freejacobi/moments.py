@@ -299,8 +299,11 @@ def expansion_moments(theta: float, damped: np.ndarray) -> np.ndarray:
     with W = ``symmetric_weights(order)``.  The odd-word correction
     2 theta - 1 enters only away from theta = 1/2.  At theta = 1/2 the
     damped traces are h_k(2t) (``ubm_moment_vector(2t, order)``); elsewhere
-    they come from the stated trace system (``damped_traces``), whose
-    consistency is an open question; treat results as experimental.
+    they are tau(Z_t^k), Z_t = a Y_t a Y_t^* with a = 2Q - 1, from one
+    trace-system run (``damped_traces``).  That system's source
+    n^2 c^2 e^{nt} comes from free Ito calculus through tau(a Z^k) = c =
+    2 theta - 1, since a and Y a Y^* square to 1 (see the module notes in
+    ``special_functions``).
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")

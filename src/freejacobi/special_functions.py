@@ -8,13 +8,18 @@ h_k(2t) behind the closed-form moments, the generating function and the
 time-t density.  ``damped_traces`` turns a trace-system state into the
 damped traces e^{-kt} s_k(t) that the expansion route reads.
 
-The general-weight trace system (``theta != 1/2``) is integrated exactly as
-its source states it, but its consistency is an open question: the
-degenerate limit theta -> 1 of the stated inhomogeneous term is
-inconsistent with the trivial solution it should produce.  Callers are
-expected to treat those outputs as experimental and compare them against
-the matrix Monte Carlo oracle; see ``oracle`` and the general-theta verify
-suite.
+The trace system (``trace_system``) holds s_n(t) = e^{nt} tau(Z_t^n) for
+Z_t = a Y_t a Y_t^*, with Y_t the free unitary Brownian motion and a = 2Q - 1
+a symmetry of trace c = 2 theta - 1.  Write W = Y a Y^*, so Z = aW with
+a^2 = W^2 = 1.  Then a Z^k = W (aW)^{k-1} is a palindromic word u x u^* in
+the two self-adjoint unitaries, with x in {a, W}, so tau(a Z^k) = tau(x) = c
+for every k >= 0.  Free Ito calculus (Biane and Speicher 1998) on
+dY = i dX Y - Y dt / 2, where dX A dX = tau(A) dt, splits d tau(Z^n) into
+the drift n (c^2 - tau(Z^n)) and Ito pairings whose traces factor into
+tau(Z^p) tau(Z^{n-p}) and, through tau(a Z^k) = c, into c^2; collecting
+them gives the source n^2 c^2 e^{nt} for every n >= 1.  At c = 0 the
+system is Biane's, with s_n(t) = e^{nt} h_n(2t); at c = 1 (theta -> 1,
+a -> 1) it keeps the trivial solution s_n = e^{nt}.
 """
 
 from __future__ import annotations
@@ -234,18 +239,17 @@ def trace_system(theta: float, order: int):
     ``bind(s, out)`` returns ``rhs(t)``, which writes d/dt (s_1, ..., s_order)
     at the current contents of ``s`` into ``out``.
 
-    With c = 2 theta - 1,
-    d/dt s_1 = c^2 e^t  (the stated closed form for s_1), and for n >= 2
-    d/dt s_n = -n sum_{k=1}^{n-1} s_{n-k} s_k + e^{nt} [2n c + (n-1)(n-2) c^2].
-    ``bind`` prepares, for its own state and output buffers, the
-    t-independent factors -n, n and 2n c + (n-1)(n-2) c^2, a reversed view
-    of the state and a scratch buffer for e^{nt} [...].  At c = 0 (theta =
-    1/2) it writes d/dt s_1 = 0 once, as the hierarchy's ``bind`` writes
-    its column 0, and the source term is skipped.  The self-convolution is
-    ``np.correlate`` of the state with its reversed view, the very call
-    ``np.convolve(s, s)`` makes, so every bit is the allocating form's.
-    Every right-hand side of one ``bind`` stores the time of its latest
-    call in ``bind.t``.
+    With c = 2 theta - 1 (see the module notes for the derivation),
+    d/dt s_n = -n sum_{k=1}^{n-1} s_{n-k} s_k + n^2 c^2 e^{nt},  n >= 1,
+    so d/dt s_1 = c^2 e^t.  ``bind`` prepares, for its own state and output
+    buffers, the t-independent factors -n, n and n^2 c^2, a reversed view
+    of the state and a scratch buffer for e^{nt} n^2 c^2, whose first entry
+    is d/dt s_1.  At c = 0 (theta = 1/2) the source term is skipped and
+    ``bind`` writes d/dt s_1 = 0 once, as the hierarchy's ``bind`` writes
+    its column 0.  The self-convolution is ``np.correlate`` of the state
+    with its reversed view, the very call ``np.convolve(s, s)`` makes, so
+    every bit is the allocating form's.  Every right-hand side of one
+    ``bind`` stores the time of its latest call in ``bind.t``.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -254,29 +258,28 @@ def trace_system(theta: float, order: int):
     c = 2.0 * theta - 1.0
 
     def bind(s, out):
-        n = np.arange(2, order + 1)
+        n = np.arange(1, order + 1)
         # -n as floats: each int converts exactly, as it did inside the
         # allocating product
-        neg_n, n_float = -n.astype(float), n.astype(float)
-        source = 2 * n * c + (n - 1) * (n - 2) * c * c
+        neg_n, n_float = -n[1:].astype(float), n.astype(float)
+        source = n * n * (c * c)
         tail, mirror, cut = out[1:], s[::-1], order - 1
-        forcing, c2 = c != 0.0, c * c
-        scratch = np.empty(cut)
-        if not forcing:
-            out[0] = 0.0
+        forcing = c != 0.0
+        scratch = np.empty(order)
+        scratch_tail = scratch[1:]
+        out[0] = 0.0
         multiply, add, exp, correlate = np.multiply, np.add, np.exp, np.correlate
 
         def rhs(t):
             bind.t = t
-            if forcing:
-                out[0] = c2 * math.exp(t)
             if cut:
                 multiply(neg_n, correlate(s, mirror, "full")[:cut], tail)
-                if forcing:
-                    multiply(n_float, t, scratch)
-                    exp(scratch, scratch)
-                    multiply(scratch, source, scratch)
-                    add(tail, scratch, tail)
+            if forcing:
+                multiply(n_float, t, scratch)
+                exp(scratch, scratch)
+                multiply(scratch, source, scratch)
+                out[0] = scratch[0]
+                add(tail, scratch_tail, tail)
         return rhs
 
     bind.t = 0.0
@@ -294,13 +297,12 @@ def s_trajectory(
     ValueError names the time the state leaves float64 (theta != 1/2).
     """
     bind = trace_system(theta, order)
-    # every overflow raises, so the state never holds inf or NaN: numpy's
-    # as FloatingPointError, math.exp(t) of the s_1 source (past t = 709.78)
-    # as OverflowError
+    # every overflow raises as numpy's FloatingPointError, so the state
+    # never holds inf or NaN
     try:
         with np.errstate(over="raise"):
             return rk4(bind, np.ones(order), t_end, h)
-    except (OverflowError, FloatingPointError):
+    except FloatingPointError:
         raise ValueError(
             f"trace system state leaves the float64 range by t={bind.t:g}"
         ) from None

@@ -180,6 +180,39 @@ def test_s_system_general_theta_has_no_closed_column(tmp_path):
     assert lines[1].endswith(",")  # closed_form_if_any empty away from 1/2
 
 
+def test_s_system_off_half_keeps_the_scaled_traces_in_the_unit_disc(tmp_path):
+    # e^{-nt} s_n = tau(Z^n) of a unitary Z; the stated source term wrote
+    # s_4 = -59.78 here, tau(Z^4) = -1.09
+    assert run_cli(tmp_path, "s-system", "--theta", "0.3", "--t", "1", "--order", "4") == 0
+    with open(tmp_path / "s_system.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    scaled = [math.exp(-int(r["n"]) * float(r["t"])) * float(r["s_n"]) for r in rows]
+    assert len(scaled) == 21 * 4
+    assert all(-1.0 <= x <= 1.0 for x in scaled)
+
+
+def test_moments_expansion_off_half_matches_the_recurrence(tmp_path, monkeypatch):
+    # the stated source term wrote m_3 = -0.055 and m_4 = -0.20 here, negative
+    # moments of a positive operator, where the hierarchy gives 0.2606 and 0.1964
+    computed = {}
+    for name in ("expansion_moments", "integrate_moments"):
+        def recorded(*args, _original=getattr(cli, name), _name=name, **kwargs):
+            computed[_name] = _original(*args, **kwargs)
+            return computed[_name]
+
+        monkeypatch.setattr(cli, name, recorded)
+    written = {}
+    for method in ("expansion", "recurrence"):
+        assert run_cli(tmp_path, "moments", "--method", method, "--theta", "0.3", "--t", "1",
+                       "--order", "4") == 0
+        with open(tmp_path / "moments.csv") as fh:
+            written[method] = [row["m_n"] for row in csv.DictReader(fh)]
+    expansion = computed["expansion_moments"]
+    recurrence = computed["integrate_moments"].at(1.0)
+    assert max(abs(a - b) for a, b in zip(expansion, recurrence)) < 1e-10
+    assert written["expansion"] == written["recurrence"]
+
+
 def test_series_decomposition_writes_json(tmp_path):
     run_cli(tmp_path, "series", "--check", "decomposition",
             "--lambda", "0.6", "--t", "1", "--order", "8")
@@ -351,17 +384,16 @@ def test_verify_catalan(tmp_path, capsys):
     assert [out["path"] for out in manifest["outputs"]] == ["verify_report.csv"]
 
 
-def test_verify_general_theta_writes_its_report(tmp_path):
-    with redirect_stdout(io.StringIO()):
-        assert run_cli(tmp_path, "verify", "--suite", "general-theta") == 0
-    report = tmp_path / "general_theta_report.csv"
-    lines = report.read_text().splitlines()
-    assert len(lines) == 59
-    assert lines[0] == ",".join(verification.GENERAL_THETA_COLUMNS)
+def test_verify_general_theta_writes_its_report(tmp_path, capsys):
+    assert run_cli(tmp_path, "verify", "--suite", "general-theta") == 0
+    statuses = [line.split("  ")[:2] for line in capsys.readouterr().out.splitlines()[:3]]
+    assert statuses == [["PASS", "general-theta/theta-half-sanity"],
+                        ["PASS", "general-theta/expansion-vs-ode"],
+                        ["PASS", "general-theta/bernoulli-oracle-within-budget"]]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["verify_manifest.json",
+                                                          "verify_report.csv"]
     manifest = json.loads((tmp_path / "verify_manifest.json").read_text())
-    digests = {out["path"]: out["sha256"] for out in manifest["outputs"]}
-    assert list(digests) == ["verify_report.csv", "general_theta_report.csv"]
-    assert digests[report.name] == hashlib.sha256(report.read_bytes()).hexdigest()
+    assert [out["path"] for out in manifest["outputs"]] == ["verify_report.csv"]
 
 
 def test_verify_unknown_suite(tmp_path):
@@ -718,15 +750,15 @@ def test_check_values_script_prints_every_check_bit_for_bit(capsys, monkeypatch)
     assert [(r["suite"], r["name"], r["passed"]) for r in records] == [
         ("catalan", "stationary-recurrence-n<=30", True),
         ("general-theta", "theta-half-sanity", True),
-        ("general-theta", "report-produced", True)]
-    for record in records:
+        ("general-theta", "expansion-vs-ode", True),
+        ("general-theta", "bernoulli-oracle-within-budget", True)]
+    expected = [None] + verification.run_suite("general-theta", dim=8, steps=2, trials=2)
+    for record, result in zip(records, expected):
+        assert set(record) == {"suite", "name", "passed", "value", "tolerance", "detail"}
         for key in ("value", "tolerance"):
             assert record[key] is None or float.fromhex(record[key]).hex() == record[key]
-    assert [r["table"] is None for r in records] == [True, True, False]
-    header, rows = records[-1]["table"]
-    expected = verification.run_suite("general-theta", dim=8, steps=2, trials=2)[-1].table
-    assert header == verification.GENERAL_THETA_COLUMNS
-    assert rows == [list(row) for row in expected[1]] and len(rows) == 58
+            if result is not None:
+                assert record[key] == getattr(result, key).hex()
 
 
 @pytest.mark.parametrize("command", [

@@ -357,7 +357,11 @@ def test_bench_rhs_script_prints_five_rows_and_the_scan(monkeypatch, capsys):
                                       "--t", "0.01"])
     runpy.run_path(str(script), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split("  bound")[0] for line in lines[:5]] == [
+    # one reference sample before each of the 2 x 5 x 1 timed repeats
+    assert lines[0].startswith("reference loop ") and "(median of 10 samples;" in lines[0]
+    assert [line.split("  bound")[0] for line in lines[1:6]] == [
         "B=1  order= 8", "B=3  order= 8", "B=1  order=32", "B=3  order=32",
         "trace  order=12"]
-    assert len(lines) == 6 and lines[5].startswith("three-lambda scan to t=0.01: batched ")
+    assert all(line.count(" us") == 4 and "at reference speed:" in line for line in lines[1:6])
+    assert len(lines) == 7 and lines[6].startswith("three-lambda scan to t=0.01: batched ")
+    assert "at reference speed" in lines[6]

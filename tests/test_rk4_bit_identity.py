@@ -6,7 +6,9 @@ allocating moment-hierarchy right-hand side, trace-system right-hand side
 and RK4 loop that the bound right-hand sides (``moments.hierarchy`` and the
 one in ``special_functions.s_trajectory``) and preallocated stage buffers
 replaced, kept verbatim as the bit-for-bit reference: every operation and
-its order are unchanged, so every integrated bit must be too.  A binding
+its order are unchanged, so every integrated bit must be too.  The
+trace-system reference's source term is the corrected n^2 c^2 e^{nt} in the
+same allocating form; at theta = 1/2 (c = 0) it is the replaced one.  A binding
 owns its coefficients and scratch, so integrations running in several
 threads at once must give the serial bits as well.
 """
@@ -27,7 +29,7 @@ from freejacobi.moments import (
     lambda_scaling_residual,
     recurrence_rhs,
 )
-from freejacobi.special_functions import DEFAULT_STEP, rk4, s_trajectory
+from freejacobi.special_functions import DEFAULT_STEP, rk4, s_trajectory, trace_system
 
 
 @lru_cache(maxsize=16)
@@ -64,14 +66,13 @@ def reference_rhs(m: np.ndarray, lam, theta) -> np.ndarray:
 def reference_s_system_rhs(t: float, s: np.ndarray, theta: float) -> np.ndarray:
     order = s.size
     c = 2.0 * theta - 1.0
-    out = np.empty(order)
-    out[0] = c * c * math.exp(t) if c != 0.0 else 0.0
+    out = np.zeros(order)
     if order >= 2:
         conv = np.convolve(s, s)
-        n = np.arange(2, order + 1)
-        out[1:] = -n * conv[: order - 1]
-        if c != 0.0:
-            out[1:] += np.exp(n * t) * (2 * n * c + (n - 1) * (n - 2) * c * c)
+        out[1:] = -np.arange(2, order + 1) * conv[: order - 1]
+    if c != 0.0:
+        n = np.arange(1, order + 1)
+        out += np.exp(n * t) * (n * n * (c * c))
     return out
 
 
@@ -222,6 +223,26 @@ def test_concurrent_integrations_give_the_serial_bits():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert [g == want for g in got] == [True] * len(got)
+
+
+def _closure_arrays(rhs):
+    cells = (cell.cell_contents for cell in rhs.__closure__)
+    return [value for value in cells if isinstance(value, np.ndarray)]
+
+
+@pytest.mark.parametrize("factory, shape", [
+    pytest.param(lambda: hierarchy((0.4, 0.6, 0.8), (0.5,) * 3), (3, 9), id="hierarchy-batch"),
+    pytest.param(lambda: hierarchy(0.6, 0.45), (17,), id="hierarchy-flat"),
+    pytest.param(lambda: trace_system(0.75, 12), (12,), id="trace-system"),
+])
+def test_two_bindings_never_share_a_buffer(factory, shape):
+    # what the concurrent test cannot see: scratch shared between bindings
+    # gives the serial bits whenever the threads happen not to interleave
+    bind = factory()
+    first, second = (bind(np.ones(shape), np.empty(shape)) for _ in range(2))
+    arrays = _closure_arrays(first), _closure_arrays(second)
+    assert all(len(a) >= 5 for a in arrays)
+    assert not any(np.shares_memory(a, b) for a in arrays[0] for b in arrays[1])
 
 
 def test_float_tuple_and_column_parameters_agree():

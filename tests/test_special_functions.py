@@ -92,7 +92,7 @@ def test_s_system_general_weight_initial_value():
 
 def test_one_trace_run_holds_each_shorter_run_bit_for_bit():
     # the general-theta suite reads one run to t = 2 at every grid time and
-    # at t = 1 for its order-4 Bernoulli rows
+    # at t = 1 for its order-4 Bernoulli gate
     times, states = sf.s_trajectory(0.75, 2.0, 6, h=2e-4)
     for t in (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0):
         shorter = sf.s_trajectory(0.75, t, 6, h=2e-4)[1][-1]
@@ -101,15 +101,16 @@ def test_one_trace_run_holds_each_shorter_run_bit_for_bit():
     assert np.array_equal(states[sf.stored_index(times, 1.0)][:4], order_4)
 
 
-def test_s_system_degenerate_weight_inconsistency():
-    """The stated inhomogeneous term is inconsistent as theta -> 1: it
-    forces d/dt s_n -> 2 e^{nt} where the degenerate solution e^{nt}
-    needs n e^{nt}.  Implemented as stated, so the deviation must show."""
-    theta = 0.999
+def test_s_system_degenerate_weight_limit():
+    """As theta -> 1 the weight a -> identity, Z_t -> 1 and s_n -> e^{nt}:
+    the source n^2 c^2 e^{nt} keeps that solution at c = 1, so the gap
+    falls with 1 - theta (0.0144 at 0.999, 0.0014 at 0.9999)."""
     t_end = 0.5
-    _, states = sf.s_trajectory(theta, t_end, 4, h=1e-3)
     degenerate = math.exp(3 * t_end)  # s_3 would be e^{3t} if a -> identity
-    assert abs(states[-1][2] - degenerate) > 0.1
+    gaps = [abs(sf.s_trajectory(theta, t_end, 4, h=1e-3)[1][-1][2] - degenerate)
+            for theta in (0.999, 0.9999)]
+    assert gaps[0] < 0.02
+    assert gaps[1] < gaps[0] / 9
 
 
 def test_invalid_parameters():

@@ -23,11 +23,10 @@ def test_check_passes_below_tolerance_and_stated_passed_wins():
     assert not _check("suite", "name", 0.0, 1e-8, passed=False).passed
 
 
-def test_check_without_tolerance_or_passed_is_a_labelled_diagnostic():
-    result = _check("suite", "name", 3, detail="measured only")
-    assert result.passed and result.diagnostic
-    assert result.value == 3.0 and result.tolerance is None
-    assert result.line() == "DIAG  suite/name  value=3  measured only"
+def test_check_without_tolerance_or_passed_is_rejected():
+    # a check that cannot fail is no check
+    with pytest.raises(ValueError, match="suite/name"):
+        _check("suite", "name", 3, detail="measured only")
 
 
 def _nan_m3_at_half(m, theta, damped):
@@ -95,7 +94,7 @@ def test_nan_drift_in_one_trial_fails_the_drift_gate(monkeypatch):
     assert np.isnan(drift.value)
 
 
-def test_nan_general_theta_row_is_flagged(monkeypatch):
+def test_nan_general_theta_trace_fails_both_gates(monkeypatch):
     original = verification.damped_traces
 
     def poisoned(s, t):
@@ -107,10 +106,10 @@ def test_nan_general_theta_row_is_flagged(monkeypatch):
     monkeypatch.setattr(verification, "damped_traces", poisoned)
     results = {r.name: r for r in verification.run_suite(
         "general-theta", dim=8, steps=2, trials=2)}
-    header, rows = results["report-produced"].table
-    row = dict(zip(header, next(r for r in rows if r[:4] == ("moments", 0.75, 1.0, 3))))
-    assert row["abs_diff"] == "nan"
-    assert row["flagged"] is True
+    for name in ("expansion-vs-ode", "bernoulli-oracle-within-budget"):
+        assert not results[name].passed, results[name].line()
+        assert np.isnan(results[name].value)
+    assert results["theta-half-sanity"].passed
 
 
 def test_general_theta_suite_integrates_the_trace_system_once(monkeypatch):
@@ -124,14 +123,19 @@ def test_general_theta_suite_integrates_the_trace_system_once(monkeypatch):
     monkeypatch.setattr(verification, "s_trajectory", counted)
     verification.run_suite("general-theta", dim=8, steps=2, trials=2)
     assert calls == [(0.75, 2.0, 6)]
+    # at the oracle's realised weight: 7.5 of 10 signs round to 8
+    results = verification.run_suite("general-theta", dim=10, steps=2, trials=2)
+    assert calls[1:] == [(0.8, 2.0, 6)]
+    assert "theta=0.8," in results[1].detail and "theta=0.8" in results[2].detail
 
 
 def test_general_theta_suite_writes_no_file(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     results = verification.run_suite("general-theta", dim=8, steps=2, trials=2)
     assert list(tmp_path.iterdir()) == []
-    header, rows = results[-1].table
-    assert header == verification.GENERAL_THETA_COLUMNS and len(rows) == 58
+    assert [(r.name, r.tolerance) for r in results] == [
+        ("theta-half-sanity", 1e-8), ("expansion-vs-ode", 1e-8),
+        ("bernoulli-oracle-within-budget", 1.0)]
 
 
 def test_unknown_suite_keyword_is_rejected():
