@@ -279,7 +279,7 @@ def empty_word_generating_check(order: int) -> bool:
     inv = inverse_sqrt_4z_coefficients(order)
     for n in range(1, order + 1):
         c_n0 = Fraction(word_counts_closed(n, 0)[0])
-        target = (inv[n] - (1 if n == 0 else 0)) / 2
+        target = inv[n] / 2
         if c_n0 != target:
             return False
     return True

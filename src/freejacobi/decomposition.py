@@ -9,10 +9,9 @@ With S_t = M_t - M_inf and the transport term
 
 the remainder u_t = S_t - v_t / sqrt(1 - z) has coefficients c_n(t) that
 vanish for n <= 2 and tend to zero as lambda -> 1.  The series assembled
-here were re-derived from the transport identities and validated against
-the explicit c_3 closed form; the evolution equation for c_n and the
-source term Z_t are implemented in the corrected form (see the module
-tests for the c_3 cross-check that pins the signs).  The radical
+here follow from the transport identities; the module tests check them
+against the explicit c_3 closed form, which pins the signs of the
+evolution equation for c_n and of the source term Z_t.  The radical
 sqrt(4 - 4z + (1 - lambda)^2 z^2) is ``transforms.radical_series``
 throughout.  The checks that read a "p-le-q" run take lambda from it.
 """
@@ -65,7 +64,7 @@ def psi_closed(lam: float, t: float, order: int) -> np.ndarray:
     the series extraction; the two must agree to rounding.
     """
     c = _transport_rho(lam, t, order).coeffs  # (2-lambda)^k L_{k-1}^1 e^{-kt} / k, c_0 = 0
-    return 2.0 * weighted_row_sums(c) / (2.0 - lam)
+    return 2.0 * weighted_row_sums(c[1:]) / (2.0 - lam)
 
 
 def source_series(lam: float, t: float, order: int) -> TruncatedSeries:

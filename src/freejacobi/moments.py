@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .combinatorics import binomial, symmetric_weights
-from .special_functions import DEFAULT_STEP, rho_coefficients, rk4, stored_index, ubm_moment
+from .special_functions import DEFAULT_STEP, rk4, stored_index, ubm_moment_vector
 
 DEFAULT_ORDER = 32
 
@@ -171,7 +171,7 @@ def recurrence_rhs(m: np.ndarray, lam, theta) -> np.ndarray:
     The quadratic sum is empty for n = 1.  Component 0 of ``m`` is read
     as-is rather than assumed to be 1: the rescaled system v_n = lam m_n has
     lambda replaced by 1 and v_0 = lam, and ``lambda_scaling_residual``
-    integrates it as row 1 of one ``hierarchy((lam, 1.0), theta)`` batch.
+    integrates it as a row of coupling 1.0 beside the m-rows of one batch.
     """
     m = np.ascontiguousarray(m, dtype=float)
     out = np.empty(m.shape)
@@ -251,42 +251,41 @@ def integrate_moments(
 def closed_form_moments(t: float, order: int) -> np.ndarray:
     """Vector (m_0, ..., m_order) of the closed-form route at time t:
     m_n = W[n, 0] + 2 sum_{k=1}^{n} W[n, k] h_k(2t) with the weights
-    W = ``symmetric_weights(order)`` and the damped Laguerre terms
-    h_k(2t) = L_{k-1}^1(2kt) e^{-kt} / k, finite for every t >= 0 and
-    every order (see ``rho_coefficients``).
+    W = ``symmetric_weights(order)`` and the free unitary Brownian motion
+    moments h_k(2t) = L_{k-1}^1(2kt) e^{-kt} / k, finite for every t >= 0
+    and every order (``ubm_moment_vector``).  The word-count sum of
+    ``expansion_moments`` at theta = 1/2, where it adds 0 and divides by 1.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if not 0 <= t < math.inf:
-        raise ValueError("time must be finite and nonnegative")
-    h = rho_coefficients(2.0 * t, t, order)  # h[0] = 0: the k = 0 term is W[n, 0]
-    return symmetric_weights(order)[:, 0] + 2.0 * weighted_row_sums(h)
+    return expansion_moments(0.5, ubm_moment_vector(2.0 * t, order))
 
 
 def weighted_row_sums(x: np.ndarray) -> np.ndarray:
-    """S_n = sum_{k=0}^{n} W[n, k] x_k for n = 0..order, W = ``symmetric_weights``,
-    added term by term in increasing k (numpy's pairwise sum would move last
-    bits); no x_k with k > n enters S_n.
+    """S_n = sum_{k=1}^{n} W[n, k] x_k for n = 0..order over
+    x = (x_1, ..., x_order), W = ``symmetric_weights``, added term by term
+    in increasing k (numpy's pairwise sum would move last bits); S_0 = 0
+    and no x_k with k > n enters S_n.
     """
-    w = symmetric_weights(x.size - 1)
-    acc = w[:, 0] * x[0]
-    for k in range(1, x.size):
-        acc[k:] += w[k:, k] * x[k]
+    order = x.size
+    w = symmetric_weights(order)
+    acc = np.zeros(order + 1)
+    for k in range(1, order + 1):
+        acc[k:] += w[k:, k] * x[k - 1]
     return acc
 
 
 def symmetric_binomial_moment(n: int, t: float) -> float:
     """Same moment written as the symmetric binomial average of the free
-    unitary Brownian motion moments: sum_{k=-n}^{n} 4^{-n} C(2n, n-k) h_{|k|}(2t).
-    Each weight is one correctly rounded int/int division, so no term
-    overflows at any n."""
+    unitary Brownian motion moments: sum_{k=-n}^{n} 4^{-n} C(2n, n-k) h_{|k|}(2t),
+    with h_0 = 1.  Each weight is one correctly rounded int/int division, so
+    no term overflows at any n."""
     if n == 0:
         return 1.0
+    h = np.concatenate(([1.0], ubm_moment_vector(2.0 * t, n)))
     acc = 0.0
     scale = 4**n
     for k in range(-n, n + 1):
-        acc += math.comb(2 * n, n - k) / scale * ubm_moment(abs(k), 2.0 * t)
-    return acc
+        acc += math.comb(2 * n, n - k) / scale * h[abs(k)]
+    return float(acc)
 
 
 def expansion_moments(theta: float, damped: np.ndarray) -> np.ndarray:
@@ -296,19 +295,20 @@ def expansion_moments(theta: float, damped: np.ndarray) -> np.ndarray:
     m_n = [ W[n, 0] + 2 sum_{k=1}^{n} W[n, k] e^{-kt} s_k(t)
             + 2 theta - 1 ] / (2 theta)
 
-    with W = ``symmetric_weights(order)``.  The odd-word correction
-    2 theta - 1 enters only away from theta = 1/2.  At theta = 1/2 the
-    damped traces are h_k(2t) (``ubm_moment_vector(2t, order)``); elsewhere
-    they are tau(Z_t^k), Z_t = a Y_t a Y_t^* with a = 2Q - 1, from one
-    trace-system run (``damped_traces``).  That system's source
+    with W = ``symmetric_weights(order)``, summed in that order.  The
+    odd-word correction 2 theta - 1 is 0 at theta = 1/2, where the last two
+    steps are exact.  The damped traces are tau(Z_t^k), Z_t = a Y_t a Y_t^*
+    with a = 2Q - 1, from one trace-system run (``damped_traces``); at
+    theta = 1/2 they equal h_k(2t) (``ubm_moment_vector(2t, order)``),
+    which ``closed_form_moments`` hands in.  The trace system's source
     n^2 c^2 e^{nt} comes from free Ito calculus through tau(a Z^k) = c =
     2 theta - 1, since a and Y a Y^* square to 1 (see the module notes in
     ``special_functions``).
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    scaled = np.concatenate(([0.5], damped))  # W[n, 0] enters the doubled row sum first, halved
-    out = (2.0 * weighted_row_sums(scaled) + (2.0 * theta - 1.0)) / (2.0 * theta)
+    w0 = symmetric_weights(damped.size)[:, 0]
+    out = (w0 + 2.0 * weighted_row_sums(damped) + (2.0 * theta - 1.0)) / (2.0 * theta)
     out[0] = 1.0
     return out
 
@@ -350,25 +350,24 @@ def complement_moments(source: MomentTrajectory) -> MomentTrajectory:
     return MomentTrajectory(params=params, times=source.times.copy(), values=out)
 
 
-def lambda_scaling_residual(
-    lam: float,
-    theta: float,
-    t_end: float,
-    order: int,
-) -> float:
-    """Max deviation between lam * m_n(t) and the rescaled system v_n(t).
+def lambda_scaling_residual(lams, theta: float, t_end: float, order: int) -> np.ndarray:
+    """Max deviation between lam * m_n(t) and the rescaled system v_n(t),
+    one per lambda in ``lams``.
 
     v_n = lam m_n satisfies the recurrence with the quadratic coupling
     constant set to theta alone (lambda = 1) and v_0 = lam; integrating
     both from the nested P <= Q start at the default step and comparing
-    validates the scaling reduction.
+    validates the scaling reduction.  Every lambda's m-row and v-row run
+    in one (2B, order+1) batch.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    params = ProcessParams(lam=lam, theta=theta)
-    m0 = params.initial_vector(order)
-    # row 0: m_n at (lam, theta); row 1: v_n from v_0 = lam, v_n(0) = lam m_n(0)
-    coupling = (lam, 1.0)
-    y0 = np.stack([m0, m0 * lam])
-    _, states = rk4(hierarchy(coupling, theta), y0, t_end, DEFAULT_STEP)
-    return float(np.max(np.abs(lam * states[:, 0] - states[:, 1])))
+    lams = tuple(lams)
+    m0 = np.stack([ProcessParams(lam=lam, theta=theta).initial_vector(order) for lam in lams])
+    scale = np.array(lams)[:, None]
+    # rows 0..B-1: m_n at (lam, theta); rows B..2B-1: v_n from v_0 = lam, v_n(0) = lam m_n(0)
+    coupling = lams + (1.0,) * len(lams)
+    _, states = rk4(hierarchy(coupling, theta), np.concatenate([m0, m0 * scale]), t_end,
+                    DEFAULT_STEP)
+    m, v = np.split(states, 2, axis=1)
+    return np.max(np.abs(scale * m - v), axis=(0, 2))

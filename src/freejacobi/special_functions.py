@@ -4,9 +4,10 @@ motion, and the coupled trace system for Bernoulli-weighted conjugations.
 Every Laguerre value of the package comes from ``damped_laguerre1``; the
 damped coefficients of rho_s(e^{-rate} z) built on it (``rho_coefficients``)
 are, at s = 2t and rate = t, the free unitary Brownian motion moments
-h_k(2t) behind the closed-form moments, the generating function and the
-time-t density.  ``damped_traces`` turns a trace-system state into the
-damped traces e^{-kt} s_k(t) that the expansion route reads.
+h_k(2t) (``ubm_moment_vector(2t, order)``) behind the closed-form moments,
+the generating function and the time-t density.  ``damped_traces`` turns a
+trace-system state into the damped traces e^{-kt} s_k(t) that the
+expansion route reads.
 
 The trace system (``trace_system``) holds s_n(t) = e^{nt} tau(Z_t^n) for
 Z_t = a Y_t a Y_t^*, with Y_t the free unitary Brownian motion and a = 2Q - 1
@@ -99,21 +100,11 @@ def rho_coefficients(s: float, rate: float, order: int) -> np.ndarray:
     return c
 
 
-def ubm_moment(n: int, t: float) -> float:
-    """n-th moment h_n(t) = e^{-nt/2} L_{n-1}^1(nt) / n of the free
-    unitary Brownian motion; h_0 = 1 and h_{-n} = h_n by unitarity.
-    Finite for every t >= 0.
-    """
-    if not 0 <= t < math.inf:
-        raise ValueError("time must be finite and nonnegative")
-    n = abs(n)
-    if n == 0:
-        return 1.0
-    return damped_laguerre1(n - 1, n * t, n * t / 2.0) / n
-
-
 def ubm_moment_vector(t: float, order: int) -> np.ndarray:
-    """(h_1(t), ..., h_order(t)); every entry lies in [-1, 1]."""
+    """(h_1(t), ..., h_order(t)), the moments h_n(t) = e^{-nt/2}
+    L_{n-1}^1(nt) / n of the free unitary Brownian motion (h_0 = 1 and
+    h_{-n} = h_n by unitarity); every entry lies in [-1, 1] and is finite
+    for every t >= 0."""
     if not 0 <= t < math.inf:
         raise ValueError("time must be finite and nonnegative")
     if order < 0:
@@ -146,11 +137,10 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.nd
 
     A step's multipliers dt/2, dt and dt/6 are held as 0-d float64 arrays,
     made once for the full steps and once for the partial one, so no
-    ufunc converts a Python scalar per call.  A Python float is already a
-    float64, so each array holds the very value the ufunc used to convert
-    and every product rounds as before.  2 k is formed as k + k: doubling
-    is exact in binary floating point, so both give the same bits, overflow
-    to inf, NaN and -0.0 included.  The stage times stay Python floats.
+    ufunc converts a Python scalar per call; each holds exactly the Python
+    float it is made from.  2 k is formed as k + k: doubling is exact in
+    binary floating point, so it equals 2 * k bit for bit, overflow to
+    inf, NaN and -0.0 included.  The stage times stay Python floats.
     Every step, the partial one included, runs the one step body.
 
     ``y0`` may have any shape; a (B, n) state advances B systems in one
@@ -247,8 +237,8 @@ def trace_system(theta: float, order: int):
     is d/dt s_1.  At c = 0 (theta = 1/2) the source term is skipped and
     ``bind`` writes d/dt s_1 = 0 once, as the hierarchy's ``bind`` writes
     its column 0.  The self-convolution is ``np.correlate`` of the state
-    with its reversed view, the very call ``np.convolve(s, s)`` makes, so
-    every bit is the allocating form's.  Every right-hand side of one
+    with its reversed view, the call ``np.convolve(s, s)`` makes, so it
+    has ``np.convolve``'s bits.  Every right-hand side of one
     ``bind`` stores the time of its latest call in ``bind.t``.
     """
     if not 0.0 < theta < 1.0:
@@ -259,8 +249,7 @@ def trace_system(theta: float, order: int):
 
     def bind(s, out):
         n = np.arange(1, order + 1)
-        # -n as floats: each int converts exactly, as it did inside the
-        # allocating product
+        # -n as floats: each int converts exactly
         neg_n, n_float = -n[1:].astype(float), n.astype(float)
         source = n * n * (c * c)
         tail, mirror, cut = out[1:], s[::-1], order - 1

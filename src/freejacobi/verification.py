@@ -33,7 +33,7 @@ from .moments import (
 )
 from .series import one_minus_z
 from .special_functions import (damped_traces, s_closed_theta_half, s_trajectory, stored_index,
-                                ubm_moment, ubm_moment_vector)
+                                ubm_moment_vector)
 
 
 @dataclass
@@ -111,7 +111,7 @@ def check_word_counts(n_max: int) -> Checked:
         mismatches += brute.odd_total() != 2 ** (2 * n - 1)
         for k in range(0, n + 1):
             closed = comb.word_counts_closed(n, k)
-            counts = (brute.c(k), brute.d(k), brute.e(k) if k >= 1 else brute.c(0))
+            counts = (brute.c(k), brute.d(k), brute.e(k))
             mismatches += sum(a != b for a, b in zip(counts, closed))
             rows.append((n, k, *closed, *counts))
     result = _check("combinatorics", f"bruteforce-vs-closed-n<={n_max}",
@@ -146,14 +146,15 @@ def suite_laguerre() -> list[CheckResult]:
     # step 2e-4 keeps the RK4 error well below the stated tolerances
     # (the default 1e-3 step sits right at the 1e-8 boundary at t = 4)
     times, states = s_trajectory(0.5, 4.0, 12, h=2e-4)
-    samples = [(n, times[j], states[j][n - 1])
-               for j in range(0, len(times), max(1, len(times) // 80)) for n in range(1, 13)]
+    sampled = range(0, len(times), max(1, len(times) // 80))
+    samples = [(n, times[j], states[j][n - 1]) for j in sampled for n in range(1, 13)]
     closed = [s_closed_theta_half(n, t) for n, t, _ in samples]
     # scaled comparison: the raw values reach 1e13 at n=12, t=4, where an
     # absolute 1e-8 would be below float64 resolution
     worst_closed = _worst((abs(s - c) / max(1.0, abs(c)), 0.0)
                           for (_, _, s), c in zip(samples, closed))
-    worst_h = _worst((math.exp(-n * t) * s, ubm_moment(n, 2.0 * t)) for n, t, s in samples)
+    worst_h = _worst((damped_traces(states[j], times[j]), ubm_moment_vector(2.0 * times[j], 12))
+                     for j in sampled)
     return [
         _check("laguerre", "integrated-vs-closed-form", worst_closed, 1e-8,
                "n<=12, t<=4, scaled by max(1, |closed|)"),
@@ -167,17 +168,23 @@ def suite_laguerre() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def suite_routes() -> list[CheckResult]:
+    """Moments at lambda = 1, theta = 1/2 by three routes that share no
+    step: the hierarchy ODE, the Laguerre closed form over h_k(2t), and the
+    word-count expansion over the damped traces of one integrated trace
+    system.  Both integrations run at the default step, h = 1e-3."""
     order = 16
     params = ProcessParams(lam=1.0, theta=0.5)
-    traj = integrate_moments(params, 4.0, order=order, h=1e-3)
+    traj = integrate_moments(params, 4.0, order=order)
+    s_times, s_states = s_trajectory(0.5, 4.0, order)
     times = (0.25, 0.5, 1.0, 2.0, 4.0)
     ode = [traj.at(t) for t in times]
     closed = [closed_form_moments(t, order) for t in times]
-    expansion = [expansion_moments(0.5, ubm_moment_vector(2.0 * t, order)) for t in times]
+    expansion = [expansion_moments(0.5, damped_traces(s_states[stored_index(s_times, t)], t))
+                 for t in times]
     mgf = [transforms.mgf_closed_lambda1(t, order).coeffs for t in times]
     sym = _worst((m, [symmetric_binomial_moment(n, t) for n in range(order + 1)])
                  for t, m in zip(times, closed) if t in (0.5, 1.0, 2.0))
-    scaling = [lambda_scaling_residual(lam, 0.5, 2.0, order=12) for lam in (0.5, 0.8)]
+    scaling = lambda_scaling_residual((0.5, 0.8), 0.5, 2.0, order=12)
     return [
         _check("routes", "ode-vs-closed-form", _worst(zip(ode, closed)), 1e-8,
                "n<=16, t in {0.25,...,4}"),
@@ -410,11 +417,11 @@ def suite_oracle(dim: int = orc.OracleConfig.dim, steps: int = orc.OracleConfig.
     out.append(_check("oracle", "unitarity-drift", nested.unitarity_drift, 1e-10))
 
     unitary = orc.empirical_jacobi_moments(replace(config, seed=seed + 1, mode="unitary"))
-    for n in (1, 2):
-        err = abs(unitary.estimates[n] - ubm_moment(n, 1.0))
+    for n, h_ref in zip((1, 2), ubm_moment_vector(1.0, 2)):
+        err = abs(unitary.estimates[n] - h_ref)
         out.append(_check("oracle", f"unitary-trace-h{n}-within-3-sigma", err,
                           3.0 * unitary.stderrs[n],
-                          f"estimate {unitary.estimates[n]:.5f} vs {ubm_moment(n, 1.0):.5f}"))
+                          f"estimate {unitary.estimates[n]:.5f} vs {h_ref:.5f}"))
     return out
 
 

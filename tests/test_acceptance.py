@@ -28,7 +28,8 @@ def _run(name, **kwargs):
 
 def test_criterion_1_three_route_moment_agreement():
     # integrate (RK4 h=1e-3), Laguerre closed form, and word-count
-    # expansion agree pairwise to 1e-8 for n <= 16, t in {0.25,...,4}
+    # expansion over the integrated trace system (RK4 h=1e-3) agree
+    # pairwise to 1e-8 for n <= 16, t in {0.25,...,4}
     _run("routes")
 
 

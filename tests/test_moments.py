@@ -207,8 +207,8 @@ class TestComplement:
 
 
 def test_lambda_scaling():
-    assert lambda_scaling_residual(0.5, 0.5, 2.0, order=12) < 1e-10
-    assert lambda_scaling_residual(0.8, 0.4, 2.0, order=12) < 1e-10
+    assert lambda_scaling_residual([0.5], 0.5, 2.0, order=12)[0] < 1e-10
+    assert lambda_scaling_residual([0.8], 0.4, 2.0, order=12)[0] < 1e-10
 
 
 @given(st.floats(0.1, 0.9), st.floats(0.1, 0.9))
@@ -242,7 +242,9 @@ def closed_form_reference(t, order):
 
 
 def expansion_reference(theta, t, order, h=1e-3):
-    """The word-count expansion as a scalar loop over exact binomials."""
+    """The word-count expansion as a scalar loop over exact binomials, in
+    the closed form's order: C(2n, n), then 2 sum_k C(2n, n-k) x_k, then
+    (2 theta - 1) 4^n, over 4^n 2 theta."""
     if theta == 0.5:
         scaled = rho_coefficients(2.0 * t, t, order)[1:]
     else:
@@ -251,11 +253,11 @@ def expansion_reference(theta, t, order, h=1e-3):
     out = np.empty(order + 1)
     out[0] = 1.0
     for n in range(1, order + 1):
-        acc = 0.5 * binomial(2 * n, n)
+        acc = 0.0
         for k in range(1, n + 1):
             acc += binomial(2 * n, n - k) * scaled[k - 1]
-        acc += (2.0 * theta - 1.0) * 2.0 ** (2 * n - 1)
-        out[n] = acc / (4.0**n * theta)
+        total = binomial(2 * n, n) + 2.0 * acc + (2.0 * theta - 1.0) * 4.0**n
+        out[n] = total / (4.0**n * (2.0 * theta))
     return out
 
 

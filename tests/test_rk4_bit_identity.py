@@ -157,7 +157,16 @@ def test_lambda_scaling_residual_is_bit_identical(lam, theta):
     rhs = lambda t, y: reference_rhs(y, coupling, theta)
     _, states = reference_rk4(rhs, np.stack([m0, m0 * lam]), 2.0, DEFAULT_STEP)
     want = float(np.max(np.abs(lam * states[:, 0] - states[:, 1])))
-    assert lambda_scaling_residual(lam, theta, 2.0, order=12).hex() == want.hex()
+    assert lambda_scaling_residual([lam], theta, 2.0, order=12)[0].hex() == want.hex()
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.4])
+def test_lambda_scaling_residual_batch_is_each_lambda_alone(theta):
+    # each row of a two-lambda batch has the bits of its one-lambda batch,
+    # which the test above pins to the reference at (0.5, 0.5) and (0.8, 0.4)
+    got = lambda_scaling_residual((0.5, 0.8), theta, 2.0, order=12)
+    want = [lambda_scaling_residual([lam], theta, 2.0, order=12)[0] for lam in (0.5, 0.8)]
+    assert [r.hex() for r in got] == [w.hex() for w in want]
 
 
 # theta = 1/2 writes d/dt s_1 once and skips the source; 0.75 runs the

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from freejacobi import combinatorics, decomposition, oracle, spectral, verification
-from freejacobi.special_functions import ubm_moment_vector
+from freejacobi import (combinatorics, decomposition, oracle, special_functions, spectral,
+                        verification)
+from freejacobi.special_functions import damped_traces, s_trajectory
 from freejacobi.verification import _check
 
 
@@ -29,8 +30,14 @@ def test_check_without_tolerance_or_passed_is_rejected():
         _check("suite", "name", 3, detail="measured only")
 
 
+def _integrated_traces_at_half(order):
+    """The routes suite's damped traces at t = 0.5: 500 steps of one
+    default-step run to 0.5 give the bits of the longer run's stored state."""
+    return damped_traces(s_trajectory(0.5, 0.5, order)[1][-1], 0.5)
+
+
 def _nan_m3_at_half(m, theta, damped):
-    if np.array_equal(damped, ubm_moment_vector(1.0, damped.size)):  # h_k(2t) at t = 0.5
+    if np.array_equal(damped, _integrated_traces_at_half(damped.size)):
         m[3] = np.nan
 
 
@@ -71,6 +78,18 @@ def test_nan_in_one_input_fails_the_checks_it_reaches(monkeypatch, suite, module
         assert not results[check].passed, results[check].line()
         assert np.isnan(results[check].value)
     assert all(r.passed for n, r in results.items() if n not in affected)
+
+
+def test_ubm_moment_error_fails_the_routes_that_read_it(monkeypatch):
+    # the expansion route reads the integrated trace system, not h_k(2t):
+    # a relative 1e-6 error in every Laguerre value shows between it and
+    # the closed form, and not between it and the ODE
+    original = special_functions.damped_laguerre1
+    monkeypatch.setattr(special_functions, "damped_laguerre1",
+                        lambda n, x, decay: original(n, x, decay) * (1 + 1e-6))
+    results = {r.name: r for r in verification.run_suite("routes")}
+    assert not results["expansion-vs-closed-form"].passed, results["expansion-vs-closed-form"].line()
+    assert results["ode-vs-expansion"].passed, results["ode-vs-expansion"].line()
 
 
 def test_closed_count_error_fails_the_combinatorics_suite(monkeypatch):
