@@ -1,12 +1,17 @@
 """Laguerre polynomials of index 1, moments of the free unitary Brownian
 motion, and the coupled trace system for Bernoulli-weighted conjugations.
 
-Every Laguerre value of the package comes from ``damped_laguerre1``; the
-damped coefficients of rho_s(e^{-rate} z) built on it (``rho_coefficients``)
-are, at s = 2t and rate = t, the free unitary Brownian motion moments
+Every Laguerre value of the package comes from one power-of-two scaled
+recurrence in two forms, bit-identical entry by entry.  The scalar form
+(``laguerre1_scaled``, damped by ``damped_laguerre1``) gives ``laguerre1``
+and is the tests' reference.  The vector form (``laguerre1_scaled_vector``)
+runs one array pass per degree over every argument still advancing, and
+gives the damped coefficients of rho_s(e^{-rate} z) (``rho_coefficients``):
+at s = 2t and rate = t these are the free unitary Brownian motion moments
 h_k(2t) (``ubm_moment_vector(2t, order)``) behind the closed-form moments,
-the generating function and the time-t density.  ``damped_traces`` turns a
-trace-system state into the damped traces e^{-kt} s_k(t) that the
+the generating function and the time-t density, finite wherever every
+k s is.  Both forms finish through ``damp_scaled``.  ``damped_traces``
+turns a trace-system state into the damped traces e^{-kt} s_k(t) that the
 expansion route reads.
 
 The trace system (``trace_system``) holds s_n(t) = e^{nt} tau(Z_t^n) for
@@ -39,19 +44,19 @@ def laguerre1_scaled(n: int, x: float) -> tuple[float, int]:
     """L_n^1(x) as (mantissa, exponent), L_n^1(x) = mantissa * 2**exponent.
 
     Forward recurrence (k+1) L_{k+1}^1 = (2k + 2 - x) L_k^1 - (k+1) L_{k-1}^1
-    from L_0^1 = 1, L_1^1 = 2 - x.  Once a value passes 2**500 both carried
+    from L_{-1}^1 = 0 and L_0^1 = 1, whose first step gives L_1^1 = 2 - x
+    exactly.  Once a value, L_1^1 included, passes 2**500 both carried
     values are divided by the same power of two, which is exact: wherever
     the unscaled recurrence stays finite, mantissa * 2**exponent is its
-    value bit for bit, and no intermediate overflows at any degree.
+    value bit for bit, and for finite x no intermediate overflows at any
+    degree.  The scalar form of the recurrence, which
+    ``laguerre1_scaled_vector`` runs for many degrees at once.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if n == 0:
-        return 1.0, 0
     exponent = 0
-    prev = 1.0
-    cur = 2.0 - x
-    for k in range(1, n):
+    prev, cur = 0.0, 1.0
+    for k in range(n):
         prev, cur = cur, ((2 * k + 2 - x) * cur - (k + 1) * prev) / (k + 1)
         if abs(cur) > _RESCALE_ABOVE:
             shift = math.frexp(cur)[1]
@@ -60,15 +65,59 @@ def laguerre1_scaled(n: int, x: float) -> tuple[float, int]:
     return cur, exponent
 
 
-def damped_laguerre1(n: int, x: float, decay: float) -> float:
-    """L_n^1(x) e^{-decay}; +-inf only where that value is past float64.
+def laguerre1_scaled_vector(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mantissa, exponent) arrays whose entry n is ``laguerre1_scaled(n,
+    x[n])`` bit for bit, for a 1-D array x.
 
-    The plain product wherever it is a normal float.  Where the Laguerre
-    value overflows, or the exponential underflows against it, the
-    power-of-two exponent ``laguerre1_scaled`` carries is applied together
-    with the exponential instead; no other code handles that exponent.
+    The vector form of the recurrence: pass k advances every entry of
+    degree k or above, the suffix x[k:], by the scalar form's step to
+    degree k, in its operations and order ((2k - x) cur, k prev,
+    subtract, divide by k), each correctly rounded alike.  The rescale
+    applies to exactly the entries whose new value passed 2**500, so each
+    entry's (mantissa, exponent) split is the scalar one.
     """
-    mantissa, exponent = laguerre1_scaled(n, x)
+    x = np.asarray(x, dtype=float)
+    size = x.size
+    mantissa = np.ones(size)
+    exponent = np.zeros(size, dtype=np.int64)
+    prev, cur, new, mag = np.zeros(size), np.ones(size), np.empty(size), np.empty(size)
+    subtract, multiply, divide, absolute = np.subtract, np.multiply, np.divide, np.absolute
+    # a NaN entry never rescales; fmax passes over it to the other entries
+    largest = np.fmax.reduce
+    for k in range(1, size):
+        # step k - 1 of the scalar loop, on the entries of degree >= k;
+        # k as a float converts exactly, and 2k = k + k
+        kf = float(k)
+        p, c, v = prev[k:], cur[k:], new[k:]
+        subtract(kf + kf, x[k:], v)
+        multiply(v, c, v)
+        multiply(p, kf, p)
+        subtract(v, p, v)
+        divide(v, kf, v)
+        m = absolute(v, mag[k:])
+        if largest(m) > _RESCALE_ABOVE:
+            big = m > _RESCALE_ABOVE
+            shift = np.frexp(v[big])[1]
+            v[big] = np.ldexp(v[big], -shift)
+            c[big] = np.ldexp(c[big], -shift)
+            exponent[k:][big] += shift
+        # the old value becomes prev, the new one cur; entry k is done
+        prev, cur, new = cur, new, prev
+        mantissa[k] = cur[k]
+    return mantissa, exponent
+
+
+def damp_scaled(mantissa: float, exponent: int, decay: float) -> float:
+    """mantissa * 2**exponent * e^{-decay}; +-inf only where that value is
+    past float64.
+
+    The plain product wherever it is a normal float.  Where the scaled
+    value overflows, or the exponential underflows against it, the
+    power-of-two exponent is applied together with the exponential
+    instead; no other code handles a Laguerre exponent.  Both Laguerre
+    forms finish here, on scalars, with libm's ``math.exp`` and
+    ``math.ldexp``: ``np.exp`` need not round as libm does.
+    """
     try:
         value = math.exp(-decay) * math.ldexp(mantissa, exponent)
     except OverflowError:
@@ -79,6 +128,11 @@ def damped_laguerre1(n: int, x: float, decay: float) -> float:
         return mantissa * math.exp(exponent * _LN2 - decay)
     except OverflowError:
         return math.copysign(math.inf, mantissa)
+
+
+def damped_laguerre1(n: int, x: float, decay: float) -> float:
+    """L_n^1(x) e^{-decay}; +-inf only where that value is past float64."""
+    return damp_scaled(*laguerre1_scaled(n, x), decay)
 
 
 def laguerre1(n: int, x: float) -> float:
@@ -93,10 +147,16 @@ def rho_coefficients(s: float, rate: float, order: int) -> np.ndarray:
     rho_{2t}(e^{-t} z) has the free unitary Brownian motion moments
     h_k(2t) as coefficients.  Each c_k is damped before it is stored, so
     it is finite wherever its own value is, however large L_{k-1}^1(k s).
+    The Laguerre values come from ``laguerre1_scaled_vector`` over
+    x_k = k s, so c_k is ``damped_laguerre1(k - 1, k s, k rate) / k`` bit
+    for bit.  A ValueError unless every k s is finite.
     """
+    if not math.isfinite(s * max(order, 1)):
+        raise ValueError(f"the Laguerre argument k s is not finite: s = {s:g}, order = {order}")
+    mantissa, exponent = laguerre1_scaled_vector(np.arange(1, order + 1) * s)
     c = np.zeros(order + 1)
-    for k in range(1, order + 1):
-        c[k] = damped_laguerre1(k - 1, k * s, k * rate) / k
+    c[1:] = [damp_scaled(m, e, k * rate) / k
+             for k, (m, e) in enumerate(zip(mantissa.tolist(), exponent.tolist()), 1)]
     return c
 
 
@@ -104,7 +164,7 @@ def ubm_moment_vector(t: float, order: int) -> np.ndarray:
     """(h_1(t), ..., h_order(t)), the moments h_n(t) = e^{-nt/2}
     L_{n-1}^1(nt) / n of the free unitary Brownian motion (h_0 = 1 and
     h_{-n} = h_n by unitarity); every entry lies in [-1, 1] and is finite
-    for every t >= 0."""
+    for every t >= 0 with order * t finite (a ValueError past that)."""
     if not 0 <= t < math.inf:
         raise ValueError("time must be finite and nonnegative")
     if order < 0:

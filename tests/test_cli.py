@@ -672,6 +672,32 @@ def test_lambda_one_routes_finite_past_order_511(tmp_path, command):
     assert csv_fields_finite(path)
 
 
+@pytest.mark.parametrize("command, out", [
+    ("moments --method closed-form --t 1e300 --order 4", "moments.csv"),
+    ("density --t 1e300", "density.csv"),
+])
+def test_lambda_one_routes_finite_at_huge_time(tmp_path, command, out):
+    with redirect_stdout(io.StringIO()):
+        assert run_cli(tmp_path, *command.split()) == 0
+    assert csv_fields_finite(tmp_path / out)
+    if out == "moments.csv":  # every h_k(2t) is 0: the arcsine law's C(2n, n) / 4^n
+        with open(tmp_path / out, newline="") as handle:
+            values = [row["m_n"] for row in csv.DictReader(handle)]
+        assert values == ["1", "0.5", "0.375", "0.3125", "0.2734375"]
+
+
+@pytest.mark.parametrize("command", [
+    "moments --method closed-form --t 1e306 --order 256",
+    "density --t 1e307",
+])
+def test_lambda_one_routes_past_the_laguerre_range_exit_2(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, *command.split())
+    assert exc.value.code == 2
+    assert "Laguerre argument k s is not finite" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_s_system_theta_half_past_exp_range(tmp_path):
     # s_1 has no source at theta = 1/2, so e^t past t = 709.78 is never formed
     with redirect_stdout(io.StringIO()):

@@ -1,10 +1,11 @@
 import math
 import re
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from scipy.special import eval_genlaguerre
 
 from freejacobi import special_functions as sf
@@ -276,3 +277,77 @@ def test_rho_coefficients_are_ubm_moments_at_double_time():
     h = sf.rho_coefficients(2.0 * t, t, 64)
     assert h[0] == 0.0
     assert all(h[k] == _single_ubm_moment(k, 2.0 * t) for k in range(1, 65))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 600), st.floats(0.0, 50.0), st.floats(-1.0, 50.0))
+def test_rho_coefficients_are_the_scalar_damped_laguerre_bit_for_bit(order, s, rate):
+    # rates: none, the free unitary BM's s/2, and an arbitrary one (the
+    # decomposition damps at t - log(2 - lambda), which may be negative)
+    for decay_rate in (0.0, s / 2.0, rate):
+        vec = sf.rho_coefficients(s, decay_rate, order)
+        ref = [0.0] + [sf.damped_laguerre1(k - 1, k * s, k * decay_rate) / k
+                       for k in range(1, order + 1)]
+        assert _bits(vec) == _bits(ref)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.floats(-100.0, 3000.0), max_size=300))
+def test_laguerre_vector_carries_the_scalar_mantissa_and_exponent(xs):
+    mantissa, exponent = sf.laguerre1_scaled_vector(np.array(xs))
+    ref = [sf.laguerre1_scaled(n, x) for n, x in enumerate(xs)]
+    assert _bits(mantissa) == _bits([m for m, _ in ref])
+    assert exponent.tolist() == [e for _, e in ref]
+
+
+@pytest.mark.parametrize("order, s", [(300, 8.0), (600, 2.0), (64, 500.0)])
+def test_laguerre_vector_rescales_exactly_the_scalar_entries(order, s):
+    # the rescale has fired for some entries and not for the others
+    x = np.arange(1, order + 1) * s
+    mantissa, exponent = sf.laguerre1_scaled_vector(x)
+    assert 0 < np.count_nonzero(exponent) < order
+    ref = [sf.laguerre1_scaled(n, x[n]) for n in range(order)]
+    assert _bits(mantissa) == _bits([m for m, _ in ref])
+    assert exponent.tolist() == [e for _, e in ref]
+
+
+def test_laguerre_vector_rescales_the_entries_beside_a_nan():
+    x = np.arange(1, 65) * 500.0
+    x[60] = math.nan
+    mantissa, exponent = sf.laguerre1_scaled_vector(x)
+    ref = [sf.laguerre1_scaled(n, x[n]) for n in range(64)]
+    assert math.isnan(mantissa[60]) and exponent[60] == ref[60][1]
+    mantissa[60], ref[60] = 0.0, (0.0, ref[60][1])
+    assert _bits(mantissa) == _bits([m for m, _ in ref])
+    assert exponent.tolist() == [e for _, e in ref]
+
+
+def test_first_laguerre_value_is_rescaled_past_the_threshold():
+    # L_1^1 = 2 - x is carried as-is up to 2**500 and rescaled past it
+    assert sf.laguerre1_scaled(1, 3.0) == (-1.0, 0)
+    assert sf.laguerre1_scaled(1, 2.0 - 2.0**500) == (2.0**500, 0)
+    assert sf.laguerre1_scaled(1, 2.0**600) == (-0.5, 601)
+    mantissa, exponent = sf.laguerre1_scaled_vector(np.array([0.0, 2.0**600]))
+    assert mantissa.tolist() == [1.0, -0.5] and exponent.tolist() == [0, 601]
+
+
+@pytest.mark.parametrize("t, order", [(3.4e153, 4), (5.2e151, 256), (1e300, 4), (1e300, 256)])
+def test_ubm_moments_finite_at_huge_time(t, order):
+    # the scaled L_1^1 keeps (2k + 2 - x) L_1^1 in range: no NaN where k t is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = sf.ubm_moment_vector(t, order)
+    assert np.all(np.isfinite(h)) and np.all(np.abs(h) <= 1.0)
+
+
+@pytest.mark.parametrize("s, order", [(1e307, 256), (math.inf, 1), (math.nan, 4), (math.inf, 0)])
+def test_rho_coefficients_reject_a_non_finite_argument(s, order):
+    with pytest.raises(ValueError, match="Laguerre argument k s is not finite"):
+        sf.rho_coefficients(s, 0.0, order)
+    if math.isfinite(s):
+        with pytest.raises(ValueError, match="not finite"):
+            sf.ubm_moment_vector(s, order)

@@ -82,11 +82,12 @@ def test_nan_in_one_input_fails_the_checks_it_reaches(monkeypatch, suite, module
 
 def test_ubm_moment_error_fails_the_routes_that_read_it(monkeypatch):
     # the expansion route reads the integrated trace system, not h_k(2t):
-    # a relative 1e-6 error in every Laguerre value shows between it and
-    # the closed form, and not between it and the ODE
-    original = special_functions.damped_laguerre1
-    monkeypatch.setattr(special_functions, "damped_laguerre1",
-                        lambda n, x, decay: original(n, x, decay) * (1 + 1e-6))
+    # a relative 1e-6 error in every h_k, all of which ``rho_coefficients``
+    # produces, shows between it and the closed form, and not between it
+    # and the ODE
+    original = special_functions.rho_coefficients
+    monkeypatch.setattr(special_functions, "rho_coefficients",
+                        lambda s, rate, order: original(s, rate, order) * (1 + 1e-6))
     results = {r.name: r for r in verification.run_suite("routes")}
     assert not results["expansion-vs-closed-form"].passed, results["expansion-vs-closed-form"].line()
     assert results["ode-vs-expansion"].passed, results["ode-vs-expansion"].line()
