@@ -1,9 +1,12 @@
 """Spectral densities of the free Jacobi process and quadrature back-checks.
 
-Two reconstructions are provided: the time-t density at the symmetric
-parameter point, obtained by Fourier summation of the free unitary
-Brownian motion moments transported to [0, 1], and the stationary density
-for rank ratios in (0, 1], obtained by Stieltjes inversion of the closed
+Two reconstructions are provided.  The time-t density at the symmetric
+parameter point is a Chebyshev series: the law X_t = (2 + Y_2t + Y_2t*)/4
+makes 2 X_t - 1 = Re Y_2t, so in y = 2x - 1 the density is the arcsine
+weight times 1 + 2 sum_k h_k(2t) T_k(y), with h_k the free unitary Brownian
+motion moments.  The series is summed by Clenshaw's backward recurrence,
+O(N K) flops and O(N + K) memory for N points and K terms.  The stationary
+density for rank ratios in (0, 1] is the Stieltjes inversion of the closed
 Cauchy transform.
 
 Both densities are sampled on one kind of grid, ``arc_grid``: the uniform
@@ -85,21 +88,44 @@ def arc_grid(num_points: int, lo: float = 0.0, hi: float = 1.0):
     return xs[order], jac[order]
 
 
+def chebyshev_sum(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_{k=1}^{K} coeffs[k-1] T_k(y) by Clenshaw's backward recurrence.
+
+    b_k = c_k + 2y b_{k+1} - b_{k+2} from b_{K+1} = b_{K+2} = 0, evaluated as
+    (2y b_{k+1} - b_{k+2}) + c_k in three buffers of len(y) that rotate; the
+    sum is y b_1 - b_2.
+    """
+    two_y = 2.0 * y
+    b1, b2, b = np.zeros_like(y), np.zeros_like(y), np.empty_like(y)
+    for c in coeffs[::-1].tolist():
+        np.multiply(two_y, b1, out=b)
+        b -= b2
+        b += c
+        b1, b2, b = b, b1, b2
+    return y * b1 - b2
+
+
 def density_lambda1(
     t: float,
     num_points: int = 999,
     fourier_terms: int = 256,
     fejer: str = "auto",
 ) -> DensityGrid:
-    """Density of the process law at the symmetric point and time t > 0:
+    """Density of the process law at the symmetric point and time t > 0,
+    a Chebyshev series in y = 2x - 1 (2 X_t - 1 = Re Y_2t):
 
-    f_t(x) = [1 + 2 sum_{k<=K} w_k h_k(2t) cos(2k arccos sqrt(x))]
-             / (pi sqrt(x (1 - x))).
+    f_t(x) = [1 + 2 sum_{k<=K} w_k h_k(2t) T_k(2x - 1)] / (pi sqrt(x (1 - x))),
 
-    The constant term is fixed so the reconstruction integrates to one;
-    Fejer weights w_k = 1 - k/(K+1) are applied for t below 0.5 (mode
-    'auto') to damp Gibbs oscillation where the Fourier tail is slow.
-    At t = 0 the law is a point mass at 1, not a density.
+    where T_k(cos phi) = cos(k phi).  The constant term is fixed so the
+    reconstruction integrates to one; Fejer weights w_k = 1 - k/(K+1) are
+    applied for t below 0.5 (mode 'auto') to damp Gibbs oscillation where
+    the series' tail is slow.  At t = 0 the law is a point mass at 1, not a
+    density.
+
+    The series in c_k = w_k h_k(2t) is summed by Clenshaw's recurrence
+    (``chebyshev_sum``): three in-place ufuncs over the N grid points per
+    term, so O(N K) time and O(N + K) memory, with no N x K table and no
+    rounded multiple k phi.
     """
     if not 0 < t < math.inf:
         raise ValueError("density requires a finite t > 0 (the t = 0 law is an atom at 1)")
@@ -111,13 +137,13 @@ def density_lambda1(
 
     xs, weights = arc_grid(num_points)
 
-    k = np.arange(1, fourier_terms + 1)
     coeffs = ubm_moment_vector(2.0 * t, fourier_terms)
     if use_fejer:
+        k = np.arange(1, fourier_terms + 1)
         coeffs = coeffs * (1.0 - k / (fourier_terms + 1.0))
 
-    phi = 2.0 * np.arccos(np.sqrt(xs))
-    series = 1.0 + 2.0 * (np.cos(np.outer(phi, k)) @ coeffs)
+    y = 2.0 * xs - 1.0
+    series = 1.0 + 2.0 * chebyshev_sum(coeffs, y)
     raw = series / (math.pi * np.sqrt(xs * (1.0 - xs)))
     return DensityGrid(
         xs=xs,

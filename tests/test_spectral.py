@@ -1,6 +1,7 @@
 import math
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from freejacobi import spectral
 from freejacobi.combinatorics import binomial
 from freejacobi.moments import ProcessParams, closed_form_moments, integrate_moments
+from freejacobi.special_functions import ubm_moment_vector
 from freejacobi.transforms import cauchy_stationary_eval
 
 
@@ -78,7 +80,8 @@ def test_small_time_dead_zone_exists():
     "level to 1e-8; the Fejer kernel leaks ~1/K and the raw tail "
     "oscillates at ~K^(-3/2).  Kept at the stated tolerance for the "
     "record.",
-    strict=False,
+    raises=AssertionError,
+    strict=True,
 )
 def test_small_time_dead_zone_below_1e8_after_smoothing():
     smoothed = spectral.density_lambda1(0.25, num_points=999, fourier_terms=256)
@@ -92,6 +95,46 @@ def test_fejer_flag_modes():
     auto = spectral.density_lambda1(2.0, fourier_terms=32, num_points=50)
     assert on.params["fejer"] and not off.params["fejer"] and not auto.params["fejer"]
     assert not np.allclose(on.values, off.values)
+
+
+@pytest.mark.parametrize("t, terms, fejer", [
+    (0.25, 256, "auto"), (0.25, 256, "off"), (1.0, 256, "auto"), (4.0, 256, "auto"),
+    (0.5, 4096, "auto"),
+])
+def test_density_numerator_matches_a_40_digit_chebyshev_sum(t, terms, fejer):
+    mpmath = pytest.importorskip("mpmath")
+    grid = spectral.density_lambda1(t, num_points=999, fourier_terms=terms, fejer=fejer)
+    coeffs = ubm_moment_vector(2.0 * t, terms)
+    if grid.params["fejer"]:
+        coeffs = coeffs * (1.0 - np.arange(1, terms + 1) / (terms + 1.0))
+    numerator = grid.raw_values * (math.pi * np.sqrt(grid.xs * (1.0 - grid.xs)))
+    with mpmath.workdps(40):
+        for i in (0, 1, 2, 499, 996, 997, 998):
+            # T_k(2x - 1) = cos(k theta) with cos(theta) = 2x - 1, x the grid point
+            theta = mpmath.acos(2 * mpmath.mpf(float(grid.xs[i])) - 1)
+            exact = 1 + 2 * mpmath.fsum(mpmath.mpf(c) * mpmath.cos(k * theta)
+                                        for k, c in enumerate(coeffs.tolist(), start=1))
+            assert abs(numerator[i] - exact) < 1e-14
+
+
+def test_density_allocates_no_points_by_terms_table():
+    # an N x K float64 table at 999 x 4096 is 31 MiB
+    tracemalloc.start()
+    try:
+        spectral.density_lambda1(1.0, num_points=999, fourier_terms=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_bench_density_script_prints_both_term_counts(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_density.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--repeats", "1"])
+    runpy.run_path(str(script), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[2] for line in lines] == ["terms= 256", "terms=4096"]
+    assert all(line.count(" ms") == 2 and line.endswith(" MiB") for line in lines)
 
 
 class TestStationary:
