@@ -10,6 +10,10 @@ paths or the command line) as sorted JSON, so two checkouts compare with
 one diff:
 
     PYTHONPATH=src python scripts/cli_digests.py > new.json
+
+The command list runs twice in one process, so every second run reads the
+parser and caches the first run left behind; the script exits nonzero,
+naming each command whose second record differs from its first.
 """
 
 import hashlib
@@ -40,23 +44,31 @@ def _run(argv):
         return exc.code
 
 
-def main():
+def _records(root: Path) -> dict:
     records = {}
+    for k, command in enumerate(_commands()):
+        outdir = root / f"cli-{k:02d}"
+        outdir.mkdir(parents=True)
+        code = _run(["--outdir", str(outdir)] + command.split())
+        files = sorted(f for f in outdir.iterdir() if f.is_file())
+        records[command] = {
+            "exit": code,
+            "files": {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                      for f in files if not f.name.endswith("_manifest.json")},
+            "manifests": {f.name: {key: json.loads(f.read_text())[key]
+                                   for key in ("parameters", "seeds")}
+                          for f in files if f.name.endswith("_manifest.json")},
+        }
+    return records
+
+
+def main():
     with tempfile.TemporaryDirectory() as tmp:
-        for k, command in enumerate(_commands()):
-            outdir = Path(tmp) / f"cli-{k:02d}"
-            outdir.mkdir()
-            code = _run(["--outdir", str(outdir)] + command.split())
-            files = sorted(f for f in outdir.iterdir() if f.is_file())
-            records[command] = {
-                "exit": code,
-                "files": {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-                          for f in files if not f.name.endswith("_manifest.json")},
-                "manifests": {f.name: {key: json.loads(f.read_text())[key]
-                                       for key in ("parameters", "seeds")}
-                              for f in files if f.name.endswith("_manifest.json")},
-            }
-    print(json.dumps(records, indent=1, sort_keys=True))
+        first, second = (_records(Path(tmp) / name) for name in ("first", "second"))
+    changed = [command for command in first if first[command] != second[command]]
+    if changed:
+        raise SystemExit("a second run in the same process differs: " + "; ".join(changed))
+    print(json.dumps(first, indent=1, sort_keys=True))
 
 
 if __name__ == "__main__":

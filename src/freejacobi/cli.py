@@ -17,6 +17,11 @@ configuration (other oracle sizes run through ``oracle``) and writes one
 row per check to ``verify_report.csv``.  ``--step`` (the RK4 step of
 ``moments`` and ``s-system``) must be positive.
 
+``build_parser`` builds the parser once per process, on first use; it is
+read-only after that, and every ``main`` call parses into its own
+namespace, so repeated and concurrent calls in one process write what a
+fresh process would.
+
 Exit codes: 0 all checks pass / command succeeded, 1 check failure,
 2 usage error, including inputs outside a route's validity range.
 """
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -50,8 +56,12 @@ from .special_functions import (DEFAULT_STEP, damped_traces, s_closed_theta_half
                                 ubm_moment_vector)
 
 
+#: the number format of every table but ``moments.csv``'s
+_NUM = "%.12g"
+
+
 def _fmt(x: float) -> str:
-    return "%.12g" % x
+    return _NUM % x
 
 
 def _check_report(results) -> tuple[list[str], list[tuple]]:
@@ -78,8 +88,11 @@ def _write_run(args, stem: str, outputs: dict, measured: dict | None = None, see
     artifact.
 
     ``outputs`` maps each path to (header, rows) for a CSV or to a dict for
-    a JSON payload.  The manifest's parameters are the parsed flags
-    (``lam`` recorded as ``lambda``) updated with what the run ``measured``.
+    a JSON payload; ``rows`` is a list of field tuples or, for an
+    all-numeric table, its body as CSV text: CR LF-ended lines with no
+    field to quote, the bytes ``csv.writer`` would write.  The manifest's
+    parameters are the parsed flags (``lam`` recorded as ``lambda``)
+    updated with what the run ``measured``.
     """
     parameters = {("lambda" if name == "lam" else name): value
                   for name, value in vars(args).items() if name not in _RUN_ATTRS}
@@ -93,10 +106,14 @@ def _write_run(args, stem: str, outputs: dict, measured: dict | None = None, see
                 json.dump(content, handle, indent=2)
                 handle.write("\n")
         else:
+            header, rows = content
             with open(path, "w", newline="", encoding="utf-8") as handle:
                 writer = csv.writer(handle)
-                writer.writerow(content[0])
-                writer.writerows(content[1])
+                writer.writerow(header)
+                if isinstance(rows, str):
+                    handle.write(rows)
+                else:
+                    writer.writerows(rows)
         manifest.add_output(path)
     manifest.write(args.outdir / f"{stem}_manifest.json")
     print("wrote " + " and ".join(str(path) for path in outputs))
@@ -151,11 +168,13 @@ def _cmd_moments(args) -> int:
 
 
 def _write_density(args, grid, stem: str) -> None:
-    fixed = tuple(_fmt(grid.params[name]) for name in ("t", "lambda", "theta"))
-    rows = [
-        (_fmt(x), _fmt(f), *fixed, str(int(raw < 0.0)))
-        for x, f, raw in zip(grid.xs, grid.values, grid.raw_values)
-    ]
+    # every field is a number: one "%" per row, from Python floats
+    fixed = ",".join(_fmt(grid.params[name]) for name in ("t", "lambda", "theta"))
+    row = f"{_NUM},{_NUM},%s,%d\r\n"
+    rows = "".join([
+        row % (x, f, fixed, raw < 0.0)
+        for x, f, raw in zip(grid.xs.tolist(), grid.values.tolist(), grid.raw_values.tolist())
+    ])
     atoms = [(_fmt(loc), _fmt(mass)) for loc, mass in grid.atoms]
     outputs = {
         args.outdir / f"{stem}.csv": (["x", "f", "t", "lambda", "theta", "clipped_flag"], rows),
@@ -284,7 +303,9 @@ def _orders(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; read-only."""
     parser = argparse.ArgumentParser(
         prog="freejacobi",
         description="Workbench for the free Jacobi process: moment routes, "

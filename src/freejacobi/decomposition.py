@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import MomentTrajectory, closed_form_moments, recurrence_rhs, weighted_row_sums
+from .moments import MomentTrajectory, closed_form_moments, recurrence_rhs
 from .series import TruncatedSeries, geometric, one_minus_z
 from .special_functions import rho_coefficients
 from .transforms import alpha_series, radical_series, richardson_dt, stationary_mgf
@@ -51,20 +51,6 @@ def psi_series(lam: float, t: float, order: int) -> np.ndarray:
     """Coefficients psi_n of v_t(z)/sqrt(1-z), by series extraction."""
     inv_sqrt = one_minus_z(order).sqrt().reciprocal()
     return (inv_sqrt * v_series(lam, t, order)).coeffs
-
-
-def psi_closed(lam: float, t: float, order: int) -> np.ndarray:
-    """Closed form of psi_n, carrying the binomial weight its stationary
-    limit requires:
-
-    psi_n = 2 sum_{k=1}^n W[n, k] (2-lambda)^{k-1}
-            L_{k-1}^1(2 lambda k t/(2-lambda)) e^{-kt} / k
-
-    with W[n, k] = C(2n, n-k)/4^n (``symmetric_weights``).  Cross-checks
-    the series extraction; the two must agree to rounding.
-    """
-    c = _transport_rho(lam, t, order).coeffs  # (2-lambda)^k L_{k-1}^1 e^{-kt} / k, c_0 = 0
-    return 2.0 * weighted_row_sums(c[1:]) / (2.0 - lam)
 
 
 def source_series(lam: float, t: float, order: int) -> TruncatedSeries:

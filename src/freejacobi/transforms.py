@@ -13,7 +13,6 @@ from the moment hierarchy (``decomposition.pde_residual_S``).
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -104,25 +103,6 @@ def stationary_support(lam: float, theta: float = 0.5) -> tuple[float, float]:
     a = math.sqrt(lam * theta * (1.0 - theta))
     b = math.sqrt(theta * (1.0 - lam * theta))
     return (a - b) ** 2, (a + b) ** 2
-
-
-def cauchy_stationary_eval(lam: float, theta: float, z: complex) -> complex:
-    """Stationary Cauchy transform G_inf(z), branch decaying like 1/z.
-
-    G_inf(z) = [ (2 - r) z + (1/lambda - 1) + s(z) ] / (2 z (z - 1)) with
-    s(z) = r sqrt(z - x_+) sqrt(z - x_-) using principal square roots, so
-    the branch cut sits exactly on the support [x_-, x_+].
-    """
-    if not (0.0 < theta < 1.0 and lam > 0.0 and 0.0 < lam * theta < 1.0):
-        raise ValueError("invalid (lambda, theta)")
-    x_lo, x_hi = stationary_support(lam, theta)
-    z = complex(z)
-    if z.imag == 0.0 and x_lo - 1e-12 <= z.real <= x_hi + 1e-12:
-        if min(abs(z.real - x_lo), abs(z.real - x_hi)) < 1e-12 or x_lo < z.real < x_hi:
-            raise ValueError("evaluation point lies on the support cut")
-    r = 1.0 / (lam * theta)
-    s = r * cmath.sqrt(z - x_hi) * cmath.sqrt(z - x_lo)
-    return ((2.0 - r) * z + (1.0 / lam - 1.0) + s) / (2.0 * z * (z - 1.0))
 
 
 # ---------------------------------------------------------------------------

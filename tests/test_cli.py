@@ -6,6 +6,10 @@ import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
 from contextlib import redirect_stdout
@@ -14,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from freejacobi import cli, combinatorics, verification
+from freejacobi import cli, combinatorics, spectral, verification
 from freejacobi import oracle as orc
 from freejacobi.cli import main
 from freejacobi.moments import INIT_MODES, integrate_moments
@@ -66,6 +70,119 @@ def test_init_choices_are_the_init_modes():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     init = next(a for a in sub.choices["moments"]._actions if a.dest == "init")
     assert init.choices == sorted(INIT_MODES)
+
+
+def run_outputs(outdir):
+    """Every file a run wrote: its bytes, or a manifest's parameters and
+    seeds (the rest of a manifest records times and paths)."""
+    return {f.name: ({key: json.loads(f.read_text())[key] for key in ("parameters", "seeds")}
+                     if f.name.endswith("_manifest.json") else f.read_bytes())
+            for f in sorted(outdir.iterdir())}
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch):
+    assert run_cli(tmp_path / "first", "words", "--n", "2") == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for k in range(3):
+        assert run_cli(tmp_path / f"again-{k}", "words", "--n", "2") == 0
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_flag_from_one_call_never_reaches_the_next(tmp_path):
+    assert run_cli(tmp_path / "a", "moments", "--t", "1", "--order", "4") == 0
+    assert run_cli(tmp_path / "b", "moments", "--t", "1") == 0
+    with open(tmp_path / "b" / "moments.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["n"] for r in rows] == [str(n) for n in range(33)]
+    assert json.loads((tmp_path / "b" / "moments_manifest.json").read_text())[
+        "parameters"]["order"] == 32
+
+
+def test_density_after_other_flags_is_a_fresh_process_first_call(tmp_path):
+    assert run_cli(tmp_path / "terms-64", "density", "--t", "1", "--terms", "64") == 0
+    assert run_cli(tmp_path / "again", "density", "--t", "1") == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-m", "freejacobi.cli", "--outdir", str(tmp_path / "fresh"),
+                    "density", "--t", "1"], env=env, capture_output=True, check=True)
+    assert run_outputs(tmp_path / "again") == run_outputs(tmp_path / "fresh")
+    assert run_outputs(tmp_path / "terms-64") != run_outputs(tmp_path / "fresh")
+
+
+# commands of every kind, each a few ms
+MIXED_COMMANDS = [
+    "moments --lambda 0.6 --t 0.5 --order 8",
+    "moments --t 1 --method closed-form --order 16",
+    "density --t 1 --terms 64 --grid-points 199",
+    "stationary-density --lambda 0.4 --grid-points 199",
+    "series --check alpha --order 16",
+    "s-system --order 4 --t 0.5 --samples 4",
+    "words --n 4",
+    "verify --suite catalan",
+]
+
+
+def test_concurrent_commands_write_the_serial_bytes(tmp_path):
+    # threads share the one parser and run commands at once, switching as
+    # often as the interpreter allows; each rotates the list so that
+    # different commands overlap
+    def run_all(root, shift=0):
+        order = MIXED_COMMANDS[shift:] + MIXED_COMMANDS[:shift]
+        for command in order:
+            assert run_cli(root / command.replace(" ", "_"), *command.split()) == 0
+        return {command: run_outputs(root / command.replace(" ", "_")) for command in order}
+
+    want = run_all(tmp_path / "serial")
+    got = [None] * 4
+    start = threading.Barrier(len(got))
+
+    def worker(i):
+        start.wait(timeout=60)
+        got[i] = run_all(tmp_path / f"thread-{i}", shift=2 * i)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(got))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [g == want for g in got] == [True] * len(got)
+
+
+@pytest.mark.parametrize("command, grid", [
+    ("density --t 1 --fejer auto",
+     lambda: spectral.density_lambda1(1.0, num_points=999, fourier_terms=256, fejer="auto")),
+    ("density --t 1 --fejer off",
+     lambda: spectral.density_lambda1(1.0, num_points=999, fourier_terms=256, fejer="off")),
+    ("stationary-density --lambda 0.4", lambda: spectral.stationary_density(0.4, num_points=999)),
+], ids=["density-fejer-auto", "density-fejer-off", "stationary-density"])
+def test_density_rows_are_the_csv_writer_bytes(tmp_path, command, grid):
+    # the table csv.writer writes from one "%.12g" call per value
+    assert run_cli(tmp_path, *command.split()) == 0
+    grid = grid()
+    fixed = ["%.12g" % grid.params[name] for name in ("t", "lambda", "theta")]
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["x", "f", "t", "lambda", "theta", "clipped_flag"])
+    writer.writerows(("%.12g" % x, "%.12g" % f, *fixed, str(int(raw < 0.0)))
+                     for x, f, raw in zip(grid.xs, grid.values, grid.raw_values))
+    (table,) = tmp_path.glob("*density.csv")
+    assert table.read_bytes() == want.getvalue().encode()
+    if command.startswith("density"):  # clipped rows carry flag 1
+        assert want.getvalue().count(",1\r\n") > 0
 
 
 def test_moments_p_ge_q_starts_at_one_over_lambda(tmp_path):
@@ -750,17 +867,42 @@ def test_series_rho_past_float64_exits_2(tmp_path, capsys):
     assert not (tmp_path / "series_rho.csv").exists()
 
 
-def test_cli_digests_script_runs_every_benchmark_command(capsys):
+def test_cli_digests_script_runs_every_benchmark_command(capsys, monkeypatch):
     path = Path(__file__).resolve().parents[1] / "scripts" / "cli_digests.py"
     spec = importlib.util.spec_from_file_location("cli_digests", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    run, runs = module._run, []
+
+    def recording(argv):
+        runs.append(" ".join(argv[2:]))
+        return run(argv)
+
+    monkeypatch.setattr(module, "_run", recording)
     module.main()
     records = json.loads(capsys.readouterr().out)
     assert len(records) == 17
+    assert sorted(runs[:17]) == sorted(records) and runs == runs[:17] * 2
     assert all(r["exit"] == 0 and r["files"] for r in records.values())
     assert all(set(m) == {"parameters", "seeds"}
                for r in records.values() for m in r["manifests"].values())
+
+    # a command whose second run in the process writes other bytes fails
+    # the script by name, and nothing is printed
+    def drifting(argv):
+        code = run(argv)
+        command = " ".join(argv[2:])
+        if command == "words --n 8" and command in runs:
+            (Path(argv[1]) / "word_counts.csv").write_text("drift\n")
+        runs.append(command)
+        return code
+
+    runs.clear()
+    monkeypatch.setattr(module, "_run", drifting)
+    with pytest.raises(SystemExit) as exc:
+        module.main()
+    assert str(exc.value.code).endswith("differs: words --n 8")
+    assert capsys.readouterr().out == ""
 
 
 def test_check_values_script_prints_every_check_bit_for_bit(capsys, monkeypatch):

@@ -11,9 +11,25 @@ from freejacobi.moments import (
     ProcessParams,
     integrate_moments,
     symmetric_binomial_moment,
+    weighted_row_sums,
 )
 from freejacobi.series import one_minus_z
 from freejacobi.transforms import radical_series, stationary_mgf, stationary_support
+
+
+def psi_closed(lam, t, order):
+    """Closed form of psi_n, the second route to the series extraction
+    ``dec.psi_series``, carrying the binomial weight its stationary limit
+    requires:
+
+    psi_n = 2 sum_{k=1}^n W[n, k] (2-lambda)^{k-1}
+            L_{k-1}^1(2 lambda k t/(2-lambda)) e^{-kt} / k
+
+    with W[n, k] = C(2n, n-k)/4^n (``symmetric_weights``).  The two must
+    agree to rounding.
+    """
+    c = dec._transport_rho(lam, t, order).coeffs  # (2-lambda)^k L_{k-1}^1 e^{-kt} / k, c_0 = 0
+    return 2.0 * weighted_row_sums(c[1:]) / (2.0 - lam)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +70,7 @@ def test_decomposition_export_gamma_is_the_radical(lam):
 
 def test_psi_closed_finite_at_large_order_and_time():
     # at lambda = 1, psi_n is the closed-form moment minus its arcsine part
-    psi = dec.psi_closed(1.0, 5.0, 256)
+    psi = psi_closed(1.0, 5.0, 256)
     assert np.all(np.isfinite(psi))
     for n in (1, 64, 219, 220, 256):
         ref = symmetric_binomial_moment(n, 5.0) - binomial(2 * n, n) / 4.0**n
@@ -77,7 +93,7 @@ def psi_closed_reference(lam, t, order):
 def test_psi_closed_equals_the_binomial_loop(order):
     for lam in (0.3, 0.6, 0.9, 1.0):
         for t in (0.0, 1.0, 5.0):
-            assert (dec.psi_closed(lam, t, order).tobytes()
+            assert (psi_closed(lam, t, order).tobytes()
                     == psi_closed_reference(lam, t, order).tobytes())
 
 
@@ -85,7 +101,7 @@ def test_psi_extraction_matches_closed_form():
     for lam in (0.25, 0.6, 1.0):
         for t in (0.0, 0.5, 1.5):
             assert np.max(
-                np.abs(dec.psi_series(lam, t, 12) - dec.psi_closed(lam, t, 12))
+                np.abs(dec.psi_series(lam, t, 12) - psi_closed(lam, t, 12))
             ) < 1e-13
 
 
@@ -189,14 +205,14 @@ def test_s_pde_residual_on_integrated_trajectory():
 def test_psi_series_finite_at_large_order_and_time():
     psi = dec.psi_series(1.0, 5.0, 256)
     assert np.all(np.isfinite(psi))
-    assert np.max(np.abs(psi - dec.psi_closed(1.0, 5.0, 256))) < 1e-12
+    assert np.max(np.abs(psi - psi_closed(1.0, 5.0, 256))) < 1e-12
 
 
 def test_transport_routes_reject_lambda_outside_unit_interval():
     # near lambda = 2 the alternating Laguerre sum cancels catastrophically
     with pytest.raises(ValueError):
-        dec.psi_closed(1.9, 2.0, 256)
-    for route in (dec.psi_closed, dec.psi_series, dec.v_series, dec.source_series):
+        psi_closed(1.9, 2.0, 256)
+    for route in (psi_closed, dec.psi_series, dec.v_series, dec.source_series):
         for lam in (0.0, 1.2):
             with pytest.raises(ValueError):
                 route(lam, 1.0, 8)

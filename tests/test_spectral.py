@@ -11,7 +11,7 @@ from freejacobi import spectral
 from freejacobi.combinatorics import binomial
 from freejacobi.moments import ProcessParams, closed_form_moments, integrate_moments
 from freejacobi.special_functions import ubm_moment_vector
-from freejacobi.transforms import cauchy_stationary_eval
+from test_transforms import cauchy_stationary_eval
 
 
 def arcsine_moments(n_max):
