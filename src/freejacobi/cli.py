@@ -52,8 +52,7 @@ from .moments import (
     expansion_moments,
     integrate_moments,
 )
-from .special_functions import (DEFAULT_STEP, damped_traces, s_closed_theta_half, s_trajectory,
-                                ubm_moment_vector)
+from .special_functions import DEFAULT_STEP, damped_traces, s_closed_theta_half, s_trajectory
 
 
 #: the number format of every table but ``moments.csv``'s
@@ -150,10 +149,9 @@ def _cmd_moments(args) -> int:
     params = ProcessParams(lam=args.lam, theta=args.theta, init_mode=args.init)
     if args.method == "recurrence":
         values = integrate_moments(params, args.t, order=args.order, h=args.step).at(args.t)
-    elif args.method == "closed-form":
+    elif args.method == "closed-form" or args.theta == 0.5:
+        # at theta = 1/2 the expansion reads the damped traces h_k(2t): the closed form
         values = closed_form_moments(args.t, args.order)
-    elif args.theta == 0.5:  # the damped traces are h_k(2t)
-        values = expansion_moments(0.5, ubm_moment_vector(2.0 * args.t, args.order))
     else:  # the last state of one trace-system run; order 0 reads none of it
         s = s_trajectory(args.theta, args.t, args.order or 1, h=args.step)[1][-1]
         values = expansion_moments(args.theta, damped_traces(s, args.t)[: args.order])
@@ -242,11 +240,11 @@ def _cmd_s_system(args) -> int:
     # samples intervals from t = 0 to --t, the last stored time; at most one per step
     last = len(times) - 1
     picks = sorted({round(j) for j in np.linspace(0, last, min(args.samples, last) + 1)})
-    closed = s_closed_theta_half if args.theta == 0.5 else None
     rows = []
     for j in picks:
+        closed = s_closed_theta_half(times[j], args.order).tolist() if args.theta == 0.5 else None
         for n in range(1, args.order + 1):
-            closed_col = _fmt(closed(n, times[j])) if closed else ""
+            closed_col = _fmt(closed[n - 1]) if closed else ""
             rows.append((n, _fmt(times[j]), _fmt(states[j][n - 1]), closed_col))
     _write_run(args, "s_system",
                {args.outdir / "s_system.csv": (["n", "t", "s_n", "closed_form_if_any"], rows)})

@@ -1,18 +1,19 @@
 """Laguerre polynomials of index 1, moments of the free unitary Brownian
 motion, and the coupled trace system for Bernoulli-weighted conjugations.
 
-Every Laguerre value of the package comes from one power-of-two scaled
-recurrence in two forms, bit-identical entry by entry.  The scalar form
-(``laguerre1_scaled``, damped by ``damped_laguerre1``) gives ``laguerre1``
-and is the tests' reference.  The vector form (``laguerre1_scaled_vector``)
-runs one array pass per degree over every argument still advancing, and
-gives the damped coefficients of rho_s(e^{-rate} z) (``rho_coefficients``):
-at s = 2t and rate = t these are the free unitary Brownian motion moments
-h_k(2t) (``ubm_moment_vector(2t, order)``) behind the closed-form moments,
-the generating function and the time-t density, finite wherever every
-k s is.  Both forms finish through ``damp_scaled``.  ``damped_traces``
-turns a trace-system state into the damped traces e^{-kt} s_k(t) that the
-expansion route reads.
+Every Laguerre value of the package comes from one recurrence,
+``laguerre1(x, decay)``: one array pass per degree over every argument
+still advancing, in a power-of-two scaled (mantissa, exponent) format
+that never leaves it, each entry damped to L_n^1(x_n) e^{-decay_n} before
+it is returned.  ``rho_coefficients`` reads it for the coefficients of
+rho_s(e^{-rate} z): at s = 2t and rate = t these are the free unitary
+Brownian motion moments h_k(2t) (``ubm_moment_vector(2t, order)``) behind
+the closed-form moments, the generating function and the time-t density,
+finite wherever every k s is; at s = 2t and rate 0 they are the
+symmetric-weight traces s_k(t) (``s_closed_theta_half``).  The tests keep
+the scalar form of the recurrence as the bit-for-bit reference.
+``damped_traces`` turns a trace-system state into the damped traces
+e^{-kt} s_k(t) that the expansion route reads.
 
 The trace system (``trace_system``) holds s_n(t) = e^{nt} tau(Z_t^n) for
 Z_t = a Y_t a Y_t^*, with Y_t the free unitary Brownian motion and a = 2Q - 1
@@ -40,41 +41,19 @@ _LN2 = math.log(2.0)
 _RESCALE_ABOVE = 2.0**500
 
 
-def laguerre1_scaled(n: int, x: float) -> tuple[float, int]:
-    """L_n^1(x) as (mantissa, exponent), L_n^1(x) = mantissa * 2**exponent.
+def _laguerre1_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mantissa, exponent) arrays with L_n^1(x[n]) = mantissa[n] *
+    2**exponent[n], for a 1-D array x.
 
-    Forward recurrence (k+1) L_{k+1}^1 = (2k + 2 - x) L_k^1 - (k+1) L_{k-1}^1
+    The forward recurrence (k+1) L_{k+1}^1 = (2k + 2 - x) L_k^1 - (k+1) L_{k-1}^1
     from L_{-1}^1 = 0 and L_0^1 = 1, whose first step gives L_1^1 = 2 - x
-    exactly.  Once a value, L_1^1 included, passes 2**500 both carried
-    values are divided by the same power of two, which is exact: wherever
-    the unscaled recurrence stays finite, mantissa * 2**exponent is its
-    value bit for bit, and for finite x no intermediate overflows at any
-    degree.  The scalar form of the recurrence, which
-    ``laguerre1_scaled_vector`` runs for many degrees at once.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    exponent = 0
-    prev, cur = 0.0, 1.0
-    for k in range(n):
-        prev, cur = cur, ((2 * k + 2 - x) * cur - (k + 1) * prev) / (k + 1)
-        if abs(cur) > _RESCALE_ABOVE:
-            shift = math.frexp(cur)[1]
-            prev, cur = math.ldexp(prev, -shift), math.ldexp(cur, -shift)
-            exponent += shift
-    return cur, exponent
-
-
-def laguerre1_scaled_vector(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mantissa, exponent) arrays whose entry n is ``laguerre1_scaled(n,
-    x[n])`` bit for bit, for a 1-D array x.
-
-    The vector form of the recurrence: pass k advances every entry of
-    degree k or above, the suffix x[k:], by the scalar form's step to
-    degree k, in its operations and order ((2k - x) cur, k prev,
-    subtract, divide by k), each correctly rounded alike.  The rescale
-    applies to exactly the entries whose new value passed 2**500, so each
-    entry's (mantissa, exponent) split is the scalar one.
+    exactly.  Pass k advances every entry of degree k or above, the suffix
+    x[k:], to degree k in the operations and order ((2k - x) cur, k prev,
+    subtract, divide by k), each correctly rounded.  Once an entry's value,
+    L_1^1 included, passes 2**500 both its carried values are divided by
+    the same power of two, which is exact: wherever the unscaled
+    recurrence stays finite, mantissa * 2**exponent is its value bit for
+    bit, and for finite x no intermediate overflows at any degree.
     """
     x = np.asarray(x, dtype=float)
     size = x.size
@@ -85,7 +64,7 @@ def laguerre1_scaled_vector(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a NaN entry never rescales; fmax passes over it to the other entries
     largest = np.fmax.reduce
     for k in range(1, size):
-        # step k - 1 of the scalar loop, on the entries of degree >= k;
+        # the step from degree k - 1 to k, on the entries of degree >= k;
         # k as a float converts exactly, and 2k = k + k
         kf = float(k)
         p, c, v = prev[k:], cur[k:], new[k:]
@@ -107,16 +86,16 @@ def laguerre1_scaled_vector(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mantissa, exponent
 
 
-def damp_scaled(mantissa: float, exponent: int, decay: float) -> float:
+def _damp_scaled(mantissa: float, exponent: int, decay: float) -> float:
     """mantissa * 2**exponent * e^{-decay}; +-inf only where that value is
     past float64.
 
     The plain product wherever it is a normal float.  Where the scaled
     value overflows, or the exponential underflows against it, the
     power-of-two exponent is applied together with the exponential
-    instead; no other code handles a Laguerre exponent.  Both Laguerre
-    forms finish here, on scalars, with libm's ``math.exp`` and
-    ``math.ldexp``: ``np.exp`` need not round as libm does.
+    instead; no other code handles a Laguerre exponent.  On scalars, with
+    libm's ``math.exp`` and ``math.ldexp``: ``np.exp`` need not round as
+    libm does.
     """
     try:
         value = math.exp(-decay) * math.ldexp(mantissa, exponent)
@@ -130,14 +109,15 @@ def damp_scaled(mantissa: float, exponent: int, decay: float) -> float:
         return math.copysign(math.inf, mantissa)
 
 
-def damped_laguerre1(n: int, x: float, decay: float) -> float:
-    """L_n^1(x) e^{-decay}; +-inf only where that value is past float64."""
-    return damp_scaled(*laguerre1_scaled(n, x), decay)
-
-
-def laguerre1(n: int, x: float) -> float:
-    """L_n^1(x); +-inf where the value exceeds the float64 range."""
-    return damped_laguerre1(n, x, 0.0)
+def laguerre1(x: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """Entry n is L_n^1(x[n]) e^{-decay[n]}, for 1-D arrays x and decay of
+    one length (a ValueError otherwise).  Each entry is damped before it
+    leaves the scaled format, so it is finite wherever its own value is,
+    however large L_n^1(x[n]), and +-inf only past float64."""
+    mantissa, exponent = _laguerre1_scaled(x)
+    return np.array([_damp_scaled(m, e, d) for m, e, d in
+                     zip(mantissa.tolist(), exponent.tolist(),
+                         np.asarray(decay, dtype=float).tolist(), strict=True)])
 
 
 def rho_coefficients(s: float, rate: float, order: int) -> np.ndarray:
@@ -145,26 +125,25 @@ def rho_coefficients(s: float, rate: float, order: int) -> np.ndarray:
     the coefficients of rho_s(e^{-rate} z).
 
     rho_{2t}(e^{-t} z) has the free unitary Brownian motion moments
-    h_k(2t) as coefficients.  Each c_k is damped before it is stored, so
-    it is finite wherever its own value is, however large L_{k-1}^1(k s).
-    The Laguerre values come from ``laguerre1_scaled_vector`` over
-    x_k = k s, so c_k is ``damped_laguerre1(k - 1, k s, k rate) / k`` bit
-    for bit.  A ValueError unless every k s is finite.
+    h_k(2t) as coefficients, and rho_{2t}(z) the symmetric-weight traces
+    s_k(t).  Each c_k is ``laguerre1`` over x_k = k s, damped by k rate,
+    so it is finite wherever its own value is.  A ValueError unless every
+    k s is finite.
     """
     if not math.isfinite(s * max(order, 1)):
         raise ValueError(f"the Laguerre argument k s is not finite: s = {s:g}, order = {order}")
-    mantissa, exponent = laguerre1_scaled_vector(np.arange(1, order + 1) * s)
+    k = np.arange(1, order + 1)
     c = np.zeros(order + 1)
-    c[1:] = [damp_scaled(m, e, k * rate) / k
-             for k, (m, e) in enumerate(zip(mantissa.tolist(), exponent.tolist()), 1)]
+    c[1:] = laguerre1(k * s, k * rate) / k
     return c
 
 
 def ubm_moment_vector(t: float, order: int) -> np.ndarray:
     """(h_1(t), ..., h_order(t)), the moments h_n(t) = e^{-nt/2}
     L_{n-1}^1(nt) / n of the free unitary Brownian motion (h_0 = 1 and
-    h_{-n} = h_n by unitarity); every entry lies in [-1, 1] and is finite
-    for every t >= 0 with order * t finite (a ValueError past that)."""
+    h_{-n} = h_n by unitarity), the coefficients of rho_t(e^{-t/2} z) from
+    one ``laguerre1`` call; every entry lies in [-1, 1] and is finite for
+    every t >= 0 with order * t finite (a ValueError past that)."""
     if not 0 <= t < math.inf:
         raise ValueError("time must be finite and nonnegative")
     if order < 0:
@@ -172,9 +151,11 @@ def ubm_moment_vector(t: float, order: int) -> np.ndarray:
     return rho_coefficients(t, t / 2.0, order)[1:]
 
 
-def s_closed_theta_half(n: int, t: float) -> float:
-    """Closed form of the symmetric-weight trace system: L_{n-1}^1(2nt)/n."""
-    return laguerre1(n - 1, 2.0 * n * t) / n
+def s_closed_theta_half(t: float, order: int) -> np.ndarray:
+    """(s_1(t), ..., s_order(t)), the closed form s_n(t) = L_{n-1}^1(2nt) / n
+    of the symmetric-weight trace system: the coefficients of rho_{2t}.
+    n (2t) is the correctly rounded 2nt, as (2n) t is."""
+    return rho_coefficients(2.0 * t, 0.0, order)[1:]
 
 
 def rk4(bind, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -277,9 +258,10 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.nd
 def stored_index(times: np.ndarray, t: float) -> int:
     """Index of ``t`` among an ``rk4`` run's stored ``times``, within float
     accumulation drift; a KeyError for a time between stored steps, which
-    must fail loudly rather than snap to a neighbor."""
+    must fail loudly rather than snap to a neighbor, and for a NaN or
+    infinite one, which argmin would snap to index 0."""
     idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+    if not math.isfinite(t) or abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
         raise KeyError(f"time {t} not stored in trajectory")
     return idx
 

@@ -118,6 +118,13 @@ class TestIntegration:
         with pytest.raises(KeyError):
             traj.at(0.0505)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_not_stored(self, t):
+        # argmin over NaN or inf distances picks index 0, the t = 0 state
+        traj = integrate_moments(ProcessParams(0.6, 0.5), 1.0, order=4)
+        with pytest.raises(KeyError):
+            traj.at(t)
+
 
 class TestClosedForm:
     def test_matches_integration(self):

@@ -172,7 +172,7 @@ def test_bernoulli_weight_tracks_symmetric_traces():
     cfg = orc.OracleConfig(dim=128, t=1.0, steps=100, trials=4, seed=7,
                            theta=0.5, mode="bernoulli_weight", orders=(1, 2))
     run = orc.empirical_jacobi_moments(cfg)
-    predicted = math.exp(-2.0) * s_closed_theta_half(2, 1.0)  # -e^{-2}
+    predicted = math.exp(-2.0) * s_closed_theta_half(1.0, 2)[1]  # -e^{-2}
     assert predicted == pytest.approx(-math.exp(-2.0))
     assert abs(run.estimates[2] - predicted) < 0.03
 

@@ -14,27 +14,59 @@ from freejacobi.transforms import rho_series
 from test_rk4_bit_identity import reference_rk4
 
 
+def _laguerre1_scaled_reference(n, x):
+    """L_n^1(x) as (mantissa, exponent), L_n^1(x) = mantissa * 2**exponent:
+    the scalar form of the recurrence behind ``sf.laguerre1``, one degree
+    at a time, and the bit-for-bit reference for it.
+
+    Forward recurrence (k+1) L_{k+1}^1 = (2k + 2 - x) L_k^1 - (k+1) L_{k-1}^1
+    from L_{-1}^1 = 0 and L_0^1 = 1.  Once a value, L_1^1 included, passes
+    2**500 both carried values are divided by the same power of two.
+    """
+    exponent = 0
+    prev, cur = 0.0, 1.0
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 2 - x) * cur - (k + 1) * prev) / (k + 1)
+        if abs(cur) > 2.0**500:
+            shift = math.frexp(cur)[1]
+            prev, cur = math.ldexp(prev, -shift), math.ldexp(cur, -shift)
+            exponent += shift
+    return cur, exponent
+
+
+def _damped_laguerre1_reference(n, x, decay):
+    """L_n^1(x) e^{-decay} from the scalar reference, one value at a time."""
+    return sf._damp_scaled(*_laguerre1_scaled_reference(n, x), decay)
+
+
+def _laguerre1(n, x):
+    """L_n^1(x) from ``sf.laguerre1``: entry n of its vector over n + 1 copies of x."""
+    return sf.laguerre1(np.full(n + 1, x), np.zeros(n + 1))[n]
+
+
 def test_laguerre_low_degrees():
-    assert sf.laguerre1(0, 7.3) == 1.0
-    assert sf.laguerre1(1, 3.0) == -1.0  # 2 - x
+    # entry n is L_n^1(x[n]): L_0^1 = 1 and L_1^1 = 2 - x
+    assert sf.laguerre1(np.array([7.3, 3.0]), np.zeros(2)).tolist() == [1.0, -1.0]
+    assert sf.laguerre1(np.array([]), np.array([])).size == 0
     # L_2^1(x) = 3 - 3x + x^2/2, so L_2^1(2) = -1
-    assert sf.laguerre1(2, 2.0) == pytest.approx(-1.0, abs=1e-14)
+    assert _laguerre1(2, 2.0) == pytest.approx(-1.0, abs=1e-14)
     # L_3^1(x) = 4 - 6x + 2x^2 - x^3/6
     for x in (0.0, 0.5, 1.7, 4.0):
         expected = 4 - 6 * x + 2 * x**2 - x**3 / 6
-        assert sf.laguerre1(3, x) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+        assert _laguerre1(3, x) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
 @given(st.integers(0, 40), st.floats(0.0, 120.0))
 def test_laguerre_matches_scipy(n, x):
-    ours = sf.laguerre1(n, x)
-    ref = float(eval_genlaguerre(n, 1, x))
-    assert ours == pytest.approx(ref, rel=1e-10, abs=1e-10 * max(1.0, abs(ref)))
+    # every degree up to n at one argument
+    for k, ours in enumerate(sf.laguerre1(np.full(n + 1, x), np.zeros(n + 1)).tolist()):
+        ref = float(eval_genlaguerre(k, 1, x))
+        assert ours == pytest.approx(ref, rel=1e-10, abs=1e-10 * max(1.0, abs(ref)))
 
 
 def _single_ubm_moment(n, t):
     """h_n(t) = L_{n-1}^1(nt) e^{-nt/2} / n, one moment at a time."""
-    return sf.damped_laguerre1(n - 1, n * t, n * t / 2.0) / n
+    return _damped_laguerre1_reference(n - 1, n * t, n * t / 2.0) / n
 
 
 def test_ubm_moment_basics():
@@ -54,17 +86,16 @@ def test_ubm_moment_bounded_by_one(n, t):
 def test_s_closed_low_orders():
     # s_1 = 1, s_2 = 1 - 2t, s_3 = 1 - 6t + 6t^2
     for t in (0.0, 0.4, 1.0, 2.0):
-        assert sf.s_closed_theta_half(1, t) == 1.0
-        assert sf.s_closed_theta_half(2, t) == pytest.approx(1 - 2 * t, rel=1e-13, abs=1e-13)
-        assert sf.s_closed_theta_half(3, t) == pytest.approx(
-            1 - 6 * t + 6 * t**2, rel=1e-12, abs=1e-12
-        )
+        s_1, s_2, s_3 = sf.s_closed_theta_half(t, 3)
+        assert s_1 == 1.0
+        assert s_2 == pytest.approx(1 - 2 * t, rel=1e-13, abs=1e-13)
+        assert s_3 == pytest.approx(1 - 6 * t + 6 * t**2, rel=1e-12, abs=1e-12)
 
 
 def test_s_trajectory_matches_closed_at_half():
     times, states = sf.s_trajectory(0.5, 1.0, 12, h=2e-4)
     assert times[-1] == pytest.approx(1.0, abs=1e-12)
-    s_cl = np.array([sf.s_closed_theta_half(n, 1.0) for n in range(1, 13)])
+    s_cl = sf.s_closed_theta_half(1.0, 12)
     scale = np.maximum(1.0, np.abs(s_cl))
     assert np.max(np.abs(states[-1] - s_cl) / scale) < 1e-8
 
@@ -123,7 +154,7 @@ def test_invalid_parameters():
         with pytest.raises(ValueError):
             expansion_moments(theta, np.ones(4))
     with pytest.raises(ValueError):
-        sf.laguerre1(-1, 0.0)
+        sf.laguerre1(np.zeros(3), np.zeros(2))  # one decay per argument
     with pytest.raises(ValueError):
         sf.ubm_moment_vector(-0.5, 4)
 
@@ -142,16 +173,16 @@ def _laguerre1_unscaled(n, x):
 def test_laguerre_scaling_is_bit_exact_where_unscaled_is_finite(n, x):
     plain = _laguerre1_unscaled(n, x)
     assert math.isfinite(plain)
-    assert sf.laguerre1(n, x) == plain
-    mantissa, exponent = sf.laguerre1_scaled(n, x)
+    assert _laguerre1(n, x) == plain
+    mantissa, exponent = _laguerre1_scaled_reference(n, x)
     assert math.ldexp(mantissa, exponent) == plain
 
 
 def test_laguerre_overflow_is_infinite_not_nan():
     # L_255^1(2048) ~ -1e340: the unscaled recurrence overflows
-    assert sf.laguerre1(255, 2048.0) == -math.inf
-    mantissa, exponent = sf.laguerre1_scaled(255, 2048.0)
-    assert math.log2(abs(mantissa)) + exponent > 1024
+    assert _laguerre1(255, 2048.0) == -math.inf
+    mantissa, exponent = sf._laguerre1_scaled(np.full(256, 2048.0))
+    assert math.log2(abs(mantissa[255])) + exponent[255] > 1024
 
 
 def _ubm_moment_exact(n, t):
@@ -256,20 +287,20 @@ def test_rho_series_is_bit_exact_with_plain_laguerre(t):
     order = 224 if t == 10.0 else 256  # rho_10 leaves float64 at k = 225
     coeffs = rho_series(t, order).coeffs
     for k in range(1, order + 1):
-        assert coeffs[k] == sf.laguerre1(k - 1, k * t) / k
+        assert coeffs[k] == _damped_laguerre1_reference(k - 1, k * t, 0.0) / k
         plain = _laguerre1_unscaled(k - 1, k * t) / k
         assert coeffs[k] == plain or not math.isfinite(plain)
 
 
 def test_damped_laguerre_is_finite_past_the_laguerre_overflow():
     # L_255^1(2048) e^{-1024}: the Laguerre value alone is about -1e340
-    value = sf.damped_laguerre1(255, 2048.0, 1024.0)
+    value = sf.laguerre1(np.full(256, 2048.0), np.full(256, 1024.0))[255]
     assert math.isfinite(value) and value < 0
     mpmath = pytest.importorskip("mpmath")
-    mantissa, exponent = sf.laguerre1_scaled(255, 2048.0)
+    mantissa, exponent = _laguerre1_scaled_reference(255, 2048.0)
     ref = mpmath.mpf(mantissa) * mpmath.mpf(2) ** exponent * mpmath.exp(-1024)
     assert value == pytest.approx(float(ref), rel=1e-12)
-    assert sf.damped_laguerre1(255, 2048.0, 0.0) == -math.inf
+    assert _laguerre1(255, 2048.0) == -math.inf
 
 
 def test_rho_coefficients_are_ubm_moments_at_double_time():
@@ -290,27 +321,40 @@ def test_rho_coefficients_are_the_scalar_damped_laguerre_bit_for_bit(order, s, r
     # decomposition damps at t - log(2 - lambda), which may be negative)
     for decay_rate in (0.0, s / 2.0, rate):
         vec = sf.rho_coefficients(s, decay_rate, order)
-        ref = [0.0] + [sf.damped_laguerre1(k - 1, k * s, k * decay_rate) / k
+        ref = [0.0] + [_damped_laguerre1_reference(k - 1, k * s, k * decay_rate) / k
                        for k in range(1, order + 1)]
         assert _bits(vec) == _bits(ref)
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.lists(st.floats(-100.0, 3000.0), max_size=300))
-def test_laguerre_vector_carries_the_scalar_mantissa_and_exponent(xs):
-    mantissa, exponent = sf.laguerre1_scaled_vector(np.array(xs))
-    ref = [sf.laguerre1_scaled(n, x) for n, x in enumerate(xs)]
+@given(st.floats(0.0, 50.0), st.integers(1, 64))
+def test_s_closed_is_the_scalar_laguerre_at_2nt_bit_for_bit(t, order):
+    # n (2t) and (2n) t are one correctly rounded product: doubling is exact
+    ref = [_damped_laguerre1_reference(n - 1, 2.0 * n * t, 0.0) / n for n in range(1, order + 1)]
+    assert _bits(sf.s_closed_theta_half(t, order)) == _bits(ref)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.floats(-100.0, 3000.0), st.floats(-50.0, 3000.0)), max_size=300))
+def test_laguerre_vector_carries_the_scalar_mantissa_and_exponent(pairs):
+    xs = np.array([x for x, _ in pairs])
+    mantissa, exponent = sf._laguerre1_scaled(xs)
+    ref = [_laguerre1_scaled_reference(n, x) for n, (x, _) in enumerate(pairs)]
     assert _bits(mantissa) == _bits([m for m, _ in ref])
     assert exponent.tolist() == [e for _, e in ref]
+    # and the damped values, at an arbitrary decay per entry
+    damped = sf.laguerre1(xs, np.array([d for _, d in pairs]))
+    assert _bits(damped) == _bits([_damped_laguerre1_reference(n, x, d)
+                                   for n, (x, d) in enumerate(pairs)])
 
 
 @pytest.mark.parametrize("order, s", [(300, 8.0), (600, 2.0), (64, 500.0)])
 def test_laguerre_vector_rescales_exactly_the_scalar_entries(order, s):
     # the rescale has fired for some entries and not for the others
     x = np.arange(1, order + 1) * s
-    mantissa, exponent = sf.laguerre1_scaled_vector(x)
+    mantissa, exponent = sf._laguerre1_scaled(x)
     assert 0 < np.count_nonzero(exponent) < order
-    ref = [sf.laguerre1_scaled(n, x[n]) for n in range(order)]
+    ref = [_laguerre1_scaled_reference(n, x[n]) for n in range(order)]
     assert _bits(mantissa) == _bits([m for m, _ in ref])
     assert exponent.tolist() == [e for _, e in ref]
 
@@ -318,8 +362,8 @@ def test_laguerre_vector_rescales_exactly_the_scalar_entries(order, s):
 def test_laguerre_vector_rescales_the_entries_beside_a_nan():
     x = np.arange(1, 65) * 500.0
     x[60] = math.nan
-    mantissa, exponent = sf.laguerre1_scaled_vector(x)
-    ref = [sf.laguerre1_scaled(n, x[n]) for n in range(64)]
+    mantissa, exponent = sf._laguerre1_scaled(x)
+    ref = [_laguerre1_scaled_reference(n, x[n]) for n in range(64)]
     assert math.isnan(mantissa[60]) and exponent[60] == ref[60][1]
     mantissa[60], ref[60] = 0.0, (0.0, ref[60][1])
     assert _bits(mantissa) == _bits([m for m, _ in ref])
@@ -328,11 +372,10 @@ def test_laguerre_vector_rescales_the_entries_beside_a_nan():
 
 def test_first_laguerre_value_is_rescaled_past_the_threshold():
     # L_1^1 = 2 - x is carried as-is up to 2**500 and rescaled past it
-    assert sf.laguerre1_scaled(1, 3.0) == (-1.0, 0)
-    assert sf.laguerre1_scaled(1, 2.0 - 2.0**500) == (2.0**500, 0)
-    assert sf.laguerre1_scaled(1, 2.0**600) == (-0.5, 601)
-    mantissa, exponent = sf.laguerre1_scaled_vector(np.array([0.0, 2.0**600]))
-    assert mantissa.tolist() == [1.0, -0.5] and exponent.tolist() == [0, 601]
+    for x, scaled in ((3.0, (-1.0, 0)), (2.0 - 2.0**500, (2.0**500, 0)), (2.0**600, (-0.5, 601))):
+        assert _laguerre1_scaled_reference(1, x) == scaled
+        mantissa, exponent = sf._laguerre1_scaled(np.array([0.0, x]))
+        assert (mantissa.tolist(), exponent.tolist()) == ([1.0, scaled[0]], [0, scaled[1]])
 
 
 @pytest.mark.parametrize("t, order", [(3.4e153, 4), (5.2e151, 256), (1e300, 4), (1e300, 256)])
