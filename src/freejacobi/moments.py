@@ -183,12 +183,17 @@ def recurrence_rhs(m: np.ndarray, lam, theta) -> np.ndarray:
 class MomentTrajectory:
     """Time-indexed moment vectors of one parameter set.
 
-    ``values[j]`` is (m_0, ..., m_order) at ``times[j]``.
+    ``values[j]`` is (m_0, ..., m_order) at ``times[j]``: every step of
+    the run, or one row per read time (see ``rk4``).  ``steps`` is the
+    number of RK4 steps the run took, the partial step included, however
+    few it stored (None for a trajectory no run made).  ``at(t)`` is the
+    row at a stored time t, a KeyError for any other.
     """
 
     params: ProcessParams
     times: np.ndarray
     values: np.ndarray
+    steps: int | None = None
 
     @property
     def order(self) -> int:
@@ -203,6 +208,7 @@ def integrate_moments_batch(
     t_end: float,
     order: int = DEFAULT_ORDER,
     h: float = DEFAULT_STEP,
+    at=None,
 ) -> list[MomentTrajectory]:
     """Integrate several parameter sets in one RK4 loop.
 
@@ -211,8 +217,8 @@ def integrate_moments_batch(
     ``rk4`` call advances them together, with the hierarchy's right-hand
     side (``hierarchy``) bound once to each stage's buffers.  Row b of the
     result is bit-identical to ``integrate_moments(params_seq[b], ...)``;
-    the trajectories' values are views into one shared (steps, B, order+1)
-    array.
+    the trajectories' values are views into one shared (rows, B, order+1)
+    array, with a row per step, or per read time in ``at`` (see ``rk4``).
     """
     params_seq = list(params_seq)
     if not params_seq:
@@ -222,9 +228,10 @@ def integrate_moments_batch(
     y0 = np.stack([p.initial_vector(order) for p in params_seq])
     lam = tuple(p.lam for p in params_seq)
     theta = tuple(p.theta for p in params_seq)
-    times, states = rk4(hierarchy(lam, theta), y0, t_end, h)
+    run = rk4(hierarchy(lam, theta), y0, t_end, h, at)
+    times, states = run
     return [
-        MomentTrajectory(params=p, times=times, values=states[:, b])
+        MomentTrajectory(params=p, times=times, values=states[:, b], steps=run.steps)
         for b, p in enumerate(params_seq)
     ]
 
@@ -234,14 +241,16 @@ def integrate_moments(
     t_end: float,
     order: int = DEFAULT_ORDER,
     h: float = DEFAULT_STEP,
+    at=None,
 ) -> MomentTrajectory:
     """Integrate the hierarchy from the params' initial data up to t_end.
 
     Every RK4 step is stored, so intermediate times that are multiples of
-    ``h`` can be read back exactly.  Deterministic for fixed
+    ``h`` can be read back exactly; with read times ``at``, only the steps
+    at those times (see ``rk4``).  Deterministic for fixed
     (params, order, h).  A batch of one: see ``integrate_moments_batch``.
     """
-    return integrate_moments_batch([params], t_end, order, h)[0]
+    return integrate_moments_batch([params], t_end, order, h, at)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +356,8 @@ def complement_moments(source: MomentTrajectory) -> MomentTrajectory:
     out[:, 0] = 1.0
     out[:, 1:] = (tau_q + (tau_p * source.values[:, 1:]) @ signs) / norm
     params = ProcessParams(lam=lambda_prime, theta=0.5, init_mode="p-ge-q")
-    return MomentTrajectory(params=params, times=source.times.copy(), values=out)
+    return MomentTrajectory(params=params, times=source.times.copy(), values=out,
+                            steps=source.steps)
 
 
 def lambda_scaling_residual(lams, theta: float, t_end: float, order: int) -> np.ndarray:
@@ -370,4 +380,8 @@ def lambda_scaling_residual(lams, theta: float, t_end: float, order: int) -> np.
     _, states = rk4(hierarchy(coupling, theta), np.concatenate([m0, m0 * scale]), t_end,
                     DEFAULT_STEP)
     m, v = np.split(states, 2, axis=1)
-    return np.max(np.abs(scale * m - v), axis=(0, 2))
+    # |scale m - v|, written over m: no run-sized temporaries
+    np.multiply(scale, m, out=m)
+    np.subtract(m, v, out=m)
+    np.abs(m, out=m)
+    return np.max(m, axis=(0, 2))

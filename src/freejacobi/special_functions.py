@@ -158,7 +158,23 @@ def s_closed_theta_half(t: float, order: int) -> np.ndarray:
     return rho_coefficients(2.0 * t, 0.0, order)[1:]
 
 
-def rk4(bind, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+class Run(tuple):
+    """``rk4``'s (times, states), which unpacks as a pair, with ``steps``:
+    the RK4 steps the run took, the partial step included."""
+
+    def __new__(cls, times: np.ndarray, states: np.ndarray, steps: int):
+        run = super().__new__(cls, (times, states))
+        run.steps = steps
+        return run
+
+
+# a run with read times takes at most this many steps: after j steps of h the
+# accumulated time has drifted by up to j 2^-53 t, and past 1e-9 t
+# (stored_index's tolerance) a read time may no longer find its step
+_MAX_READ_STEPS = int(1e-9 * 2.0**53)  # 9,007,199
+
+
+def rk4(bind, y0: np.ndarray, t_end: float, h: float, at=None) -> Run:
     """Classical fixed-step RK4 for dy/dt = f(t, y) from t = 0 to t_end.
 
     ``bind(y, out)`` is called once for each of the four stages, before the
@@ -170,9 +186,9 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.nd
     ``bind``.  ``bind`` prepares everything the right-hand side needs
     (coefficients, views, scratch buffers) for its own two buffers, so
     nothing outlives one integration and two integrations, in one thread
-    or several, share nothing.  The state lives in one buffer and is
-    copied into ``states[j]`` after step j, and each step evaluates
-    y + (dt/2) k1, y + (dt/2) k2, y + dt k3 and
+    or several, share nothing.  The state lives in one buffer, which is
+    copied into ``states`` after each step that is kept, and each step
+    evaluates y + (dt/2) k1, y + (dt/2) k2, y + dt k3 and
     y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) with in-place ufuncs, which
     round exactly as their allocating forms.
 
@@ -185,13 +201,26 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.nd
     Every step, the partial one included, runs the one step body.
 
     ``y0`` may have any shape; a (B, n) state advances B systems in one
-    loop, one call per stage for all of them.  Returns (times, states)
-    with every step stored, states of shape (len(times),) + y0.shape: the
-    most full steps that end at or before t_end (up to rounding), then a
-    partial step that lands on t_end when the accumulated time falls
-    short.  A run too long to store raises a ValueError naming its step
-    count and the bytes it needs.  The one integrator of the package: the
-    moment hierarchy and the trace system both run through it.
+    loop, one call per stage for all of them.  The run takes the most full
+    steps that end at or before t_end (up to rounding), then a partial
+    step that lands on t_end when the accumulated time falls short.
+    Returns a ``Run``: (times, states), states of shape
+    (len(times),) + y0.shape, and ``steps``.  The stored times are the
+    accumulated ones (t_end for the partial step).
+
+    Without ``at``, every step is stored, t = 0 first.  A run too long to
+    store raises a ValueError naming its step count and the bytes it
+    needs.  With read times ``at``, row q holds the step that
+    ``stored_index`` would pick for the q-th smallest distinct read time
+    on the full run: the nearest step, within 1e-9 max(1, |t|).  Only
+    those rows are allocated, so such a run is bounded by a step limit
+    instead: one of more than 9,007,199 steps (1e-9 / 2^-53, past which
+    the accumulated time can drift beyond that tolerance) raises a
+    ValueError naming its step count before the first step.  A read time
+    that no step matches (between steps, past t_end, NaN or infinite)
+    raises the KeyError ``stored_index`` raises, at the end of the run.
+    The one integrator of the package: the moment hierarchy and the trace
+    system both run through it.
     """
     if not 0 < h < math.inf:
         raise ValueError("step must be positive and finite")
@@ -199,20 +228,64 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.nd
         raise ValueError("t_end must be finite and nonnegative")
     y0 = np.asarray(y0, dtype=float)
     span = t_end / h + 1e-9
-    # one spare row for the partial step, which the accumulated t decides.
-    # A run too long to store: OverflowError from floor(inf), ValueError
-    # past numpy's largest dimension, MemoryError short of it
-    try:
+    if at is None:
+        # one spare row for the partial step, which the accumulated t decides.
+        # A run too long to store: OverflowError from floor(inf), ValueError
+        # past numpy's largest dimension, MemoryError short of it
+        try:
+            steps = math.floor(span)
+            times = np.empty(steps + 2)
+            states = np.empty((steps + 2,) + y0.shape)
+        except (OverflowError, ValueError, MemoryError):
+            raise ValueError(
+                f"{span:.6g} steps of h={h:g} to t={t_end:g} need "
+                f"{8 * (span + 2) * (1 + y0.size):.3g} bytes of stored times and states, "
+                "more than can be allocated"
+            ) from None
+
+        def keep(j, t):
+            times[j], states[j] = t, y
+            return -math.inf
+
+        def rows(taken):
+            return times[: taken + 1], states[: taken + 1]
+    else:
+        if not span <= _MAX_READ_STEPS:
+            raise ValueError(
+                f"{span:.6g} steps of h={h:g} to t={t_end:g}: a run with read times "
+                f"takes at most {_MAX_READ_STEPS} steps"
+            )
         steps = math.floor(span)
-        times = np.empty(steps + 2)
-        states = np.empty((steps + 2,) + y0.shape)
-    except (OverflowError, ValueError, MemoryError):
-        raise ValueError(
-            f"{span:.6g} steps of h={h:g} to t={t_end:g} need "
-            f"{8 * (span + 2) * (1 + y0.size):.3g} bytes of stored times and states, "
-            "more than can be allocated"
-        ) from None
-    times[0], states[0] = 0.0, y0
+        reads = sorted({float(t) for t in at})
+        for t in reads:
+            if not math.isfinite(t):
+                raise KeyError(f"time {t} not stored in trajectory")
+        tols = [_drift_tolerance(t) for t in reads]
+        times, states = np.empty(len(reads)), np.empty((len(reads),) + y0.shape)
+        nearest = [math.inf] * len(reads)  # distance of each read time's kept step
+        first = 0  # the steps have passed the read times before it
+
+        def keep(j, t):
+            # the step is kept for every read time it is the nearest step to
+            # so far, within tolerance
+            nonlocal first
+            for q in range(first, len(reads)):
+                dist = abs(t - reads[q])
+                if dist <= tols[q]:
+                    if dist < nearest[q]:
+                        nearest[q], times[q], states[q] = dist, t, y
+                elif t < reads[q]:
+                    break
+                else:
+                    first += 1
+            # the next step to look at is the first within twice the tolerance
+            return reads[first] - 2 * tols[first] if first < len(reads) else math.inf
+
+        def rows(taken):
+            for t, dist in zip(reads, nearest):
+                if dist == math.inf:
+                    raise KeyError(f"time {t} not stored in trajectory")
+            return times, states
     y, k1, k2, k3, k4, stage, acc = np.empty((7,) + y0.shape)
     y[...] = y0
     f1, f2, f3, f4 = bind(y, k1), bind(stage, k2), bind(stage, k3), bind(stage, k4)
@@ -242,17 +315,24 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float) -> tuple[np.ndarray, np.nd
 
     full = scalars(h)
     t = 0.0
+    due = keep(0, t)
     for j in range(1, steps + 1):
         step(t, *full)
         t += h
-        times[j], states[j] = t, y
-    stored = steps + 1
+        if t >= due:
+            due = keep(j, t)
+    taken = steps
     rem = t_end - t
     if rem > 1e-12 * max(1.0, t_end):
         step(t, *scalars(rem))
-        times[stored], states[stored] = t_end, y
-        stored += 1
-    return times[:stored], states[:stored]
+        taken += 1
+        keep(taken, t_end)
+    return Run(*rows(taken), taken)
+
+
+def _drift_tolerance(t: float) -> float:
+    """How far a stored time may lie from the time it is read at."""
+    return 1e-9 * max(1.0, abs(t))
 
 
 def stored_index(times: np.ndarray, t: float) -> int:
@@ -261,7 +341,7 @@ def stored_index(times: np.ndarray, t: float) -> int:
     must fail loudly rather than snap to a neighbor, and for a NaN or
     infinite one, which argmin would snap to index 0."""
     idx = int(np.argmin(np.abs(times - t)))
-    if not math.isfinite(t) or abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+    if not math.isfinite(t) or abs(times[idx] - t) > _drift_tolerance(t):
         raise KeyError(f"time {t} not stored in trajectory")
     return idx
 
@@ -322,9 +402,11 @@ def s_trajectory(
     t_end: float,
     order: int,
     h: float = DEFAULT_STEP,
-) -> tuple[np.ndarray, np.ndarray]:
+    at=None,
+) -> Run:
     """Integrate the trace system (``trace_system``) from s_n(0) = 1 (the
-    weight squares to the identity); states[j, n-1] holds s_n.  A
+    weight squares to the identity); states[j, n-1] holds s_n at times[j],
+    for every step, or for each read time in ``at`` (see ``rk4``).  A
     ValueError names the time the state leaves float64 (theta != 1/2).
     """
     bind = trace_system(theta, order)
@@ -332,7 +414,7 @@ def s_trajectory(
     # never holds inf or NaN
     try:
         with np.errstate(over="raise"):
-            return rk4(bind, np.ones(order), t_end, h)
+            return rk4(bind, np.ones(order), t_end, h, at)
     except FloatingPointError:
         raise ValueError(
             f"trace system state leaves the float64 range by t={bind.t:g}"

@@ -83,11 +83,11 @@ def _worst(pairs) -> float:
 Checked = tuple[list[CheckResult], dict]
 
 
-def _lambda_scan(lams, t_end: float, order: int):
+def _lambda_scan(lams, t_end: float, order: int, at):
     """Nested-start trajectories at theta = 1/2, one per lambda, from one
-    batched integration."""
+    batched integration that keeps the read times ``at``."""
     return integrate_moments_batch(
-        [ProcessParams(lam=lam, theta=0.5) for lam in lams], t_end, order=order
+        [ProcessParams(lam=lam, theta=0.5) for lam in lams], t_end, order=order, at=at
     )
 
 
@@ -145,15 +145,15 @@ def suite_catalan() -> list[CheckResult]:
 def suite_laguerre() -> list[CheckResult]:
     # step 2e-4 keeps the RK4 error well below the stated tolerances
     # (the default 1e-3 step sits right at the 1e-8 boundary at t = 4)
-    times, states = s_trajectory(0.5, 4.0, 12, h=2e-4)
-    sampled = range(0, len(times), max(1, len(times) // 80))
-    closed = [s_closed_theta_half(times[j], 12) for j in sampled]
+    # 81 read times, t = 0, 0.05, ..., 4: every 250th step
+    times, states = s_trajectory(0.5, 4.0, 12, h=2e-4, at=[k / 20 for k in range(81)])
+    closed = [s_closed_theta_half(t, 12) for t in times]
     # scaled comparison: the raw values reach 1e13 at n=12, t=4, where an
     # absolute 1e-8 would be below float64 resolution
-    worst_closed = _worst((np.abs(states[j] - c) / np.maximum(1.0, np.abs(c)), 0.0)
-                          for j, c in zip(sampled, closed))
-    worst_h = _worst((damped_traces(states[j], times[j]), ubm_moment_vector(2.0 * times[j], 12))
-                     for j in sampled)
+    worst_closed = _worst((np.abs(s - c) / np.maximum(1.0, np.abs(c)), 0.0)
+                          for s, c in zip(states, closed))
+    worst_h = _worst((damped_traces(s, t), ubm_moment_vector(2.0 * t, 12))
+                     for t, s in zip(times, states))
     return [
         _check("laguerre", "integrated-vs-closed-form", worst_closed, 1e-8,
                "n<=12, t<=4, scaled by max(1, |closed|)"),
@@ -173,9 +173,9 @@ def suite_routes() -> list[CheckResult]:
     system.  Both integrations run at the default step, h = 1e-3."""
     order = 16
     params = ProcessParams(lam=1.0, theta=0.5)
-    traj = integrate_moments(params, 4.0, order=order)
-    s_times, s_states = s_trajectory(0.5, 4.0, order)
     times = (0.25, 0.5, 1.0, 2.0, 4.0)
+    traj = integrate_moments(params, 4.0, order=order, at=times)
+    s_times, s_states = s_trajectory(0.5, 4.0, order, at=times)
     ode = [traj.at(t) for t in times]
     closed = [closed_form_moments(t, order) for t in times]
     expansion = [expansion_moments(0.5, damped_traces(s_states[stored_index(s_times, t)], t))
@@ -304,7 +304,7 @@ def suite_series() -> list[CheckResult]:
 
 def suite_decomposition() -> list[CheckResult]:
     lams = (0.3, 0.6, 0.9, 0.99, 0.999)
-    trajs = dict(zip(lams, _lambda_scan(lams, 1.0, 10)))
+    trajs = dict(zip(lams, _lambda_scan(lams, 1.0, 10, at=(0.5, 1.0))))
     decomps = {(lam, t): dec.decomposition_u(t, 10, trajs[lam])
                for lam in (0.3, 0.6, 0.9) for t in (0.5, 1.0)}
     c3_pairs = [
@@ -347,6 +347,7 @@ def suite_decomposition() -> list[CheckResult]:
 
 def suite_complement() -> list[CheckResult]:
     order = 10
+    times = (0.5, 1.0, 2.0)
     src, direct, src1, base = integrate_moments_batch(
         [
             ProcessParams(lam=0.5, theta=0.5, init_mode="orthogonal"),
@@ -356,10 +357,10 @@ def suite_complement() -> list[CheckResult]:
         ],
         2.0,
         order=order,
+        at=times,
     )
     transformed = complement_moments(src)
     lim = complement_moments(src1)
-    times = (0.5, 1.0, 2.0)
     return [
         _check("complement", "transform-vs-direct-lam-1.5",
                _worst((transformed.at(t), direct.at(t)) for t in times), 1e-8,
@@ -384,7 +385,7 @@ def suite_density() -> list[CheckResult]:
     stationary = _worst(
         (spectral.quadrature_moments(spectral.stationary_density(lam, num_points=999), 8),
          traj.at(30.0))
-        for lam, traj in zip(lams, _lambda_scan(lams, 30.0, 8))
+        for lam, traj in zip(lams, _lambda_scan(lams, 30.0, 8, at=(30.0,)))
     )
     return [
         _check("density", "moment-back-check", moments, 1e-6, "n<=8, t in {0.5,1,2}, 256 terms"),
@@ -447,13 +448,14 @@ def suite_general_theta(dim: int = 128, steps: int = 100, trials: int = 6,
     t_grid = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
     theta = orc.round_half_up(0.75 * dim) / dim
     base, traj = integrate_moments_batch(
-        [ProcessParams(lam=1.0, theta=0.5), ProcessParams(lam=1.0, theta=theta)], 2.0, order=6
+        [ProcessParams(lam=1.0, theta=0.5), ProcessParams(lam=1.0, theta=theta)], 2.0, order=6,
+        at=t_grid,
     )
     worst_half = _worst((closed_form_moments(t, 6), base.at(t)) for t in t_grid)
 
     # one trace-system run, read at each grid time and at t = 1; damped at the grid
     # time t, not the stored one, it gives the bits of a separate run to t
-    s_times, s_states = s_trajectory(theta, 2.0, 6, h=2e-4)
+    s_times, s_states = s_trajectory(theta, 2.0, 6, h=2e-4, at=t_grid)
 
     def damped(t):
         return damped_traces(s_states[stored_index(s_times, t)], t)

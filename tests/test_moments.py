@@ -1,6 +1,7 @@
 import math
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -346,6 +347,40 @@ def test_batch_rows_equal_single_runs(params_seq, order):
         assert traj.params == params and traj.order == order
         assert np.array_equal(traj.times, single.times)
         assert np.array_equal(traj.values, single.values)
+
+
+@pytest.mark.parametrize("t_end, h, partial", [
+    (1.0, 0.1, False), (1.05, 0.1, True), (0.3, 0.1, False), (0.0, 0.1, False),
+    (2.0, 1e-3, False), (0.0105, 1e-3, True), (0.05, 1.0, True),
+])
+@pytest.mark.parametrize("at", [None, (), "ends"])
+def test_steps_count_every_rk4_step_whatever_is_stored(t_end, h, partial, at):
+    at = (0.0, t_end) if at == "ends" else at
+    traj = integrate_moments(ProcessParams(0.6, 0.5), t_end, order=4, h=h, at=at)
+    assert traj.steps == math.floor(t_end / h + 1e-9) + partial
+    source = integrate_moments(ProcessParams(0.5, 0.5, "orthogonal"), t_end, order=4, h=h, at=at)
+    assert complement_moments(source).steps == traj.steps
+
+
+def test_a_hand_built_trajectory_counts_no_steps():
+    assert MomentTrajectory(ProcessParams(0.6, 0.5), np.zeros(1), np.ones((1, 3))).steps is None
+
+
+@pytest.mark.parametrize("t_end", [3.0, 30.0])
+def test_the_density_suites_integration_stores_one_state(t_end):
+    # the density suite reads the lambda scan at t = 30 alone; storing every
+    # step took 30,001 x 27 floats (6.5 MB)
+    params = [ProcessParams(lam=lam, theta=0.5) for lam in (0.4, 0.6, 0.8)]
+    tracemalloc.start()
+    try:
+        trajs = integrate_moments_batch(params, t_end, order=8, at=(t_end,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+    # the accumulated time, within drift of t_end
+    assert [traj.times.size for traj in trajs] == [1] * 3
+    assert abs(trajs[0].times[0] - t_end) <= 1e-9 * t_end
 
 
 def test_batch_needs_a_parameter_set():

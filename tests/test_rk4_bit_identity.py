@@ -18,8 +18,10 @@ import sys
 import threading
 from functools import lru_cache
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.lib.stride_tricks import sliding_window_view
 
 from freejacobi.moments import (
@@ -184,6 +186,31 @@ def test_s_trajectory_is_bit_identical(theta, t_end, order, h):
     ref_times, ref_states = reference_rk4(rhs, np.ones(order), t_end, h)
     assert times.tobytes() == ref_times.tobytes()
     assert states.tobytes() == ref_states.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(h=st.sampled_from([1e-2, 2e-2, 0.03, 5e-3]), steps=st.integers(0, 40),
+       partial=st.booleans(), data=st.data())
+def test_read_times_keep_the_full_runs_rows(h, steps, partial, data):
+    # each drawn index j becomes the read time j h (t_end for the partial
+    # step), in any order and with repeats; the run keeps one row per
+    # distinct read time, with the full run's bits
+    t_end = steps * h + (h / 3 if partial else 0.0)
+    rows = steps + 1 + partial
+    picks = data.draw(st.lists(st.integers(0, rows - 1), max_size=8))
+    at = [min(j * h, t_end) for j in picks]
+    kept = sorted(set(picks))
+    full = integrate_moments_batch(MIXED, t_end, order=8, h=h)
+    read = integrate_moments_batch(MIXED, t_end, order=8, h=h, at=at)
+    for whole, part in zip(full, read):
+        assert whole.times.size == rows
+        assert part.times.tobytes() == whole.times[kept].tobytes()
+        assert part.values.tobytes() == whole.values[kept].tobytes()
+        assert part.steps == whole.steps == steps + partial
+    times, states = s_trajectory(0.75, t_end, 6, h=h)
+    part_times, part_states = s_trajectory(0.75, t_end, 6, h=h, at=at)
+    assert part_times.tobytes() == times[kept].tobytes()
+    assert part_states.tobytes() == states[kept].tobytes()
 
 
 def test_consecutive_calls_follow_the_parameters():

@@ -1,6 +1,8 @@
 import math
 import re
+import signal
 import warnings
+from contextlib import contextmanager
 
 import hypothesis.strategies as st
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from scipy.special import eval_genlaguerre
 
 from freejacobi import special_functions as sf
-from freejacobi.moments import expansion_moments
+from freejacobi.moments import ProcessParams, expansion_moments, integrate_moments
 from freejacobi.transforms import rho_series
 from test_rk4_bit_identity import reference_rk4
 
@@ -249,6 +251,60 @@ def test_rk4_run_too_long_to_store_is_a_value_error(t_end, h, steps):
     # the trace system reports it as such, not as an overflow of its state
     with pytest.raises(ValueError, match="bytes of stored times and states"):
         sf.s_trajectory(0.75, t_end, 2, h=h)
+
+
+@pytest.mark.parametrize("at, missing", [
+    ((0.5, 0.5005), "0.5005"),  # between two steps
+    ((2.0, 0.5), "2.0"),  # past t_end
+    ((-0.001,), "-0.001"),  # before t = 0
+    ((0.5, math.nan), "nan"),
+    ((math.inf,), "inf"),
+])
+def test_a_read_time_no_step_matches_is_a_key_error(at, missing):
+    with pytest.raises(KeyError, match=f"time {missing} not stored in trajectory"):
+        integrate_moments(ProcessParams(0.6, 0.5), 1.0, order=4, at=at)
+    with pytest.raises(KeyError, match=f"time {missing} not stored in trajectory"):
+        sf.s_trajectory(0.75, 1.0, 2, at=at)
+
+
+def test_read_times_within_drift_find_their_step():
+    # stored_index's tolerance: the rows are the full run's, at the stored times
+    full = integrate_moments(ProcessParams(0.6, 0.5), 0.5, order=4)
+    read = integrate_moments(ProcessParams(0.6, 0.5), 0.5, order=4,
+                             at=(0.25 + 5e-10, 0.5 - 5e-10))
+    assert read.times.tolist() == [full.times[250], full.times[500]]
+    assert read.at(0.25).tobytes() == full.at(0.25).tobytes()
+    with pytest.raises(KeyError):
+        read.at(0.3)
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise in the test, instead of hanging tier-1, past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("t_end, h, steps", [
+    (1e12, 1e-3, "1e+15"),
+    (9_007_200.0, 1.0, "9.0072e+06"),  # one step past the limit
+    (1e300, 1e-300, "inf"),
+])
+def test_a_read_time_run_past_the_step_limit_raises_before_stepping(t_end, h, steps):
+    # nothing is allocated per step, so only the limit stops such a run
+    message = f"^{re.escape(steps)} steps of h=.* a run with read times takes at most 9007199 steps"
+    with _time_limit(20):
+        with pytest.raises(ValueError, match=message):
+            integrate_moments(ProcessParams(0.6, 0.5), t_end, order=8, h=h, at=(t_end,))
+        with pytest.raises(ValueError, match=message):
+            sf.s_trajectory(0.75, t_end, 2, h=h, at=(1.0,))
 
 
 def test_rk4_steps_and_partial_step():
