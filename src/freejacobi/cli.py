@@ -52,7 +52,8 @@ from .moments import (
     expansion_moments,
     integrate_moments,
 )
-from .special_functions import DEFAULT_STEP, damped_traces, s_closed_theta_half, s_trajectory
+from .special_functions import (DEFAULT_STEP, damped_traces, s_closed_theta_half, s_trajectory,
+                                step_times)
 
 
 #: the number format of every table but ``moments.csv``'s
@@ -236,16 +237,16 @@ def _cmd_series(args) -> int:
 def _cmd_s_system(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
-    times, states = s_trajectory(args.theta, args.t, args.order, h=args.step)
-    # samples intervals from t = 0 to --t, the last stored time; at most one per step
+    times = step_times(args.t, args.step)
+    # samples intervals from t = 0 to --t, the last step time; at most one per step
     last = len(times) - 1
     picks = sorted({round(j) for j in np.linspace(0, last, min(args.samples, last) + 1)})
     rows = []
-    for j in picks:
-        closed = s_closed_theta_half(times[j], args.order).tolist() if args.theta == 0.5 else None
+    for t, state in zip(*s_trajectory(args.theta, args.t, args.order, args.step, times[picks])):
+        closed = s_closed_theta_half(t, args.order).tolist() if args.theta == 0.5 else None
         for n in range(1, args.order + 1):
             closed_col = _fmt(closed[n - 1]) if closed else ""
-            rows.append((n, _fmt(times[j]), _fmt(states[j][n - 1]), closed_col))
+            rows.append((n, _fmt(t), _fmt(state[n - 1]), closed_col))
     _write_run(args, "s_system",
                {args.outdir / "s_system.csv": (["n", "t", "s_n", "closed_form_if_any"], rows)})
     return 0

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .combinatorics import binomial, symmetric_weights
-from .special_functions import DEFAULT_STEP, rk4, stored_index, ubm_moment_vector
+from .special_functions import DEFAULT_STEP, rk4, step_times, stored_index, ubm_moment_vector
 
 DEFAULT_ORDER = 32
 
@@ -183,11 +183,11 @@ def recurrence_rhs(m: np.ndarray, lam, theta) -> np.ndarray:
 class MomentTrajectory:
     """Time-indexed moment vectors of one parameter set.
 
-    ``values[j]`` is (m_0, ..., m_order) at ``times[j]``: every step of
-    the run, or one row per read time (see ``rk4``).  ``steps`` is the
-    number of RK4 steps the run took, the partial step included, however
-    few it stored (None for a trajectory no run made).  ``at(t)`` is the
-    row at a stored time t, a KeyError for any other.
+    ``values[q]`` is (m_0, ..., m_order) at ``times[q]``, one row per read
+    time of the run (see ``rk4``).  ``steps`` is the number of RK4 steps
+    the run took, the partial step included, however few it stored (None
+    for a trajectory no run made).  ``at(t)`` is the row at a stored time
+    t, a KeyError for any other.
     """
 
     params: ProcessParams
@@ -218,7 +218,8 @@ def integrate_moments_batch(
     side (``hierarchy``) bound once to each stage's buffers.  Row b of the
     result is bit-identical to ``integrate_moments(params_seq[b], ...)``;
     the trajectories' values are views into one shared (rows, B, order+1)
-    array, with a row per step, or per read time in ``at`` (see ``rk4``).
+    array, with a row per read time in ``at``, t_end alone by default (see
+    ``rk4``).
     """
     params_seq = list(params_seq)
     if not params_seq:
@@ -245,10 +246,10 @@ def integrate_moments(
 ) -> MomentTrajectory:
     """Integrate the hierarchy from the params' initial data up to t_end.
 
-    Every RK4 step is stored, so intermediate times that are multiples of
-    ``h`` can be read back exactly; with read times ``at``, only the steps
-    at those times (see ``rk4``).  Deterministic for fixed
-    (params, order, h).  A batch of one: see ``integrate_moments_batch``.
+    The run stores the state at t_end, or the step at each read time in
+    ``at`` (see ``rk4``; ``step_times`` reads every step).  Deterministic
+    for fixed (params, order, h).  A batch of one: see
+    ``integrate_moments_batch``.
     """
     return integrate_moments_batch([params], t_end, order, h, at)[0]
 
@@ -367,8 +368,8 @@ def lambda_scaling_residual(lams, theta: float, t_end: float, order: int) -> np.
     v_n = lam m_n satisfies the recurrence with the quadratic coupling
     constant set to theta alone (lambda = 1) and v_0 = lam; integrating
     both from the nested P <= Q start at the default step and comparing
-    validates the scaling reduction.  Every lambda's m-row and v-row run
-    in one (2B, order+1) batch.
+    validates the scaling reduction at every step.  Every lambda's m-row
+    and v-row run in one (2B, order+1) batch.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -378,7 +379,7 @@ def lambda_scaling_residual(lams, theta: float, t_end: float, order: int) -> np.
     # rows 0..B-1: m_n at (lam, theta); rows B..2B-1: v_n from v_0 = lam, v_n(0) = lam m_n(0)
     coupling = lams + (1.0,) * len(lams)
     _, states = rk4(hierarchy(coupling, theta), np.concatenate([m0, m0 * scale]), t_end,
-                    DEFAULT_STEP)
+                    DEFAULT_STEP, at=step_times(t_end, DEFAULT_STEP))
     m, v = np.split(states, 2, axis=1)
     # |scale m - v|, written over m: no run-sized temporaries
     np.multiply(scale, m, out=m)

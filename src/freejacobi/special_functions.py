@@ -160,18 +160,57 @@ def s_closed_theta_half(t: float, order: int) -> np.ndarray:
 
 class Run(tuple):
     """``rk4``'s (times, states), which unpacks as a pair, with ``steps``:
-    the RK4 steps the run took, the partial step included."""
+    the RK4 steps the run took, the partial step included.  ``at(t)`` is
+    the state at a stored time t, a KeyError for any other."""
 
     def __new__(cls, times: np.ndarray, states: np.ndarray, steps: int):
         run = super().__new__(cls, (times, states))
         run.steps = steps
         return run
 
+    def at(self, t: float) -> np.ndarray:
+        return self[1][stored_index(self[0], t)]
 
-# a run with read times takes at most this many steps: after j steps of h the
-# accumulated time has drifted by up to j 2^-53 t, and past 1e-9 t
-# (stored_index's tolerance) a read time may no longer find its step
-_MAX_READ_STEPS = int(1e-9 * 2.0**53)  # 9,007,199
+
+# a run takes at most this many steps: after j steps of h the accumulated time
+# has drifted by up to j 2^-53 t, and past 1e-9 t (stored_index's tolerance)
+# a read time may no longer find its step
+_MAX_STEPS = int(1e-9 * 2.0**53)  # 9,007,199
+
+
+def _full_steps(t_end: float, h: float) -> int:
+    """floor(t_end / h + 1e-9), the full steps of a run of step h to t_end:
+    a ValueError for a step that is not positive and finite, a t_end that
+    is not finite and nonnegative, or a run past the step limit."""
+    if not 0 < h < math.inf:
+        raise ValueError("step must be positive and finite")
+    if not 0 <= t_end < math.inf:
+        raise ValueError("t_end must be finite and nonnegative")
+    span = t_end / h + 1e-9
+    if not span <= _MAX_STEPS:
+        raise ValueError(
+            f"{span:.6g} steps of h={h:g} to t={t_end:g}: a run with read times "
+            f"takes at most {_MAX_STEPS} steps"
+        )
+    return math.floor(span)
+
+
+def _falls_short(t: float, t_end: float) -> bool:
+    """Whether full steps that end at the accumulated time t need a partial
+    step to land on t_end."""
+    return t_end - t > 1e-12 * max(1.0, t_end)
+
+
+def step_times(t_end: float, h: float) -> np.ndarray:
+    """Every time an ``rk4`` run of step h to t_end stores when read there:
+    t = 0, the accumulated time of each full step, and t_end for a partial
+    step.  The sum runs in order, as the run's own t += h does, so each
+    entry is the run's time bit for bit.  The ValueErrors of ``rk4``."""
+    times = np.zeros(_full_steps(t_end, h) + 1)
+    np.add.accumulate(np.full(times.size - 1, h), out=times[1:])
+    if _falls_short(float(times[-1]), t_end):
+        times = np.append(times, t_end)
+    return times
 
 
 def rk4(bind, y0: np.ndarray, t_end: float, h: float, at=None) -> Run:
@@ -205,87 +244,47 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float, at=None) -> Run:
     steps that end at or before t_end (up to rounding), then a partial
     step that lands on t_end when the accumulated time falls short.
     Returns a ``Run``: (times, states), states of shape
-    (len(times),) + y0.shape, and ``steps``.  The stored times are the
-    accumulated ones (t_end for the partial step).
+    (len(times),) + y0.shape, and ``steps``.
 
-    Without ``at``, every step is stored, t = 0 first.  A run too long to
-    store raises a ValueError naming its step count and the bytes it
-    needs.  With read times ``at``, row q holds the step that
-    ``stored_index`` would pick for the q-th smallest distinct read time
-    on the full run: the nearest step, within 1e-9 max(1, |t|).  Only
-    those rows are allocated, so such a run is bounded by a step limit
-    instead: one of more than 9,007,199 steps (1e-9 / 2^-53, past which
-    the accumulated time can drift beyond that tolerance) raises a
-    ValueError naming its step count before the first step.  A read time
-    that no step matches (between steps, past t_end, NaN or infinite)
-    raises the KeyError ``stored_index`` raises, at the end of the run.
-    The one integrator of the package: the moment hierarchy and the trace
-    system both run through it.
+    The run stores only the states its caller reads: row q holds the step
+    nearest the q-th smallest distinct read time in ``at`` (t_end alone by
+    default), within 1e-9 max(1, |t|), at its accumulated time (t_end for
+    the partial step).  ``step_times(t_end, h)`` reads every step.  A run
+    of more than 9,007,199 steps (1e-9 / 2^-53, past which the accumulated
+    time can drift beyond that tolerance) raises a ValueError naming its
+    step count before the first step.  A read time that no step matches
+    (between steps, past t_end, NaN or infinite) raises the KeyError
+    ``stored_index`` raises, at the end of the run.  The one integrator of
+    the package: the moment hierarchy and the trace system both run
+    through it.
     """
-    if not 0 < h < math.inf:
-        raise ValueError("step must be positive and finite")
-    if not 0 <= t_end < math.inf:
-        raise ValueError("t_end must be finite and nonnegative")
+    steps = _full_steps(t_end, h)
     y0 = np.asarray(y0, dtype=float)
-    span = t_end / h + 1e-9
-    if at is None:
-        # one spare row for the partial step, which the accumulated t decides.
-        # A run too long to store: OverflowError from floor(inf), ValueError
-        # past numpy's largest dimension, MemoryError short of it
-        try:
-            steps = math.floor(span)
-            times = np.empty(steps + 2)
-            states = np.empty((steps + 2,) + y0.shape)
-        except (OverflowError, ValueError, MemoryError):
-            raise ValueError(
-                f"{span:.6g} steps of h={h:g} to t={t_end:g} need "
-                f"{8 * (span + 2) * (1 + y0.size):.3g} bytes of stored times and states, "
-                "more than can be allocated"
-            ) from None
+    reads = sorted({float(t) for t in ((t_end,) if at is None else at)})
+    for t in reads:
+        if not math.isfinite(t):
+            raise KeyError(f"time {t} not stored in trajectory")
+    tols = [_drift_tolerance(t) for t in reads]
+    times, states = np.empty(len(reads)), np.empty((len(reads),) + y0.shape)
+    nearest = [math.inf] * len(reads)  # distance of each read time's kept step
+    first = 0  # the steps have passed the read times before it
 
-        def keep(j, t):
-            times[j], states[j] = t, y
-            return -math.inf
+    def keep(t):
+        # the step is kept for every read time it is the nearest step to so
+        # far, within tolerance
+        nonlocal first
+        for q in range(first, len(reads)):
+            dist = abs(t - reads[q])
+            if dist <= tols[q]:
+                if dist < nearest[q]:
+                    nearest[q], times[q], states[q] = dist, t, y
+            elif t < reads[q]:
+                break
+            else:
+                first += 1
+        # the next step to look at is the first within twice the tolerance
+        return reads[first] - 2 * tols[first] if first < len(reads) else math.inf
 
-        def rows(taken):
-            return times[: taken + 1], states[: taken + 1]
-    else:
-        if not span <= _MAX_READ_STEPS:
-            raise ValueError(
-                f"{span:.6g} steps of h={h:g} to t={t_end:g}: a run with read times "
-                f"takes at most {_MAX_READ_STEPS} steps"
-            )
-        steps = math.floor(span)
-        reads = sorted({float(t) for t in at})
-        for t in reads:
-            if not math.isfinite(t):
-                raise KeyError(f"time {t} not stored in trajectory")
-        tols = [_drift_tolerance(t) for t in reads]
-        times, states = np.empty(len(reads)), np.empty((len(reads),) + y0.shape)
-        nearest = [math.inf] * len(reads)  # distance of each read time's kept step
-        first = 0  # the steps have passed the read times before it
-
-        def keep(j, t):
-            # the step is kept for every read time it is the nearest step to
-            # so far, within tolerance
-            nonlocal first
-            for q in range(first, len(reads)):
-                dist = abs(t - reads[q])
-                if dist <= tols[q]:
-                    if dist < nearest[q]:
-                        nearest[q], times[q], states[q] = dist, t, y
-                elif t < reads[q]:
-                    break
-                else:
-                    first += 1
-            # the next step to look at is the first within twice the tolerance
-            return reads[first] - 2 * tols[first] if first < len(reads) else math.inf
-
-        def rows(taken):
-            for t, dist in zip(reads, nearest):
-                if dist == math.inf:
-                    raise KeyError(f"time {t} not stored in trajectory")
-            return times, states
     y, k1, k2, k3, k4, stage, acc = np.empty((7,) + y0.shape)
     y[...] = y0
     f1, f2, f3, f4 = bind(y, k1), bind(stage, k2), bind(stage, k3), bind(stage, k4)
@@ -315,19 +314,20 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float, at=None) -> Run:
 
     full = scalars(h)
     t = 0.0
-    due = keep(0, t)
-    for j in range(1, steps + 1):
+    due = keep(t)
+    for _ in range(steps):
         step(t, *full)
         t += h
         if t >= due:
-            due = keep(j, t)
-    taken = steps
-    rem = t_end - t
-    if rem > 1e-12 * max(1.0, t_end):
-        step(t, *scalars(rem))
-        taken += 1
-        keep(taken, t_end)
-    return Run(*rows(taken), taken)
+            due = keep(t)
+    if _falls_short(t, t_end):
+        step(t, *scalars(t_end - t))
+        steps += 1
+        keep(t_end)
+    for read, dist in zip(reads, nearest):
+        if dist == math.inf:
+            raise KeyError(f"time {read} not stored in trajectory")
+    return Run(times, states, steps)
 
 
 def _drift_tolerance(t: float) -> float:
@@ -405,9 +405,9 @@ def s_trajectory(
     at=None,
 ) -> Run:
     """Integrate the trace system (``trace_system``) from s_n(0) = 1 (the
-    weight squares to the identity); states[j, n-1] holds s_n at times[j],
-    for every step, or for each read time in ``at`` (see ``rk4``).  A
-    ValueError names the time the state leaves float64 (theta != 1/2).
+    weight squares to the identity); states[q, n-1] holds s_n at times[q],
+    one row per read time in ``at``, t_end alone by default (see ``rk4``).
+    A ValueError names the time the state leaves float64 (theta != 1/2).
     """
     bind = trace_system(theta, order)
     # every overflow raises as numpy's FloatingPointError, so the state

@@ -32,8 +32,7 @@ from .moments import (
     symmetric_binomial_moment,
 )
 from .series import one_minus_z
-from .special_functions import (damped_traces, s_closed_theta_half, s_trajectory, stored_index,
-                                ubm_moment_vector)
+from .special_functions import damped_traces, s_closed_theta_half, s_trajectory, ubm_moment_vector
 
 
 @dataclass
@@ -175,11 +174,10 @@ def suite_routes() -> list[CheckResult]:
     params = ProcessParams(lam=1.0, theta=0.5)
     times = (0.25, 0.5, 1.0, 2.0, 4.0)
     traj = integrate_moments(params, 4.0, order=order, at=times)
-    s_times, s_states = s_trajectory(0.5, 4.0, order, at=times)
+    s_run = s_trajectory(0.5, 4.0, order, at=times)
     ode = [traj.at(t) for t in times]
     closed = [closed_form_moments(t, order) for t in times]
-    expansion = [expansion_moments(0.5, damped_traces(s_states[stored_index(s_times, t)], t))
-                 for t in times]
+    expansion = [expansion_moments(0.5, damped_traces(s_run.at(t), t)) for t in times]
     mgf = [transforms.mgf_closed_lambda1(t, order).coeffs for t in times]
     sym = _worst((m, [symmetric_binomial_moment(n, t) for n in range(order + 1)])
                  for t, m in zip(times, closed) if t in (0.5, 1.0, 2.0))
@@ -455,10 +453,10 @@ def suite_general_theta(dim: int = 128, steps: int = 100, trials: int = 6,
 
     # one trace-system run, read at each grid time and at t = 1; damped at the grid
     # time t, not the stored one, it gives the bits of a separate run to t
-    s_times, s_states = s_trajectory(theta, 2.0, 6, h=2e-4, at=t_grid)
+    s_run = s_trajectory(theta, 2.0, 6, h=2e-4, at=t_grid)
 
     def damped(t):
-        return damped_traces(s_states[stored_index(s_times, t)], t)
+        return damped_traces(s_run.at(t), t)
 
     worst_ode = _worst((expansion_moments(theta, damped(t)), traj.at(t)) for t in t_grid)
 

@@ -16,12 +16,15 @@ from contextlib import redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from freejacobi import cli, combinatorics, spectral, verification
 from freejacobi import oracle as orc
 from freejacobi.cli import main
 from freejacobi.moments import INIT_MODES, integrate_moments
+from freejacobi.special_functions import s_closed_theta_half
+from test_rk4_bit_identity import reference_rk4, reference_s_system_rhs
 
 
 def run_cli(tmp_path, *argv):
@@ -288,6 +291,36 @@ def test_s_system_samples_past_the_steps_allocate_nothing_extra(tmp_path):
     assert peak < 4 * 2**20
     lines = (tmp_path / "s_system.csv").read_text().splitlines()
     assert len(lines) == 1 + 11 * 8
+
+
+# the partial step alone, a step past --t, more samples than steps, a step
+# under 1e-5, a --t short of the tolerance of a partial step, and general theta
+S_SYSTEM_CASES = [
+    "", "--t 1.0006 --samples 2000", "--t 1.05 --step 0.1", "--t 0.3 --step 0.1 --samples 7",
+    "--t 0", "--t 1e-13", "--t 0.0005", "--t 2.5 --step 0.3 --samples 3",
+    "--t 0.01 --samples 10000000", "--t 0.02 --step 1e-6", "--t 1 --samples 1",
+    "--theta 0.75 --t 0.5 --samples 2", "--theta 0.3 --t 1 --order 4",
+    "--theta 0.75 --t 1.0006 --step 2e-4 --samples 13",
+]
+
+
+@pytest.mark.parametrize("options", S_SYSTEM_CASES)
+def test_s_system_rows_are_the_picks_of_a_full_run(tmp_path, options):
+    # the table reads only its sampled steps: the rows a full, allocating
+    # run gives under the sampling rule, --samples intervals over its steps
+    args = cli.build_parser().parse_args(["s-system", *options.split()])
+    assert run_cli(tmp_path, "s-system", *options.split()) == 0
+    rhs = lambda t, y: reference_s_system_rhs(t, y, args.theta)
+    times, states = reference_rk4(rhs, np.ones(args.order), args.t, args.step)
+    last = len(times) - 1
+    picks = sorted({round(j) for j in np.linspace(0, last, min(args.samples, last) + 1)})
+    want = []
+    for j in picks:
+        closed = s_closed_theta_half(times[j], args.order).tolist() if args.theta == 0.5 else None
+        want += [[str(n), cli._fmt(times[j]), cli._fmt(states[j][n - 1]),
+                  cli._fmt(closed[n - 1]) if closed else ""] for n in range(1, args.order + 1)]
+    with open(tmp_path / "s_system.csv", newline="") as handle:
+        assert list(csv.reader(handle))[1:] == want
 
 
 def test_s_system_general_theta_has_no_closed_column(tmp_path):
@@ -844,19 +877,36 @@ def test_trace_system_past_float64_exits_2(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("command, need", [
-    ("moments --t 1e12 --order 8", "8e+16"),  # 1 time + 9 moments per step
-    ("s-system --t 1e12 --order 4", "4e+16"),
-    ("series --check pde --t 1e12", "2.72e+17"),  # order 32 plus time and m_0
+@pytest.mark.parametrize("command", [
+    "moments --t 1e12 --order 8",
+    "s-system --t 1e12 --order 4",
+    "series --check pde --t 1e12",
 ])
-def test_integration_too_long_to_store_exits_2(tmp_path, capsys, command, need):
-    # 1e15 steps: 7 PiB of stored times alone, past any host's memory
+def test_integration_too_long_to_store_exits_2(tmp_path, capsys, command):
+    # 1e15 steps, past the step limit of every run: refused before the first step
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, *command.split())
     assert exc.value.code == 2
-    assert (f"1e+15 steps of h=0.001 to t=1e+12 need {need} bytes of stored times and states"
-            in capsys.readouterr().err)
+    assert ("1e+15 steps of h=0.001 to t=1e+12: a run with read times takes at most "
+            "9007199 steps" in capsys.readouterr().err)
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", [
+    "moments --t 30 --order 32",
+    "series --check pde --t 30",
+])
+def test_an_integrating_command_stores_only_the_state_it_reads(tmp_path, command):
+    # storing each of the 30,001 steps took 8.25 MiB here
+    cli.build_parser()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert run_cli(tmp_path, *command.split()) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_series_rho_past_float64_exits_2(tmp_path, capsys):

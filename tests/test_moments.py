@@ -22,8 +22,8 @@ from freejacobi.moments import (
     recurrence_rhs,
     symmetric_binomial_moment,
 )
-from freejacobi.special_functions import (damped_traces, rho_coefficients, s_trajectory,
-                                          ubm_moment_vector)
+from freejacobi.special_functions import (DEFAULT_STEP, damped_traces, rho_coefficients,
+                                          s_trajectory, step_times, ubm_moment_vector)
 from freejacobi.transforms import mgf_closed_lambda1
 
 
@@ -99,30 +99,31 @@ class TestIntegration:
 
     def test_truncation_is_bitwise(self):
         params = ProcessParams(lam=0.7, theta=0.5)
-        full = integrate_moments(params, 1.0, order=16, h=1e-2)
-        half = integrate_moments(params, 1.0, order=8, h=1e-2)
+        full = integrate_moments(params, 1.0, order=16, h=1e-2, at=step_times(1.0, 1e-2))
+        half = integrate_moments(params, 1.0, order=8, h=1e-2, at=step_times(1.0, 1e-2))
         assert np.array_equal(full.values[:, :9], half.values)
 
     def test_monotone_contraction_moments(self):
         for init in ("p-le-q", "orthogonal"):
             params = ProcessParams(lam=0.6, theta=0.5, init_mode=init)
-            traj = integrate_moments(params, 3.0, order=12, h=1e-3)
-            for j in range(0, len(traj.times), 500):
-                m = traj.values[j]
+            traj = integrate_moments(params, 3.0, order=12, h=1e-3,
+                                     at=step_times(3.0, 1e-3)[::500])
+            assert len(traj.times) == 7
+            for m in traj.values:
                 assert np.all(m >= -1e-10)
                 assert np.all(m <= 1 + 1e-10)
                 assert np.all(np.diff(m) <= 1e-10)
 
     def test_time_lookup_is_strict(self):
         params = ProcessParams(lam=1.0, theta=0.5)
-        traj = integrate_moments(params, 0.1, order=2, h=1e-3)
+        traj = integrate_moments(params, 0.1, order=2, h=1e-3, at=step_times(0.1, 1e-3))
         with pytest.raises(KeyError):
             traj.at(0.0505)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_is_not_stored(self, t):
         # argmin over NaN or inf distances picks index 0, the t = 0 state
-        traj = integrate_moments(ProcessParams(0.6, 0.5), 1.0, order=4)
+        traj = integrate_moments(ProcessParams(0.6, 0.5), 1.0, order=4, at=(0.0, 1.0))
         with pytest.raises(KeyError):
             traj.at(t)
 
@@ -130,7 +131,7 @@ class TestIntegration:
 class TestClosedForm:
     def test_matches_integration(self):
         params = ProcessParams(lam=1.0, theta=0.5)
-        traj = integrate_moments(params, 2.0, order=12)
+        traj = integrate_moments(params, 2.0, order=12, at=(0.25, 1.0, 2.0))
         for t in (0.25, 1.0, 2.0):
             assert np.max(np.abs(traj.at(t) - closed_form_moments(t, 12))) < 1e-9
 
@@ -179,7 +180,7 @@ class TestExpansion:
 class TestComplement:
     def test_initial_value(self):
         src = integrate_moments(
-            ProcessParams(lam=0.5, theta=0.5, init_mode="orthogonal"), 0.1, order=6
+            ProcessParams(lam=0.5, theta=0.5, init_mode="orthogonal"), 0.1, order=6, at=(0.0,)
         )
         out = complement_moments(src)
         assert out.params == ProcessParams(lam=1.5, theta=0.5, init_mode="p-ge-q")
@@ -197,7 +198,8 @@ class TestComplement:
 
     def test_matches_the_per_row_loop(self):
         src = integrate_moments(
-            ProcessParams(lam=0.5, theta=0.5, init_mode="orthogonal"), 1.0, order=10
+            ProcessParams(lam=0.5, theta=0.5, init_mode="orthogonal"), 1.0, order=10,
+            at=step_times(1.0, DEFAULT_STEP),
         )
         out = complement_moments(src)
         for j in range(src.times.size):
@@ -340,10 +342,11 @@ MIXED = [
 @example(MIXED, 1)
 @example(MIXED, 2)
 def test_batch_rows_equal_single_runs(params_seq, order):
-    batch = integrate_moments_batch(params_seq, 0.05, order=order, h=1e-2)
+    every = step_times(0.05, 1e-2)
+    batch = integrate_moments_batch(params_seq, 0.05, order=order, h=1e-2, at=every)
     assert len(batch) == len(params_seq)
     for params, traj in zip(params_seq, batch):
-        single = integrate_moments(params, 0.05, order=order, h=1e-2)
+        single = integrate_moments(params, 0.05, order=order, h=1e-2, at=every)
         assert traj.params == params and traj.order == order
         assert np.array_equal(traj.times, single.times)
         assert np.array_equal(traj.values, single.values)

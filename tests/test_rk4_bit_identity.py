@@ -31,7 +31,7 @@ from freejacobi.moments import (
     lambda_scaling_residual,
     recurrence_rhs,
 )
-from freejacobi.special_functions import DEFAULT_STEP, rk4, s_trajectory, trace_system
+from freejacobi.special_functions import DEFAULT_STEP, rk4, s_trajectory, step_times, trace_system
 
 
 @lru_cache(maxsize=16)
@@ -133,7 +133,7 @@ MIXED = [
 
 
 def assert_batch_identical(params_seq, t_end, order, h):
-    trajs = integrate_moments_batch(params_seq, t_end, order=order, h=h)
+    trajs = integrate_moments_batch(params_seq, t_end, order=order, h=h, at=step_times(t_end, h))
     times, states = reference_batch(params_seq, t_end, order, h)
     for b, traj in enumerate(trajs):
         assert traj.times.tobytes() == times.tobytes()
@@ -181,7 +181,7 @@ def test_lambda_scaling_residual_batch_is_each_lambda_alone(theta):
     for theta in (0.5, 0.75)
 ])
 def test_s_trajectory_is_bit_identical(theta, t_end, order, h):
-    times, states = s_trajectory(theta, t_end, order, h=h)
+    times, states = s_trajectory(theta, t_end, order, h=h, at=step_times(t_end, h))
     rhs = lambda t, y: reference_s_system_rhs(t, y, theta)
     ref_times, ref_states = reference_rk4(rhs, np.ones(order), t_end, h)
     assert times.tobytes() == ref_times.tobytes()
@@ -200,14 +200,15 @@ def test_read_times_keep_the_full_runs_rows(h, steps, partial, data):
     picks = data.draw(st.lists(st.integers(0, rows - 1), max_size=8))
     at = [min(j * h, t_end) for j in picks]
     kept = sorted(set(picks))
-    full = integrate_moments_batch(MIXED, t_end, order=8, h=h)
+    every = step_times(t_end, h)
+    full = integrate_moments_batch(MIXED, t_end, order=8, h=h, at=every)
     read = integrate_moments_batch(MIXED, t_end, order=8, h=h, at=at)
     for whole, part in zip(full, read):
         assert whole.times.size == rows
         assert part.times.tobytes() == whole.times[kept].tobytes()
         assert part.values.tobytes() == whole.values[kept].tobytes()
         assert part.steps == whole.steps == steps + partial
-    times, states = s_trajectory(0.75, t_end, 6, h=h)
+    times, states = s_trajectory(0.75, t_end, 6, h=h, at=every)
     part_times, part_states = s_trajectory(0.75, t_end, 6, h=h, at=at)
     assert part_times.tobytes() == times[kept].tobytes()
     assert part_states.tobytes() == states[kept].tobytes()
@@ -235,8 +236,8 @@ def test_concurrent_integrations_give_the_serial_bits():
     params = [ProcessParams(lam=lam, theta=0.5) for lam in (0.4, 0.6, 0.8)]
 
     def run():
-        trajs = integrate_moments_batch(params, 1.0, order=16)
-        traces = s_trajectory(0.75, 1.0, 12, h=2e-3)[1]
+        trajs = integrate_moments_batch(params, 1.0, order=16, at=step_times(1.0, DEFAULT_STEP))
+        traces = s_trajectory(0.75, 1.0, 12, h=2e-3, at=step_times(1.0, 2e-3))[1]
         return b"".join(traj.values.tobytes() for traj in trajs) + traces.tobytes()
 
     want = run()
@@ -340,7 +341,8 @@ def test_mixed_init_modes_through_the_bound_kernel():
     y0 = np.stack([p.initial_vector(order) for p in MIXED])
     lam = tuple(p.lam for p in MIXED)
     theta = tuple(p.theta for p in MIXED)
-    times, states = rk4(hierarchy(lam, theta), y0, t_end, DEFAULT_STEP)
+    times, states = rk4(hierarchy(lam, theta), y0, t_end, DEFAULT_STEP,
+                        at=step_times(t_end, DEFAULT_STEP))
     rhs = lambda t, m: reference_rhs(m, _columns(lam), _columns(theta))
     ref_times, ref_states = reference_rk4(rhs, y0, t_end, DEFAULT_STEP)
     assert times.tobytes() == ref_times.tobytes()
@@ -374,7 +376,8 @@ def test_rk4_binds_once_per_stage(steps):
         calls.append((y, out))
         return lambda t: np.multiply(-1.0, y, out)
 
-    times, states = rk4(bind, np.ones(3), steps * 1e-3, 1e-3)
+    t_end = steps * 1e-3
+    times, states = rk4(bind, np.ones(3), t_end, 1e-3, at=step_times(t_end, 1e-3))
     assert len(times) == steps + 1
     assert len(calls) == 4
     # each stage binds its own output, and no bound buffer is a stored state

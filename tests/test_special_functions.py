@@ -7,7 +7,7 @@ from contextlib import contextmanager
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from scipy.special import eval_genlaguerre
 
 from freejacobi import special_functions as sf
@@ -103,24 +103,25 @@ def test_s_trajectory_matches_closed_at_half():
 
 
 def test_scaled_traces_match_ubm_at_double_time():
-    times, states = sf.s_trajectory(0.5, 2.0, 10, h=2e-4)
-    for j in range(0, len(times), 1000):
-        t = times[j]
-        lhs = sf.damped_traces(states[j], t)
+    times, states = sf.s_trajectory(0.5, 2.0, 10, h=2e-4, at=sf.step_times(2.0, 2e-4)[::1000])
+    assert len(times) == 11
+    for t, state in zip(times, states):
+        lhs = sf.damped_traces(state, t)
         assert lhs == pytest.approx(sf.ubm_moment_vector(2 * t, 10), abs=1e-10)
 
 
 def test_unitarity_bound_on_scaled_traces():
-    times, states = sf.s_trajectory(0.5, 4.0, 12, h=1e-3)
-    for j in range(0, len(times), 200):
+    times, states = sf.s_trajectory(0.5, 4.0, 12, h=1e-3, at=sf.step_times(4.0, 1e-3)[::200])
+    assert len(times) == 21
+    for t, state in zip(times, states):
         for n in range(1, 13):
-            assert abs(math.exp(-n * times[j]) * states[j][n - 1]) <= 1.0 + 1e-9
+            assert abs(math.exp(-n * t) * state[n - 1]) <= 1.0 + 1e-9
 
 
 def test_s_system_general_weight_initial_value():
     # s_1(t) = 1 + (2 theta - 1)^2 (e^t - 1) is built into the rhs
     theta = 0.75
-    times, states = sf.s_trajectory(theta, 1.0, 4, h=1e-3)
+    times, states = sf.s_trajectory(theta, 1.0, 4, h=1e-3, at=(0.0, 1.0))
     c = (2 * theta - 1) ** 2
     assert states[-1][0] == pytest.approx(1 + c * (math.e - 1), rel=1e-10)
     assert np.all(states[0] == 1.0)
@@ -129,12 +130,13 @@ def test_s_system_general_weight_initial_value():
 def test_one_trace_run_holds_each_shorter_run_bit_for_bit():
     # the general-theta suite reads one run to t = 2 at every grid time and
     # at t = 1 for its order-4 Bernoulli gate
-    times, states = sf.s_trajectory(0.75, 2.0, 6, h=2e-4)
-    for t in (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0):
+    grid = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+    run = sf.s_trajectory(0.75, 2.0, 6, h=2e-4, at=grid)
+    for t in grid:
         shorter = sf.s_trajectory(0.75, t, 6, h=2e-4)[1][-1]
-        assert np.array_equal(states[sf.stored_index(times, t)], shorter)
+        assert np.array_equal(run.at(t), shorter)
     order_4 = sf.s_trajectory(0.75, 1.0, 4, h=2e-4)[1][-1]
-    assert np.array_equal(states[sf.stored_index(times, 1.0)][:4], order_4)
+    assert np.array_equal(run.at(1.0)[:4], order_4)
 
 
 def test_s_system_degenerate_weight_limit():
@@ -225,7 +227,8 @@ def test_rk4_rejects_an_infinite_step_but_not_one_past_t_end():
     with pytest.raises(ValueError, match="positive and finite"):
         sf.rk4(bind_form(lambda t, y: -y), np.ones(2), 1.0, float("inf"))
     # a step wider than t_end is one partial step that lands on t_end
-    times, states = sf.rk4(bind_form(lambda t, y: -y), np.ones(2), 1.0, 2.0)
+    times, states = sf.rk4(bind_form(lambda t, y: -y), np.ones(2), 1.0, 2.0,
+                           at=sf.step_times(1.0, 2.0))
     assert times.tolist() == [0.0, 1.0]
     assert len(states) == 2
 
@@ -238,19 +241,6 @@ def test_rk4_rejects_nonpositive_step():
     for t_end in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             sf.rk4(bind_form(lambda t, y: -y), y0, t_end, 0.1)
-
-
-@pytest.mark.parametrize("t_end, h, steps", [
-    (1e12, 1e-3, "1e+15"),  # numpy cannot allocate it
-    (1e300, 1e-3, "1e+303"),  # past numpy's largest dimension
-    (1e300, 1e-300, "inf"),  # t_end / h overflows
-])
-def test_rk4_run_too_long_to_store_is_a_value_error(t_end, h, steps):
-    with pytest.raises(ValueError, match=f"^{re.escape(steps)} steps of h="):
-        sf.rk4(bind_form(lambda t, y: -y), np.ones(2), t_end, h)
-    # the trace system reports it as such, not as an overflow of its state
-    with pytest.raises(ValueError, match="bytes of stored times and states"):
-        sf.s_trajectory(0.75, t_end, 2, h=h)
 
 
 @pytest.mark.parametrize("at, missing", [
@@ -269,7 +259,8 @@ def test_a_read_time_no_step_matches_is_a_key_error(at, missing):
 
 def test_read_times_within_drift_find_their_step():
     # stored_index's tolerance: the rows are the full run's, at the stored times
-    full = integrate_moments(ProcessParams(0.6, 0.5), 0.5, order=4)
+    full = integrate_moments(ProcessParams(0.6, 0.5), 0.5, order=4,
+                             at=sf.step_times(0.5, sf.DEFAULT_STEP))
     read = integrate_moments(ProcessParams(0.6, 0.5), 0.5, order=4,
                              at=(0.25 + 5e-10, 0.5 - 5e-10))
     assert read.times.tolist() == [full.times[250], full.times[500]]
@@ -295,7 +286,8 @@ def _time_limit(seconds):
 @pytest.mark.parametrize("t_end, h, steps", [
     (1e12, 1e-3, "1e+15"),
     (9_007_200.0, 1.0, "9.0072e+06"),  # one step past the limit
-    (1e300, 1e-300, "inf"),
+    (1e300, 1e-3, "1e+303"),
+    (1e300, 1e-300, "inf"),  # t_end / h overflows
 ])
 def test_a_read_time_run_past_the_step_limit_raises_before_stepping(t_end, h, steps):
     # nothing is allocated per step, so only the limit stops such a run
@@ -305,14 +297,42 @@ def test_a_read_time_run_past_the_step_limit_raises_before_stepping(t_end, h, st
             integrate_moments(ProcessParams(0.6, 0.5), t_end, order=8, h=h, at=(t_end,))
         with pytest.raises(ValueError, match=message):
             sf.s_trajectory(0.75, t_end, 2, h=h, at=(1.0,))
+        # read at t_end alone, and asked for every step: the same limit, and
+        # the trace system reports it as such, not as an overflow of its state
+        with pytest.raises(ValueError, match=message):
+            sf.rk4(bind_form(lambda t, y: -y), np.ones(2), t_end, h)
+        with pytest.raises(ValueError, match=message):
+            sf.s_trajectory(0.75, t_end, 2, h=h)
+        with pytest.raises(ValueError, match=message):
+            sf.step_times(t_end, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.one_of(st.floats(1e-3, 0.5), st.floats(1e-10, 2e-9)), steps=st.integers(0, 200),
+       partial=st.sampled_from([0.0, 0.3, 0.9]))
+@example(h=0.1, steps=0, partial=0.0)  # t_end = 0
+@example(h=1e-10, steps=200, partial=0.3)  # the read tolerance spans ten steps
+def test_a_run_read_at_its_step_times_keeps_every_step(h, steps, partial):
+    # the accumulated times of the allocating reference loop, bit for bit
+    t_end = (steps + partial) * h
+    every = sf.step_times(t_end, h)
+    rhs = lambda t, y: -y
+    run = sf.rk4(bind_form(rhs), np.ones(2), t_end, h, at=every)
+    assert run.steps == steps + (partial > 0)
+    assert len(run[0]) == len(run[1]) == run.steps + 1
+    assert run[0].tobytes() == every.tobytes()
+    ref_times, ref_states = reference_rk4(rhs, np.ones(2), t_end, h)
+    assert every.tobytes() == ref_times.tobytes()
+    assert run[1].tobytes() == ref_states.tobytes()
 
 
 def test_rk4_steps_and_partial_step():
-    times, states = sf.rk4(bind_form(lambda t, y: np.cos(t) * y), np.ones(1), 1.05, 0.1)
+    times, states = sf.rk4(bind_form(lambda t, y: np.cos(t) * y), np.ones(1), 1.05, 0.1,
+                           at=sf.step_times(1.05, 0.1))
     assert len(times) == 12  # t = 0, ten full steps, one partial step
     assert times[-1] == 1.05
     assert states[-1][0] == pytest.approx(math.exp(math.sin(1.05)), rel=1e-6)
-    times, _ = sf.rk4(bind_form(lambda t, y: -y), np.ones(1), 0.0, 0.1)
+    times, _ = sf.rk4(bind_form(lambda t, y: -y), np.ones(1), 0.0, 0.1, at=sf.step_times(0.0, 0.1))
     assert list(times) == [0.0]
 
 
@@ -321,14 +341,16 @@ def test_rk4_batched_state_matches_list_loop(t_end, rows):
     rate = np.array([[-1.0], [0.5]])
     rhs = lambda t, y: rate * np.cos(t) * y
     y0 = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.25]])
-    times, states = sf.rk4(bind_form(rhs), y0, t_end, 0.1)
+    every = sf.step_times(t_end, 0.1)
+    times, states = sf.rk4(bind_form(rhs), y0, t_end, 0.1, at=every)
     assert states.shape == (rows, 2, 3)
     assert times[-1] == pytest.approx(t_end, abs=1e-15)
     ref_times, ref_states = reference_rk4(rhs, y0, t_end, 0.1)
     assert np.array_equal(times, ref_times)
     assert np.array_equal(states, ref_states)
     for b in range(2):
-        _, row = sf.rk4(bind_form(lambda t, y: rate[b, 0] * np.cos(t) * y), y0[b], t_end, 0.1)
+        _, row = sf.rk4(bind_form(lambda t, y: rate[b, 0] * np.cos(t) * y), y0[b], t_end, 0.1,
+                        at=every)
         assert np.array_equal(states[:, b], row)
 
 
