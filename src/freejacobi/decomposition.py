@@ -137,20 +137,18 @@ def k_gap_vector(lam: float, order: int) -> np.ndarray:
 # Evolution residuals
 # ---------------------------------------------------------------------------
 
-def pde_residual_S(trajectory: MomentTrajectory, t: float, order: int) -> float:
+def pde_residual_S(trajectory: MomentTrajectory, t: float) -> float:
     """Residual of d/dt S_t = -(z/2) d/dz{ lambda (1-z) S_t^2 + R(z) S_t }
     with S_t = M_t - M_inf and R the radical series, normalized per
-    coefficient.
+    coefficient, at the trajectory's order.
 
     Only the state at t is read: d/dt S_t = d/dt M_t is the moment
     recurrence at that state, exactly.
     """
-    lam = trajectory.params.lam
+    lam, order = trajectory.params.lam, trajectory.order
     if trajectory.params.theta != 0.5:
         raise ValueError("the S equation is specialized to theta = 1/2")
-    if trajectory.order < order:
-        raise ValueError("trajectory order too small")
-    m_t = trajectory.at(t)[: order + 1]
+    m_t = trajectory.at(t)
     s_t = TruncatedSeries(m_t - stationary_mgf(lam, order).coeffs)
 
     def flux(s: TruncatedSeries) -> TruncatedSeries:
@@ -163,10 +161,9 @@ def general_evolution_residual(
     t: float,
     n_range: tuple[int, int],
     trajectory: MomentTrajectory,
-    order: int,
 ) -> np.ndarray:
     """Residuals of the remainder evolution equation for n in n_range, at
-    the trajectory's rank ratio lambda:
+    the trajectory's rank ratio lambda and order:
 
     c_n'(t) = -(n/2) [ (R u)_n + 2 lambda ((1-z) u psi-series)_n
                        + lambda ((1-z) u^2)_n ] + Z_n(t)
@@ -179,9 +176,9 @@ def general_evolution_residual(
     residual check only passes with it (and with the corrected sign of Z_t).
     """
     n_lo, n_hi = n_range
-    lam = trajectory.params.lam
+    lam, order = trajectory.params.lam, trajectory.order
     dec_t = decomposition_u(t, order, trajectory)
-    m_dot = recurrence_rhs(trajectory.at(t)[: order + 1], lam, 0.5)
+    m_dot = recurrence_rhs(trajectory.at(t), lam, 0.5)
     c_dot = m_dot - richardson_dt(lambda u: psi_series(lam, u, order), t)
 
     u = TruncatedSeries(dec_t.c)

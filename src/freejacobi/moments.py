@@ -28,7 +28,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .combinatorics import binomial, symmetric_weights
-from .special_functions import DEFAULT_STEP, rk4, step_times, stored_index, ubm_moment_vector
+from .special_functions import (DEFAULT_STEP, _full_steps, rk4, step_times, stored_index,
+                                ubm_moment_vector)
 
 DEFAULT_ORDER = 32
 
@@ -157,6 +158,21 @@ def hierarchy(lam, theta):
     return bind
 
 
+def _require_stable_run(t_end: float, h: float, order: int) -> None:
+    """A ValueError for order < 1, then for a run past ``rk4``'s step limit,
+    then unless the run's largest step (h, or t_end for a run of one partial
+    step) times order is at most 2.785.  m_n enters its own equation only
+    through -n m_n, so the Jacobian is lower-triangular with diagonal
+    -1, ..., -order, and RK4's stability interval on the real axis ends at
+    -2.7853: past it a run grows without bound."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    largest = h if _full_steps(t_end, h) else t_end
+    if largest * order > 2.785:
+        raise ValueError(f"a step of {largest:g} at order {order} is past RK4's stability "
+                         "interval: the moment hierarchy needs step x order <= 2.785")
+
+
 def recurrence_rhs(m: np.ndarray, lam, theta) -> np.ndarray:
     """Time derivative of the moment vectors (component 0 is +0.0), in a
     new array.
@@ -219,13 +235,12 @@ def integrate_moments_batch(
     result is bit-identical to ``integrate_moments(params_seq[b], ...)``;
     the trajectories' values are views into one shared (rows, B, order+1)
     array, with a row per read time in ``at``, t_end alone by default (see
-    ``rk4``).
+    ``rk4``).  A step past RK4's stability interval is a ValueError.
     """
     params_seq = list(params_seq)
     if not params_seq:
         raise ValueError("need at least one parameter set")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _require_stable_run(t_end, h, order)
     y0 = np.stack([p.initial_vector(order) for p in params_seq])
     lam = tuple(p.lam for p in params_seq)
     theta = tuple(p.theta for p in params_seq)
@@ -371,8 +386,7 @@ def lambda_scaling_residual(lams, theta: float, t_end: float, order: int) -> np.
     validates the scaling reduction at every step.  Every lambda's m-row
     and v-row run in one (2B, order+1) batch.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _require_stable_run(t_end, DEFAULT_STEP, order)
     lams = tuple(lams)
     m0 = np.stack([ProcessParams(lam=lam, theta=theta).initial_vector(order) for lam in lams])
     scale = np.array(lams)[:, None]

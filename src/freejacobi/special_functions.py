@@ -254,9 +254,11 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float, at=None) -> Run:
     time can drift beyond that tolerance) raises a ValueError naming its
     step count before the first step.  A read time that no step matches
     (between steps, past t_end, NaN or infinite) raises the KeyError
-    ``stored_index`` raises, at the end of the run.  The one integrator of
-    the package: the moment hierarchy and the trace system both run
-    through it.
+    ``stored_index`` raises, at the end of the run.  Every step runs with
+    numpy's overflow raising: a state that leaves the float64 range raises
+    a ValueError naming the start time of the failing step, before an inf
+    or NaN is stored.  The one integrator of the package: the moment
+    hierarchy and the trace system both run through it.
     """
     steps = _full_steps(t_end, h)
     y0 = np.asarray(y0, dtype=float)
@@ -315,15 +317,19 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float, at=None) -> Run:
     full = scalars(h)
     t = 0.0
     due = keep(t)
-    for _ in range(steps):
-        step(t, *full)
-        t += h
-        if t >= due:
-            due = keep(t)
-    if _falls_short(t, t_end):
-        step(t, *scalars(t_end - t))
-        steps += 1
-        keep(t_end)
+    try:
+        with np.errstate(over="raise"):
+            for _ in range(steps):
+                step(t, *full)
+                t += h
+                if t >= due:
+                    due = keep(t)
+            if _falls_short(t, t_end):
+                step(t, *scalars(t_end - t))
+                steps += 1
+                keep(t_end)
+    except FloatingPointError:
+        raise ValueError(f"the state leaves the float64 range by t={t:g}") from None
     for read, dist in zip(reads, nearest):
         if dist == math.inf:
             raise KeyError(f"time {read} not stored in trajectory")
@@ -360,8 +366,7 @@ def trace_system(theta: float, order: int):
     ``bind`` writes d/dt s_1 = 0 once, as the hierarchy's ``bind`` writes
     its column 0.  The self-convolution is ``np.correlate`` of the state
     with its reversed view, the call ``np.convolve(s, s)`` makes, so it
-    has ``np.convolve``'s bits.  Every right-hand side of one
-    ``bind`` stores the time of its latest call in ``bind.t``.
+    has ``np.convolve``'s bits.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
@@ -382,7 +387,6 @@ def trace_system(theta: float, order: int):
         multiply, add, exp, correlate = np.multiply, np.add, np.exp, np.correlate
 
         def rhs(t):
-            bind.t = t
             if cut:
                 multiply(neg_n, correlate(s, mirror, "full")[:cut], tail)
             if forcing:
@@ -392,33 +396,16 @@ def trace_system(theta: float, order: int):
                 out[0] = scratch[0]
                 add(tail, scratch_tail, tail)
         return rhs
-
-    bind.t = 0.0
     return bind
 
 
-def s_trajectory(
-    theta: float,
-    t_end: float,
-    order: int,
-    h: float = DEFAULT_STEP,
-    at=None,
-) -> Run:
+def s_trajectory(theta: float, t_end: float, order: int, h: float = DEFAULT_STEP, at=None) -> Run:
     """Integrate the trace system (``trace_system``) from s_n(0) = 1 (the
     weight squares to the identity); states[q, n-1] holds s_n at times[q],
-    one row per read time in ``at``, t_end alone by default (see ``rk4``).
-    A ValueError names the time the state leaves float64 (theta != 1/2).
+    one row per read time in ``at``, t_end alone by default (see ``rk4``;
+    off theta = 1/2 the state leaves float64 at large t).
     """
-    bind = trace_system(theta, order)
-    # every overflow raises as numpy's FloatingPointError, so the state
-    # never holds inf or NaN
-    try:
-        with np.errstate(over="raise"):
-            return rk4(bind, np.ones(order), t_end, h, at)
-    except FloatingPointError:
-        raise ValueError(
-            f"trace system state leaves the float64 range by t={bind.t:g}"
-        ) from None
+    return rk4(trace_system(theta, order), np.ones(order), t_end, h, at)
 
 
 def damped_traces(s: np.ndarray, t: float) -> np.ndarray:

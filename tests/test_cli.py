@@ -873,8 +873,31 @@ def test_trace_system_past_float64_exits_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, *argv)
     assert exc.value.code == 2
-    assert "trace system state leaves the float64 range by t=" in capsys.readouterr().err
+    assert "state leaves the float64 range by t=" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", [
+    "moments --t 1000 --step 5 --order 32",  # wrote m_1 = 1.2e227 and NaN past it
+    "moments --t 20 --step 0.5 --order 32",  # wrote m_32 = -3.3e156
+])
+def test_a_hierarchy_step_past_rk4s_stability_interval_exits_2(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, *command.split())
+    assert exc.value.code == 2
+    assert "the moment hierarchy needs step x order <= 2.785" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("init, lam", [("p-le-q", "1"), ("p-ge-q", "1.5"), ("orthogonal", "1")])
+def test_a_hierarchy_step_inside_rk4s_stability_interval_writes_moments(tmp_path, init, lam):
+    # step x order = 2.56
+    assert run_cli(tmp_path, "moments", "--t", "1000", "--step", "0.08", "--order", "32",
+                   "--init", init, "--lambda", lam, "--theta", "0.4") == 0
+    with open(tmp_path / "moments.csv", newline="") as handle:
+        values = [float(row["m_n"]) for row in csv.DictReader(handle)]
+    assert len(values) == 33
+    assert all(0.0 <= m <= 1.0 for m in values)
 
 
 @pytest.mark.parametrize("command", [

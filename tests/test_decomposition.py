@@ -181,7 +181,7 @@ def test_gap_vector_scales_out():
 
 def test_general_evolution_residual(traj06):
     # the trajectory ends at t: c_n' needs only the state there
-    res = dec.general_evolution_residual(1.0, (4, 8), traj06, order=10)
+    res = dec.general_evolution_residual(1.0, (4, 8), traj06)
     assert res.shape == (5,)
     assert np.max(res) < 1e-11
 
@@ -192,14 +192,14 @@ def test_s_pde_residual_trivial_for_stationary_input():
     m_inf = stationary_mgf(lam, 10).coeffs
     times = 0.999 + np.arange(11) * 1e-4
     traj = MomentTrajectory(params=params, times=times, values=np.tile(m_inf, (11, 1)))
-    assert dec.pde_residual_S(traj, 0.9995, 10) == 0.0
+    assert dec.pde_residual_S(traj, 0.9995) == 0.0
 
 
 def test_s_pde_residual_on_integrated_trajectory():
     # d/dt S_t is the recurrence at the state at t: the residual is rounding
     for lam, order in ((0.5, 12), (1.0, 16)):
         traj = integrate_moments(ProcessParams(lam=lam, theta=0.5), 1.0, order=order)
-        assert dec.pde_residual_S(traj, 1.0, order) < 1e-14
+        assert dec.pde_residual_S(traj, 1.0) < 1e-14
 
 
 def test_psi_series_finite_at_large_order_and_time():

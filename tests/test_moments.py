@@ -16,13 +16,14 @@ from freejacobi.moments import (
     closed_form_moments,
     complement_moments,
     expansion_moments,
+    hierarchy,
     integrate_moments,
     integrate_moments_batch,
     lambda_scaling_residual,
     recurrence_rhs,
     symmetric_binomial_moment,
 )
-from freejacobi.special_functions import (DEFAULT_STEP, damped_traces, rho_coefficients,
+from freejacobi.special_functions import (DEFAULT_STEP, damped_traces, rho_coefficients, rk4,
                                           s_trajectory, step_times, ubm_moment_vector)
 from freejacobi.transforms import mgf_closed_lambda1
 
@@ -363,6 +364,39 @@ def test_steps_count_every_rk4_step_whatever_is_stored(t_end, h, partial, at):
     assert traj.steps == math.floor(t_end / h + 1e-9) + partial
     source = integrate_moments(ProcessParams(0.5, 0.5, "orthogonal"), t_end, order=4, h=h, at=at)
     assert complement_moments(source).steps == traj.steps
+
+
+def test_a_hierarchy_state_past_float64_raises_in_rk4():
+    # past the stability interval, with no check of the caller's: rk4 itself
+    # refuses the overflow instead of returning m_1 = 1.2e227 and NaN
+    y0 = ProcessParams(1.0, 0.5).initial_vector(32)
+    with pytest.raises(ValueError, match=r"^the state leaves the float64 range by t=\d"):
+        rk4(hierarchy(1.0, 0.5), y0, 1000.0, 5.0)
+
+
+STABLE = 2.785 / 32
+
+
+@pytest.mark.parametrize("t_end, h, stable", [
+    (200.0, STABLE, True), (200.0, 2.8 / 32, False),
+    # a run of one partial step takes t_end as its step
+    (STABLE, 1.0, True), (2.8 / 32, 1.0, False),
+])
+@pytest.mark.parametrize("init, lam", [("p-le-q", 0.6), ("p-ge-q", 1.5), ("orthogonal", 0.6)])
+def test_a_hierarchy_step_must_lie_in_rk4s_stability_interval(t_end, h, stable, init, lam):
+    params = ProcessParams(lam, 0.4, init)
+    if stable:
+        values = integrate_moments(params, t_end, order=32, h=h).at(t_end)
+        assert np.all((values >= 0.0) & (values <= 1.0))
+    else:
+        with pytest.raises(ValueError, match=r"needs step x order <= 2\.785$"):
+            integrate_moments(params, t_end, order=32, h=h)
+
+
+def test_lambda_scaling_residual_refuses_an_order_past_the_stability_interval():
+    # 2786 x the default step 1e-3
+    with pytest.raises(ValueError, match=r"^a step of 0\.001 at order 2786 is past"):
+        lambda_scaling_residual([0.5], 0.5, 1.0, order=2786)
 
 
 def test_a_hand_built_trajectory_counts_no_steps():
