@@ -102,10 +102,7 @@ def hierarchy(lam, theta):
     loop.  The sum lands in a zero-padded buffer of the state's shape and
     is added flat as well.
     """
-    if isinstance(lam, tuple):
-        lam = np.array(lam)[:, None]
-    if isinstance(theta, tuple):
-        theta = np.array(theta)[:, None]
+    lam, theta = (np.asarray(x, dtype=float)[..., None] for x in (lam, theta))
 
     def bind(m: np.ndarray, out: np.ndarray):
         if not (m.flags.c_contiguous and out.flags.c_contiguous):

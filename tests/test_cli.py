@@ -7,13 +7,14 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from contextlib import redirect_stdout
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -864,10 +865,6 @@ def test_s_system_theta_half_past_exp_range(tmp_path):
     ("s-system", "--theta", "0.75", "--t", "100", "--step", "1"),
     ("moments", "--method", "expansion", "--theta", "0.75", "--t", "100", "--order", "8",
      "--step", "1"),
-    # the overflow raises before numpy can warn, so -W error changes nothing
-    pytest.param(("moments", "--method", "expansion", "--theta", "0.75", "--t", "100",
-                  "--order", "8", "--step", "1"),
-                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
 ])
 def test_trace_system_past_float64_exits_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -940,54 +937,31 @@ def test_series_rho_past_float64_exits_2(tmp_path, capsys):
     assert not (tmp_path / "series_rho.csv").exists()
 
 
-def test_cli_digests_script_runs_every_benchmark_command(capsys, monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "cli_digests.py"
-    spec = importlib.util.spec_from_file_location("cli_digests", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    run, runs = module._run, []
-
-    def recording(argv):
-        runs.append(" ".join(argv[2:]))
-        return run(argv)
-
-    monkeypatch.setattr(module, "_run", recording)
-    module.main()
-    records = json.loads(capsys.readouterr().out)
-    assert len(records) == 17
-    assert sorted(runs[:17]) == sorted(records) and runs == runs[:17] * 2
-    assert all(r["exit"] == 0 and r["files"] for r in records.values())
-    assert all(set(m) == {"parameters", "seeds"}
-               for r in records.values() for m in r["manifests"].values())
-
-    # a command whose second run in the process writes other bytes fails
-    # the script by name, and nothing is printed
-    def drifting(argv):
-        code = run(argv)
-        command = " ".join(argv[2:])
-        if command == "words --n 8" and command in runs:
-            (Path(argv[1]) / "word_counts.csv").write_text("drift\n")
-        runs.append(command)
-        return code
-
-    runs.clear()
-    monkeypatch.setattr(module, "_run", drifting)
-    with pytest.raises(SystemExit) as exc:
-        module.main()
-    assert str(exc.value.code).endswith("differs: words --n 8")
-    assert capsys.readouterr().out == ""
-
-
-def test_check_values_script_prints_every_check_bit_for_bit(capsys, monkeypatch):
+def _check_values_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "check_values.py"
     spec = importlib.util.spec_from_file_location("check_values", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    # the general-theta suite at the tests' oracle size, through the script's own loop
-    monkeypatch.setattr(module, "run_suite", lambda name: verification.run_suite(
-        name, **({"dim": 8, "steps": 2, "trials": 2} if name == "general-theta" else {})))
-    module.main(["catalan", "general-theta"])
-    records = json.loads(capsys.readouterr().out)
+    return module
+
+
+def _suites(*suites):
+    """A stand-in for ``run_suite("all")`` that runs (name, kwargs) pairs."""
+    def run_suite(name):
+        assert name == "all"
+        return [r for suite, kwargs in suites for r in verification.run_suite(suite, **kwargs)]
+    return run_suite
+
+
+def test_check_values_script_prints_every_check_bit_for_bit(capsys, monkeypatch):
+    module = _check_values_script()
+    # catalan and the general-theta suite at the tests' oracle size stand in for every suite
+    monkeypatch.setattr(module, "run_suite", _suites(
+        ("catalan", {}), ("general-theta", {"dim": 8, "steps": 2, "trials": 2})))
+    module.main()
+    document = json.loads(capsys.readouterr().out)
+    assert set(document) == {"checks", "oracle", "cli"}
+    records = document["checks"]
     assert [(r["suite"], r["name"], r["passed"]) for r in records] == [
         ("catalan", "stationary-recurrence-n<=30", True),
         ("general-theta", "theta-half-sanity", True),
@@ -1000,6 +974,74 @@ def test_check_values_script_prints_every_check_bit_for_bit(capsys, monkeypatch)
             assert record[key] is None or float.fromhex(record[key]).hex() == record[key]
             if result is not None:
                 assert record[key] == getattr(result, key).hex()
+
+    # every benchmark command, with its outputs' digests and manifests' fields
+    commands = document["cli"]
+    assert sorted(commands) == sorted(module.CLI_COMMANDS) and len(commands) == 17
+    assert all(r["exit"] == 0 and r["files"] for r in commands.values())
+    assert all(set(m) == {"parameters", "seeds"}
+               for r in commands.values() for m in r["manifests"].values())
+
+
+def test_check_values_script_records_each_oracle_trial_of_every_run(capsys, monkeypatch):
+    module = _check_values_script()
+    # the oracle-mc workload's runs are the oracle suite's runs cut to its
+    # trial count, so trials 0-1 of the suite's runs carry their bits
+    sample = runpy.run_path(str(module.SAMPLE))
+    suite = {name: param.default
+             for name, param in inspect.signature(verification.suite_oracle).parameters.items()}
+    assert sample["ORACLE_SEED"] == suite["seed"]
+    assert {name: suite[name] for name in ("dim", "steps")} == \
+        {name: sample["ORACLE_CONFIG"][name] for name in ("dim", "steps")}
+    assert sample["ORACLE_CONFIG"]["trials"] <= suite["trials"]
+
+    inner = orc.empirical_jacobi_moments
+    monkeypatch.setattr(module, "CLI_COMMANDS", [])
+    monkeypatch.setattr(module, "run_suite", _suites(
+        ("oracle", {"dim": 4, "steps": 2, "trials": 3, "seed": 5}),
+        ("general-theta", {"dim": 8, "steps": 2, "trials": 2})))
+    module.main()
+    assert orc.empirical_jacobi_moments is inner
+    runs = json.loads(capsys.readouterr().out)["oracle"]
+    configs = [
+        orc.OracleConfig(dim=4, steps=2, trials=3, seed=5),
+        orc.OracleConfig(dim=4, steps=2, trials=3, seed=6, mode="unitary"),
+        orc.OracleConfig(dim=8, steps=2, trials=2, seed=11, theta=0.75,
+                         mode="bernoulli_weight", orders=(1, 2, 3, 4)),
+    ]
+    assert len(runs) == len(configs)
+    for record, config in zip(runs, configs):
+        run = orc.empirical_jacobi_moments(config)
+        assert record == {
+            **{key: getattr(config, key) for key in ("mode", "seed", "dim", "steps", "trials")},
+            "per_trial": [[float(x).hex() for x in row] for row in run.per_trial],
+            "trial_drift": [x.hex() for x in run.trial_drift],
+        }
+        two = orc.empirical_jacobi_moments(replace(config, trials=2))
+        assert record["per_trial"][:2] == [[float(x).hex() for x in row]
+                                           for row in two.per_trial]
+
+
+def test_check_values_script_names_a_command_whose_second_run_differs(capsys, monkeypatch):
+    module = _check_values_script()
+    # the commands run before any suite, so a difference fails in seconds
+    monkeypatch.setattr(module, "run_suite", lambda name: pytest.fail("a suite ran"))
+    run, runs = module._run, []
+
+    def drifting(argv):
+        code = run(argv)
+        command = " ".join(argv[2:])
+        if command == "words --n 8" and command in runs:
+            (Path(argv[1]) / "word_counts.csv").write_text("drift\n")
+        runs.append(command)
+        return code
+
+    monkeypatch.setattr(module, "_run", drifting)
+    with pytest.raises(SystemExit) as exc:
+        module.main()
+    assert str(exc.value.code).endswith("differs: words --n 8")
+    assert capsys.readouterr().out == ""
+    assert runs == module.CLI_COMMANDS * 2
 
 
 @pytest.mark.parametrize("command", [

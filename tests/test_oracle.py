@@ -1,5 +1,3 @@
-import importlib.util
-import json
 import math
 import os
 import runpy
@@ -423,13 +421,6 @@ def test_analytic_entry_points_do_not_load_the_thread_pool():
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load(path: Path):
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_oracle_convergence_script_prints_one_row_per_dim(monkeypatch, capsys):
     script = ROOT / "scripts" / "oracle_convergence.py"
     monkeypatch.setattr(sys, "argv", [str(script), "--dims", "4,8", "--steps", "2",
@@ -438,29 +429,3 @@ def test_oracle_convergence_script_prints_one_row_per_dim(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("theory: m1 = ")
     assert [line.split(":")[0] for line in lines[1:]] == ["N=   4", "N=   8"]
-
-
-def test_oracle_values_script_matches_the_benchmark_and_prints_raw_bits(monkeypatch, capsys):
-    module = _load(ROOT / "scripts" / "oracle_values.py")
-    sample = _load(ROOT / "perfbench" / "sample.py")
-    assert list(module.CONFIGS) == sample.ORACLE_MODES
-    # the workload's op "nested" is the P <= Q run
-    for (op, config), seed in zip(module.CONFIGS.items(),
-                                  (sample.ORACLE_SEED, sample.ORACLE_SEED + 1)):
-        mode = {"nested": "p-le-q"}.get(op, op)
-        assert (config.mode, config.seed, config.t, config.orders) == (mode, seed, 1.0, (1, 2))
-        assert {name: getattr(config, name) for name in sample.ORACLE_CONFIG} == \
-            sample.ORACLE_CONFIG
-
-    small = {"nested": orc.OracleConfig(dim=4, steps=2, trials=2, seed=1),
-             "unitary": orc.OracleConfig(dim=4, steps=2, trials=3, seed=2, mode="unitary")}
-    monkeypatch.setattr(module, "CONFIGS", small)
-    module.main()
-    records = json.loads(capsys.readouterr().out)
-    assert set(records) == set(small)
-    for name, config in small.items():
-        run = orc.empirical_jacobi_moments(config)
-        assert records[name] == {
-            "per_trial": [[float(x).hex() for x in row] for row in run.per_trial],
-            "unitarity_drift": run.unitarity_drift.hex(),
-        }
