@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Time the bound right-hand sides, one RK4 step and the batched integrator.
 
-Prints, for batches of B = 1 and 3 rows at orders 8 and 32, as
-``integrate_moments_batch`` runs them (a (B, order + 1) state with one
-parameter per row as a tuple):
+Prints, for batches of B = 1 and 3 parameter sets at orders 8 and 32, as
+``integrate_moments_batch`` runs them (an order-major (order + 1, B) state
+with one parameter per column as a tuple):
 
 - the median microseconds per call of the bound right-hand side
   (``hierarchy(lam, theta)(m, out)``, bound once, called many times);
@@ -92,7 +92,7 @@ class Timer:
 
 
 def per_call_us(timer: Timer, rows: int, order: int, calls: int) -> float:
-    m = np.random.default_rng(order).uniform(0, 1, (rows, order + 1))
+    m = np.random.default_rng(order).uniform(0, 1, (order + 1, rows))
     return timer.call_us(hierarchy(LAMBDAS[:rows], (0.5,) * rows)(m, np.empty_like(m)), calls)
 
 

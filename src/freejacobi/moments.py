@@ -10,13 +10,14 @@ classical RK4.  Its right-hand side, ``hierarchy(lam, theta)``, builds its
 coefficients and scratch buffers when ``rk4`` binds it, so nothing outlives
 one integration and concurrent integrations share no buffer.
 ``integrate_moments_batch`` stacks several parameter sets (lambda, theta
-and start geometry, ``INIT_MODES``, may differ) into one (B, order+1)
-state and advances them in a single RK4 loop, so a scan over lambda is one
-integration; ``integrate_moments`` is its batch of one.  The module also
-provides the closed-form route at the symmetric parameter point, the
-expansion route at rank ratio one, which reads damped traces it is handed,
-and the complement transform, which reads a "p-ge-q" run at rank ratio
-2 - lambda'' in [1, 2) off an "orthogonal" run at lambda''.
+and start geometry, ``INIT_MODES``, may differ) as the columns of one
+order-major (order+1, B) state and advances them in a single RK4 loop, so
+a scan over lambda is one integration; ``integrate_moments`` is its batch
+of one.  The module also provides the closed-form route at the symmetric
+parameter point, the expansion route at rank ratio one, which reads damped
+traces it is handed, and the complement transform, which reads a "p-ge-q"
+run at rank ratio 2 - lambda'' in [1, 2) off an "orthogonal" run at
+lambda''.
 """
 
 from __future__ import annotations
@@ -84,60 +85,55 @@ def hierarchy(lam, theta):
     it: ``bind(m, out)`` returns ``rhs(t=None)``, which writes the
     derivative at the current contents of ``m`` into ``out``.
 
-    ``lam`` and ``theta`` are floats, or tuples with one value per row of a
-    (B, order+1) state.  ``bind`` builds the coefficients, the scratch
-    buffers and every view for its own ``m`` and ``out`` (C-contiguous,
-    same shape, not overlapping), so no two bindings share a buffer.  It
-    zeroes column 0 of ``out`` once, so nothing but ``rhs`` may write
-    ``out``.
+    The state is order-major: row n of an (order+1, B) state holds m_n of
+    B parameter sets, column b being set b, and a 1-D state is one set.
+    ``lam`` and ``theta`` are floats, or tuples with one value per column.
+    ``bind`` builds the coefficients, the scratch buffers and every view
+    for its own ``m`` and ``out`` (C-contiguous, same shape, not
+    overlapping), so no two bindings share a buffer.  It writes
+    dm_0/dt = 0 once and ``rhs`` never writes row 0, so nothing but ``rhs``
+    may write ``out``.
 
-    The linear terms run on the state laid end to end, one row after
-    another: position p of the flat output gets theta p' m_{p-1} - p' m_p,
-    where p' is p's column, and the coefficients are 0 at the columns
-    where a row's m_0 lands.  The Cauchy product
-    sum_{k=0}^{n-2} m_{n-k-1} (m_k - m_{k+1}) is one matmul of a
-    lower-triangular Toeplitz window of the differences with
-    (m_1, ..., m_{order-1}); the window is a strided view over a
-    zero-padded buffer, so the matmul runs numpy's sequential (non-BLAS)
-    loop.  The sum lands in a zero-padded buffer of the state's shape and
-    is added flat as well.
+    m_{n-1}, m_n and each term of all B sets are contiguous blocks of the
+    flat state, so every ufunc runs on one 1-D slice: the linear terms
+    theta n m_{n-1} - n m_n, then the Cauchy product
+    sum_{k=0}^{n-2} m_{n-k-1} (m_k - m_{k+1}), times (lambda theta) n.  The
+    product is one matmul per column of a lower-triangular Toeplitz window
+    of the differences with (m_1, ..., m_{order-1}); the window is a
+    strided view over a zero-padded buffer, so the matmul runs numpy's
+    sequential (non-BLAS) loop, which adds each sum in increasing k.
     """
-    lam, theta = (np.asarray(x, dtype=float)[..., None] for x in (lam, theta))
+    lam, theta = (np.asarray(x, dtype=float) for x in (lam, theta))
 
     def bind(m: np.ndarray, out: np.ndarray):
         if not (m.flags.c_contiguous and out.flags.c_contiguous):
             raise ValueError("the state and the output must be C-contiguous")
-        order, rows = m.shape[-1] - 1, m.shape[:-1]
-        col0 = out[..., 0]
-        col0.fill(0.0)
-        multiply, subtract, add, matmul = np.multiply, np.subtract, np.add, np.matmul
-        n = np.arange(1.0, order + 1)
-        theta_n, n_flat = np.zeros((2,) + m.shape)
-        theta_n[..., 1:] = theta * n
-        n_flat[..., 1:] = n
-        theta_n, n_flat = theta_n.reshape(-1)[1:], n_flat.reshape(-1)[1:]
-        tmp = np.empty(n_flat.shape)
+        order, width = m.shape[0] - 1, m[0].size
         m_flat, out_flat = m.reshape(-1), out.reshape(-1)
-        prev, cur, linear = m_flat[:-1], m_flat[1:], out_flat[1:]
+        out_flat[:width] = 0.0
+        multiply, subtract, add, matmul = np.multiply, np.subtract, np.add, np.matmul
+        n = np.arange(1.0, order + 1)[:, None]
+        # x n for x = theta, 1 and lam theta (lam * theta is rounded first),
+        # order-major and flat: entry (n-1) width + b is column b's x times n
+        theta_n, n_flat, coupling = (
+            (np.broadcast_to(x, m.shape[1:]).reshape(1, width) * n).reshape(-1)
+            for x in (theta, 1.0, lam * theta))
+        tmp = np.empty(n_flat.shape)
+        prev, cur, linear = m_flat[:-width], m_flat[width:], out_flat[width:]
         quadratic = order >= 2
         if quadratic:
             k = order - 1
-            # (lam theta) n: lam * theta is rounded first
-            coupling = np.ascontiguousarray(np.broadcast_to(lam * theta * n[1:], rows + (k,)))
-            # buf = (0, ..., 0, d_0, ..., d_{k-1}); window[j, i] = buf[k-1+j-i],
-            # which is d_{j-i} for i <= j and 0 above the diagonal
-            buf = np.zeros(rows + (2 * k - 1,))
-            diffs = buf[..., k - 1 :]
-            window = sliding_window_view(buf, k, axis=-1)[..., ::-1]
-            low, mid = m[..., :-2], m[..., 1:-1]
-            mid_col = mid[..., None]
-            conv = np.empty(rows + (k, 1))
-            conv_col = conv[..., 0]
-            sums = np.zeros(m.shape)  # columns 0 and 1 stay zero
-            quad, quad_flat = sums[..., 2:], sums.reshape(-1)
-        # the linear ufuncs write 0 * (previous row's m_order) into every
-        # row's column 0 after the first, NaN if that is inf
-        several_rows = col0.size > 1
+            coupling = coupling[width:]  # n = 2..order
+            # buf = (0, ..., 0, d_0, ..., d_{k-1}) per column; window[b, j, i] =
+            # buf[k-1+j-i, b], which is d_{j-i} for i <= j and 0 above the diagonal
+            buf = np.zeros((2 * k - 1, width))
+            diffs = buf.reshape(-1)[(k - 1) * width :]
+            window = sliding_window_view(buf, k, axis=0)[..., ::-1].transpose(1, 0, 2)
+            low, mid = m_flat[: -2 * width], m_flat[width:-width]
+            mid_col = mid.reshape(k, width).T[..., None]
+            conv = np.empty(k * width)
+            conv_col = conv.reshape(k, width).T[..., None]
+            tail = out_flat[2 * width :]
 
         def rhs(t=None):
             # theta n m_{n-1} - n m_n, written in place
@@ -146,11 +142,9 @@ def hierarchy(lam, theta):
             subtract(linear, tmp, linear)
             if quadratic:
                 subtract(low, mid, diffs)
-                matmul(window, mid_col, conv)
-                multiply(coupling, conv_col, quad)
-                add(out_flat, quad_flat, out_flat)
-            if several_rows:
-                col0.fill(0.0)
+                matmul(window, mid_col, conv_col)
+                multiply(coupling, conv, conv)
+                add(tail, conv, tail)
         return rhs
     return bind
 
@@ -179,17 +173,18 @@ def recurrence_rhs(m: np.ndarray, lam, theta) -> np.ndarray:
     value per row of a (B, order+1) batch.  Each row's arithmetic does not
     depend on the others, so a row of a batch is bit-identical to the same
     row passed alone.  One call of a fresh ``hierarchy(lam, theta)``
-    binding, the right-hand side the integrators bind once per stage.
+    binding on an order-major copy of ``m``, the right-hand side the
+    integrators bind once per stage.
 
     The quadratic sum is empty for n = 1.  Component 0 of ``m`` is read
     as-is rather than assumed to be 1: the rescaled system v_n = lam m_n has
     lambda replaced by 1 and v_0 = lam, and ``lambda_scaling_residual``
-    integrates it as a row of coupling 1.0 beside the m-rows of one batch.
+    integrates it at coupling 1.0 beside the m-columns of one batch.
     """
-    m = np.ascontiguousarray(m, dtype=float)
-    out = np.empty(m.shape)
-    hierarchy(lam, theta)(m, out)()
-    return out
+    state = np.ascontiguousarray(np.moveaxis(m, -1, 0), dtype=float)
+    out = np.empty(state.shape)
+    hierarchy(lam, theta)(state, out)()
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 @dataclass
@@ -225,24 +220,24 @@ def integrate_moments_batch(
 ) -> list[MomentTrajectory]:
     """Integrate several parameter sets in one RK4 loop.
 
-    The initial vectors are stacked into a (B, order+1) state, each row
-    with its own lambda and theta (init modes may differ too), and one
-    ``rk4`` call advances them together, with the hierarchy's right-hand
-    side (``hierarchy``) bound once to each stage's buffers.  Row b of the
-    result is bit-identical to ``integrate_moments(params_seq[b], ...)``;
-    the trajectories' values are views into one shared (rows, B, order+1)
-    array, with a row per read time in ``at``, t_end alone by default (see
-    ``rk4``).  A step past RK4's stability interval is a ValueError.
+    The initial vectors are the columns of an order-major (order+1, B)
+    state, each with its own lambda and theta (init modes may differ too);
+    one ``rk4`` call advances them together, ``hierarchy`` bound once to
+    each stage's buffers.  Trajectory b holds column b of the stored
+    states, bit-identical to ``integrate_moments(params_seq[b], ...)``, as
+    a view into one shared (rows, B, order+1) array, a row per read time
+    in ``at`` (t_end alone by default, see ``rk4``).  A step past RK4's
+    stability interval is a ValueError.
     """
     params_seq = list(params_seq)
     if not params_seq:
         raise ValueError("need at least one parameter set")
     _require_stable_run(t_end, h, order)
-    y0 = np.stack([p.initial_vector(order) for p in params_seq])
+    y0 = np.stack([p.initial_vector(order) for p in params_seq], axis=1)
     lam = tuple(p.lam for p in params_seq)
     theta = tuple(p.theta for p in params_seq)
     run = rk4(hierarchy(lam, theta), y0, t_end, h, at)
-    times, states = run
+    times, states = run[0], np.ascontiguousarray(run[1].transpose(0, 2, 1))
     return [
         MomentTrajectory(params=p, times=times, values=states[:, b], steps=run.steps)
         for b, p in enumerate(params_seq)
@@ -380,20 +375,20 @@ def lambda_scaling_residual(lams, theta: float, t_end: float, order: int) -> np.
     v_n = lam m_n satisfies the recurrence with the quadratic coupling
     constant set to theta alone (lambda = 1) and v_0 = lam; integrating
     both from the nested P <= Q start at the default step and comparing
-    validates the scaling reduction at every step.  Every lambda's m-row
-    and v-row run in one (2B, order+1) batch.
+    validates the scaling reduction at every step.  Every lambda's m-column
+    and v-column run in one (order+1, 2B) batch.
     """
     _require_stable_run(t_end, DEFAULT_STEP, order)
     lams = tuple(lams)
-    m0 = np.stack([ProcessParams(lam=lam, theta=theta).initial_vector(order) for lam in lams])
-    scale = np.array(lams)[:, None]
-    # rows 0..B-1: m_n at (lam, theta); rows B..2B-1: v_n from v_0 = lam, v_n(0) = lam m_n(0)
+    m0 = np.array([ProcessParams(lam=lam, theta=theta).initial_vector(order) for lam in lams]).T
+    scale = np.array(lams)
+    # columns 0..B-1: m_n at (lam, theta); B..2B-1: v_n from v_0 = lam, v_n(0) = lam m_n(0)
     coupling = lams + (1.0,) * len(lams)
-    _, states = rk4(hierarchy(coupling, theta), np.concatenate([m0, m0 * scale]), t_end,
+    _, states = rk4(hierarchy(coupling, theta), np.concatenate([m0, m0 * scale], axis=1), t_end,
                     DEFAULT_STEP, at=step_times(t_end, DEFAULT_STEP))
-    m, v = np.split(states, 2, axis=1)
+    m, v = np.split(states, 2, axis=2)
     # |scale m - v|, written over m: no run-sized temporaries
     np.multiply(scale, m, out=m)
     np.subtract(m, v, out=m)
     np.abs(m, out=m)
-    return np.max(m, axis=(0, 2))
+    return np.max(m, axis=(0, 1))

@@ -239,7 +239,7 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float, at=None) -> Run:
     inf, NaN and -0.0 included.  The stage times stay Python floats.
     Every step, the partial one included, runs the one step body.
 
-    ``y0`` may have any shape; a (B, n) state advances B systems in one
+    ``y0`` may have any shape; an (n, B) state advances B systems in one
     loop, one call per stage for all of them.  The run takes the most full
     steps that end at or before t_end (up to rounding), then a partial
     step that lands on t_end when the accumulated time falls short.
@@ -254,11 +254,12 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float, at=None) -> Run:
     time can drift beyond that tolerance) raises a ValueError naming its
     step count before the first step.  A read time that no step matches
     (between steps, past t_end, NaN or infinite) raises the KeyError
-    ``stored_index`` raises, at the end of the run.  Every step runs with
-    numpy's overflow raising: a state that leaves the float64 range raises
-    a ValueError naming the start time of the failing step, before an inf
-    or NaN is stored.  The one integrator of the package: the moment
-    hierarchy and the trace system both run through it.
+    ``stored_index`` raises, at the end of the run.  A state that leaves
+    float64 raises a ValueError and returns no ``Run``: an overflowing ufunc
+    at once, naming its step's start time, and any other inf or NaN (item
+    assignment and ``np.correlate`` raise nothing) at the end, naming the
+    first kept time not finite, else t_end.  The one integrator of the
+    package: the moment hierarchy and the trace system both run through it.
     """
     steps = _full_steps(t_end, h)
     y0 = np.asarray(y0, dtype=float)
@@ -318,7 +319,7 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float, at=None) -> Run:
     t = 0.0
     due = keep(t)
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", invalid="ignore"):
             for _ in range(steps):
                 step(t, *full)
                 t += h
@@ -330,6 +331,10 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float, at=None) -> Run:
                 keep(t_end)
     except FloatingPointError:
         raise ValueError(f"the state leaves the float64 range by t={t:g}") from None
+    kept = np.array(nearest) < math.inf
+    bad = times[kept & ~np.isfinite(states.reshape(len(reads), y.size)).all(axis=1)].tolist()
+    if bad or not np.isfinite(y).all():
+        raise ValueError(f"the state leaves the float64 range by t={(bad + [t_end])[0]:g}")
     for read, dist in zip(reads, nearest):
         if dist == math.inf:
             raise KeyError(f"time {read} not stored in trajectory")
@@ -364,7 +369,7 @@ def trace_system(theta: float, order: int):
     of the state and a scratch buffer for e^{nt} n^2 c^2, whose first entry
     is d/dt s_1.  At c = 0 (theta = 1/2) the source term is skipped and
     ``bind`` writes d/dt s_1 = 0 once, as the hierarchy's ``bind`` writes
-    its column 0.  The self-convolution is ``np.correlate`` of the state
+    its row 0.  The self-convolution is ``np.correlate`` of the state
     with its reversed view, the call ``np.convolve(s, s)`` makes, so it
     has ``np.convolve``'s bits.
     """

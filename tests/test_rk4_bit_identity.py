@@ -8,9 +8,11 @@ one in ``special_functions.s_trajectory``) and preallocated stage buffers
 replaced, kept verbatim as the bit-for-bit reference: every operation and
 its order are unchanged, so every integrated bit must be too.  The
 trace-system reference's source term is the corrected n^2 c^2 e^{nt} in the
-same allocating form; at theta = 1/2 (c = 0) it is the replaced one.  A binding
-owns its coefficients and scratch, so integrations running in several
-threads at once must give the serial bits as well.
+same allocating form; at theta = 1/2 (c = 0) it is the replaced one.  The
+moment reference takes a row-major (B, order+1) batch, the bound
+right-hand side its order-major transpose.  A binding owns its
+coefficients and scratch, so integrations running in several threads at
+once must give the serial bits as well.
 """
 
 import math
@@ -25,6 +27,7 @@ from hypothesis import given, settings
 from numpy.lib.stride_tricks import sliding_window_view
 
 from freejacobi.moments import (
+    INIT_MODES,
     ProcessParams,
     hierarchy,
     integrate_moments_batch,
@@ -188,6 +191,30 @@ def test_s_trajectory_is_bit_identical(theta, t_end, order, h):
     assert states.tobytes() == ref_states.tobytes()
 
 
+@st.composite
+def process_params(draw):
+    """A valid parameter set of any start geometry and theta in [0.05, 0.95]."""
+    mode = draw(st.sampled_from(INIT_MODES))
+    theta = draw(st.floats(0.05, 0.95))
+    low, high = {"p-le-q": (0.01, 1.0), "p-ge-q": (1.0, 0.999 / theta),
+                 "orthogonal": (0.01, 0.999 * (1.0 / theta - 1.0))}[mode]
+    return ProcessParams(draw(st.floats(low, high)), theta, mode)
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=st.lists(process_params(), min_size=1, max_size=6),
+       order=st.sampled_from([1, 2, 5, 16]), data=st.data())
+def test_a_column_of_a_batch_is_its_set_run_alone(params, order, data):
+    # 64 steps of h = 1e-2, every state kept
+    every = step_times(0.64, 1e-2)
+    b = data.draw(st.integers(0, len(params) - 1))
+    column = integrate_moments_batch(params, 0.64, order=order, h=1e-2, at=every)[b]
+    alone = integrate_moments_batch([params[b]], 0.64, order=order, h=1e-2, at=every)[0]
+    assert column.steps == alone.steps == 64
+    assert column.times.tobytes() == alone.times.tobytes()
+    assert column.values.tobytes() == alone.values.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(h=st.sampled_from([1e-2, 2e-2, 0.03, 5e-3]), steps=st.integers(0, 40),
        partial=st.booleans(), data=st.data())
@@ -268,7 +295,7 @@ def _closure_arrays(rhs):
 
 
 @pytest.mark.parametrize("factory, shape", [
-    pytest.param(lambda: hierarchy((0.4, 0.6, 0.8), (0.5,) * 3), (3, 9), id="hierarchy-batch"),
+    pytest.param(lambda: hierarchy((0.4, 0.6, 0.8), (0.5,) * 3), (9, 3), id="hierarchy-batch"),
     pytest.param(lambda: hierarchy(0.6, 0.45), (17,), id="hierarchy-flat"),
     pytest.param(lambda: trace_system(0.75, 12), (12,), id="trace-system"),
 ])
@@ -301,37 +328,79 @@ def test_results_do_not_alias_the_scratch_buffers():
     second = recurrence_rhs(m2, lam, theta)
     assert first.tobytes() == kept.tobytes()
     assert not np.shares_memory(first, second)
-    out = np.full(m1.shape, np.nan)
-    hierarchy(lam, theta)(m1, out)()
-    assert out.tobytes() == kept.tobytes()
+    # the bound kernel on the order-major state: column b is row b of m1
+    out = np.full(m1.T.shape, np.nan)
+    hierarchy(lam, theta)(np.ascontiguousarray(m1.T), out)()
+    assert out.T.tobytes() == kept.tobytes()
 
 
 def _columns(values):
     return np.array(values)[:, None] if isinstance(values, tuple) else values
 
 
-@pytest.mark.parametrize("order", [0, 1, 2, 3, 32])
-@pytest.mark.parametrize("rows", [1, 2, 3])
+LAMS, THETAS = (0.4, 0.9, 1.3, 0.7, 1.1), (0.5, 0.35, 0.6, 0.45, 0.25)
+
+
+def _order_major(m: np.ndarray) -> np.ndarray:
+    """The (order+1, B) state whose column b is row b of m."""
+    return np.ascontiguousarray(m.T)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 10, 32])
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
 @pytest.mark.parametrize("per_row", [False, True])
 def test_bound_kernel_matches_the_reference(order, rows, per_row):
     rng = np.random.default_rng(100 * order + rows)
     m = np.concatenate([np.ones((rows, 1)), rng.uniform(0, 1, (rows, order))], axis=1)
-    lam, theta = ((0.4, 0.9, 1.3)[:rows], (0.5, 0.35, 0.6)[:rows]) if per_row else (0.7, 0.45)
+    lam, theta = (LAMS[:rows], THETAS[:rows]) if per_row else (0.7, 0.45)
+    # row 1 is the orthogonal start, exact zeros past m_0; row 2 a
+    # lambda-scaling row, v_0 = 1.3 != 1
+    m[1:2, 1:] = 0.0
+    m[2:3, 0] = 1.3
     want = reference_rhs(m, _columns(lam), _columns(theta))
-    out = np.full(m.shape, np.nan)
-    rhs = hierarchy(lam, theta)(m, out)
+    state = _order_major(m)
+    out = np.full(state.shape, np.nan)
+    rhs = hierarchy(lam, theta)(state, out)
     rhs(0.0)
-    assert out.tobytes() == want.tobytes()
-    # the bound call reads the state's current contents
-    m[:, 1:] = rng.uniform(-1, 1, (rows, order))
+    assert out.T.tobytes() == want.tobytes()
+    # the bound call reads the state's current contents: negative entries
+    # and exact zeros
+    m[:, 1:] = rng.uniform(-1, 1, (rows, order)) * (rng.uniform(0, 1, (rows, order)) > 0.2)
+    state[...] = m.T
     rhs(0.0)
     want = reference_rhs(m, _columns(lam), _columns(theta))
-    assert out.tobytes() == want.tobytes()
+    assert out.T.tobytes() == want.tobytes()
     # a flat row with float parameters, as decomposition passes one
     for b in range(rows):
         lam_b = lam[b] if per_row else lam
         theta_b = theta[b] if per_row else theta
         assert recurrence_rhs(m[b], lam_b, theta_b).tobytes() == want[b].tobytes()
+
+
+def test_the_cauchy_sum_adds_in_increasing_index():
+    # sum_{i<=j} d_{j-i} m_{i+1}, from +0.0 in increasing i, as a plain loop
+    # adds it: a window the matmul hands to BLAS would add in another order
+    order, rows = 40, 3
+    rng = np.random.default_rng(40)
+    m = np.concatenate([np.ones((rows, 1)), rng.uniform(-1, 1, (rows, order))], axis=1)
+    lam, theta = LAMS[:rows], THETAS[:rows]
+    want = np.zeros(m.shape)
+    for b, row in enumerate(m.tolist()):
+        d = [row[i] - row[i + 1] for i in range(order - 1)]
+        for n in range(1, order + 1):
+            conv = 0.0
+            for i in range(n - 1):
+                conv += d[n - 2 - i] * row[i + 1]
+            linear = theta[b] * n * row[n - 1] - n * row[n]
+            want[b, n] = linear + lam[b] * theta[b] * n * conv if n >= 2 else linear
+    state = _order_major(m)
+    out = np.empty(state.shape)
+    hierarchy(lam, theta)(state, out)()
+    assert out.T.tobytes() == want.tobytes()
+    for b in range(rows):
+        flat = np.empty(order + 1)
+        hierarchy(lam[b], theta[b])(m[b].copy(), flat)()
+        assert flat.tobytes() == want[b].tobytes()
 
 
 def test_mixed_init_modes_through_the_bound_kernel():
@@ -341,12 +410,12 @@ def test_mixed_init_modes_through_the_bound_kernel():
     y0 = np.stack([p.initial_vector(order) for p in MIXED])
     lam = tuple(p.lam for p in MIXED)
     theta = tuple(p.theta for p in MIXED)
-    times, states = rk4(hierarchy(lam, theta), y0, t_end, DEFAULT_STEP,
+    times, states = rk4(hierarchy(lam, theta), _order_major(y0), t_end, DEFAULT_STEP,
                         at=step_times(t_end, DEFAULT_STEP))
     rhs = lambda t, m: reference_rhs(m, _columns(lam), _columns(theta))
     ref_times, ref_states = reference_rk4(rhs, y0, t_end, DEFAULT_STEP)
     assert times.tobytes() == ref_times.tobytes()
-    assert states.tobytes() == ref_states.tobytes()
+    assert states.transpose(0, 2, 1).tobytes() == ref_states.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(9,), (1, 9), (3, 9)])
@@ -387,7 +456,7 @@ def test_rk4_binds_once_per_stage(steps):
 
 def test_bound_arrays_must_be_contiguous():
     # a reshaped copy of a strided output would take the writes and drop them
-    m = np.ones((3, 9))
-    out = np.empty((9, 3)).T
+    m = np.ones((9, 3))
+    out = np.empty((3, 9)).T
     with pytest.raises(ValueError, match="C-contiguous"):
         hierarchy((0.4, 0.6, 0.8), (0.5,) * 3)(m, out)

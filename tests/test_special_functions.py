@@ -243,6 +243,37 @@ def test_rk4_rejects_nonpositive_step():
             sf.rk4(bind_form(lambda t, y: -y), y0, t_end, 0.1)
 
 
+def _inf_by_item_assignment(y, out):
+    # writes inf past t = 0.05 by item assignment, which no errstate sees
+    def rhs(t):
+        np.negative(y, out)
+        if t >= 0.05:
+            out[1] = math.inf
+    return rhs
+
+
+def _correlate_overflow(y, out):
+    # np.correlate is no ufunc: on 1e200 values it returns inf without raising
+    return lambda t: np.copyto(out, np.correlate(y, y[::-1], "full")[: y.size])
+
+
+@pytest.mark.parametrize("bind, y0, first_bad", [
+    pytest.param(_inf_by_item_assignment, np.ones(3), 0.05, id="item-assignment"),
+    pytest.param(_correlate_overflow, np.full(2, 1e200), 0.01, id="correlate"),
+])
+@pytest.mark.parametrize("at", ["every", None, (0.0,)])
+def test_rk4_refuses_a_state_no_ufunc_saw_leave_float64(bind, y0, first_bad, at):
+    # the range rule rests on no ufunc of the right-hand side overflowing: a
+    # kept or final state that is not finite raises, naming the first kept
+    # time that is not finite (t_end if none is), and no Run is returned
+    every = sf.step_times(0.1, 0.01)
+    named = first_bad if at == "every" else 0.1
+    runs = []
+    with pytest.raises(ValueError, match=rf"^the state leaves the float64 range by t={named:g}$"):
+        runs.append(sf.rk4(bind, y0, 0.1, 0.01, at=every if at == "every" else at))
+    assert runs == []
+
+
 @pytest.mark.parametrize("at, missing", [
     ((0.5, 0.5005), "0.5005"),  # between two steps
     ((2.0, 0.5), "2.0"),  # past t_end
