@@ -10,7 +10,8 @@ finite-dimension random-matrix Monte Carlo oracle.
 __version__ = "0.1.0"
 
 from .combinatorics import binomial, catalan, stationary_moment
-from .moments import ProcessParams, MomentTrajectory, integrate_moments
+from .moments import ProcessParams, integrate_moments
+from .special_functions import Run
 from .series import TruncatedSeries
 
 __all__ = [
@@ -19,7 +20,7 @@ __all__ = [
     "catalan",
     "stationary_moment",
     "ProcessParams",
-    "MomentTrajectory",
+    "Run",
     "integrate_moments",
     "TruncatedSeries",
 ]

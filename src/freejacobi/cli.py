@@ -85,7 +85,8 @@ _RUN_ATTRS = ("func", "command", "outdir", "started_at", "argv")
 def _write_run(args, stem: str, outputs: dict, measured: dict | None = None, seeds=()) -> None:
     """Write a command's outputs, then ``<stem>_manifest.json`` with the
     digest of every one of them.  This is the only place that writes an
-    artifact.
+    artifact.  An output directory that cannot be created is a ValueError,
+    a usage error.
 
     ``outputs`` maps each path to (header, rows) for a CSV or to a dict for
     a JSON payload; ``rows`` is a list of field tuples or, for an
@@ -99,7 +100,10 @@ def _write_run(args, stem: str, outputs: dict, measured: dict | None = None, see
     parameters.update(measured or {})
     manifest = RunManifest(command_line=args.argv, parameters=parameters,
                            seeds=list(seeds), started_at=args.started_at)
-    args.outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--outdir {args.outdir} cannot be created: {exc.strerror}") from None
     for path, content in outputs.items():
         if isinstance(content, dict):
             with open(path, "w", encoding="utf-8") as handle:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import MomentTrajectory, closed_form_moments, recurrence_rhs
+from .moments import closed_form_moments, recurrence_rhs
 from .series import TruncatedSeries, geometric, one_minus_z
-from .special_functions import rho_coefficients
+from .special_functions import Run, rho_coefficients
 from .transforms import alpha_series, radical_series, richardson_dt, stationary_mgf
 from .transforms import transport_residual
 
@@ -96,7 +96,7 @@ class DecompositionResult:
 def decomposition_u(
     t: float,
     order: int,
-    trajectory: MomentTrajectory | None = None,
+    trajectory: Run | None = None,
 ) -> DecompositionResult:
     """Remainder coefficients c_n(t) = m_n(t) - m_n(inf) - psi_n(t).
 
@@ -137,7 +137,7 @@ def k_gap_vector(lam: float, order: int) -> np.ndarray:
 # Evolution residuals
 # ---------------------------------------------------------------------------
 
-def pde_residual_S(trajectory: MomentTrajectory, t: float) -> float:
+def pde_residual_S(trajectory: Run, t: float) -> float:
     """Residual of d/dt S_t = -(z/2) d/dz{ lambda (1-z) S_t^2 + R(z) S_t }
     with S_t = M_t - M_inf and R the radical series, normalized per
     coefficient, at the trajectory's order.
@@ -160,7 +160,7 @@ def pde_residual_S(trajectory: MomentTrajectory, t: float) -> float:
 def general_evolution_residual(
     t: float,
     n_range: tuple[int, int],
-    trajectory: MomentTrajectory,
+    trajectory: Run,
 ) -> np.ndarray:
     """Residuals of the remainder evolution equation for n in n_range, at
     the trajectory's rank ratio lambda and order:

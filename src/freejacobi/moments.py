@@ -13,11 +13,12 @@ one integration and concurrent integrations share no buffer.
 and start geometry, ``INIT_MODES``, may differ) as the columns of one
 order-major (order+1, B) state and advances them in a single RK4 loop, so
 a scan over lambda is one integration; ``integrate_moments`` is its batch
-of one.  The module also provides the closed-form route at the symmetric
-parameter point, the expansion route at rank ratio one, which reads damped
-traces it is handed, and the complement transform, which reads a "p-ge-q"
-run at rank ratio 2 - lambda'' in [1, 2) off an "orthogonal" run at
-lambda''.
+of one; each set's result is a ``Run``, the record of every integration,
+carrying its ``ProcessParams``.  The module also provides the closed-form
+route at the symmetric parameter point, the expansion route at rank ratio
+one, which reads damped traces it is handed, and the complement transform,
+which reads a "p-ge-q" run at rank ratio 2 - lambda'' in [1, 2) off an
+"orthogonal" run at lambda''.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .combinatorics import binomial, symmetric_weights
-from .special_functions import (DEFAULT_STEP, _full_steps, rk4, step_times, stored_index,
-                                ubm_moment_vector)
+from .special_functions import DEFAULT_STEP, Run, _full_steps, rk4, step_times, ubm_moment_vector
 
 DEFAULT_ORDER = 32
 
@@ -187,47 +187,24 @@ def recurrence_rhs(m: np.ndarray, lam, theta) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
-@dataclass
-class MomentTrajectory:
-    """Time-indexed moment vectors of one parameter set.
-
-    ``values[q]`` is (m_0, ..., m_order) at ``times[q]``, one row per read
-    time of the run (see ``rk4``).  ``steps`` is the number of RK4 steps
-    the run took, the partial step included, however few it stored (None
-    for a trajectory no run made).  ``at(t)`` is the row at a stored time
-    t, a KeyError for any other.
-    """
-
-    params: ProcessParams
-    times: np.ndarray
-    values: np.ndarray
-    steps: int | None = None
-
-    @property
-    def order(self) -> int:
-        return self.values.shape[-1] - 1
-
-    def at(self, t: float) -> np.ndarray:
-        return self.values[stored_index(self.times, t)]
-
-
 def integrate_moments_batch(
     params_seq,
     t_end: float,
     order: int = DEFAULT_ORDER,
     h: float = DEFAULT_STEP,
     at=None,
-) -> list[MomentTrajectory]:
+) -> list[Run]:
     """Integrate several parameter sets in one RK4 loop.
 
     The initial vectors are the columns of an order-major (order+1, B)
     state, each with its own lambda and theta (init modes may differ too);
     one ``rk4`` call advances them together, ``hierarchy`` bound once to
-    each stage's buffers.  Trajectory b holds column b of the stored
-    states, bit-identical to ``integrate_moments(params_seq[b], ...)``, as
-    a view into one shared (rows, B, order+1) array, a row per read time
-    in ``at`` (t_end alone by default, see ``rk4``).  A step past RK4's
-    stability interval is a ValueError.
+    each stage's buffers.  Run b, whose ``params`` is ``params_seq[b]``,
+    holds column b of the stored states, bit-identical to
+    ``integrate_moments(params_seq[b], ...)``, as a view into one shared
+    (rows, B, order+1) array, a row per read time in ``at`` (t_end alone by
+    default, see ``rk4``).  A step past RK4's stability interval is a
+    ValueError.
     """
     params_seq = list(params_seq)
     if not params_seq:
@@ -237,11 +214,8 @@ def integrate_moments_batch(
     lam = tuple(p.lam for p in params_seq)
     theta = tuple(p.theta for p in params_seq)
     run = rk4(hierarchy(lam, theta), y0, t_end, h, at)
-    times, states = run[0], np.ascontiguousarray(run[1].transpose(0, 2, 1))
-    return [
-        MomentTrajectory(params=p, times=times, values=states[:, b], steps=run.steps)
-        for b, p in enumerate(params_seq)
-    ]
+    times, states = run.times, np.ascontiguousarray(run.values.transpose(0, 2, 1))
+    return [Run(times, states[:, b], run.steps, p) for b, p in enumerate(params_seq)]
 
 
 def integrate_moments(
@@ -250,7 +224,7 @@ def integrate_moments(
     order: int = DEFAULT_ORDER,
     h: float = DEFAULT_STEP,
     at=None,
-) -> MomentTrajectory:
+) -> Run:
     """Integrate the hierarchy from the params' initial data up to t_end.
 
     The run stores the state at t_end, or the step at each read time in
@@ -334,7 +308,7 @@ def expansion_moments(theta: float, damped: np.ndarray) -> np.ndarray:
 # Parameter transforms
 # ---------------------------------------------------------------------------
 
-def complement_moments(source: MomentTrajectory) -> MomentTrajectory:
+def complement_moments(source: Run) -> Run:
     """Moments for rank ratio lambda' = 2 - lambda'' in [1, 2) from an
     orthogonal-start run at rank ratio lambda''.
 
@@ -364,8 +338,7 @@ def complement_moments(source: MomentTrajectory) -> MomentTrajectory:
     out[:, 0] = 1.0
     out[:, 1:] = (tau_q + (tau_p * source.values[:, 1:]) @ signs) / norm
     params = ProcessParams(lam=lambda_prime, theta=0.5, init_mode="p-ge-q")
-    return MomentTrajectory(params=params, times=source.times.copy(), values=out,
-                            steps=source.steps)
+    return Run(source.times.copy(), out, source.steps, params)
 
 
 def lambda_scaling_residual(lams, theta: float, t_end: float, order: int) -> np.ndarray:

@@ -27,6 +27,11 @@ tau(Z^p) tau(Z^{n-p}) and, through tau(a Z^k) = c, into c^2; collecting
 them gives the source n^2 c^2 e^{nt} for every n >= 1.  At c = 0 the
 system is Biane's, with s_n(t) = e^{nt} h_n(2t); at c = 1 (theta -> 1,
 a -> 1) it keeps the trivial solution s_n = e^{nt}.
+
+``rk4`` is the one integrator, of the trace system (``s_trajectory``) and
+of the moment hierarchy, and ``Run`` the one record of a run: its stored
+times and states, its step count, and ``at(t)``, the lookup of a stored
+time.
 """
 
 from __future__ import annotations
@@ -159,22 +164,43 @@ def s_closed_theta_half(t: float, order: int) -> np.ndarray:
 
 
 class Run(tuple):
-    """``rk4``'s (times, states), which unpacks as a pair, with ``steps``:
-    the RK4 steps the run took, the partial step included.  ``at(t)`` is
-    the state at a stored time t, a KeyError for any other."""
+    """The result of every integration: (times, values), which unpacks as a
+    pair, ``values[q]`` the state at ``times[q]``.  ``steps`` counts the
+    RK4 steps the run took, the partial step included (None for a run no
+    integration made); ``params`` is a moment run's ``ProcessParams`` (None
+    for any other), and ``order`` the n of its rows (m_0, ..., m_n).
+    ``at(t)`` is the state at the stored time nearest t, within
+    1e-9 max(1, |t|); a KeyError for a time between stored steps, which
+    must not snap to a neighbor, and for a NaN or infinite one."""
 
-    def __new__(cls, times: np.ndarray, states: np.ndarray, steps: int):
-        run = super().__new__(cls, (times, states))
-        run.steps = steps
+    def __new__(cls, times: np.ndarray, values: np.ndarray, steps: int | None = None,
+                params=None):
+        run = super().__new__(cls, (times, values))
+        run.steps, run.params = steps, params
         return run
 
+    @property
+    def times(self) -> np.ndarray:
+        return self[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self[1]
+
+    @property
+    def order(self) -> int:
+        return self.values.shape[-1] - 1
+
     def at(self, t: float) -> np.ndarray:
-        return self[1][stored_index(self[0], t)]
+        idx = int(np.argmin(np.abs(self.times - t)))
+        if not math.isfinite(t) or abs(self.times[idx] - t) > _drift_tolerance(t):
+            raise KeyError(f"time {t} not stored in trajectory")
+        return self.values[idx]
 
 
 # a run takes at most this many steps: after j steps of h the accumulated time
-# has drifted by up to j 2^-53 t, and past 1e-9 t (stored_index's tolerance)
-# a read time may no longer find its step
+# has drifted by up to j 2^-53 t, and past 1e-9 t (the read-time tolerance of
+# ``rk4`` and ``Run.at``) a read time may no longer find its step
 _MAX_STEPS = int(1e-9 * 2.0**53)  # 9,007,199
 
 
@@ -254,7 +280,7 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float, at=None) -> Run:
     time can drift beyond that tolerance) raises a ValueError naming its
     step count before the first step.  A read time that no step matches
     (between steps, past t_end, NaN or infinite) raises the KeyError
-    ``stored_index`` raises, at the end of the run.  A state that leaves
+    ``Run.at`` raises, at the end of the run.  A state that leaves
     float64 raises a ValueError and returns no ``Run``: an overflowing ufunc
     at once, naming its step's start time, and any other inf or NaN (item
     assignment and ``np.correlate`` raise nothing) at the end, naming the
@@ -344,17 +370,6 @@ def rk4(bind, y0: np.ndarray, t_end: float, h: float, at=None) -> Run:
 def _drift_tolerance(t: float) -> float:
     """How far a stored time may lie from the time it is read at."""
     return 1e-9 * max(1.0, abs(t))
-
-
-def stored_index(times: np.ndarray, t: float) -> int:
-    """Index of ``t`` among an ``rk4`` run's stored ``times``, within float
-    accumulation drift; a KeyError for a time between stored steps, which
-    must fail loudly rather than snap to a neighbor, and for a NaN or
-    infinite one, which argmin would snap to index 0."""
-    idx = int(np.argmin(np.abs(times - t)))
-    if not math.isfinite(t) or abs(times[idx] - t) > _drift_tolerance(t):
-        raise KeyError(f"time {t} not stored in trajectory")
-    return idx
 
 
 def trace_system(theta: float, order: int):

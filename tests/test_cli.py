@@ -392,6 +392,19 @@ def test_words_enumerates_every_order_past_eight(tmp_path, capsys):
             "bruteforce_c": "50388", "bruteforce_d": "27132", "bruteforce_e": "27132"} in rows
 
 
+@pytest.mark.parametrize("below", ["", "x"])
+def test_an_outdir_that_cannot_be_created_exits_2(tmp_path, capsys, below):
+    # a regular file, or a path under one, is no directory
+    (tmp_path / "file").write_text("")
+    outdir = tmp_path / "file" / below
+    with pytest.raises(SystemExit) as exc:
+        run_cli(outdir, "words", "--n", "2")
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [f"freejacobi: error: --outdir {outdir} cannot be created: "
+                      + ("File exists" if below == "" else "Not a directory")]
+
+
 def test_wrong_closed_word_count_fails_words_and_the_suite(tmp_path, monkeypatch, capsys):
     original = combinatorics.word_counts_closed
 

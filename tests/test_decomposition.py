@@ -7,13 +7,13 @@ from freejacobi import decomposition as dec
 from freejacobi.verification import check_decomposition
 from freejacobi.combinatorics import binomial
 from freejacobi.moments import (
-    MomentTrajectory,
     ProcessParams,
     integrate_moments,
     symmetric_binomial_moment,
     weighted_row_sums,
 )
 from freejacobi.series import one_minus_z
+from freejacobi.special_functions import Run
 from freejacobi.transforms import radical_series, stationary_mgf, stationary_support
 
 
@@ -191,7 +191,7 @@ def test_s_pde_residual_trivial_for_stationary_input():
     params = ProcessParams(lam=lam, theta=0.5)
     m_inf = stationary_mgf(lam, 10).coeffs
     times = 0.999 + np.arange(11) * 1e-4
-    traj = MomentTrajectory(params=params, times=times, values=np.tile(m_inf, (11, 1)))
+    traj = Run(times, np.tile(m_inf, (11, 1)), params=params)
     assert dec.pde_residual_S(traj, 0.9995) == 0.0
 
 

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 
 from freejacobi.combinatorics import binomial
 from freejacobi.moments import (
-    MomentTrajectory,
     ProcessParams,
     closed_form_moments,
     complement_moments,
@@ -23,14 +22,22 @@ from freejacobi.moments import (
     recurrence_rhs,
     symmetric_binomial_moment,
 )
-from freejacobi.special_functions import (DEFAULT_STEP, damped_traces, rho_coefficients, rk4,
-                                          s_trajectory, step_times, ubm_moment_vector)
+from freejacobi.special_functions import (DEFAULT_STEP, Run, damped_traces, rho_coefficients,
+                                          rk4, s_trajectory, step_times, ubm_moment_vector)
 from freejacobi.transforms import mgf_closed_lambda1
 
 
 def run_traces(theta, t, order, h=1e-3):
     """Damped traces at t from the last state of one trace-system run."""
     return damped_traces(s_trajectory(theta, t, order, h)[1][-1], t)
+
+
+# one run of each integrated system, stored at every step to t = 0.1 (h = 1e-3)
+LOOKUP_RUNS = {
+    "hierarchy": lambda: integrate_moments(ProcessParams(0.6, 0.5), 0.1, order=4,
+                                           at=step_times(0.1, 1e-3)),
+    "trace": lambda: s_trajectory(0.75, 0.1, 4, at=step_times(0.1, 1e-3)),
+}
 
 
 def arcsine_vector(order):
@@ -115,18 +122,20 @@ class TestIntegration:
                 assert np.all(m <= 1 + 1e-10)
                 assert np.all(np.diff(m) <= 1e-10)
 
-    def test_time_lookup_is_strict(self):
-        params = ProcessParams(lam=1.0, theta=0.5)
-        traj = integrate_moments(params, 0.1, order=2, h=1e-3, at=step_times(0.1, 1e-3))
+    @pytest.mark.parametrize("system", LOOKUP_RUNS)
+    def test_time_lookup_is_strict(self, system):
+        run = LOOKUP_RUNS[system]()
+        assert np.array_equal(run.at(0.05), run.values[50])
         with pytest.raises(KeyError):
-            traj.at(0.0505)
+            run.at(0.0505)
 
+    @pytest.mark.parametrize("system", LOOKUP_RUNS)
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    def test_non_finite_time_is_not_stored(self, t):
+    def test_non_finite_time_is_not_stored(self, t, system):
         # argmin over NaN or inf distances picks index 0, the t = 0 state
-        traj = integrate_moments(ProcessParams(0.6, 0.5), 1.0, order=4, at=(0.0, 1.0))
+        run = LOOKUP_RUNS[system]()
         with pytest.raises(KeyError):
-            traj.at(t)
+            run.at(t)
 
 
 class TestClosedForm:
@@ -400,7 +409,7 @@ def test_lambda_scaling_residual_refuses_an_order_past_the_stability_interval():
 
 
 def test_a_hand_built_trajectory_counts_no_steps():
-    assert MomentTrajectory(ProcessParams(0.6, 0.5), np.zeros(1), np.ones((1, 3))).steps is None
+    assert Run(np.zeros(1), np.ones((1, 3)), params=ProcessParams(0.6, 0.5)).steps is None
 
 
 @pytest.mark.parametrize("t_end", [3.0, 30.0])
