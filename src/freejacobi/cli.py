@@ -4,9 +4,12 @@ Subcommands: moments, density, stationary-density, series, s-system, words,
 oracle, verify.  Every run writes CSV/JSON artifacts into ``--outdir``
 (default: the current directory) plus a run manifest carrying the command
 line, parameters, seeds and the SHA-256 digest of every file the run wrote;
-re-running with the same flags reproduces the outputs byte-for-byte.  The
-parameters are the parsed flags plus what the run measured; ``oracle``'s
-defaults are the fields of ``OracleConfig()``, the acceptance run.
+re-running with the same flags on the same BLAS kernel (see ``manifest``)
+reproduces the outputs byte-for-byte.  ``main`` creates ``--outdir``
+before the command computes, so an unwritable one is a usage error before
+any work.  The parameters are the parsed flags plus what the run
+measured; ``oracle``'s defaults are the fields of ``OracleConfig()``, the
+acceptance run.
 ``_write_run`` is the only writer: the commands compute, and
 ``verification`` never touches the file system.  ``series`` and ``words``
 run the checks of ``verification`` under the names and tolerances
@@ -84,9 +87,8 @@ _RUN_ATTRS = ("func", "command", "outdir", "started_at", "argv")
 
 def _write_run(args, stem: str, outputs: dict, measured: dict | None = None, seeds=()) -> None:
     """Write a command's outputs, then ``<stem>_manifest.json`` with the
-    digest of every one of them.  This is the only place that writes an
-    artifact.  An output directory that cannot be created is a ValueError,
-    a usage error.
+    digest of every one of them, into the directory ``main`` created.  This
+    is the only place that writes an artifact.
 
     ``outputs`` maps each path to (header, rows) for a CSV or to a dict for
     a JSON payload; ``rows`` is a list of field tuples or, for an
@@ -100,10 +102,6 @@ def _write_run(args, stem: str, outputs: dict, measured: dict | None = None, see
     parameters.update(measured or {})
     manifest = RunManifest(command_line=args.argv, parameters=parameters,
                            seeds=list(seeds), started_at=args.started_at)
-    try:
-        args.outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"--outdir {args.outdir} cannot be created: {exc.strerror}") from None
     for path, content in outputs.items():
         if isinstance(content, dict):
             with open(path, "w", encoding="utf-8") as handle:
@@ -393,6 +391,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.started_at = started_at
     args.argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--outdir {args.outdir} cannot be created: {exc.strerror}")
     try:
         return args.func(args)
     except ValueError as exc:  # inputs outside a route's stated validity range

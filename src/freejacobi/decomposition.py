@@ -30,14 +30,22 @@ from .transforms import alpha_series, radical_series, richardson_dt, stationary_
 from .transforms import transport_residual
 
 
+#: smallest lambda the decomposition takes: ``stationary_mgf``'s numerator
+#: cancels to O(lambda), and the worst c_1, c_2 (t in {0.5, 1, 2}, orders 12
+#: and 32) read 2.5e-9 at 1e-8, 40x under their 1e-7 gate, 1.1e-5 at 1e-12
+LAMBDA_FLOOR = 1e-8
+
+
 def _transport_rho(lam: float, t: float, order: int) -> TruncatedSeries:
     """rho_s((2-lambda) e^{-t} z), s = 2 lambda t/(2-lambda), pre-damped at
-    rate t - ln(2-lambda).  Lambda must lie in (0, 1], the range of
-    ``decomposition_u``: towards lambda = 2 the alternating sums built on it
-    cancel catastrophically (psi_256 = -4.3e7, not 0.0054, at lambda = 1.9).
+    rate t - ln(2-lambda).  Lambda must lie in [LAMBDA_FLOOR, 1], the range
+    of ``decomposition_u``: towards lambda = 2 the alternating sums built on
+    it cancel catastrophically (psi_256 = -4.3e7, not 0.0054, at lambda = 1.9).
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("lambda must lie in (0, 1]")
+    if lam < LAMBDA_FLOOR:
+        raise ValueError(f"lambda {lam:g} is below the decomposition's floor {LAMBDA_FLOOR:g}")
     s_time = 2.0 * lam * t / (2.0 - lam)
     return TruncatedSeries(rho_coefficients(s_time, t - math.log(2.0 - lam), order))
 
@@ -102,8 +110,9 @@ def decomposition_u(
 
     ``trajectory`` supplies m_n(t) and the rank ratio lambda; it must be a
     theta = 1/2 run from the P <= Q start "p-le-q" (so lambda lies in
-    (0, 1]), stored time t, and order at least ``order``.  Without a
-    trajectory, lambda = 1 and the closed-form moments are used.
+    (0, 1]) at lambda >= LAMBDA_FLOOR, stored time t, and order at least
+    ``order``.  Without a trajectory, lambda = 1 and the closed-form moments
+    are used.
     """
     if trajectory is None:
         lam, m_t = 1.0, closed_form_moments(t, order)

@@ -2,7 +2,11 @@
 
 Every CLI run writes one of these next to its outputs.  Output files are
 referenced by SHA-256 digest; re-running the recorded command line with
-the recorded parameters and seeds must reproduce the digests exactly.
+the recorded parameters and seeds on the same BLAS kernel must reproduce
+the digests exactly.  OpenBLAS picks its kernel by CPU core type
+(``OPENBLAS_CORETYPE`` overrides it), and another kernel may move the last
+bits of what runs on it: ``np.correlate`` (so ``np.convolve`` in series
+products) and the oracle's ``eigh``.
 """
 
 from __future__ import annotations

@@ -168,7 +168,8 @@ class Run(tuple):
     pair, ``values[q]`` the state at ``times[q]``.  ``steps`` counts the
     RK4 steps the run took, the partial step included (None for a run no
     integration made); ``params`` is a moment run's ``ProcessParams`` (None
-    for any other), and ``order`` the n of its rows (m_0, ..., m_n).
+    for any other), and ``order``, of a moment run only, the n of its rows
+    (m_0, ..., m_n); a trace-system state (s_1, ..., s_n) has no m_0.
     ``at(t)`` is the state at the stored time nearest t, within
     1e-9 max(1, |t|); a KeyError for a time between stored steps, which
     must not snap to a neighbor, and for a NaN or infinite one."""

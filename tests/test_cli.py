@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freejacobi import cli, combinatorics, spectral, verification
+from freejacobi import cli, combinatorics, decomposition, spectral, verification
 from freejacobi import oracle as orc
 from freejacobi.cli import main
 from freejacobi.moments import INIT_MODES, integrate_moments
@@ -405,6 +405,14 @@ def test_an_outdir_that_cannot_be_created_exits_2(tmp_path, capsys, below):
                       + ("File exists" if below == "" else "Not a directory")]
 
 
+def test_an_unwritable_outdir_is_refused_before_the_command_runs(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path / "file" / "x", "words", "--n", "2")
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_wrong_closed_word_count_fails_words_and_the_suite(tmp_path, monkeypatch, capsys):
     original = combinatorics.word_counts_closed
 
@@ -768,15 +776,29 @@ def test_series_order_below_one_exits_2(tmp_path, capsys, check):
     assert "order must be >= 1, got 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("check", ["pde", "decomposition"])
-@pytest.mark.parametrize("lam", ["1.5", "0", "nan", "inf"])
+@pytest.mark.parametrize("lam, check", [
+    *((lam, check) for lam in ("1.5", "0", "nan", "inf") for check in ("pde", "decomposition")),
+    ("1e-12", "decomposition"),
+])
 def test_series_lambda_outside_nested_range_exits_2(tmp_path, capsys, check, lam):
-    # ProcessParams(lam, 0.5) with P <= Q is the one statement of the range
+    # ProcessParams(lam, 0.5) with P <= Q is the one statement of the range;
+    # the decomposition also has a floor, decomposition.LAMBDA_FLOOR
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, "series", "--check", check, "--lambda", lam)
     assert exc.value.code == 2
     assert "lambda" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_series_decomposition_passes_at_its_lambda_floor(tmp_path, capsys):
+    assert decomposition.LAMBDA_FLOOR == 1e-8
+    assert run_cli(tmp_path, "series", "--check", "decomposition", "--lambda", "1e-8",
+                   "--order", "12") == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path / "below", "series", "--check", "decomposition",
+                "--lambda", "9.99e-9", "--order", "12")
+    assert exc.value.code == 2
+    assert "lambda 9.99e-09 is below the decomposition's floor 1e-08" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("check", ["alpha", "rho", "mgf", "pde", "decomposition"])

@@ -441,17 +441,17 @@ def test_expansion_moments_finite_at_large_order_and_time():
     assert np.max(np.abs(expansion - closed_form_moments(5.0, 256))) < 1e-12
 
 
-def test_bench_rhs_script_prints_five_rows_and_the_scan(monkeypatch, capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_rhs.py"
+def test_bench_layers_script_prints_five_rows_and_the_scan(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_layers.py"
     monkeypatch.setattr(sys, "argv", [str(script), "--repeats", "1", "--calls", "10",
                                       "--t", "0.01"])
     runpy.run_path(str(script), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
-    # one reference sample before each of the 2 x 5 x 1 timed repeats
-    assert lines[0].startswith("reference loop ") and "(median of 10 samples;" in lines[0]
+    # one reference sample before each of the 2 x 5 x 1 + 2 density timed repeats
+    assert lines[0].startswith("reference loop ") and "(median of 12 samples;" in lines[0]
     assert [line.split("  bound")[0] for line in lines[1:6]] == [
         "B=1  order= 8", "B=3  order= 8", "B=1  order=32", "B=3  order=32",
         "trace  order=12"]
     assert all(line.count(" us") == 4 and "at reference speed:" in line for line in lines[1:6])
-    assert len(lines) == 7 and lines[6].startswith("three-lambda scan to t=0.01: batched ")
+    assert len(lines) == 9 and lines[6].startswith("three-lambda scan to t=0.01: batched ")
     assert "at reference speed" in lines[6]

@@ -128,11 +128,12 @@ def test_density_allocates_no_points_by_terms_table():
     assert peak < 2 * 2**20
 
 
-def test_bench_density_script_prints_both_term_counts(monkeypatch, capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_density.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--repeats", "1"])
+def test_bench_layers_script_prints_both_term_counts(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_layers.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--repeats", "1", "--calls", "10",
+                                      "--t", "0.01"])
     runpy.run_path(str(script), run_name="__main__")
-    lines = capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().out.splitlines()[7:9]
     assert [line.split("  ")[2] for line in lines] == ["terms= 256", "terms=4096"]
     assert all(line.count(" ms") == 2 and line.endswith(" MiB") for line in lines)
 
