@@ -34,7 +34,7 @@ Usage: python scripts/bench_layers.py [--repeats 15] [--calls 2000] [--t 30]
 """
 
 import argparse
-import importlib.util
+import runpy
 import statistics
 import tracemalloc
 from functools import partial
@@ -72,10 +72,7 @@ class Timer:
     ``references``."""
 
     def __init__(self, repeats: int):
-        spec = importlib.util.spec_from_file_location("perfbench_sample", SAMPLE)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        self.reference_s = module.reference_s
+        self.reference_s = runpy.run_path(str(SAMPLE))["reference_s"]
         self.repeats = repeats
         self.references: list[float] = []
 

@@ -163,7 +163,7 @@ def pde_residual_S(trajectory: Run, t: float) -> float:
     def flux(s: TruncatedSeries) -> TruncatedSeries:
         return one_minus_z(order) * s * s * lam + radical_series(lam, order) * s
 
-    return transport_residual(recurrence_rhs(m_t, lam, 0.5), s_t, flux, order)
+    return transport_residual(recurrence_rhs(m_t, lam, 0.5), s_t, flux)
 
 
 def general_evolution_residual(

@@ -420,13 +420,25 @@ def trace_system(theta: float, order: int):
     return bind
 
 
+_EXP_LIMIT = math.log(sys.float_info.max)  # 709.78: e^x leaves float64 past it
+
+
 def s_trajectory(theta: float, t_end: float, order: int, h: float = DEFAULT_STEP, at=None) -> Run:
     """Integrate the trace system (``trace_system``) from s_n(0) = 1 (the
     weight squares to the identity); states[q, n-1] holds s_n at times[q],
-    one row per read time in ``at``, t_end alone by default (see ``rk4``;
-    off theta = 1/2 the state leaves float64 at large t).
+    one row per read time in ``at``, t_end alone by default (see ``rk4``).
+    Off theta = 1/2 the last stage forms the source e^{nt} at about t_end,
+    so a run with order x t_end past 709.78 is a ValueError before the
+    first step, after the other input checks; inside that limit ``rk4``
+    still refuses a state that leaves float64.
     """
-    return rk4(trace_system(theta, order), np.ones(order), t_end, h, at)
+    bind = trace_system(theta, order)
+    _full_steps(t_end, h)
+    if theta != 0.5 and order * t_end > _EXP_LIMIT:
+        raise ValueError(f"order {order} to t={t_end:g} is past the trace system's range off "
+                         f"theta = 1/2: its source e^(nt) leaves float64 past order x t = "
+                         f"{_EXP_LIMIT:.2f}")
+    return rk4(bind, np.ones(order), t_end, h, at)
 
 
 def damped_traces(s: np.ndarray, t: float) -> np.ndarray:

@@ -120,14 +120,14 @@ def richardson_dt(coeffs_at, t: float) -> np.ndarray:
     return (4.0 * centered(FD_DELTA / 2.0) - centered(FD_DELTA)) / 3.0
 
 
-def transport_residual(dfdt: np.ndarray, f: TruncatedSeries, flux, order: int) -> float:
+def transport_residual(dfdt: np.ndarray, f: TruncatedSeries, flux) -> float:
     """Residual of the transport equation d/dt f + (z/2) d/dz flux(f) = 0
-    over the first ``order`` coefficients, given f and its time derivative
+    over the first ``f.order`` coefficients, given f and its time derivative
     ``dfdt``.  Each coefficient is normalized by max(1, |lhs_k|, |rhs_k|);
     the top one is dropped because differentiate() leaves it unreliable.
     """
     rhs = (flux(f).differentiate().shift(1) * 0.5).coeffs
-    lhs, rhs = dfdt[:order], rhs[:order]
+    lhs, rhs = dfdt[:f.order], rhs[:f.order]
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return float(np.max(np.abs(lhs + rhs) / scale))
 
@@ -135,7 +135,7 @@ def transport_residual(dfdt: np.ndarray, f: TruncatedSeries, flux, order: int) -
 def pde_residual_rho(t: float, order: int) -> float:
     """Residual of d/dt rho_t + (z/2) d/dz rho_t^2 = 0, normalized."""
     dfdt = richardson_dt(lambda u: rho_series(u, order).coeffs, t)
-    return transport_residual(dfdt, rho_series(t, order), lambda f: f * f, order)
+    return transport_residual(dfdt, rho_series(t, order), lambda f: f * f)
 
 
 def pde_residual_mgf_lambda1(t: float, order: int) -> float:
@@ -143,4 +143,4 @@ def pde_residual_mgf_lambda1(t: float, order: int) -> float:
     closed-form generating function at the symmetric point."""
     dfdt = richardson_dt(lambda u: mgf_closed_lambda1(u, order).coeffs, t)
     return transport_residual(dfdt, mgf_closed_lambda1(t, order),
-                              lambda m: one_minus_z(order) * m * m, order)
+                              lambda m: one_minus_z(order) * m * m)

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freejacobi import cli, combinatorics, decomposition, spectral, verification
+from freejacobi import (cli, combinatorics, decomposition, special_functions, spectral,
+                        verification)
 from freejacobi import oracle as orc
 from freejacobi.cli import main
 from freejacobi.moments import INIT_MODES, integrate_moments
@@ -694,6 +695,8 @@ README_COMMANDS = [
     "series --check decomposition --lambda 0.6 --t 1 --order 12",
     "words --n 8",
     "verify --suite catalan",
+    *[f"density --t {t} --grid-points 501" for t in (0.25, 0.5, 1, 2, 4)],
+    "moments --method closed-form --t 1 --order 2",
     "density --t 4",
 ]
 
@@ -897,16 +900,44 @@ def test_s_system_theta_half_past_exp_range(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ("s-system", "--theta", "0.75", "--t", "100", "--step", "1"),
-    ("moments", "--method", "expansion", "--theta", "0.75", "--t", "100", "--order", "8",
+    # order 8 x t 88.5 = 708 is inside the source's range; RK4's sums overflow at t = 88
+    ("s-system", "--theta", "0.75", "--t", "88.5", "--step", "1"),
+    ("moments", "--method", "expansion", "--theta", "0.75", "--t", "88.5", "--order", "8",
      "--step", "1"),
 ])
 def test_trace_system_past_float64_exits_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, *argv)
     assert exc.value.code == 2
-    assert "state leaves the float64 range by t=" in capsys.readouterr().err
+    assert "state leaves the float64 range by t=88\n" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", [
+    "moments --t 40 --method expansion --theta 0.3 --order 32",  # ran 22,021 steps first
+    "s-system --theta 0.75 --t 100 --step 1",
+    "moments --method expansion --theta 0.75 --t 100 --order 8 --step 1",
+])
+def test_a_trace_run_past_its_source_range_exits_2_before_stepping(tmp_path, capsys,
+                                                                   monkeypatch, command):
+    def no_step(*args):
+        pytest.fail("the trace system was integrated")
+
+    monkeypatch.setattr(special_functions, "rk4", no_step)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, *command.split())
+    assert exc.value.code == 2
+    assert "leaves float64 past order x t = 709.78" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, table", [
+    ("moments --t 22 --method expansion --theta 0.3 --order 32", "moments.csv"),
+    ("s-system --theta 0.75 --order 1 --t 709 --step 0.1 --samples 2", "s_system.csv"),
+])
+def test_a_trace_run_inside_its_source_range_writes_its_table(tmp_path, command, table):
+    assert run_cli(tmp_path, *command.split()) == 0
+    assert "nan" not in (tmp_path / table).read_text()
 
 
 @pytest.mark.parametrize("command", [

@@ -1,6 +1,5 @@
 import math
 import os
-import runpy
 import subprocess
 import sys
 import threading
@@ -416,16 +415,3 @@ def test_analytic_entry_points_do_not_load_the_thread_pool():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "False"
-
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def test_oracle_convergence_script_prints_one_row_per_dim(monkeypatch, capsys):
-    script = ROOT / "scripts" / "oracle_convergence.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--dims", "4,8", "--steps", "2",
-                                      "--trials", "2"])
-    runpy.run_path(str(script), run_name="__main__")
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("theory: m1 = ")
-    assert [line.split(":")[0] for line in lines[1:]] == ["N=   4", "N=   8"]

@@ -223,13 +223,3 @@ def test_density_finite_at_large_time(t):
     arcsine = 1.0 / (math.pi * np.sqrt(grid.xs * (1.0 - grid.xs)))
     # leading correction 2 h_1(2t) cos(2 phi) = 2 e^{-t} cos(2 phi)
     assert np.max(np.abs(grid.values / arcsine - 1.0)) < 3.0 * math.exp(-t)
-
-
-def test_density_scan_script_runs_at_default_times(tmp_path, monkeypatch, capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "density_scan.py"
-    out = tmp_path / "scan.csv"
-    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(out)])
-    runpy.run_path(str(script), run_name="__main__")
-    assert "t=4.0" in capsys.readouterr().out
-    text = out.read_text()
-    assert "nan" not in text and "inf" not in text
