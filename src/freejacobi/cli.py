@@ -10,15 +10,16 @@ before the command computes, so an unwritable one is a usage error before
 any work.  The parameters are the parsed flags plus what the run
 measured; ``oracle``'s defaults are the fields of ``OracleConfig()``, the
 acceptance run.
-``_write_run`` is the only writer: the commands compute, and
-``verification`` never touches the file system.  ``series`` and ``words``
-run the checks of ``verification`` under the names and tolerances
-``verify`` reports them with, and all three report through
-``_report_checks``: each check's line, ``<command>_failures.csv`` when one
-failed, then the run.  ``verify`` runs each suite at its stated
-configuration (other oracle sizes run through ``oracle``) and writes one
-row per check to ``verify_report.csv``.  ``--step`` (the RK4 step of
-``moments`` and ``s-system``) must be positive.
+``_write_run`` is the only writer and formats every number of a table:
+the commands compute and hand it raw values, and ``verification`` never
+touches the file system.  ``series`` and ``words`` run the checks of
+``verification`` under the names and tolerances ``verify`` reports them
+with, and all three report through ``_report_checks``: each check's line,
+``<command>_failures.csv`` when one failed, then the run.  ``verify``
+runs each suite at its stated configuration (other oracle sizes run
+through ``oracle``) and writes one row per check to ``verify_report.csv``.
+``--step`` (the RK4 step of ``moments`` and ``s-system``) must be
+positive.
 
 ``build_parser`` builds the parser once per process, on first use; it is
 read-only after that, and every ``main`` call parses into its own
@@ -63,20 +64,10 @@ from .special_functions import (DEFAULT_STEP, damped_traces, s_closed_theta_half
 _NUM = "%.12g"
 
 
-def _fmt(x: float) -> str:
-    return _NUM % x
-
-
 def _check_report(results) -> tuple[list[str], list[tuple]]:
-    """(header, rows) with one formatted row per check."""
+    """(header, rows) with one row per check."""
     header = ["suite", "check", "passed", "value", "tolerance", "detail"]
-    rows = [
-        (r.suite, r.name, int(r.passed),
-         "" if r.value is None else _fmt(r.value),
-         "" if r.tolerance is None else _fmt(r.tolerance),
-         r.detail)
-        for r in results
-    ]
+    rows = [(r.suite, r.name, int(r.passed), r.value, r.tolerance, r.detail) for r in results]
     return header, rows
 
 
@@ -91,11 +82,12 @@ def _write_run(args, stem: str, outputs: dict, measured: dict | None = None, see
     is the only place that writes an artifact.
 
     ``outputs`` maps each path to (header, rows) for a CSV or to a dict for
-    a JSON payload; ``rows`` is a list of field tuples or, for an
-    all-numeric table, its body as CSV text: CR LF-ended lines with no
-    field to quote, the bytes ``csv.writer`` would write.  The manifest's
-    parameters are the parsed flags (``lam`` recorded as ``lambda``)
-    updated with what the run ``measured``.
+    a JSON payload; ``rows`` is a list of field tuples, written with every
+    float (``np.float64`` included) as ``_NUM`` and None as an empty field,
+    or, for an all-numeric table, its body as CSV text: CR LF-ended lines
+    with no field to quote, the bytes ``csv.writer`` would write.  The
+    manifest's parameters are the parsed flags (``lam`` recorded as
+    ``lambda``) updated with what the run ``measured``.
     """
     parameters = {("lambda" if name == "lam" else name): value
                   for name, value in vars(args).items() if name not in _RUN_ATTRS}
@@ -115,7 +107,8 @@ def _write_run(args, stem: str, outputs: dict, measured: dict | None = None, see
                 if isinstance(rows, str):
                     handle.write(rows)
                 else:
-                    writer.writerows(rows)
+                    writer.writerows([_NUM % x if isinstance(x, float) else x for x in row]
+                                     for row in rows)
         manifest.add_output(path)
     manifest.write(args.outdir / f"{stem}_manifest.json")
     print("wrote " + " and ".join(str(path) for path in outputs))
@@ -160,7 +153,7 @@ def _cmd_moments(args) -> int:
         values = expansion_moments(args.theta, damped_traces(s, args.t)[: args.order])
 
     rows = [
-        ("%g" % args.t, str(n), "%.7g" % values[n], args.method)
+        ("%g" % args.t, n, "%.7g" % values[n], args.method)
         for n in range(args.order + 1)
     ]
     header = ["t", "n", "m_n", "method"]
@@ -170,16 +163,15 @@ def _cmd_moments(args) -> int:
 
 def _write_density(args, grid, stem: str) -> None:
     # every field is a number: one "%" per row, from Python floats
-    fixed = ",".join(_fmt(grid.params[name]) for name in ("t", "lambda", "theta"))
+    fixed = ",".join(_NUM % grid.params[name] for name in ("t", "lambda", "theta"))
     row = f"{_NUM},{_NUM},%s,%d\r\n"
     rows = "".join([
         row % (x, f, fixed, raw < 0.0)
         for x, f, raw in zip(grid.xs.tolist(), grid.values.tolist(), grid.raw_values.tolist())
     ])
-    atoms = [(_fmt(loc), _fmt(mass)) for loc, mass in grid.atoms]
     outputs = {
         args.outdir / f"{stem}.csv": (["x", "f", "t", "lambda", "theta", "clipped_flag"], rows),
-        args.outdir / f"{stem}_atoms.csv": (["location", "mass"], atoms),
+        args.outdir / f"{stem}_atoms.csv": (["location", "mass"], grid.atoms),
     }
     _write_run(args, stem, outputs, {"preclip_min": grid.preclip_min,
                                      "quadrature_rule": grid.rule})
@@ -218,11 +210,8 @@ def _cmd_series(args) -> int:
         raise ValueError("--check mgf is specialized to --lambda 1")
     results, exports = SERIES_CHECKS[args.check](args)
     lam, t = args.lam, args.t
-    rows = [
-        (str(n), _fmt(c), name, _fmt(lam), _fmt(t))
-        for name, coeffs in exports.items()
-        for n, c in enumerate(np.asarray(coeffs))
-    ]
+    rows = [(n, c, name, lam, t)
+            for name, coeffs in exports.items() for n, c in enumerate(np.asarray(coeffs))]
     header = ["n", "value", "series_name", "lambda", "t"]
     outputs = {args.outdir / f"series_{args.check}.csv": (header, rows)}
     if args.check == "decomposition":
@@ -246,9 +235,8 @@ def _cmd_s_system(args) -> int:
     rows = []
     for t, state in zip(*s_trajectory(args.theta, args.t, args.order, args.step, times[picks])):
         closed = s_closed_theta_half(t, args.order).tolist() if args.theta == 0.5 else None
-        for n in range(1, args.order + 1):
-            closed_col = _fmt(closed[n - 1]) if closed else ""
-            rows.append((n, _fmt(t), _fmt(state[n - 1]), closed_col))
+        rows += [(n, t, state[n - 1], closed[n - 1] if closed else None)
+                 for n in range(1, args.order + 1)]
     _write_run(args, "s_system",
                {args.outdir / "s_system.csv": (["n", "t", "s_n", "closed_form_if_any"], rows)})
     return 0
@@ -271,11 +259,8 @@ def _cmd_oracle(args) -> int:
     if rank_info.get("rank_rounded"):
         ranks = "/".join(str(rank_info[name]) for name in ("rank_p", "rank_q") if name in rank_info)
         print(f"note: projection ranks rounded to {ranks}")
-    rows = [
-        (n, _fmt(args.t), _fmt(run.estimates[n]), _fmt(run.stderrs[n]),
-         args.dim, args.steps, args.trials, args.mode)
-        for n in args.orders
-    ]
+    rows = [(n, args.t, run.estimates[n], run.stderrs[n], args.dim, args.steps, args.trials,
+             args.mode) for n in args.orders]
     header = ["n", "t", "estimate", "stderr", "N", "steps", "trials", "mode"]
     measured = {
         "unitarity_drift": run.unitarity_drift,
@@ -332,14 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="time-t spectral density at the symmetric point")
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--grid-points", type=int, default=999)
-    p.add_argument("--terms", type=int, default=256)
+    p.add_argument("--grid-points", type=int, default=spectral.DEFAULT_POINTS)
+    p.add_argument("--terms", type=int, default=spectral.DEFAULT_TERMS)
     p.add_argument("--fejer", choices=["auto", "on", "off"], default="auto")
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("stationary-density", help="stationary spectral density")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--grid-points", type=int, default=999)
+    p.add_argument("--grid-points", type=int, default=spectral.DEFAULT_POINTS)
     p.set_defaults(func=_cmd_stationary_density)
 
     p = sub.add_parser("series", help="series exports and identity checks")

@@ -29,6 +29,8 @@ from .special_functions import ubm_moment_vector
 from .transforms import stationary_support
 
 FEJER_TIME_CUTOFF = 0.5
+#: the density grid's defaults: arc-grid points and Chebyshev terms
+DEFAULT_POINTS, DEFAULT_TERMS = 999, 256
 
 #: smallest rank ratio ``stationary_density`` accepts: below about 6e-16 the
 #: support, of width sqrt(2 lambda), is too narrow for float64 and the
@@ -107,8 +109,8 @@ def chebyshev_sum(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def density_lambda1(
     t: float,
-    num_points: int = 999,
-    fourier_terms: int = 256,
+    num_points: int = DEFAULT_POINTS,
+    fourier_terms: int = DEFAULT_TERMS,
     fejer: str = "auto",
 ) -> DensityGrid:
     """Density of the process law at the symmetric point and time t > 0,
@@ -175,7 +177,7 @@ def atom_masses(lam: float, theta: float = 0.5) -> list[tuple[float, float]]:
     return [(0.0, max(0.0, at0 / lam)), (1.0, max(0.0, at1 / (lam * theta)))]
 
 
-def stationary_density(lam: float, num_points: int = 999) -> DensityGrid:
+def stationary_density(lam: float, num_points: int = DEFAULT_POINTS) -> DensityGrid:
     """Stationary density at theta = 1/2 for rank ratio lam in
     [``STATIONARY_LAMBDA_MIN``, 1].
 

@@ -141,21 +141,25 @@ def suite_catalan() -> list[CheckResult]:
 # laguerre (trace system at the symmetric weight)
 # ---------------------------------------------------------------------------
 
+# step 2e-4 keeps the RK4 error well below the stated tolerances
+# (the default 1e-3 step sits right at the 1e-8 boundary at t = 4)
+LAGUERRE_ORDER, LAGUERRE_STEP = 12, 2e-4
+
+
 def suite_laguerre() -> list[CheckResult]:
-    # step 2e-4 keeps the RK4 error well below the stated tolerances
-    # (the default 1e-3 step sits right at the 1e-8 boundary at t = 4)
     # 81 read times, t = 0, 0.05, ..., 4: every 250th step
-    times, states = s_trajectory(0.5, 4.0, 12, h=2e-4, at=[k / 20 for k in range(81)])
-    closed = [s_closed_theta_half(t, 12) for t in times]
+    times, states = s_trajectory(0.5, 4.0, LAGUERRE_ORDER, h=LAGUERRE_STEP,
+                                 at=[k / 20 for k in range(81)])
+    closed = [s_closed_theta_half(t, LAGUERRE_ORDER) for t in times]
     # scaled comparison: the raw values reach 1e13 at n=12, t=4, where an
     # absolute 1e-8 would be below float64 resolution
     worst_closed = _worst((np.abs(s - c) / np.maximum(1.0, np.abs(c)), 0.0)
                           for s, c in zip(states, closed))
-    worst_h = _worst((damped_traces(s, t), ubm_moment_vector(2.0 * t, 12))
+    worst_h = _worst((damped_traces(s, t), ubm_moment_vector(2.0 * t, LAGUERRE_ORDER))
                      for t, s in zip(times, states))
     return [
         _check("laguerre", "integrated-vs-closed-form", worst_closed, 1e-8,
-               "n<=12, t<=4, scaled by max(1, |closed|)"),
+               "n<=12, t<=4, scaled by max(1, |closed|)"),  # n<=LAGUERRE_ORDER
         _check("laguerre", "scaled-traces-vs-ubm-moments", worst_h, 1e-10,
                "e^{-nt} s_n(t) vs h_n(2t)"),
     ]
@@ -373,24 +377,29 @@ def suite_complement() -> list[CheckResult]:
 # density suite
 # ---------------------------------------------------------------------------
 
+# the density suite's moment order, and the rank ratios whose stationary
+# densities it compares with one batched scan of the hierarchy to t = 30
+DENSITY_ORDER, DENSITY_LAMBDAS, DENSITY_SCAN_T = 8, (0.4, 0.6, 0.8), 30.0
+
+
 def suite_density() -> list[CheckResult]:
-    grids = {t: spectral.density_lambda1(t, num_points=999, fourier_terms=256)
-             for t in (0.5, 1.0, 2.0)}
-    moments = _worst((spectral.quadrature_moments(grid, 8), closed_form_moments(t, 8))
-                     for t, grid in grids.items())
+    grids = {t: spectral.density_lambda1(t) for t in (0.5, 1.0, 2.0)}
+    moments = _worst((spectral.quadrature_moments(grid, DENSITY_ORDER),
+                      closed_form_moments(t, DENSITY_ORDER)) for t, grid in grids.items())
     support = grids[2.0].values
-    lams = (0.4, 0.6, 0.8)
+    scans = _lambda_scan(DENSITY_LAMBDAS, DENSITY_SCAN_T, DENSITY_ORDER, at=(DENSITY_SCAN_T,))
     stationary = _worst(
-        (spectral.quadrature_moments(spectral.stationary_density(lam, num_points=999), 8),
-         traj.at(30.0))
-        for lam, traj in zip(lams, _lambda_scan(lams, 30.0, 8, at=(30.0,)))
+        (spectral.quadrature_moments(spectral.stationary_density(lam), DENSITY_ORDER),
+         traj.at(DENSITY_SCAN_T)) for lam, traj in zip(DENSITY_LAMBDAS, scans)
     )
+    # the details state DENSITY_ORDER and DENSITY_LAMBDAS as literals
     return [
-        _check("density", "moment-back-check", moments, 1e-6, "n<=8, t in {0.5,1,2}, 256 terms"),
+        _check("density", "moment-back-check", moments, 1e-6,
+               "n<=8, t in {0.5,1,2}, " f"{spectral.DEFAULT_TERMS} terms"),
         _check("density", "total-mass", _worst((g.total_mass(), 1.0) for g in grids.values()),
                1e-8),
         _check("density", "support-fills-at-t-2", support.min(),
-               detail="strictly positive on 999 interior points",
+               detail=f"strictly positive on {spectral.DEFAULT_POINTS} interior points",
                passed=bool(np.all(support > 0.0))),
         _check("density", "stationary-vs-t-30-moments", stationary, 1e-4,
                "lam in {0.4,0.6,0.8}, n<=8"),

@@ -14,10 +14,14 @@ import pytest
 from freejacobi.verification import run_suite
 
 
-def _run(name, **kwargs):
+def _timed(name):
     start = time.time()
-    results = run_suite(name, **kwargs)
-    elapsed = time.time() - start
+    results = run_suite(name)
+    return results, time.time() - start
+
+
+def _report(name, timed):
+    results, elapsed = timed
     for result in results:
         print(result.line())
     print(f"[suite {name}: {elapsed:.1f}s]")
@@ -26,18 +30,27 @@ def _run(name, **kwargs):
     return results
 
 
-def test_criterion_1_three_route_moment_agreement():
+def _run(name):
+    return _report(name, _timed(name))
+
+
+@pytest.fixture(scope="module")
+def routes():
+    """One routes run for criteria 1 and 2."""
+    return _timed("routes")
+
+
+def test_criterion_1_three_route_moment_agreement(routes):
     # integrate (RK4 h=1e-3), Laguerre closed form, and word-count
     # expansion over the integrated trace system (RK4 h=1e-3) agree
     # pairwise to 1e-8 for n <= 16, t in {0.25,...,4}
-    _run("routes")
+    _report("routes", routes)
 
 
-def test_criterion_2_symmetric_binomial_identity():
-    # covered inside the routes suite at 1e-12; run standalone here so the
-    # criterion has its own pass/fail line
-    results = run_suite("routes")
-    line = [r for r in results if r.name == "symmetric-binomial-identity"]
+def test_criterion_2_symmetric_binomial_identity(routes):
+    # covered inside the routes suite at 1e-12; read from criterion 1's run
+    # so the criterion has its own pass/fail line
+    line = [r for r in routes[0] if r.name == "symmetric-binomial-identity"]
     print(line[0].line())
     assert line and line[0].passed
 

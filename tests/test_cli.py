@@ -319,8 +319,8 @@ def test_s_system_rows_are_the_picks_of_a_full_run(tmp_path, options):
     want = []
     for j in picks:
         closed = s_closed_theta_half(times[j], args.order).tolist() if args.theta == 0.5 else None
-        want += [[str(n), cli._fmt(times[j]), cli._fmt(states[j][n - 1]),
-                  cli._fmt(closed[n - 1]) if closed else ""] for n in range(1, args.order + 1)]
+        want += [[str(n), cli._NUM % times[j], cli._NUM % states[j][n - 1],
+                  cli._NUM % closed[n - 1] if closed else ""] for n in range(1, args.order + 1)]
     with open(tmp_path / "s_system.csv", newline="") as handle:
         assert list(csv.reader(handle))[1:] == want
 
@@ -512,6 +512,30 @@ def test_oracle_defaults_and_oracle_suite_are_the_acceptance_run():
     sizing = inspect.signature(verification.suite_oracle).parameters
     assert {name: param.default for name, param in sizing.items()} == {
         name: getattr(orc.OracleConfig(), name) for name in ("dim", "steps", "trials", "seed")}
+
+
+def test_density_defaults_are_spectrals_grid():
+    parser = cli.build_parser()
+    density = parser.parse_args(["density", "--t", "1"])
+    stationary = parser.parse_args(["stationary-density", "--lambda", "0.5"])
+    route = {name: param.default
+             for name, param in inspect.signature(spectral.density_lambda1).parameters.items()}
+    assert (density.grid_points, density.terms, density.fejer) == (
+        spectral.DEFAULT_POINTS, spectral.DEFAULT_TERMS, route["fejer"])
+    assert (route["num_points"], route["fourier_terms"]) == (
+        spectral.DEFAULT_POINTS, spectral.DEFAULT_TERMS)
+    assert stationary.grid_points == spectral.DEFAULT_POINTS == inspect.signature(
+        spectral.stationary_density).parameters["num_points"].default
+
+
+def test_the_writer_formats_every_number_of_a_table(tmp_path, capsys):
+    # the commands hand _write_run raw values: a float, np.float64 included,
+    # at 12 significant digits, an int as itself and None as an empty field
+    args = argparse.Namespace(outdir=tmp_path, argv=[], started_at=0.0)
+    row = (1 / 3, np.float64(1 / 3), 7, None)
+    cli._write_run(args, "table", {tmp_path / "table.csv": (["a", "b", "c", "d"], [row])})
+    assert (tmp_path / "table.csv").read_bytes() == (
+        b"a,b,c,d\r\n0.333333333333,0.333333333333,7,\r\n")
 
 
 def test_outdir_is_the_only_output_directory(tmp_path, monkeypatch):
